@@ -8,8 +8,9 @@ of the growth thresholds.
 """
 
 from .coeffs import (COEFFICIENT_FIELDS, CoefficientSet, Expression,
-                     ValidationReport, Violation, evaluate, field_values,
-                     parse_expression, to_source, validate_hypothesis_H)
+                     ValidationReport, Violation, evaluate, field_lattice,
+                     field_values, parse_expression, to_source,
+                     validate_hypothesis_H)
 from .config import (RunConfig, RunSettings, SweepSettings, load_config,
                      substituted_coeffs)
 from .dynamics import (DISEASE_FREE, ENDEMIC, EXTINCTION, INDETERMINATE,
@@ -37,8 +38,8 @@ __all__ = [
     "__version__",
     # coefficients and expressions
     "COEFFICIENT_FIELDS", "CoefficientSet", "Expression", "ValidationReport",
-    "Violation", "evaluate", "field_values", "parse_expression", "to_source",
-    "validate_hypothesis_H",
+    "Violation", "evaluate", "field_lattice", "field_values",
+    "parse_expression", "to_source", "validate_hypothesis_H",
     # configuration
     "RunConfig", "RunSettings", "SweepSettings", "load_config",
     "substituted_coeffs",

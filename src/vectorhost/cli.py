@@ -20,7 +20,6 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -323,9 +322,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         except VectorHostError:
             return (value, "", "", "ERROR")
 
-    values = cfg.sweep.values
-    with ThreadPoolExecutor(max_workers=min(4, len(values))) as ex:
-        rows = list(ex.map(run_row, values))  # input order, not completion order
+    rows = [run_row(value) for value in cfg.sweep.values]
     _write_csv(os.path.join(args.out, "sweep.csv"),
                ["value", "zeta", "lambda_V", "regime"],
                [[_FMT % v, z, l, r] for v, z, l, r in rows])

@@ -14,9 +14,11 @@ text in a tiny arithmetic grammar:
 Functions: sin, cos, exp, abs (one argument), max, min, pow (two).
 Precedence: ^  >  unary -  >  * /  >  + -.  Python's '**' is rejected.
 
-Evaluation is pure and numpy-vectorised over x.  Hypothesis checks sample
-every field on the grid/time lattice over two periods and report (never
-throw) violations of periodicity, nonnegativity, strict positivity, and
+Evaluation is pure and numpy-vectorised over x and t.  Every solver reads
+its coefficients through field_lattice, which evaluates a field once on the
+whole node x time-level lattice of a setup.  Hypothesis checks sample every
+field on the grid/time lattice over two periods and report (never throw)
+violations of periodicity, nonnegativity, strict positivity, and
 nontriviality of the infection pathway.
 """
 
@@ -25,15 +27,15 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field as dataclass_field
-from typing import Mapping, Sequence, Union
+from typing import Mapping
 
 import numpy as np
 
-from .errors import EvalError, ParseError
+from .errors import EvalError, InputError, ParseError
 
 __all__ = [
     "Expression", "Num", "Var", "Neg", "Bin", "Call",
-    "parse_expression", "evaluate", "to_source", "field_values",
+    "parse_expression", "evaluate", "to_source", "field_values", "field_lattice",
     "CoefficientSet", "Violation", "ValidationReport", "validate_hypothesis_H",
 ]
 
@@ -300,12 +302,36 @@ def evaluate(e: Expression, x, t: float):
 
 
 def field_values(e, x: np.ndarray, t: float) -> np.ndarray:
-    """Evaluate an Expression (or plain number) to an array shaped like x."""
-    if isinstance(e, Expression):
-        v = evaluate(e, x, t)
+    """Evaluate an Expression (or plain number) at time t to an array shaped like x."""
+    return field_lattice(e, np.ravel(x), [t])[0].reshape(np.shape(x))
+
+
+def field_lattice(f, x: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Values of a field at nodes x and times ts, shaped (len(ts), len(x)).
+
+    f may be an Expression (evaluated in one broadcast call), a number, a
+    callable (x, t) -> values (called once per time), or an array that
+    already has the lattice shape.
+
+    Raises:
+        InputError: for an array of the wrong shape or an unusable field.
+    """
+    x = np.asarray(x, dtype=float)
+    ts = np.asarray(ts, dtype=float)
+    shape = (ts.shape[0], x.shape[0])
+    if isinstance(f, Expression):
+        v = evaluate(f, x[None, :], ts[:, None])
+    elif isinstance(f, np.ndarray):
+        if f.shape != shape:
+            raise InputError(f"field array has shape {f.shape}, lattice needs {shape}")
+        v = f
+    elif np.isscalar(f):
+        v = float(f)
+    elif callable(f):
+        v = [np.broadcast_to(f(x, float(t)), x.shape) for t in ts]
     else:
-        v = float(e)
-    return np.broadcast_to(np.asarray(v, dtype=float), np.shape(x)).copy()
+        raise InputError(f"not a usable field: {f!r}")
+    return np.broadcast_to(np.asarray(v, dtype=float), shape).copy()
 
 
 # precedence levels for minimal-paren printing
@@ -440,10 +466,6 @@ class ValidationReport:
         return "\n".join(v.describe() for v in self.violations)
 
 
-def _lattice_values(expr: Expression, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    return np.stack([field_values(expr, xs, float(t)) for t in ts])
-
-
 def validate_hypothesis_H(c: CoefficientSet, grid, t_offset: float = 0.0) -> ValidationReport:
     """Check the standing hypothesis on a space-time lattice.
 
@@ -461,12 +483,11 @@ def validate_hypothesis_H(c: CoefficientSet, grid, t_offset: float = 0.0) -> Val
     violations: list[Violation] = []
 
     def worst(mask: np.ndarray, vals: np.ndarray):
-        idx = np.unravel_index(np.argmin(np.where(mask, vals, np.inf)), vals.shape)
-        return idx
+        return np.unravel_index(np.argmin(np.where(mask, vals, np.inf)), vals.shape)
 
-    for name, expr in c.named_fields().items():
-        vals = _lattice_values(expr, xs, ts)
-
+    lattices = {name: field_lattice(expr, xs, ts)
+                for name, expr in c.named_fields().items()}
+    for name, vals in lattices.items():
         # periodicity: compare t and t+T over the first period of the lattice
         a = vals[: m + 1]
         b = vals[m: 2 * m + 1]
@@ -491,8 +512,7 @@ def validate_hypothesis_H(c: CoefficientSet, grid, t_offset: float = 0.0) -> Val
                 float(vals[j, i])))
 
     # infection pathway must not vanish identically
-    prod = (_lattice_values(c.sigma1, xs, ts[: m + 1])
-            * _lattice_values(c.H_u, xs, ts[: m + 1]))
+    prod = lattices["sigma1"][: m + 1] * lattices["H_u"][: m + 1]
     if np.max(prod) <= 0.0:
         violations.append(Violation(
             "sigma1*H_u", "must not vanish identically", float(xs[0]),

@@ -28,11 +28,12 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .coeffs import CoefficientSet, field_values
+from .coeffs import CoefficientSet, field_lattice
+from .coeffs import field_values  # noqa: F401  (name the benchmark tracer wraps here)
 from .errors import (EpsilonTooLarge, InputError, InternalError, NoConvergence,
                      ReducibleSystemWarning)
 from .grid import BoundarySpec, Grid, assemble_diffusion
-from .stepper import ComponentSpec, LinearPeriodicSystem, as_field_fn
+from .stepper import ComponentSpec, LinearPeriodicSystem
 
 __all__ = [
     "PeriodicOrbit", "EigenResult", "principal_eigenvalue", "apply_period_map",
@@ -166,35 +167,32 @@ class _PreparedEigen:
             raise InputError("eigen solves take homogeneous systems (no source)")
         g = sys.grid
         self.grid = g
-        m = g.steps_per_period
+        ts = g.level_times()
         dt = g.dt
         ncomp = len(sys.comps)
         self.sizes = [g.n_unknowns(c.bc) for c in sys.comps]
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
         self.total = int(self.offsets[-1])
-        nodes = [g.nodes_for(c.bc) for c in sys.comps]
-        coup = [[None if f is None else as_field_fn(f) for f in row]
-                for row in sys.coupling]
+        diffusion = [assemble_diffusion(g, c.d, c.bc, ts) for c in sys.comps]
+        coup = [[None if f is None else field_lattice(f, g.nodes_for(comp.bc), ts)
+                 for f in row] for comp, row in zip(sys.comps, sys.coupling)]
 
         eye = sp.identity(self.total, format="csc")
         self.mplus = []
         self.lu = []
-        for j in range(m):
-            t = j * dt
+        for j, t in enumerate(ts):
             rows, cols, data = [], [], []
             for i, comp in enumerate(sys.comps):
                 o = self.offsets[i]
-                D = assemble_diffusion(g, comp.d, comp.bc, t)
-                n = D.n
-                idx = np.arange(n)
+                D = diffusion[i]
+                idx = np.arange(D.n)
                 rows += [o + idx, o + idx[1:], o + idx[:-1]]
                 cols += [o + idx, o + idx[:-1], o + idx[1:]]
-                data += [D.diag, D.lower, D.upper]
+                data += [D.diag[j], D.lower[j], D.upper[j]]
                 for jc in range(ncomp):
-                    fn = coup[i][jc]
-                    if fn is None:
+                    if coup[i][jc] is None:
                         continue
-                    w = np.asarray(fn(nodes[i], t), dtype=float)
+                    w = coup[i][jc][j]
                     if jc != i and np.min(w) < _COOP_SLACK:
                         raise InputError(
                             f"system not cooperative: coupling[{i}][{jc}] reaches "
@@ -325,19 +323,15 @@ def principal_eigenvalue(system: LinearPeriodicSystem,
 # ═══════════════════════════════════════════════════════════════════════════
 
 
-def _expr_diff(a, b):
-    """Field a - b as a callable."""
-    return lambda x, t: field_values(a, x, t) - field_values(b, x, t)
-
-
 def zeta(c: CoefficientSet, bc2: BoundarySpec, grid: Grid,
          tol: float = DEFAULT_EIGEN_TOL, max_iters: int = DEFAULT_MAX_ITERS) -> EigenResult:
     """Vector growth threshold: principal eigenvalue of the scalar problem
     with net growth beta - mu1 under the vector boundary operator."""
+    x2, ts = grid.nodes_for(bc2), grid.level_times()
     sys = LinearPeriodicSystem(
         grid=grid,
         comps=(ComponentSpec(d=c.d2, bc=bc2),),
-        coupling=((_expr_diff(c.beta, c.mu1),),))
+        coupling=((field_lattice(c.beta, x2, ts) - field_lattice(c.mu1, x2, ts),),))
     return principal_eigenvalue(sys, tol, max_iters)
 
 
@@ -348,7 +342,7 @@ def gamma_rho(c: CoefficientSet, bc1: BoundarySpec, grid: Grid,
     sys = LinearPeriodicSystem(
         grid=grid,
         comps=(ComponentSpec(d=c.d1, bc=bc1),),
-        coupling=((lambda x, t: -field_values(c.rho, x, t),),))
+        coupling=((-field_lattice(c.rho, grid.nodes_for(bc1), grid.level_times()),),))
     res = principal_eigenvalue(sys, tol, max_iters)
     if res.value <= 0:
         raise InternalError(
@@ -369,18 +363,26 @@ def _check_orbit_for_linearisation(V: PeriodicOrbit, grid: Grid) -> None:
         raise InputError(f"orbit has negative entries (min {V.min_value():.3g})")
 
 
-def _invasion_system(c: CoefficientSet, bcs, grid: Grid, coupling_field,
-                     decay_field) -> LinearPeriodicSystem:
+def _invasion_system(c: CoefficientSet, bcs, grid: Grid, coupling,
+                     decay) -> LinearPeriodicSystem:
+    """The 2x2 linearisation; coupling and decay are orbit lattices of
+    shape (m, n2) on the vector layout."""
     bc1, bc2 = bcs
-    s1hu = lambda x, t: field_values(c.sigma1, x, t) * field_values(c.H_u, x, t)
-    f21 = lambda x, t: field_values(c.sigma2, x, t) * coupling_field(x, t)
-    f22 = lambda x, t: -(field_values(c.mu1, x, t)
-                         + field_values(c.mu2, x, t) * decay_field(x, t))
+    ts = grid.level_times()
+    x1, x2 = grid.nodes_for(bc1), grid.nodes_for(bc2)
+
+    def host(f):
+        return field_lattice(f, x1, ts)
+
+    def vector(f):
+        return field_lattice(f, x2, ts)
+
     return LinearPeriodicSystem(
         grid=grid,
         comps=(ComponentSpec(d=c.d1, bc=bc1), ComponentSpec(d=c.d2, bc=bc2)),
-        coupling=((lambda x, t: -field_values(c.rho, x, t), s1hu),
-                  (f21, f22)))
+        coupling=((-host(c.rho), host(c.sigma1) * host(c.H_u)),
+                  (vector(c.sigma2) * vector(coupling),
+                   -(vector(c.mu1) + vector(c.mu2) * vector(decay)))))
 
 
 def lambda_V(c: CoefficientSet, bcs, grid: Grid, V: PeriodicOrbit,
@@ -392,7 +394,7 @@ def lambda_V(c: CoefficientSet, bcs, grid: Grid, V: PeriodicOrbit,
     mu1 + mu2*V).  Negative values mean the infection invades.
     """
     _check_orbit_for_linearisation(V, grid)
-    sys = _invasion_system(c, bcs, grid, V.field(0), V.field(0))
+    sys = _invasion_system(c, bcs, grid, V.samples[0][:-1], V.samples[0][:-1])
     return principal_eigenvalue(sys, tol, max_iters)
 
 
@@ -415,8 +417,6 @@ def lambda_V_eps(c: CoefficientSet, bcs, grid: Grid, V: PeriodicOrbit,
         raise EpsilonTooLarge(
             f"V - |eps|*phi reaches {margin:.3g} (eps={eps:g}); "
             "the band leaves the positive cone")
-    Vf, Pf = V.field(0), phi.field(0)
-    up = lambda x, t: Vf(x, t) + eps * Pf(x, t)
-    down = lambda x, t: Vf(x, t) - eps * Pf(x, t)
-    sys = _invasion_system(c, bcs, grid, up, down)
+    Vs, Ps = V.samples[0][:-1], phi.samples[0][:-1]
+    sys = _invasion_system(c, bcs, grid, Vs + eps * Ps, Vs - eps * Ps)
     return principal_eigenvalue(sys, tol, max_iters)

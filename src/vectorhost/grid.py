@@ -12,6 +12,11 @@ d(x_{i +/- 1/2}, t), which keeps the assembled tridiagonal matrix
 essentially nonnegative off the diagonal whenever d > 0 (the sign
 structure all comparison arguments rest on).  At a Robin endpoint the
 outside face value is mirrored from the inside face (even extension).
+
+Solvers assemble the operator for every solver level in one call: given
+an array of times, assemble_diffusion reads d and the Robin weights
+through coeffs.field_lattice and returns stacked diagonals, one row per
+time.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import field_values
+from .coeffs import field_lattice
+from .coeffs import field_values  # noqa: F401  (name the benchmark tracer wraps here)
 from .errors import CoefficientError, DomainError
 
 __all__ = ["Grid", "BoundarySpec", "DiffusionMatrix", "build_grid", "assemble_diffusion"]
@@ -43,6 +49,10 @@ class Grid:
     @property
     def dt(self) -> float:
         return self.T / self.steps_per_period
+
+    def level_times(self) -> np.ndarray:
+        """The steps_per_period solver-level times k*dt of one period."""
+        return np.arange(self.steps_per_period) * self.dt
 
     def interior_nodes(self) -> np.ndarray:
         return self.x_left + self.h * np.arange(1, self.nx + 1)
@@ -113,10 +123,14 @@ class BoundarySpec:
     def neumann(cls, group: int) -> "BoundarySpec":
         return cls.robin(group, 0.0, 0.0)
 
-    def b_at(self, grid: Grid, t: float) -> tuple[float, float]:
-        """Endpoint weights (left, right) at time t."""
-        bl = float(field_values(self.b_left, np.asarray(grid.x_left), t))
-        br = float(field_values(self.b_right, np.asarray(grid.x_right), t))
+    def b_at(self, grid: Grid, t) -> tuple:
+        """Endpoint weights (left, right) at time t: floats for a float t,
+        arrays for a 1-D array of times."""
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        bl = field_lattice(self.b_left, [grid.x_left], ts)[:, 0]
+        br = field_lattice(self.b_right, [grid.x_right], ts)[:, 0]
+        if np.ndim(t) == 0:
+            return float(bl[0]), float(br[0])
         return bl, br
 
 
@@ -125,18 +139,19 @@ class DiffusionMatrix:
     """Tridiagonal discretisation of div(d grad .) at a fixed time.
 
     Dimension nx (Dirichlet) or nx+2 (Robin); `lower`/`upper` hold the
-    off-diagonals (length n-1).
+    off-diagonals (length n-1).  Assembled over an array of times, t is
+    that array and every diagonal gains a leading time axis.
     """
 
     lower: np.ndarray
     diag: np.ndarray
     upper: np.ndarray
-    t: float
+    t: object   # float | np.ndarray
     h: float
 
     @property
     def n(self) -> int:
-        return self.diag.shape[0]
+        return self.diag.shape[-1]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         out = self.diag * v
@@ -149,63 +164,65 @@ class DiffusionMatrix:
                 + np.diag(self.lower, -1))
 
 
-def assemble_diffusion(grid: Grid, d, bc: BoundarySpec, t: float) -> DiffusionMatrix:
+def assemble_diffusion(grid: Grid, d, bc: BoundarySpec, t) -> DiffusionMatrix:
     """Assemble div(d grad .) on the layout induced by `bc` at time t.
 
     Args:
         grid: the mesh.
         d: diffusion field (Expression, float, or callable of (x, t)).
         bc: boundary flavor; Robin weights are evaluated at time t.
-        t: assembly time.
+        t: assembly time, or a 1-D array of times for a stacked result.
 
     Raises:
         CoefficientError: if d is not strictly positive at every face.
     """
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
     faces = grid.faces()
-    if callable(d) and not hasattr(d, "eval"):
-        dface = np.asarray(d(faces, t), dtype=float)
-    else:
-        dface = field_values(d, faces, t)
-    if np.min(dface) <= 0.0:
-        k = int(np.argmin(dface))
+    dface = field_lattice(d, faces, ts)
+    bad = np.min(dface, axis=1) <= 0.0
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        k = int(np.argmin(dface[j]))
         raise CoefficientError(
-            f"diffusion must be positive; got {dface[k]:.6g} at x={faces[k]:.6g}, t={t:.6g}")
+            f"diffusion must be positive; got {dface[j, k]:.6g} at x={faces[k]:.6g}, "
+            f"t={ts[j]:.6g}")
 
     h2 = grid.h * grid.h
     if bc.flavor == "dirichlet":
-        n = grid.nx
         # interior nodes only; eliminated boundary values are zero
-        diag = -(dface[:-1] + dface[1:]) / h2
-        lower = dface[1:-1] / h2
-        upper = dface[1:-1] / h2
-        return DiffusionMatrix(lower.copy(), diag, upper.copy(), float(t), grid.h)
-
-    # Robin: endpoints are unknowns; ghost elimination with mirrored faces
-    n = grid.nx + 2
-    diag = np.empty(n)
-    lower = np.empty(n - 1)
-    upper = np.empty(n - 1)
-    diag[1:-1] = -(dface[:-1] + dface[1:]) / h2
-    lower[:-1] = dface[:-1] / h2   # rows 1..nx, column to the left
-    upper[1:] = dface[1:] / h2     # rows 1..nx, column to the right
-    bl, br = bc.b_at(grid, t)
-    diag[0] = -2.0 * dface[0] / h2 - 2.0 * bl * dface[0] / grid.h
-    upper[0] = 2.0 * dface[0] / h2
-    diag[-1] = -2.0 * dface[-1] / h2 - 2.0 * br * dface[-1] / grid.h
-    lower[-1] = 2.0 * dface[-1] / h2
-    return DiffusionMatrix(lower, diag, upper, float(t), grid.h)
+        diag = -(dface[:, :-1] + dface[:, 1:]) / h2
+        lower = dface[:, 1:-1] / h2
+        upper = lower.copy()
+    else:
+        # Robin: endpoints are unknowns; ghost elimination with mirrored faces
+        n = grid.nx + 2
+        diag = np.empty((len(ts), n))
+        lower = np.empty((len(ts), n - 1))
+        upper = np.empty((len(ts), n - 1))
+        diag[:, 1:-1] = -(dface[:, :-1] + dface[:, 1:]) / h2
+        lower[:, :-1] = dface[:, :-1] / h2   # rows 1..nx, column to the left
+        upper[:, 1:] = dface[:, 1:] / h2     # rows 1..nx, column to the right
+        bl, br = bc.b_at(grid, ts)
+        diag[:, 0] = -2.0 * dface[:, 0] / h2 - 2.0 * bl * dface[:, 0] / grid.h
+        upper[:, 0] = 2.0 * dface[:, 0] / h2
+        diag[:, -1] = -2.0 * dface[:, -1] / h2 - 2.0 * br * dface[:, -1] / grid.h
+        lower[:, -1] = 2.0 * dface[:, -1] / h2
+    if np.ndim(t) == 0:
+        return DiffusionMatrix(lower[0], diag[0], upper[0], float(t), grid.h)
+    return DiffusionMatrix(lower, diag, upper, ts, grid.h)
 
 
 def map_between(values: np.ndarray, src: BoundarySpec, dst: BoundarySpec) -> np.ndarray:
     """Re-express a nodal vector from one layout on another.
 
     Dirichlet components carry zero endpoint values, so restriction drops
-    them and prolongation pads them back; both directions are exact.
+    them and prolongation pads them back; both directions are exact.  The
+    node axis is the last one, so stacked levels map row by row.
     """
     if src.flavor == dst.flavor:
         return values
     if src.flavor == "robin":       # full -> interior
-        return values[1:-1]
-    out = np.zeros(values.shape[0] + 2, dtype=values.dtype)
-    out[1:-1] = values
+        return values[..., 1:-1]
+    out = np.zeros(values.shape[:-1] + (values.shape[-1] + 2,), dtype=values.dtype)
+    out[..., 1:-1] = values
     return out

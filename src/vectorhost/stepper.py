@@ -3,9 +3,12 @@
 One step advances every component by one backward-Euler solve of its own
 tridiagonal implicit matrix (diffusion assembled at t+dt plus the linear
 decay diagonal), with cross-component coupling and nonlinear terms taken
-explicitly at time t.  Coefficients are always evaluated at times wrapped
-into [0, T), so the period map is literally the same map every period and
-long runs cannot drift off the coefficient lattice.
+explicitly at time t.  prepare() reads every coefficient once, through
+coeffs.field_lattice on the m solver levels of [0, T), and builds every
+state-independent implicit matrix there; steps index those lattices by
+level mod m, so the period map is literally the same map every period and
+long runs cannot drift off the coefficient lattice.  _solve is the one
+tridiagonal kernel (LAPACK gtsv).
 
 Structural properties the rest of the package leans on:
 
@@ -29,14 +32,13 @@ comparison variant).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
-from .coeffs import CoefficientSet, Expression, field_values
+from .coeffs import CoefficientSet, field_lattice
+from .coeffs import field_values  # noqa: F401  (name the benchmark tracer wraps here)
 from .errors import BlowupError, DomainError, InputError, SolveError
 from .grid import BoundarySpec, DiffusionMatrix, Grid, assemble_diffusion, map_between
 
@@ -46,15 +48,6 @@ __all__ = [
 ]
 
 DEFAULT_BLOWUP_CAP = 1e12
-
-
-def as_field_fn(f) -> Callable[[np.ndarray, float], np.ndarray]:
-    """Normalise Expression | float | callable(x, t) to a callable."""
-    if isinstance(f, Expression) or np.isscalar(f):
-        return lambda x, t: field_values(f, x, t)
-    if callable(f):
-        return f
-    raise InputError(f"not a usable field: {f!r}")
 
 
 @dataclass
@@ -93,7 +86,10 @@ class LinearPeriodicSystem:
 
     coupling[i][j] is the coefficient field multiplying component j in
     equation i (None for zero); off-diagonal entries must be nonnegative.
-    source, if present, is one field per component.
+    source, if present, is one field per component.  A field is anything
+    coeffs.field_lattice reads: an Expression, a number, a callable (x, t),
+    or an array of shape (m, n_i) over the solver levels and the nodes of
+    component i.
     """
 
     grid: Grid
@@ -118,7 +114,8 @@ class NonlinearModel:
     kind "truncated": components (H_i, V_i) of the reduced system, with the
         periodic orbit V, the growth-threshold eigenfunction phi, and the
         signed band shift eps; coupling uses (V + eps*phi - V_i)_+ and the
-        decay uses mu1 + mu2*(V - eps*phi).
+        decay uses mu1 + mu2*(V - eps*phi), both with V and phi at the start
+        of the step, where the full model reads V_u + V_i.
     """
 
     kind: str
@@ -177,59 +174,45 @@ class Trajectory:
 # ═══════════════════════════════════════════════════════════════════════════
 
 
-def _banded_from(D: DiffusionMatrix, decay: np.ndarray, dt: float) -> np.ndarray:
-    """Banded (1,1) form of I - dt*D + dt*diag(decay) for solve_banded."""
-    n = D.n
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -dt * D.upper
-    ab[1, :] = 1.0 - dt * D.diag + dt * decay
-    ab[2, :-1] = -dt * D.lower
+def _banded(D: DiffusionMatrix, dt: float, decay=0.0) -> np.ndarray:
+    """Banded (1,1) form of I - dt*D + dt*diag(decay), stacked like D."""
+    ab = np.zeros(D.diag.shape[:-1] + (3, D.n))
+    ab[..., 0, 1:] = -dt * D.upper
+    ab[..., 1, :] = 1.0 - dt * D.diag + dt * decay
+    ab[..., 2, :-1] = -dt * D.lower
     return ab
 
 
 def _solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        return solve_banded((1, 1), ab, rhs, check_finite=False)
-    except (LinAlgError, ValueError) as exc:  # defensive: singular implicit matrix
-        raise SolveError(f"implicit solve failed: {exc}") from exc
+    """Solve the tridiagonal system held in banded (1,1) form."""
+    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
+    if info != 0:  # defensive: singular implicit matrix
+        raise SolveError(f"implicit solve failed: gtsv info {info}")
+    return x
 
 
 class _PreparedLinear:
-    """Per-level assembled diffusion + coupling/source arrays for one system."""
+    """Implicit matrices and coupling/source lattices for one system."""
 
     def __init__(self, sys: LinearPeriodicSystem):
         g = sys.grid
-        m = g.steps_per_period
-        dt = g.dt
+        ts = g.level_times()
         n = len(sys.comps)
         self.sys = sys
-        self.nodes = [g.nodes_for(c.bc) for c in sys.comps]
-        coup_fns = [[None if f is None else as_field_fn(f) for f in row]
-                    for row in sys.coupling]
-        src_fns = (None if sys.source is None
-                   else [None if f is None else as_field_fn(f) for f in sys.source])
+        nodes = [g.nodes_for(c.bc) for c in sys.comps]
 
-        self.ab = []        # [j][i] implicit banded matrix at level j
-        self.offdiag = []   # [j][i][jcomp] explicit coupling arrays (None if absent)
-        self.src = []       # [j][i] source arrays or None
-        for j in range(m):
-            t = j * dt
-            ab_row, off_row, src_row = [], [], []
-            for i, comp in enumerate(sys.comps):
-                D = assemble_diffusion(g, comp.d, comp.bc, t)
-                diag_fn = coup_fns[i][i]
-                decay = (np.zeros(D.n) if diag_fn is None
-                         else -np.asarray(diag_fn(self.nodes[i], t), dtype=float))
-                ab_row.append(_banded_from(D, decay, dt))
-                off_row.append([
-                    None if (jc == i or coup_fns[i][jc] is None)
-                    else np.asarray(coup_fns[i][jc](self.nodes[i], t), dtype=float)
-                    for jc in range(n)])
-                src_row.append(None if src_fns is None or src_fns[i] is None
-                               else np.asarray(src_fns[i](self.nodes[i], t), dtype=float))
-            self.ab.append(ab_row)
-            self.offdiag.append(off_row)
-            self.src.append(src_row)
+        def lattice(f, i):
+            return None if f is None else field_lattice(f, nodes[i], ts)
+
+        self.coupling = [[lattice(f, i) for f in row]
+                         for i, row in enumerate(sys.coupling)]
+        self.src = [None] * n if sys.source is None else \
+            [lattice(f, i) for i, f in enumerate(sys.source)]
+        self.ab = []        # [i] implicit banded matrices, shape (m, 3, n_i)
+        for i, comp in enumerate(sys.comps):
+            decay = self.coupling[i][i]
+            D = assemble_diffusion(g, comp.d, comp.bc, ts)
+            self.ab.append(_banded(D, g.dt, 0.0 if decay is None else -decay))
 
     def step(self, u: StateField) -> StateField:
         sys = self.sys
@@ -242,57 +225,64 @@ class _PreparedLinear:
         new = []
         for i in range(n):
             rhs = u.components[i].copy()
-            for jc in range(n):
-                w = self.offdiag[j0][i][jc]
-                if w is not None:
-                    rhs += dt * w * map_between(u.components[jc],
-                                                sys.comps[jc].bc, sys.comps[i].bc)
-            if self.src[j0][i] is not None:
-                rhs += dt * self.src[j0][i]
-            new.append(_solve(self.ab[j1][i], rhs))
+            for jc, w in enumerate(self.coupling[i]):
+                if w is not None and jc != i:
+                    rhs += dt * w[j0] * map_between(u.components[jc],
+                                                    sys.comps[jc].bc, sys.comps[i].bc)
+            if self.src[i] is not None:
+                rhs += dt * self.src[i][j0]
+            new.append(_solve(self.ab[i][j1], rhs))
         return StateField(tuple(new), u.t + dt, u.step + 1)
 
 
 class _PreparedModel:
-    """Per-level coefficient arrays for the nonlinear selectors."""
+    """Coefficient lattices and fixed implicit matrices for the nonlinear
+    selectors; only the vector matrix of "full"/"logistic" depends on the
+    state and is completed per step."""
 
     def __init__(self, model: NonlinearModel):
         g = model.grid
-        m = g.steps_per_period
+        ts = g.level_times()
+        dt = g.dt
         c = model.c
         self.model = model
-        self.x1 = g.nodes_for(model.bc1)
-        self.x2 = g.nodes_for(model.bc2)
-        need1 = model.kind in ("full", "truncated")
+        x1 = g.nodes_for(model.bc1)
+        x2 = g.nodes_for(model.bc2)
 
-        self.D1 = [assemble_diffusion(g, c.d1, model.bc1, j * g.dt) for j in range(m)] \
-            if need1 else None
-        self.D2 = [assemble_diffusion(g, c.d2, model.bc2, j * g.dt) for j in range(m)]
+        def lattice(f, x):
+            return field_lattice(f, x, ts)
 
-        def lattice(expr, x):
-            return [field_values(expr, x, j * g.dt) for j in range(m)]
-
-        self.rho = lattice(c.rho, self.x1) if need1 else None
-        self.s1hu = [field_values(c.sigma1, self.x1, j * g.dt)
-                     * field_values(c.H_u, self.x1, j * g.dt)
-                     for j in range(m)] if need1 else None
-        self.sigma2 = lattice(c.sigma2, self.x2)
-        self.beta = lattice(c.beta, self.x2)
-        self.mu1 = lattice(c.mu1, self.x2)
-        self.mu2 = lattice(c.mu2, self.x2)
-
+        # the vector matrix without decay; steps add dt*decay to its diagonal
+        D2 = assemble_diffusion(g, c.d2, model.bc2, ts)
+        self.ab2 = _banded(D2, dt)
+        self.sigma2 = lattice(c.sigma2, x2)
+        self.beta = lattice(c.beta, x2)
+        self.mu1 = lattice(c.mu1, x2)
+        self.mu2 = lattice(c.mu2, x2)
+        if model.kind != "logistic":
+            D1 = assemble_diffusion(g, c.d1, model.bc1, ts)
+            self.ab_h = _banded(D1, dt, lattice(c.rho, x1))
+            self.s1hu = lattice(c.sigma1, x1) * lattice(c.H_u, x1)
         if model.kind == "truncated":
-            self.Vlev = [model.V.level(0, j) for j in range(m)]
+            V = lattice(model.V.samples[0][:-1], x2)
+            self.band, shift = V, V
             if model.eps != 0.0:
-                self.philev = [model.phi.level(0, j) for j in range(m)]
-            else:
-                self.philev = None
+                ephi = model.eps * lattice(model.phi.samples[0][:-1], x2)
+                self.band, shift = V + ephi, V - ephi
+            # the decay reads the orbit at the step's start level, as the
+            # full model reads V_u + V_i: row j1 takes shift[j1 - 1]
+            self.ab_z = _banded(D2, dt, self.mu1 + self.mu2 * np.roll(shift, 1, axis=0))
 
     def _check_cap(self, arrays) -> None:
         cap = self.model.cap
         for a in arrays:
             if np.max(np.abs(a)) > cap:
                 raise BlowupError(f"state exceeded blow-up cap {cap:g}")
+
+    def _vector_matrix(self, j1: int, total: np.ndarray) -> np.ndarray:
+        ab = self.ab2[j1].copy()
+        ab[1] += self.model.grid.dt * (self.mu1[j1] + self.mu2[j1] * total)
+        return ab
 
     def step(self, u: StateField) -> StateField:
         model = self.model
@@ -304,39 +294,28 @@ class _PreparedModel:
 
         if model.kind == "logistic":
             (V,) = u.components
-            ab = _banded_from(self.D2[j1], self.mu1[j1] + self.mu2[j1] * V, dt)
-            Vn = _solve(ab, V + dt * self.beta[j0] * V)
+            Vn = _solve(self._vector_matrix(j1, V), V + dt * self.beta[j0] * V)
             out = (Vn,)
 
         elif model.kind == "full":
             Hi, Vu, Vi = u.components
             Vsum = Vu + Vi
             trans = self.sigma2[j0] * Vu * map_between(Hi, model.bc1, model.bc2)
-            ab_v = _banded_from(self.D2[j1], self.mu1[j1] + self.mu2[j1] * Vsum, dt)
+            ab_v = self._vector_matrix(j1, Vsum)
             Vsum_n = _solve(ab_v, Vsum + dt * self.beta[j0] * Vsum)
             Vi_n = _solve(ab_v, Vi + dt * trans)
             Vu_n = Vsum_n - Vi_n
-            ab_h = _banded_from(self.D1[j1], self.rho[j1], dt)
-            Hi_n = _solve(ab_h, Hi + dt * self.s1hu[j0] * map_between(Vi, model.bc2, model.bc1))
+            Hi_n = _solve(self.ab_h[j1],
+                          Hi + dt * self.s1hu[j0] * map_between(Vi, model.bc2, model.bc1))
             out = (Hi_n, Vu_n, Vi_n)
 
         else:  # truncated
             Hi, Z = u.components
-            eps = model.eps
-            V0 = self.Vlev[j0]
-            V1 = self.Vlev[j1]
-            if eps != 0.0:
-                band0 = V0 + eps * self.philev[j0]
-                shift1 = V1 - eps * self.philev[j1]
-            else:
-                band0 = V0
-                shift1 = V1
-            pos = np.maximum(band0 - Z, 0.0)
+            pos = np.maximum(self.band[j0] - Z, 0.0)
             trans = self.sigma2[j0] * pos * map_between(Hi, model.bc1, model.bc2)
-            ab_z = _banded_from(self.D2[j1], self.mu1[j1] + self.mu2[j1] * shift1, dt)
-            Z_n = _solve(ab_z, Z + dt * trans)
-            ab_h = _banded_from(self.D1[j1], self.rho[j1], dt)
-            Hi_n = _solve(ab_h, Hi + dt * self.s1hu[j0] * map_between(Z, model.bc2, model.bc1))
+            Z_n = _solve(self.ab_z[j1], Z + dt * trans)
+            Hi_n = _solve(self.ab_h[j1],
+                          Hi + dt * self.s1hu[j0] * map_between(Z, model.bc2, model.bc1))
             out = (Hi_n, Z_n)
 
         self._check_cap(out)

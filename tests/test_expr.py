@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from vectorhost import EvalError, ParseError, evaluate, field_values, \
-    parse_expression, to_source
+from vectorhost import EvalError, InputError, ParseError, evaluate, \
+    field_lattice, field_values, parse_expression, to_source
 
 
 def ev(src, x=0.0, t=0.0, constants=None):
@@ -95,3 +95,23 @@ def test_field_values_broadcasts_scalars():
     assert np.all(out == 2.5)
     out2 = field_values(parse_expression("t"), xs, 0.5)
     assert np.all(out2 == 0.5)
+
+
+def test_field_lattice_matches_per_level_values():
+    xs = np.linspace(0.0, 1.0, 9)
+    ts = np.arange(16) / 16.0
+    exprs = [parse_expression("(1 + x*x)*(2 + sin(2*pi*t))/(1 + t)"),
+             parse_expression("2 + sin(2*pi*t)"), 2.5]
+    for f in exprs:
+        per_level = np.stack([field_values(f, xs, float(t)) for t in ts])
+        assert np.array_equal(field_lattice(f, xs, ts), per_level)
+        if not isinstance(f, float):  # one broadcast call, bit for bit
+            scalar_t = [np.broadcast_to(evaluate(f, xs, float(t)), xs.shape) for t in ts]
+            assert np.array_equal(per_level, np.stack(scalar_t))
+    fn = lambda x, t: 1.0 + x * math.cos(t)
+    assert np.array_equal(field_lattice(fn, xs, ts),
+                          np.stack([fn(xs, float(t)) for t in ts]))
+    arr = np.ones((16, 9))
+    assert np.array_equal(field_lattice(arr, xs, ts), arr)
+    with pytest.raises(InputError):
+        field_lattice(np.ones((15, 9)), xs, ts)

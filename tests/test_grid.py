@@ -54,6 +54,21 @@ def test_robin_weights_evaluate_in_time():
     assert bl == 1.0 and br == pytest.approx(0.0)
 
 
+def test_lattice_assembly_matches_per_time_calls():
+    g = build_grid(0.0, 1.0, 15, 1.0, 16)
+    ts = g.level_times()
+    d = parse_expression("1 + 0.5*x*sin(2*pi*t)")
+    robin = BoundarySpec.robin(2, parse_expression("0.5 + 0.5*cos(2*pi*t)"), 1.0)
+    for bc in (BoundarySpec.dirichlet(1), robin):
+        D = assemble_diffusion(g, d, bc, ts)
+        assert D.diag.shape == (16, g.n_unknowns(bc))
+        for j, t in enumerate(ts):
+            Dj = assemble_diffusion(g, d, bc, float(t))
+            assert np.array_equal(D.lower[j], Dj.lower)
+            assert np.array_equal(D.diag[j], Dj.diag)
+            assert np.array_equal(D.upper[j], Dj.upper)
+
+
 def test_layout_sizes_follow_flavor():
     g = build_grid(0.0, 1.0, 15, 1.0, 16)
     assert g.n_unknowns(BoundarySpec.dirichlet(1)) == 15

@@ -14,7 +14,7 @@ from vectorhost import (BlowupError, BoundarySpec, ComponentSpec, DomainError,
                         InputError, LinearPeriodicSystem, NonlinearModel,
                         StateField, build_grid, build_initial_state,
                         integrate_over_period, integrate_trajectory,
-                        parse_expression, prepare)
+                        parse_expression, prepare, solve_logistic_orbit)
 from conftest import make_constants
 
 NEUMANN = (BoundarySpec.neumann(1), BoundarySpec.neumann(2))
@@ -120,6 +120,24 @@ def test_total_vector_reduces_to_logistic_exactly(grid):
                                     - sl.components[0])))
                 for sf, sl in zip(t_full.states, t_logi.states))
     assert worst <= 1e-12
+
+
+def test_truncated_period_matches_full_model_on_the_carrying_orbit():
+    # with V_u + V_i on the carrying orbit V, the truncated system (eps = 0)
+    # is the full model in (H_i, V_i), so one period of each must agree;
+    # this pins the decay to V at the level the full model reads V_u + V_i
+    g = build_grid(0.0, 1.0, 15, 1.0, 64)
+    c = make_constants(beta="2 + sin(2*pi*t)", d2="0.5")
+    V = solve_logistic_orbit(c, NEUMANN[1], g).orbit
+    V0 = V.level(0, 0)
+    H, Z = np.ones(g.nx + 2), 0.3 * V0
+    full = NonlinearModel(kind="full", c=c, bc1=NEUMANN[0], bc2=NEUMANN[1], grid=g)
+    trunc = NonlinearModel(kind="truncated", c=c, bc1=NEUMANN[0],
+                           bc2=NEUMANN[1], grid=g, V=V)
+    uf = integrate_over_period(full, StateField((H, V0 - Z, Z), 0.0, 0))
+    ut = integrate_over_period(trunc, StateField((H, Z), 0.0, 0))
+    assert np.max(np.abs(uf.components[0] - ut.components[0])) <= 1e-12
+    assert np.max(np.abs(uf.components[2] - ut.components[1])) <= 1e-12
 
 
 def test_first_order_in_dt():
