@@ -6,13 +6,14 @@ period (Poincare) map: lam = -ln(r)/T, and the space-time eigenfunction is
 reconstructed as phi(x,t) = exp(lam*t) u(x,t) from the converged iterate.
 
 The period map used here is a Crank-Nicolson propagator on the stacked
-multi-component generator (coupling inside the implicit solve).  Being a
-rational function of the frozen generator it reproduces autonomous
-eigenvalues to O(dt^2 |lam|^3 / 12) instead of the O(dt) bias a first-order
-split map would carry, which the oracle tolerances require; the evolution
-stepper (stepper.py) intentionally stays first-order IMEX for its
-positivity and ordering guarantees.  Eigenpairs returned here satisfy
-apply_period_map(system, phi0) ~ r * phi0 for the map of this module.
+multi-component generator (coupling inside the implicit solve), held with
+its unknowns interleaved by node as one band matrix per level and solved
+with LAPACK gbtrf/gbtrs.  Being a rational function of the frozen generator
+it reproduces autonomous eigenvalues to O(dt^2 |lam|^3 / 12) instead of the
+O(dt) bias a first-order split map would carry, which the oracle tolerances
+require; the evolution stepper (stepper.py) intentionally stays
+first-order IMEX for its positivity and ordering guarantees.  Eigenpairs
+returned here satisfy apply_period_map(system, phi0) ~ r * phi0.
 
 Named eigenvalues: zeta (vector growth threshold), gamma_rho (host decay
 rate), lambda_V (invasion exponent of the disease-free orbit), and
@@ -25,13 +26,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.blas import dgbmv
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .coeffs import CoefficientSet, field_lattice
 from .coeffs import field_values  # noqa: F401  (name the benchmark tracer wraps here)
 from .errors import (EpsilonTooLarge, InputError, InternalError, NoConvergence,
-                     ReducibleSystemWarning)
+                     ReducibleSystemWarning, SolveError)
 from .grid import BoundarySpec, Grid, assemble_diffusion
 from .stepper import ComponentSpec, LinearPeriodicSystem
 
@@ -156,69 +157,97 @@ def _layout_map(n_rows: int, n_cols: int, row_bc: BoundarySpec, col_bc: Boundary
         return idx, idx + 1, weights
     # rows full, cols interior: boundary rows receive nothing
     idx = np.arange(1, n_rows - 1)
-    return idx, idx - 1, weights[1:-1]
+    return idx, idx - 1, weights[..., 1:-1]
 
 
 class _PreparedEigen:
-    """Cached CN factors of the stacked generator at every wrapped level."""
+    """Banded Crank-Nicolson factors of the stacked generator at every level.
+
+    Unknowns are interleaved by physical node, then component (key
+    node*ncomp + comp; Dirichlet components start at node 1), so the
+    generator A has half-bandwidth kb = ncomp.  All m levels of A live in
+    one LAPACK band array; I - dt/2 A is factored per level with gbtrf.
+    period_map takes and returns the stacked (component-block) layout.
+    """
 
     def __init__(self, sys: LinearPeriodicSystem):
         if sys.source is not None:
             raise InputError("eigen solves take homogeneous systems (no source)")
         g = sys.grid
-        self.grid = g
-        ts = g.level_times()
-        dt = g.dt
-        ncomp = len(sys.comps)
+        self.ts = ts = g.level_times()
+        m, ncomp = len(ts), len(sys.comps)
         self.sizes = [g.n_unknowns(c.bc) for c in sys.comps]
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
-        self.total = int(self.offsets[-1])
+        self.total = N = int(self.offsets[-1])
         diffusion = [assemble_diffusion(g, c.d, c.bc, ts) for c in sys.comps]
         coup = [[None if f is None else field_lattice(f, g.nodes_for(comp.bc), ts)
                  for f in row] for comp, row in zip(sys.comps, sys.coupling)]
+        # the first negative level, then the first (row, column) at that level
+        bad = [(int(np.argmax(low)), i, jc) for i, row in enumerate(coup)
+               for jc, w in enumerate(row) if w is not None and jc != i
+               for low in [np.min(w, axis=1) < _COOP_SLACK] if low.any()]
+        if bad:
+            j, i, jc = min(bad)
+            raise InputError(f"system not cooperative: coupling[{i}][{jc}] reaches "
+                             f"{np.min(coup[i][jc][j]):.3g} at t={ts[j]:.6g}")
 
-        eye = sp.identity(self.total, format="csc")
-        self.mplus = []
-        self.lu = []
-        for j, t in enumerate(ts):
-            rows, cols, data = [], [], []
-            for i, comp in enumerate(sys.comps):
-                o = self.offsets[i]
-                D = diffusion[i]
-                idx = np.arange(D.n)
-                rows += [o + idx, o + idx[1:], o + idx[:-1]]
-                cols += [o + idx, o + idx[:-1], o + idx[1:]]
-                data += [D.diag[j], D.lower[j], D.upper[j]]
-                for jc in range(ncomp):
-                    if coup[i][jc] is None:
-                        continue
-                    w = coup[i][jc][j]
-                    if jc != i and np.min(w) < _COOP_SLACK:
-                        raise InputError(
-                            f"system not cooperative: coupling[{i}][{jc}] reaches "
-                            f"{np.min(w):.3g} at t={t:.6g}")
+        key = np.concatenate([(np.arange(n) + (c.bc.flavor == "dirichlet")) * ncomp + i
+                              for i, (n, c) in enumerate(zip(self.sizes, sys.comps))])
+        self.perm = np.argsort(key)          # stacked index at each band position
+        self.unperm = np.argsort(self.perm)  # band position of each stacked index
+        self.kb = kb = ncomp
+        # level slices of a transposed (m, N, rows) array are Fortran-ordered
+        A = np.zeros((m, N, 2 * kb + 1)).transpose(0, 2, 1)
+
+        def put(rows, cols, data):           # A[i, j] lives at A[kb + i - j, j]
+            r, c = self.unperm[rows], self.unperm[cols]
+            A[:, kb + r - c, c] += data
+
+        for i, comp in enumerate(sys.comps):
+            o = self.offsets[i]
+            D = diffusion[i]
+            idx = o + np.arange(D.n)
+            put(idx, idx, D.diag)
+            put(idx[1:], idx[:-1], D.lower)
+            put(idx[:-1], idx[1:], D.upper)
+            for jc, w in enumerate(coup[i]):
+                if w is not None:
                     r, c_, d_ = _layout_map(self.sizes[i], self.sizes[jc],
                                             comp.bc, sys.comps[jc].bc, w)
-                    rows.append(o + r)
-                    cols.append(self.offsets[jc] + c_)
-                    data.append(d_)
-            A = sp.coo_matrix(
-                (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(self.total, self.total)).tocsc()
-            self.mplus.append((eye + (dt / 2.0) * A).tocsr())
-            self.lu.append(splu((eye - (dt / 2.0) * A).tocsc()))
+                    put(o + r, self.offsets[jc] + c_, d_)
+
+        half = g.dt / 2.0
+        self.mplus = half * A
+        self.mplus[:, kb] += 1.0
+        self.lu = np.zeros((m, N, 3 * kb + 1)).transpose(0, 2, 1)
+        self.lu[:, kb:] = -half * A
+        self.lu[:, 2 * kb] += 1.0
+        self.piv = np.empty((m, N), dtype=np.int32)
+        for j in range(m):
+            _, self.piv[j], info = dgbtrf(self.lu[j], kb, kb, overwrite_ab=1)
+            self._check(info, "gbtrf", j)
+
+    def _check(self, info: int, routine: str, j: int) -> None:
+        if info != 0:
+            raise SolveError(f"Crank-Nicolson factor at level {j} (t={self.ts[j]:.6g}) "
+                             f"failed: {routine} info {info}")
 
     def period_map(self, u: np.ndarray, store: bool = False):
-        m = self.grid.steps_per_period
-        levels = [u.copy()] if store else None
+        """One period from stacked u; with store, all m+1 levels as rows."""
+        m, N, kb = len(self.ts), self.total, self.kb
+        u = u[self.perm]
+        levels = [u]
         for k in range(m):
-            u = self.lu[(k + 1) % m].solve(self.mplus[k] @ u)
+            j = (k + 1) % m
+            y = dgbmv(N, N, kb, kb, 1.0, self.mplus[k], u)
+            u, info = dgbtrs(self.lu[j], kb, kb, y, self.piv[j], overwrite_b=1)
+            self._check(info, "gbtrs", j)
             if store:
-                levels.append(u.copy())
-        return levels if store else u
+                levels.append(u)
+        return np.stack(levels)[:, self.unperm] if store else u[self.unperm]
 
     def split(self, u: np.ndarray) -> tuple:
-        return tuple(u[self.offsets[i]:self.offsets[i + 1]]
+        return tuple(u[..., self.offsets[i]:self.offsets[i + 1]]
                      for i in range(len(self.sizes)))
 
 
@@ -231,14 +260,6 @@ def apply_period_map(system: LinearPeriodicSystem, components) -> tuple:
     P = _PreparedEigen(system)
     u = np.concatenate([np.asarray(c, dtype=float) for c in components])
     return P.split(P.period_map(u))
-
-
-def _orbit_from_levels(P: _PreparedEigen, levels: list, dt: float, T: float,
-                       residual: float) -> PeriodicOrbit:
-    comps = []
-    for i in range(len(P.sizes)):
-        comps.append(np.stack([P.split(u)[i] for u in levels]))
-    return PeriodicOrbit(tuple(comps), dt, T, residual)
 
 
 def principal_eigenvalue(system: LinearPeriodicSystem,
@@ -293,13 +314,12 @@ def principal_eigenvalue(system: LinearPeriodicSystem,
 
     value = -np.log(r) / g.T
     # reconstruct phi(x,t) = exp(value*t) u(x,t) over one final sweep
-    levels = P.period_map(u, store=True)
     ts = np.arange(g.steps_per_period + 1) * g.dt
-    phi_levels = [np.exp(value * t) * lev for t, lev in zip(ts, levels)]
-    supval = max(float(np.max(np.abs(p))) for p in phi_levels)
-    phi_levels = [p / supval for p in phi_levels]
-    residual = float(np.max(np.abs(phi_levels[-1] - phi_levels[0])))
-    orbit = _orbit_from_levels(P, phi_levels, g.dt, g.T, residual)
+    phi = np.exp(value * ts)[:, None] * P.period_map(u, store=True)
+    phi /= np.max(np.abs(phi))
+    residual = float(np.max(np.abs(phi[-1] - phi[0])))
+    orbit = PeriodicOrbit(tuple(np.ascontiguousarray(s) for s in P.split(phi)),
+                          g.dt, g.T, residual)
 
     interior_min = np.inf
     for i, comp in enumerate(system.comps):

@@ -178,6 +178,17 @@ def test_nonconvergence_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_singular_crank_nicolson_factor_exits_two(tmp_path, capsys):
+    # net vector growth beta - mu1 = 128 = 2/dt makes I - dt/2 A singular
+    path = write_config(tmp_path)
+    code = main(["eigen", "--config", path, "--out", str(tmp_path / "o"),
+                 "--override", "grid.steps_per_period=64",
+                 "--override", "coefficients.beta=129"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "numerical failure:" in err and "level 0" in err
+
+
 # ───────────────────────────────────────────────────────────── commands ──
 
 

@@ -17,9 +17,11 @@ import pytest
 from vectorhost import (BoundarySpec, ComponentSpec, EpsilonTooLarge,
                         InputError, InternalError, LinearPeriodicSystem,
                         NoConvergence, PeriodicOrbit, ReducibleSystemWarning,
-                        apply_period_map, build_grid, gamma_rho, lambda_V,
-                        lambda_V_eps, parse_expression, principal_eigenvalue,
-                        solve_logistic_orbit, zeta)
+                        SolveError, apply_period_map, build_grid, gamma_rho,
+                        lambda_V, lambda_V_eps, parse_expression,
+                        principal_eigenvalue, solve_logistic_orbit, zeta)
+from vectorhost.coeffs import field_values
+from vectorhost.grid import assemble_diffusion, map_between
 from conftest import make_constants
 
 NEUMANN1 = BoundarySpec.neumann(1)
@@ -172,6 +174,81 @@ def test_negative_offdiagonal_coupling_rejected(grid):
                   (parse_expression("1"), parse_expression("-1"))))
     with pytest.raises(InputError):
         principal_eigenvalue(sys_)
+
+
+def test_cooperativity_message_names_coupling_and_first_level(grid):
+    sys_ = LinearPeriodicSystem(
+        grid=grid,
+        comps=(ComponentSpec(d=1.0, bc=NEUMANN1),
+               ComponentSpec(d=1.0, bc=NEUMANN2)),
+        coupling=((parse_expression("-1"), parse_expression("sin(2*pi*t)")),
+                  (parse_expression("1"), parse_expression("-1"))))
+    ts = grid.level_times()
+    first = ts[np.sin(2 * np.pi * ts) < -1e-12][0]
+    assert first > 0.5
+    with pytest.raises(InputError) as info:
+        principal_eigenvalue(sys_)
+    assert "coupling[0][1]" in str(info.value)
+    assert f"t={first:.6g}" in str(info.value)
+
+
+def test_singular_crank_nicolson_factor_raises_solve_error():
+    # constant growth 2/dt: I - dt/2 A annihilates the constant mode
+    g = build_grid(0.0, 1.0, 15, 1.0, 64)
+    sys_ = LinearPeriodicSystem(
+        grid=g, comps=(ComponentSpec(d=1.0, bc=NEUMANN2),), coupling=((128.0,),))
+    with pytest.raises(SolveError, match=r"level 0 \(t=0\)"):
+        principal_eigenvalue(sys_)
+
+
+def dense_generator(sys_, t):
+    """The stacked (component-block) generator at time t as a dense matrix."""
+    g = sys_.grid
+    bcs = [c.bc for c in sys_.comps]
+    rows = []
+    for i, comp in enumerate(sys_.comps):
+        row = []
+        for j, f in enumerate(sys_.coupling[i]):
+            # P sends a component-j vector onto component i's node layout
+            P = map_between(np.eye(g.n_unknowns(bcs[j])), bcs[j], bcs[i]).T
+            block = field_values(f, g.nodes_for(comp.bc), t)[:, None] * P
+            if i == j:
+                block += assemble_diffusion(g, comp.d, comp.bc, t).to_dense()
+            row.append(block)
+        rows.append(row)
+    return np.block(rows)
+
+
+def dense_period_map(sys_, u):
+    g = sys_.grid
+    A = [dense_generator(sys_, t) for t in g.level_times()]
+    eye = np.eye(len(u))
+    for k in range(len(A)):
+        u = np.linalg.solve(eye - g.dt / 2 * A[(k + 1) % len(A)],
+                            (eye + g.dt / 2 * A[k]) @ u)
+    return u
+
+
+@pytest.mark.parametrize("flavors", [("robin", "robin"), ("dirichlet", "robin"),
+                                     ("robin", "dirichlet"),
+                                     ("dirichlet", "dirichlet")])
+def test_period_map_matches_dense_reference(flavors):
+    g = build_grid(0.0, 1.0, 7, 1.0, 16)
+    weight = parse_expression("0.5 + 0.5*cos(2*pi*t)")
+    bcs = [BoundarySpec.dirichlet(k + 1) if f == "dirichlet"
+           else BoundarySpec.robin(k + 1, weight, 0.3) for k, f in enumerate(flavors)]
+    e = parse_expression
+    sys_ = LinearPeriodicSystem(
+        grid=g,
+        comps=(ComponentSpec(d=e("0.5 + 0.2*sin(2*pi*t) + 0.1*x"), bc=bcs[0]),
+               ComponentSpec(d=0.3, bc=bcs[1])),
+        coupling=((e("1 - 2*x + sin(2*pi*t)"), e("1 + x + 0.5*sin(2*pi*t)")),
+                  (e("0.5 + x*x*(1 + cos(2*pi*t))"), e("0 - 1 - x + cos(2*pi*t)"))))
+    rng = np.random.default_rng(3)
+    comps = [rng.uniform(0.5, 1.5, g.n_unknowns(bc)) for bc in bcs]
+    got = np.concatenate(apply_period_map(sys_, comps))
+    want = dense_period_map(sys_, np.concatenate(comps))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_no_convergence_raises(grid):
