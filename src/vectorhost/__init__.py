@@ -30,7 +30,7 @@ from .periodic import (EndemicPairResult, LogisticOrbitResult, solve_Hbar,
                        solve_endemic_pair, solve_logistic_orbit)
 from .stepper import (ComponentSpec, LinearPeriodicSystem, NonlinearModel,
                       StateField, Trajectory, integrate_over_period,
-                      integrate_trajectory, prepare, step)
+                      integrate_trajectory, prepare)
 
 __version__ = "0.1.0"
 
@@ -64,5 +64,4 @@ __all__ = [
     # time stepping
     "ComponentSpec", "LinearPeriodicSystem", "NonlinearModel", "StateField",
     "Trajectory", "integrate_over_period", "integrate_trajectory", "prepare",
-    "step",
 ]

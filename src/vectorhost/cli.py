@@ -65,49 +65,29 @@ def _write_csv(path: str, header, rows) -> None:
         w.writerows(rows)
 
 
-def _pad(values: np.ndarray, bc: BoundarySpec) -> np.ndarray:
-    # every CSV uses the full node set; Dirichlet data gets its zero endpoints back
-    return map_between(values, bc, BoundarySpec.neumann(bc.group))
+def _node_csv(path: str, grid, times, named) -> None:
+    """Node table: columns x, t, then one column per field.
 
-
-def _orbit_csv(path: str, grid, named) -> None:
-    """Field-snapshot table: columns x, t, then one column per orbit.
-
-    named is a sequence of (column, samples, bc) with samples shaped
-    (m+1, n) on the layout of bc.
+    named is a sequence of (column, values, bc) with values shaped
+    (len(times), n) on the layout of bc.
     """
     xs = grid.full_nodes()
-    m = grid.steps_per_period
-    padded = [np.stack([_pad(level, bc) for level in samples])
-              for _, samples, bc in named]
+    # every CSV uses the full node set; Dirichlet data gets its zero endpoints back
+    padded = [map_between(values, bc, BoundarySpec.neumann(bc.group))
+              for _, values, bc in named]
     rows = []
-    for k in range(m + 1):
-        ts = _FMT % (k * grid.dt)
+    for k, t in enumerate(times):
+        ts = _FMT % t
         for i, x in enumerate(xs):
             rows.append([_FMT % x, ts] + [_FMT % p[k, i] for p in padded])
     _write_csv(path, ["x", "t"] + [name for name, _, _ in named], rows)
 
 
-def _trajectory_csv(path: str, grid, traj, bc1, bc2) -> None:
-    xs = grid.full_nodes()
-    layout = (bc1, bc2, bc2)
-    rows = []
-    for s in traj.states:
-        ts = _FMT % s.t
-        padded = [_pad(comp, bc) for comp, bc in zip(s.components, layout)]
-        for i, x in enumerate(xs):
-            rows.append([_FMT % x, ts] + [_FMT % p[i] for p in padded])
-    _write_csv(path, ["x", "t", "H_i", "V_u", "V_i"], rows)
+def _orbit_times(grid) -> np.ndarray:
+    return np.arange(grid.steps_per_period + 1) * grid.dt
 
 
-def _hypothesis_or_none(cfg: RunConfig):
-    """None when the standing hypothesis holds, else the failed report."""
-    rep = validate_hypothesis_H(cfg.coeffs, cfg.grid, cfg.run.t_offset)
-    return None if rep.passed else rep
-
-
-def _report_violations(rep, stream=None) -> None:
-    stream = stream if stream is not None else sys.stderr
+def _report_violations(rep, stream) -> None:
     print("standing hypothesis violated:", file=stream)
     for v in rep.violations:
         print(f"  {v.describe()}", file=stream)
@@ -131,10 +111,6 @@ def cmd_validate(cfg: RunConfig, args) -> int:
 
 
 def cmd_eigen(cfg: RunConfig, args) -> int:
-    bad = _hypothesis_or_none(cfg)
-    if bad is not None:
-        _report_violations(bad)
-        return EXIT_HYPOTHESIS
     o = cfg.solver
     c, g = cfg.coeffs, cfg.grid
     lr = solve_logistic_orbit(c, cfg.bc2, g, o.orbit_tol, o.max_periods,
@@ -170,28 +146,24 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
     _write_csv(os.path.join(args.out, "eigen_history.csv"),
                ["name", "iteration", "r_estimate"], rows)
     phi = lr.zeta_result.eigenfunction
-    _orbit_csv(os.path.join(args.out, "phi_zeta.csv"), g,
-               [("phi", phi.samples[0], cfg.bc2)])
+    _node_csv(os.path.join(args.out, "phi_zeta.csv"), g, _orbit_times(g),
+              [("phi", phi.samples[0], cfg.bc2)])
     print(f"zeta={lr.zeta:.6g} gamma_rho={gr.value:.6g}")
     return EXIT_OK
 
 
 def cmd_periodic(cfg: RunConfig, args) -> int:
-    bad = _hypothesis_or_none(cfg)
-    if bad is not None:
-        _report_violations(bad)
-        return EXIT_HYPOTHESIS
     o = cfg.solver
     c, g = cfg.coeffs, cfg.grid
     bcs = (cfg.bc1, cfg.bc2)
     lr = solve_logistic_orbit(c, cfg.bc2, g, o.orbit_tol, o.max_periods,
                               o.band, o.eigen_tol, o.max_eigen_iters)
-    _orbit_csv(os.path.join(args.out, "V_orbit.csv"), g,
-               [("V", lr.orbit.samples[0], cfg.bc2)])
+    _node_csv(os.path.join(args.out, "V_orbit.csv"), g, _orbit_times(g),
+              [("V", lr.orbit.samples[0], cfg.bc2)])
     hbar = solve_Hbar(c, cfg.bc1, g, lr.orbit, tol=o.orbit_tol,
                       max_periods=o.max_periods)
-    _orbit_csv(os.path.join(args.out, "Hbar.csv"), g,
-               [("H_bar", hbar.samples[0], cfg.bc1)])
+    _node_csv(os.path.join(args.out, "Hbar.csv"), g, _orbit_times(g),
+              [("H_bar", hbar.samples[0], cfg.bc1)])
     items = [("zeta", lr.zeta),
              ("V_converged_in", lr.converged_in),
              ("V_fixed_point_residual", lr.fixed_point_residual),
@@ -217,9 +189,10 @@ def cmd_periodic(cfg: RunConfig, args) -> int:
                   ("endemic_converged_in", pair.converged_in),
                   ("endemic_upper_residual", pair.upper_residual),
                   ("endemic_lower_residual", pair.lower_residual)]
-        _orbit_csv(os.path.join(args.out, "endemic_orbit.csv"), g,
-                   [("H_i", pair.H_orbit.samples[0], cfg.bc1),
-                    ("V_i", pair.Vi_orbit.samples[0], cfg.bc2)])
+        _node_csv(os.path.join(args.out, "endemic_orbit.csv"), g,
+                  _orbit_times(g),
+                  [("H_i", pair.H_orbit.samples[0], cfg.bc1),
+                   ("V_i", pair.Vi_orbit.samples[0], cfg.bc2)])
     _write_report(os.path.join(args.out, "periodic_report.txt"), items)
     print(f"zeta={lr.zeta:.6g} endemic={dict(items).get('endemic_status')}")
     if indeterminate and args.strict:
@@ -228,17 +201,15 @@ def cmd_periodic(cfg: RunConfig, args) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    bad = _hypothesis_or_none(cfg)
-    if bad is not None:
-        _report_violations(bad)
-        return EXIT_HYPOTHESIS
     o = cfg.solver
     u0 = build_initial_state(cfg.grid, cfg.bc1, cfg.bc2, cfg.run.initial)
     model = NonlinearModel(kind="full", c=cfg.coeffs, bc1=cfg.bc1,
                            bc2=cfg.bc2, grid=cfg.grid, cap=o.blowup_cap)
     traj = integrate_trajectory(model, u0, o.n_periods, o.sample_stride)
-    _trajectory_csv(os.path.join(args.out, "trajectory.csv"), cfg.grid,
-                    traj, cfg.bc1, cfg.bc2)
+    stacked = [np.stack(levels) for levels in zip(*(s.components for s in traj.states))]
+    _node_csv(os.path.join(args.out, "trajectory.csv"), cfg.grid,
+              [s.t for s in traj.states],
+              list(zip(("H_i", "V_u", "V_i"), stacked, (cfg.bc1, cfg.bc2, cfg.bc2))))
     last = traj.states[-1]
     items = [("n_periods", o.n_periods),
              ("sample_stride", o.sample_stride),
@@ -260,19 +231,16 @@ def _classify_items(rep) -> list:
 
 
 def cmd_classify(cfg: RunConfig, args) -> int:
-    bad = _hypothesis_or_none(cfg)
-    if bad is not None:
-        _report_violations(bad)
-        return EXIT_HYPOTHESIS
     rep = classify_regime(cfg.coeffs, (cfg.bc1, cfg.bc2), cfg.grid, cfg.solver)
     _write_report(os.path.join(args.out, "classify_report.txt"),
                   _classify_items(rep))
     if rep.attractor is not None:
         a = rep.attractor
-        _orbit_csv(os.path.join(args.out, "attractor.csv"), cfg.grid,
-                   [("H_i", a.samples[0], cfg.bc1),
-                    ("V_u", a.samples[1], cfg.bc2),
-                    ("V_i", a.samples[2], cfg.bc2)])
+        _node_csv(os.path.join(args.out, "attractor.csv"), cfg.grid,
+                  _orbit_times(cfg.grid),
+                  [("H_i", a.samples[0], cfg.bc1),
+                   ("V_u", a.samples[1], cfg.bc2),
+                   ("V_i", a.samples[2], cfg.bc2)])
     print(f"regime={rep.regime} zeta={rep.zeta:.6g}"
           + ("" if rep.lambda_V is None else f" lambda_V={rep.lambda_V:.6g}"))
     if rep.regime == INDETERMINATE and args.strict:
@@ -281,10 +249,6 @@ def cmd_classify(cfg: RunConfig, args) -> int:
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
-    bad = _hypothesis_or_none(cfg)
-    if bad is not None:
-        _report_violations(bad)
-        return EXIT_HYPOTHESIS
     o = cfg.solver
     u0 = build_initial_state(cfg.grid, cfg.bc1, cfg.bc2, cfg.run.initial)
     cr = verify_trichotomy(cfg.coeffs, (cfg.bc1, cfg.bc2), cfg.grid,
@@ -387,13 +351,16 @@ def main(argv=None) -> int:
         return EXIT_OK if not exc.code else EXIT_CONFIG
     try:
         cfg = load_config(args.config, tuple(args.override))
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    os.makedirs(args.out, exist_ok=True)
-    if args.seed is not None:
-        np.random.seed(args.seed % 2**32)
-    try:
+        os.makedirs(args.out, exist_ok=True)
+        if args.seed is not None:
+            np.random.seed(args.seed % 2**32)
+        # the standing hypothesis gates every solve; validate reports it
+        # itself and sweep checks each substituted row
+        if args.command not in ("validate", "sweep"):
+            rep = validate_hypothesis_H(cfg.coeffs, cfg.grid, cfg.run.t_offset)
+            if not rep.passed:
+                _report_violations(rep, sys.stderr)
+                return EXIT_HYPOTHESIS
         return _DISPATCH[args.command](cfg, args)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -25,16 +25,44 @@ from .grid import BoundarySpec, Grid, build_grid
 __all__ = ["RunSettings", "SweepSettings", "RunConfig", "load_config",
            "substituted_coeffs"]
 
+
+def _positive(raw):
+    v = float(raw)
+    if v <= 0:
+        raise ConfigError(f"must be positive, got {v}")
+    return v
+
+
+def _count(raw):
+    v = int(raw)
+    if v < 1:
+        raise ConfigError(f"must be a positive count, got {v}")
+    return v
+
+
+# SolverOptions field -> (section, converter), in the order keys are read;
+# the defaults are SolverOptions' own
+_OPTIONS = {
+    "eigen_tol": ("solver", _positive),
+    "orbit_tol": ("solver", _positive),
+    "band": ("solver", _positive),
+    "max_eigen_iters": ("solver", _count),
+    "max_periods": ("solver", _count),
+    "blowup_cap": ("solver", _positive),
+    "eps": ("solver", float),
+    "n_periods": ("run", _count),
+    "sample_stride": ("run", _count),
+    "target": ("run", _positive),
+}
 _SCHEMA = {
     "domain": {"x_left", "x_right", "T"},
     "grid": {"nx", "steps_per_period"},
     "bc1": {"flavor", "b_left", "b_right"},
     "bc2": {"flavor", "b_left", "b_right"},
     "coefficients": set(COEFFICIENT_FIELDS),
-    "solver": {"eigen_tol", "orbit_tol", "band", "max_eigen_iters",
-               "max_periods", "blowup_cap", "eps"},
-    "run": {"n_periods", "sample_stride", "target", "t_offset",
-            "initial_H_i", "initial_V_u", "initial_V_i"},
+    "solver": {key for key, (sec, _) in _OPTIONS.items() if sec == "solver"},
+    "run": {key for key, (sec, _) in _OPTIONS.items() if sec == "run"}
+           | {"t_offset", "initial_H_i", "initial_V_u", "initial_V_i"},
     "sweep": {"parameter", "template", "values"},
 }
 _DEFAULT_INITIAL = {"initial_H_i": "1.0", "initial_V_u": "0.5",
@@ -71,7 +99,6 @@ class RunConfig:
     solver: SolverOptions
     run: RunSettings
     sweep: SweepSettings | None
-    path: str
 
 
 # ─────────────────────────────────────────────────────────────── loading ──
@@ -89,28 +116,10 @@ def _get(parser, section, key, convert, default=None, required=False):
     raw = parser.get(section, key)
     try:
         return convert(raw)
-    except ConfigError:
-        raise
+    except ConfigError as exc:  # a range check: name the key
+        raise ConfigError(f"{key} {exc}") from None
     except Exception as exc:
         _fail(section, key, f"cannot read {raw!r} ({exc})")
-
-
-def _positive(name):
-    def conv(raw):
-        v = float(raw)
-        if v <= 0:
-            raise ConfigError(f"{name} must be positive, got {v}")
-        return v
-    return conv
-
-
-def _count(name):
-    def conv(raw):
-        v = int(raw)
-        if v < 1:
-            raise ConfigError(f"{name} must be a positive count, got {v}")
-        return v
-    return conv
 
 
 def _apply_overrides(parser: configparser.ConfigParser, overrides) -> None:
@@ -141,19 +150,19 @@ def _check_schema(parser: configparser.ConfigParser) -> None:
             raise ConfigError(f"missing required section [{required}]")
 
 
-def _boundary(parser, section: str, group: int) -> BoundarySpec:
-    if not parser.has_section(section):
-        return BoundarySpec.neumann(group)
+def _boundary(parser, section: str, group: int):
+    """The group's boundary operator and its Robin weights (None unless the
+    flavor is robin): the one parse both the solver and validation read."""
     flavor = parser.get(section, "flavor", fallback="neumann").strip().lower()
     if flavor == "dirichlet":
-        return BoundarySpec.dirichlet(group)
+        return BoundarySpec.dirichlet(group), None
     if flavor == "neumann":
-        return BoundarySpec.neumann(group)
+        return BoundarySpec.neumann(group), None
     if flavor != "robin":
         _fail(section, "flavor", f"expected dirichlet, neumann, or robin, got {flavor!r}")
-    bl = parser.get(section, "b_left", fallback="0")
-    br = parser.get(section, "b_right", fallback="0")
-    return BoundarySpec.robin(group, parse_expression(bl), parse_expression(br))
+    weights = tuple(parse_expression(parser.get(section, key, fallback="0"))
+                    for key in ("b_left", "b_right"))
+    return BoundarySpec.robin(group, *weights), weights
 
 
 def load_config(path: str, overrides=()) -> RunConfig:
@@ -176,47 +185,22 @@ def load_config(path: str, overrides=()) -> RunConfig:
     grid = build_grid(
         x_left=_get(parser, "domain", "x_left", float, required=True),
         x_right=_get(parser, "domain", "x_right", float, required=True),
-        nx=_get(parser, "grid", "nx", _count("nx"), required=True),
-        T=_get(parser, "domain", "T", _positive("T"), required=True),
-        steps_per_period=_get(parser, "grid", "steps_per_period",
-                              _count("steps_per_period"), required=True))
+        nx=_get(parser, "grid", "nx", _count, required=True),
+        T=_get(parser, "domain", "T", _positive, required=True),
+        steps_per_period=_get(parser, "grid", "steps_per_period", _count,
+                              required=True))
 
-    bc1 = _boundary(parser, "bc1", 1)
-    bc2 = _boundary(parser, "bc2", 2)
+    bc1, robin1 = _boundary(parser, "bc1", 1)
+    bc2, robin2 = _boundary(parser, "bc2", 2)
 
-    fields = {}
-    for name in COEFFICIENT_FIELDS:
-        fields[name] = _get(parser, "coefficients", name, str, required=True)
-    robin1 = None
-    robin2 = None
-    if bc1.flavor == "robin":
-        robin1 = (parser.get("bc1", "b_left", fallback="0"),
-                  parser.get("bc1", "b_right", fallback="0"))
-    if bc2.flavor == "robin":
-        robin2 = (parser.get("bc2", "b_left", fallback="0"),
-                  parser.get("bc2", "b_right", fallback="0"))
-    coeffs = CoefficientSet.from_strings(
-        T=grid.T, robin_b1=robin1, robin_b2=robin2, **fields)
+    fields = {name: _get(parser, "coefficients", name, str, required=True)
+              for name in COEFFICIENT_FIELDS}
+    coeffs = CoefficientSet(T=grid.T, robin_b1=robin1, robin_b2=robin2, **{
+        name: parse_expression(src) for name, src in fields.items()})
 
-    solver = SolverOptions(
-        eigen_tol=_get(parser, "solver", "eigen_tol", _positive("eigen_tol"),
-                       SolverOptions.eigen_tol),
-        orbit_tol=_get(parser, "solver", "orbit_tol", _positive("orbit_tol"),
-                       SolverOptions.orbit_tol),
-        band=_get(parser, "solver", "band", _positive("band"), SolverOptions.band),
-        max_eigen_iters=_get(parser, "solver", "max_eigen_iters",
-                             _count("max_eigen_iters"), SolverOptions.max_eigen_iters),
-        max_periods=_get(parser, "solver", "max_periods", _count("max_periods"),
-                         SolverOptions.max_periods),
-        blowup_cap=_get(parser, "solver", "blowup_cap", _positive("blowup_cap"),
-                        SolverOptions.blowup_cap),
-        eps=_get(parser, "solver", "eps", float, SolverOptions.eps),
-        n_periods=_get(parser, "run", "n_periods", _count("n_periods"),
-                       SolverOptions.n_periods),
-        sample_stride=_get(parser, "run", "sample_stride", _count("sample_stride"),
-                           SolverOptions.sample_stride),
-        target=_get(parser, "run", "target", _positive("target"),
-                    SolverOptions.target))
+    solver = SolverOptions(**{
+        name: _get(parser, section, name, convert, getattr(SolverOptions, name))
+        for name, (section, convert) in _OPTIONS.items()})
     if solver.eps < 0:
         raise ConfigError("[solver] eps: must be nonnegative")
     if grid.steps_per_period % solver.sample_stride != 0:
@@ -250,7 +234,7 @@ def load_config(path: str, overrides=()) -> RunConfig:
         sweep = SweepSettings(parameter=parameter, template=template, values=values)
 
     return RunConfig(grid=grid, bc1=bc1, bc2=bc2, coeffs=coeffs, solver=solver,
-                     run=run, sweep=sweep, path=path)
+                     run=run, sweep=sweep)
 
 
 def substituted_coeffs(cfg: RunConfig, value: float) -> CoefficientSet:

@@ -202,7 +202,7 @@ def _check_positive_interior(u: StateField, bcs) -> None:
     # Dirichlet layouts carry interior nodes only, so the slice is everything
     for i, (comp, bc) in enumerate(zip(u.components, (bcs[0], bcs[1], bcs[1]))):
         inner = comp[1:-1] if bc.flavor == "robin" else comp
-        if inner.size and float(np.min(inner)) <= 0.0:
+        if not np.all(inner > 0.0):  # written so that NaN fails too
             raise InputError(
                 f"initial component {i} must be strictly positive at interior "
                 f"nodes (min {float(np.min(inner)):.3g})")

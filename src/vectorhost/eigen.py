@@ -77,9 +77,6 @@ class PeriodicOrbit:
     def level(self, comp: int, k: int) -> np.ndarray:
         return self.samples[comp][k % self.m]
 
-    def initial(self) -> tuple:
-        return tuple(s[0].copy() for s in self.samples)
-
     def sup_norm(self) -> float:
         return max(float(np.max(np.abs(s))) if s.size else 0.0 for s in self.samples)
 

@@ -150,7 +150,7 @@ def solve_logistic_orbit(c: CoefficientSet, bc2: BoundarySpec, grid: Grid,
                          max_eigen_iters: int = DEFAULT_MAX_ITERS) -> LogisticOrbitResult:
     """Periodic orbit of the vector total (logistic with seasonal rates).
 
-    When zeta >= -band the zero orbit is returned (inside the band the
+    When zeta > -band the zero orbit is returned (inside the band the
     positive orbit, if any, is below the solver's resolution).  Otherwise
     the upper seed is the constant K = 1 + max(beta-mu1)/min(mu2) and the
     lower seed a small multiple of the growth eigenfunction, halved until
@@ -165,7 +165,7 @@ def solve_logistic_orbit(c: CoefficientSet, bc2: BoundarySpec, grid: Grid,
     rz = zeta(c, bc2, grid, eigen_tol, max_eigen_iters)
     g = grid
     n2 = g.n_unknowns(bc2)
-    if rz.value >= -band:
+    if rz.value > -band:
         return LogisticOrbitResult(
             orbit=PeriodicOrbit.zeros([n2], g.steps_per_period, g.dt, g.T),
             zeta_result=rz, converged_in=0, fixed_point_residual=0.0,
@@ -267,7 +267,6 @@ def _band_inequality_holds(c: CoefficientSet, grid: Grid, bc2: BoundarySpec,
 
 
 def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
-                       V: PeriodicOrbit | None = None,
                        eps: float | None = 0.0,
                        tol: float = DEFAULT_ORBIT_TOL,
                        max_periods: int = DEFAULT_MAX_PERIODS,
@@ -281,9 +280,10 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
     With eps == 0 the upper and lower limits bracket the endemic orbit
     itself; with eps > 0 they bracket the band-shifted envelope used by
     the sandwich argument.  eps is the initial rung of the halving ladder;
-    eps = None starts at 0.1 * min(V) / max(phi).  V (and optionally the
-    full logistic result or the invasion eigenvalue) may be passed to
-    reuse earlier work; whatever is missing is computed here.
+    eps = None starts at 0.1 * min(V) / max(phi), V being the carrying
+    orbit.  The logistic result (carrying orbit and zeta) and the invasion
+    eigenvalue may be passed to reuse earlier work; whatever is missing is
+    computed here.
 
     Raises:
         RegimeError: zeta or the invasion exponent does not place the
@@ -296,14 +296,10 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
     bc1, bc2 = bcs
     if eps is not None and eps < 0.0:
         raise InputError("eps must be nonnegative (the band is applied as +/-)")
-    if logistic is not None:
-        rz, V = logistic.zeta_result, logistic.orbit
-    elif V is not None:
-        rz = zeta(c, bc2, grid, eigen_tol, max_eigen_iters)
-    else:
-        lr = solve_logistic_orbit(c, bc2, grid, tol, max_periods, band,
-                                  eigen_tol, max_eigen_iters)
-        rz, V = lr.zeta_result, lr.orbit
+    if logistic is None:
+        logistic = solve_logistic_orbit(c, bc2, grid, tol, max_periods, band,
+                                        eigen_tol, max_eigen_iters)
+    rz, V = logistic.zeta_result, logistic.orbit
     if rz.value >= band:
         raise RegimeError(
             f"the vector population dies out (zeta = {rz.value:.6g} >= {band:g}); "
@@ -319,7 +315,7 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
         raise RegimeError(
             f"the disease-free state resists invasion (lambda(V) = "
             f"{lamV.value:.6g} >= {band:g}); endemic orbit absent")
-    if lamV.value >= -band:
+    if lamV.value > -band:
         raise RegimeError(
             f"invasion exponent {lamV.value:.6g} lies inside the decision band "
             f"(+/-{band:g}); endemic state unresolved at this resolution",
@@ -344,7 +340,7 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
                 continue
             le = lambda_V_eps(c, (bc1, bc2), grid, V, phi, e,
                               eigen_tol, max_eigen_iters)
-            if le.value >= -band:
+            if le.value > -band:
                 e *= 0.5
                 continue
 

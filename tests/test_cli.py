@@ -170,6 +170,19 @@ def test_validate_pass_and_hypothesis_failure(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_no_flux_boundary_ignores_stray_weights(tmp_path, capsys):
+    # only a robin boundary reads b_left/b_right, so only there are they
+    # part of the standing hypothesis
+    stray = "\n[bc1]\nflavor = neumann\nb_left = -1\n"
+    path = write_config(tmp_path, stray)
+    assert main(["validate", "--config", path, "--out", str(tmp_path / "a")]) == 0
+    path = write_config(tmp_path, stray.replace("neumann", "robin"), "robin.ini")
+    assert main(["validate", "--config", path, "--out", str(tmp_path / "b")]) == 3
+    rep = read_report(str(tmp_path / "b" / "validation.txt"))
+    assert rep["violation_1"].startswith("robin_b1_left: must be nonnegative")
+    capsys.readouterr()
+
+
 def test_nonconvergence_exits_two(tmp_path, capsys):
     path = write_config(tmp_path)
     code = main(["eigen", "--config", path, "--out", str(tmp_path / "o"),

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from vectorhost import (DISEASE_FREE, ENDEMIC, EXTINCTION, INDETERMINATE,
-                        BoundarySpec, InputError, NonlinearModel, StateField,
-                        build_grid, build_initial_state, classify_regime,
-                        integrate_over_period, integrate_trajectory,
-                        parse_expression, sandwich_check, verify_trichotomy)
+                        BoundarySpec, InputError, NonlinearModel, SolverOptions,
+                        StateField, build_grid, build_initial_state,
+                        classify_regime, integrate_over_period,
+                        integrate_trajectory, lambda_V, parse_expression,
+                        sandwich_check, solve_logistic_orbit, verify_trichotomy,
+                        zeta)
 from conftest import make_constants
 
 
@@ -70,6 +72,30 @@ def test_classify_with_band_envelope(endemic_banded_report):
     assert np.max(r.attractor.samples[2]) == pytest.approx(0.66, abs=1e-6)
 
 
+def _readme_model():
+    c = make_constants(beta="2 + sin(2*pi*t)", d2="0.5")
+    return c, build_grid(0.0, 1.0, 15, 1.0, 32)
+
+
+def test_zeta_on_the_band_edge_is_decisive(neumann_bcs):
+    # |value| == band is decisive in classify_regime, so the carrying orbit
+    # must exist at zeta == -band; lambda(V) then lies inside the band
+    c, g = _readme_model()
+    band = -zeta(c, neumann_bcs[1], g).value
+    r = classify_regime(c, neumann_bcs, g, SolverOptions(band=band))
+    assert r.zeta == -band
+    assert r.regime == INDETERMINATE and abs(r.lambda_V) < band
+
+
+def test_lambda_V_on_the_band_edge_is_decisive(neumann_bcs):
+    c, g = _readme_model()
+    V = solve_logistic_orbit(c, neumann_bcs[1], g).orbit
+    band = -lambda_V(c, neumann_bcs, g, V).value
+    r = classify_regime(c, neumann_bcs, g, SolverOptions(band=band))
+    assert r.lambda_V == -band
+    assert r.regime == ENDEMIC
+
+
 # ──────────────────────────────────────────────────────── initial data ──
 
 
@@ -97,6 +123,14 @@ def test_verify_rejects_nonpositive_initial_interior(endemic_c, neumann_bcs,
     with pytest.raises(InputError):
         verify_trichotomy(endemic_c, neumann_bcs, grid31,
                           initial=(1.0, 0.0, 0.1), n_periods=2,
+                          report=endemic_report)
+
+
+def test_verify_rejects_nan_initial_data(endemic_c, neumann_bcs, grid31,
+                                        endemic_report):
+    with pytest.raises(InputError):
+        verify_trichotomy(endemic_c, neumann_bcs, grid31,
+                          initial=(np.nan, 0.5, 0.1), n_periods=2,
                           report=endemic_report)
 
 

@@ -166,6 +166,16 @@ def test_blowup_raises(grid):
         integrate_trajectory(model, u0, 5, sample_stride=8)
 
 
+def test_nan_state_raises_blowup(grid, endemic_c):
+    # a NaN fails every ordered comparison, so the cap test must be one
+    # that NaN cannot pass
+    model = NonlinearModel(kind="full", c=endemic_c, bc1=NEUMANN[0],
+                           bc2=NEUMANN[1], grid=grid)
+    u0 = build_initial_state(grid, *NEUMANN, (np.nan, 0.5, 0.1))
+    with pytest.raises(BlowupError):
+        integrate_trajectory(model, u0, 2, sample_stride=8)
+
+
 def test_affine_source_equilibrium(grid):
     # dH/dt = div(grad H) - H + 2 has the flat fixed point H = 2,
     # reproduced exactly by the implicit-decay/explicit-source split
