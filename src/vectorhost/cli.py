@@ -113,8 +113,7 @@ def cmd_validate(cfg: RunConfig, args) -> int:
 def cmd_eigen(cfg: RunConfig, args) -> int:
     o = cfg.solver
     c, g = cfg.coeffs, cfg.grid
-    lr = solve_logistic_orbit(c, cfg.bc2, g, o.orbit_tol, o.max_periods,
-                              o.band, o.eigen_tol, o.max_eigen_iters)
+    lr = solve_logistic_orbit(c, cfg.bc2, g, o)
     gr = gamma_rho(c, cfg.bc1, g, o.eigen_tol, o.max_eigen_iters)
     items = [("zeta", lr.zeta),
              ("zeta_iterations", lr.zeta_result.iterations),
@@ -156,12 +155,10 @@ def cmd_periodic(cfg: RunConfig, args) -> int:
     o = cfg.solver
     c, g = cfg.coeffs, cfg.grid
     bcs = (cfg.bc1, cfg.bc2)
-    lr = solve_logistic_orbit(c, cfg.bc2, g, o.orbit_tol, o.max_periods,
-                              o.band, o.eigen_tol, o.max_eigen_iters)
+    lr = solve_logistic_orbit(c, cfg.bc2, g, o)
     _node_csv(os.path.join(args.out, "V_orbit.csv"), g, _orbit_times(g),
               [("V", lr.orbit.samples[0], cfg.bc2)])
-    hbar = solve_Hbar(c, cfg.bc1, g, lr.orbit, tol=o.orbit_tol,
-                      max_periods=o.max_periods)
+    hbar = solve_Hbar(c, cfg.bc1, g, lr.orbit, o=o)
     _node_csv(os.path.join(args.out, "Hbar.csv"), g, _orbit_times(g),
               [("H_bar", hbar.samples[0], cfg.bc1)])
     items = [("zeta", lr.zeta),
@@ -171,11 +168,7 @@ def cmd_periodic(cfg: RunConfig, args) -> int:
              ("Hbar_sup", hbar.sup_norm())]
     indeterminate = False
     try:
-        pair = solve_endemic_pair(c, bcs, g, eps=o.eps, tol=o.orbit_tol,
-                                  max_periods=o.max_periods, band=o.band,
-                                  eigen_tol=o.eigen_tol,
-                                  max_eigen_iters=o.max_eigen_iters,
-                                  logistic=lr)
+        pair = solve_endemic_pair(c, bcs, g, o, logistic=lr)
     except RegimeError as exc:
         items += [("endemic_status",
                    "INDETERMINATE" if exc.indeterminate else "ABSENT"),

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 
 from .coeffs import COEFFICIENT_FIELDS, CoefficientSet, parse_expression
-from .dynamics import SolverOptions
 from .errors import ConfigError
 from .grid import BoundarySpec, Grid, build_grid
+from .periodic import SolverOptions
 
 __all__ = ["RunSettings", "SweepSettings", "RunConfig", "load_config",
            "substituted_coeffs"]
@@ -28,8 +29,8 @@ __all__ = ["RunSettings", "SweepSettings", "RunConfig", "load_config",
 
 def _positive(raw):
     v = float(raw)
-    if v <= 0:
-        raise ConfigError(f"must be positive, got {v}")
+    if not 0 < v < math.inf:  # NaN fails too
+        raise ConfigError(f"must be {'positive' if v <= 0 else 'finite'}, got {v}")
     return v
 
 
@@ -201,8 +202,9 @@ def load_config(path: str, overrides=()) -> RunConfig:
     solver = SolverOptions(**{
         name: _get(parser, section, name, convert, getattr(SolverOptions, name))
         for name, (section, convert) in _OPTIONS.items()})
-    if solver.eps < 0:
-        raise ConfigError("[solver] eps: must be nonnegative")
+    if not 0 <= solver.eps < math.inf:  # NaN fails too
+        raise ConfigError("[solver] eps: must be "
+                          + ("nonnegative" if solver.eps < 0 else "finite"))
     if grid.steps_per_period % solver.sample_stride != 0:
         raise ConfigError(
             f"[run] sample_stride: {solver.sample_stride} does not divide "

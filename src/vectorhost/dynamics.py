@@ -19,15 +19,12 @@ from statistics import median
 import numpy as np
 
 from .coeffs import CoefficientSet, Expression, field_values
-from .eigen import (DEFAULT_EIGEN_TOL, DEFAULT_MAX_ITERS, EigenResult,
-                    PeriodicOrbit, lambda_V)
+from .eigen import EigenResult, PeriodicOrbit, lambda_V
 from .errors import InputError
 from .grid import BoundarySpec, Grid
-from .periodic import (DEFAULT_BAND, DEFAULT_MAX_PERIODS, DEFAULT_ORBIT_TOL,
-                       EndemicPairResult, LogisticOrbitResult,
+from .periodic import (EndemicPairResult, LogisticOrbitResult, SolverOptions,
                        solve_endemic_pair, solve_logistic_orbit)
-from .stepper import (DEFAULT_BLOWUP_CAP, NonlinearModel, StateField,
-                      Trajectory, integrate_trajectory)
+from .stepper import NonlinearModel, StateField, Trajectory, integrate_trajectory
 
 __all__ = [
     "SolverOptions", "RegimeReport", "ConvergenceReport", "SandwichReport",
@@ -42,22 +39,6 @@ ENDEMIC = "ENDEMIC"
 INDETERMINATE = "INDETERMINATE"
 
 _TINY_ERROR = 1e-12   # distances below this carry no ratio information
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Numerical knobs shared by the classification pipeline."""
-
-    eigen_tol: float = DEFAULT_EIGEN_TOL
-    max_eigen_iters: int = DEFAULT_MAX_ITERS
-    orbit_tol: float = DEFAULT_ORBIT_TOL
-    max_periods: int = DEFAULT_MAX_PERIODS
-    band: float = DEFAULT_BAND
-    blowup_cap: float = DEFAULT_BLOWUP_CAP
-    eps: float = 0.0
-    n_periods: int = 40
-    sample_stride: int = 8
-    target: float = 1e-3
 
 
 @dataclass(frozen=True)
@@ -124,8 +105,7 @@ def classify_regime(c: CoefficientSet, bcs, grid: Grid,
     m = g.steps_per_period
     n1, n2 = g.n_unknowns(bc1), g.n_unknowns(bc2)
 
-    lr = solve_logistic_orbit(c, bc2, g, o.orbit_tol, o.max_periods, o.band,
-                              o.eigen_tol, o.max_eigen_iters)
+    lr = solve_logistic_orbit(c, bc2, g, o)
     z = lr.zeta
     if z >= o.band:
         return RegimeReport(
@@ -149,11 +129,7 @@ def classify_regime(c: CoefficientSet, bcs, grid: Grid,
             attractor=attractor, attractor_kind="(0, V, 0)", band=o.band,
             logistic=lr, lambda_V_result=lam)
     if lam.value <= -o.band:
-        pair = solve_endemic_pair(c, bcs, g, eps=o.eps, tol=o.orbit_tol,
-                                  max_periods=o.max_periods, band=o.band,
-                                  eigen_tol=o.eigen_tol,
-                                  max_eigen_iters=o.max_eigen_iters,
-                                  logistic=lr, lam=lam)
+        pair = solve_endemic_pair(c, bcs, g, o, logistic=lr, lam=lam)
         attractor = PeriodicOrbit(
             (pair.H_orbit.samples[0],
              lr.orbit.samples[0] - pair.Vi_orbit.samples[0],

@@ -15,6 +15,9 @@ eigenfunction, both iterated until they meet.  The band width eps is
 halved until admissible (positivity, the quadratic band inequality, a
 strictly negative shifted invasion exponent, certified first-step
 monotonicity).
+
+Both orbits share one two-sided construction: _growing_seed finds the
+lower seed and _limits iterates both sequences to their limits.
 """
 
 from __future__ import annotations
@@ -30,18 +33,14 @@ from .eigen import (DEFAULT_EIGEN_TOL, DEFAULT_MAX_ITERS, EigenResult,
 from .errors import (GapError, InputError, InternalError, NoConvergence,
                      NonUniqueOrbit, RegimeError)
 from .grid import BoundarySpec, Grid, map_between
-from .stepper import (ComponentSpec, LinearPeriodicSystem, NonlinearModel,
-                      StateField, integrate_over_period, prepare)
+from .stepper import (DEFAULT_BLOWUP_CAP, ComponentSpec, LinearPeriodicSystem,
+                      NonlinearModel, StateField, integrate_over_period, prepare)
 
 __all__ = [
-    "LogisticOrbitResult", "EndemicPairResult",
+    "SolverOptions", "LogisticOrbitResult", "EndemicPairResult",
     "solve_logistic_orbit", "solve_Hbar", "solve_endemic_pair",
-    "DEFAULT_ORBIT_TOL", "DEFAULT_MAX_PERIODS", "DEFAULT_BAND",
 ]
 
-DEFAULT_ORBIT_TOL = 1e-9
-DEFAULT_MAX_PERIODS = 500
-DEFAULT_BAND = 1e-3
 AGREEMENT_FACTOR = 10.0   # two-seed limits of the same orbit
 GAP_FACTOR = 100.0        # endemic upper/lower gap certifying uniqueness
 _MAX_HALVINGS = 60
@@ -49,6 +48,25 @@ _MAX_HALVINGS = 60
 # discrete supersolution, so the recorded upper sequence decreases
 # monotonically at roundoff slack
 _SUPERSOLUTION_BUMP = 1e-6
+
+
+@dataclass(frozen=True)
+class SolverOptions:
+    """Numerical knobs shared by the classification pipeline.
+
+    eps is the first rung of the endemic pair's band ladder; None starts
+    it at 0.1 * min(V) / max(phi)."""
+
+    eigen_tol: float = DEFAULT_EIGEN_TOL
+    max_eigen_iters: int = DEFAULT_MAX_ITERS
+    orbit_tol: float = 1e-9
+    max_periods: int = 500
+    band: float = 1e-3
+    blowup_cap: float = DEFAULT_BLOWUP_CAP
+    eps: float | None = 0.0
+    n_periods: int = 40
+    sample_stride: int = 8
+    target: float = 1e-3
 
 
 @dataclass(frozen=True)
@@ -128,6 +146,33 @@ def _iterate_to_fixed_point(model, prepared, state: StateField, tol: float,
         f"(last change {delta:.3g}, tol {tol:g})", max_periods)
 
 
+def _growing_seed(model, P, profile, dl: float, floor):
+    """First period image of dl*profile, dl halved up to _MAX_HALVINGS
+    times, that falls below its seed by at most floor(seed component) in
+    every component; None if no such image exists."""
+    for _ in range(_MAX_HALVINGS):
+        seed = StateField(tuple(dl * p for p in profile), 0.0, 0)
+        nxt = integrate_over_period(model, seed, prepared=P)
+        if all(float(np.min(a - b)) >= -floor(b)
+               for a, b in zip(nxt.components, seed.components)):
+            return nxt
+        dl *= 0.5
+    return None
+
+
+def _limits(model, P, upper: StateField, lower: StateField, tol: float,
+            max_periods: int, labels, histories=(None, None)):
+    """Iterate the upper and the lower sequence to their limits; returns
+    both limits, their sup gap and the period count of each."""
+    up, n_up = _iterate_to_fixed_point(model, P, upper, tol, max_periods,
+                                       labels[0], histories[0])
+    low, n_low = _iterate_to_fixed_point(model, P, lower, tol, max_periods,
+                                         labels[1], histories[1])
+    gap = max(float(np.max(np.abs(a - b)))
+              for a, b in zip(up.components, low.components))
+    return up, low, gap, n_up, n_low
+
+
 def _store_orbit(model, prepared, state: StateField) -> PeriodicOrbit:
     """One stored sweep from a converged boundary state."""
     g = model.grid
@@ -143,11 +188,7 @@ def _store_orbit(model, prepared, state: StateField) -> PeriodicOrbit:
 
 
 def solve_logistic_orbit(c: CoefficientSet, bc2: BoundarySpec, grid: Grid,
-                         tol: float = DEFAULT_ORBIT_TOL,
-                         max_periods: int = DEFAULT_MAX_PERIODS,
-                         band: float = DEFAULT_BAND,
-                         eigen_tol: float = DEFAULT_EIGEN_TOL,
-                         max_eigen_iters: int = DEFAULT_MAX_ITERS) -> LogisticOrbitResult:
+                         o: SolverOptions = SolverOptions()) -> LogisticOrbitResult:
     """Periodic orbit of the vector total (logistic with seasonal rates).
 
     When zeta > -band the zero orbit is returned (inside the band the
@@ -155,17 +196,17 @@ def solve_logistic_orbit(c: CoefficientSet, bc2: BoundarySpec, grid: Grid,
     the upper seed is the constant K = 1 + max(beta-mu1)/min(mu2) and the
     lower seed a small multiple of the growth eigenfunction, halved until
     its first period map is nondecreasing.  Both are iterated to fixed
-    points which must agree within 10*tol.
+    points which must agree within 10*tol (tol = o.orbit_tol).
 
     Raises:
         NoConvergence: an iteration exhausted max_periods (or no growing
             lower seed was found).
         NonUniqueOrbit: the two limits disagree beyond 10*tol.
     """
-    rz = zeta(c, bc2, grid, eigen_tol, max_eigen_iters)
+    rz = zeta(c, bc2, grid, o.eigen_tol, o.max_eigen_iters)
     g = grid
     n2 = g.n_unknowns(bc2)
-    if rz.value > -band:
+    if rz.value > -o.band:
         return LogisticOrbitResult(
             orbit=PeriodicOrbit.zeros([n2], g.steps_per_period, g.dt, g.T),
             zeta_result=rz, converged_in=0, fixed_point_residual=0.0,
@@ -180,31 +221,20 @@ def solve_logistic_orbit(c: CoefficientSet, bc2: BoundarySpec, grid: Grid,
     mu2_lo, mu2_hi = float(np.min(mu2)), float(np.max(mu2))
     K = 1.0 + max(bmax, 0.0) / max(mu2_lo, 1e-8)
 
-    up0 = StateField((np.full(n2, K),), 0.0, 0)
-    up, n_up = _iterate_to_fixed_point(model, P, up0, tol, max_periods,
-                                       "vector orbit (upper seed)")
-
-    phi0 = rz.eigenfunction.level(0, 0).copy()
-    dl = 0.5 * abs(rz.value) / max(mu2_hi, 1e-8)
-    low = None
-    for _ in range(_MAX_HALVINGS):
-        seed = dl * phi0
-        nxt = integrate_over_period(model, StateField((seed,), 0.0, 0), prepared=P)
-        if float(np.min(nxt.components[0] - seed)) >= -1e-12 * max(1.0, K):
-            low = nxt
-            break
-        dl *= 0.5
+    low = _growing_seed(model, P, (rz.eigenfunction.level(0, 0),),
+                        0.5 * abs(rz.value) / max(mu2_hi, 1e-8),
+                        lambda seed: 1e-12 * max(1.0, K))
     if low is None:
         raise NoConvergence(
             "no growing lower seed found for the vector orbit", _MAX_HALVINGS)
-    low, n_low = _iterate_to_fixed_point(model, P, low, tol, max_periods,
-                                         "vector orbit (lower seed)")
-
-    agreement = float(np.max(np.abs(up.components[0] - low.components[0])))
-    if agreement > AGREEMENT_FACTOR * tol:
+    up0 = StateField((np.full(n2, K),), 0.0, 0)
+    up, _, agreement, n_up, n_low = _limits(
+        model, P, up0, low, o.orbit_tol, o.max_periods,
+        ("vector orbit (upper seed)", "vector orbit (lower seed)"))
+    if agreement > AGREEMENT_FACTOR * o.orbit_tol:
         raise NonUniqueOrbit(
             f"upper and lower vector-orbit limits differ by {agreement:.3g} "
-            f"(allowed {AGREEMENT_FACTOR * tol:g}); the orbit is not certified unique")
+            f"(allowed {AGREEMENT_FACTOR * o.orbit_tol:g}); the orbit is not certified unique")
 
     orbit = _store_orbit(model, P, up)
     return LogisticOrbitResult(orbit=orbit, zeta_result=rz,
@@ -219,8 +249,7 @@ def solve_logistic_orbit(c: CoefficientSet, bc2: BoundarySpec, grid: Grid,
 def solve_Hbar(c: CoefficientSet, bc1: BoundarySpec, grid: Grid,
                V: PeriodicOrbit, eps: float = 0.0,
                phi: PeriodicOrbit | None = None,
-               tol: float = DEFAULT_ORBIT_TOL,
-               max_periods: int = DEFAULT_MAX_PERIODS) -> PeriodicOrbit:
+               o: SolverOptions = SolverOptions()) -> PeriodicOrbit:
     """Periodic host profile: the unique orbit with removal rho and source
     sigma1 * H_u * (V + eps*phi).
 
@@ -228,7 +257,7 @@ def solve_Hbar(c: CoefficientSet, bc1: BoundarySpec, grid: Grid,
     (InternalError from gamma_rho if it fails to be positive); the affine
     period map is then iterated from zero.
     """
-    gamma_rho(c, bc1, grid)
+    gamma_rho(c, bc1, grid, o.eigen_tol, o.max_eigen_iters)
     if V.ncomp != 1 or V.m != grid.steps_per_period:
         raise InputError("V must be a scalar orbit on this grid's lattice")
     if eps != 0.0:
@@ -247,7 +276,8 @@ def solve_Hbar(c: CoefficientSet, bc1: BoundarySpec, grid: Grid,
         source=(src,))
     P = prepare(sys)
     u0 = StateField((np.zeros(grid.n_unknowns(bc1)),), 0.0, 0)
-    u, _ = _iterate_to_fixed_point(sys, P, u0, tol, max_periods, "host profile")
+    u, _ = _iterate_to_fixed_point(sys, P, u0, o.orbit_tol, o.max_periods,
+                                   "host profile")
     return _store_orbit(sys, P, u)
 
 
@@ -267,23 +297,18 @@ def _band_inequality_holds(c: CoefficientSet, grid: Grid, bc2: BoundarySpec,
 
 
 def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
-                       eps: float | None = 0.0,
-                       tol: float = DEFAULT_ORBIT_TOL,
-                       max_periods: int = DEFAULT_MAX_PERIODS,
-                       band: float = DEFAULT_BAND,
-                       eigen_tol: float = DEFAULT_EIGEN_TOL,
-                       max_eigen_iters: int = DEFAULT_MAX_ITERS,
+                       o: SolverOptions = SolverOptions(),
                        logistic: LogisticOrbitResult | None = None,
                        lam: EigenResult | None = None) -> EndemicPairResult:
     """Two-sided construction of the endemic state of the truncated system.
 
     With eps == 0 the upper and lower limits bracket the endemic orbit
     itself; with eps > 0 they bracket the band-shifted envelope used by
-    the sandwich argument.  eps is the initial rung of the halving ladder;
-    eps = None starts at 0.1 * min(V) / max(phi), V being the carrying
-    orbit.  The logistic result (carrying orbit and zeta) and the invasion
-    eigenvalue may be passed to reuse earlier work; whatever is missing is
-    computed here.
+    the sandwich argument.  eps = o.eps is the initial rung of the halving
+    ladder; eps = None starts at 0.1 * min(V) / max(phi), V being the
+    carrying orbit.  The logistic result (carrying orbit and zeta) and the
+    invasion eigenvalue may be passed to reuse earlier work; whatever is
+    missing is computed here.
 
     Raises:
         RegimeError: zeta or the invasion exponent does not place the
@@ -294,11 +319,11 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
         GapError: the limits stay further apart than 100*tol.
     """
     bc1, bc2 = bcs
+    eps, tol, band = o.eps, o.orbit_tol, o.band
     if eps is not None and eps < 0.0:
         raise InputError("eps must be nonnegative (the band is applied as +/-)")
     if logistic is None:
-        logistic = solve_logistic_orbit(c, bc2, grid, tol, max_periods, band,
-                                        eigen_tol, max_eigen_iters)
+        logistic = solve_logistic_orbit(c, bc2, grid, o)
     rz, V = logistic.zeta_result, logistic.orbit
     if rz.value >= band:
         raise RegimeError(
@@ -310,7 +335,7 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
             f"(+/-{band:g}); endemic state unresolved at this resolution",
             indeterminate=True)
     lamV = lam if lam is not None else lambda_V(c, (bc1, bc2), grid, V,
-                                                eigen_tol, max_eigen_iters)
+                                                o.eigen_tol, o.max_eigen_iters)
     if lamV.value >= band:
         raise RegimeError(
             f"the disease-free state resists invasion (lambda(V) = "
@@ -326,7 +351,9 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
         eps = 0.1 * float(np.min(V.samples[0][:-1])) / phi.sup_norm()
     slack = 10.0 * tol
 
-    chosen = None
+    def floor(b):  # per-component slack, relative to the seed's scale
+        return slack * max(1.0, float(np.max(np.abs(b))))
+
     e = eps
     for _ in range(_MAX_HALVINGS + 1):
         if e == 0.0:
@@ -339,13 +366,12 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
                 e *= 0.5
                 continue
             le = lambda_V_eps(c, (bc1, bc2), grid, V, phi, e,
-                              eigen_tol, max_eigen_iters)
+                              o.eigen_tol, o.max_eigen_iters)
             if le.value > -band:
                 e *= 0.5
                 continue
 
-        Hbar = solve_Hbar(c, bc1, grid, V, e, phi if e != 0.0 else None,
-                          tol, max_periods)
+        Hbar = solve_Hbar(c, bc1, grid, V, e, phi if e != 0.0 else None, o)
         model = NonlinearModel(kind="truncated", c=c, bc1=bc1, bc2=bc2,
                                grid=grid, V=V, phi=phi if e != 0.0 else None,
                                eps=e)
@@ -356,58 +382,37 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
         up_seed = StateField(
             (Hbar.level(0, 0) * (1.0 + _SUPERSOLUTION_BUMP), z_seed), 0.0, 0)
         up1 = integrate_over_period(model, up_seed, prepared=P)
-        up_ok = all(float(np.max(a - b)) <= slack * max(1.0, float(np.max(np.abs(b))))
-                    for a, b in zip(up1.components, up_seed.components))
-        if not up_ok:
+        if not all(float(np.max(a - b)) <= floor(b)
+                   for a, b in zip(up1.components, up_seed.components)):
             if e == 0.0:
                 raise InternalError(
                     "upper seed failed to decrease with no band to shrink")
             e *= 0.5
             continue
 
-        phi_pair = le.eigenfunction
-        ratios = []
-        for comp, seed_comp in zip(range(2), up_seed.components):
-            pv = phi_pair.level(comp, 0)
-            mask = pv > 1e-300
-            ratios.append(float(np.min(0.5 * seed_comp[mask] / pv[mask])))
-        dl = 2.0 ** np.floor(np.log2(min(ratios)))
-        low1 = None
-        for _ in range(_MAX_HALVINGS):
-            seed = StateField((dl * phi_pair.level(0, 0), dl * phi_pair.level(1, 0)),
-                              0.0, 0)
-            nxt = integrate_over_period(model, seed, prepared=P)
-            grow_ok = all(
-                float(np.min(a - b)) >= -slack * max(1.0, float(np.max(np.abs(b))))
-                for a, b in zip(nxt.components, seed.components))
-            if grow_ok:
-                low1 = nxt
-                break
-            dl *= 0.5
+        profile = tuple(le.eigenfunction.level(i, 0) for i in range(2))
+        ratios = [float(np.min(0.5 * s[p > 1e-300] / p[p > 1e-300]))
+                  for s, p in zip(up_seed.components, profile)]
+        low1 = _growing_seed(model, P, profile,
+                             2.0 ** np.floor(np.log2(min(ratios))), floor)
         if low1 is None:
             if e == 0.0:
                 raise NoConvergence(
                     "no growing lower seed found for the endemic pair", _MAX_HALVINGS)
             e *= 0.5
             continue
-
-        chosen = (e, le, model, P, up1, low1, up_seed)
         break
-    if chosen is None:
+    else:  # every rung was rejected
         raise RegimeError(
             f"no admissible band width found below eps = {eps:g}; "
             "endemic construction abandoned")
 
-    e, le, model, P, up1, low1, up_seed = chosen
     upper_history: list = [tuple(comp.copy() for comp in up_seed.components)]
     lower_history: list = []
-    up, n_up = _iterate_to_fixed_point(model, P, up1, tol, max_periods,
-                                       "endemic pair (upper)", upper_history)
-    low, n_low = _iterate_to_fixed_point(model, P, low1, tol, max_periods,
-                                         "endemic pair (lower)", lower_history)
-
-    gap = max(float(np.max(np.abs(a - b)))
-              for a, b in zip(up.components, low.components))
+    up, low, gap, n_up, n_low = _limits(
+        model, P, up1, low1, tol, o.max_periods,
+        ("endemic pair (upper)", "endemic pair (lower)"),
+        (upper_history, lower_history))
     if gap > GAP_FACTOR * tol:
         raise GapError(
             f"endemic upper/lower limits remain {gap:.3g} apart "

@@ -232,7 +232,7 @@ class _PreparedLinear:
             if self.src[i] is not None:
                 rhs += dt * self.src[i][j0]
             new.append(_solve(self.ab[i][j1], rhs))
-        return StateField(tuple(new), u.t + dt, u.step + 1)
+        return StateField(tuple(new), (u.step + 1) * dt, u.step + 1)
 
 
 class _PreparedModel:
@@ -276,8 +276,10 @@ class _PreparedModel:
     def _check_cap(self, arrays) -> None:
         cap = self.model.cap
         for a in arrays:
-            if not np.max(np.abs(a)) <= cap:  # NaN fails too
-                raise BlowupError(f"state exceeded blow-up cap {cap:g}")
+            peak = np.max(np.abs(a))
+            if not peak <= cap:  # NaN fails too
+                raise BlowupError(f"state exceeded blow-up cap {cap:g}" if np.isfinite(peak)
+                                  else "state became non-finite (NaN or inf)")
 
     def _vector_matrix(self, j1: int, total: np.ndarray) -> np.ndarray:
         ab = self.ab2[j1].copy()
@@ -319,7 +321,7 @@ class _PreparedModel:
             out = (Hi_n, Z_n)
 
         self._check_cap(out)
-        return StateField(out, u.t + dt, u.step + 1)
+        return StateField(out, (u.step + 1) * dt, u.step + 1)
 
 
 def prepare(system) -> object:

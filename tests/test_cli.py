@@ -117,6 +117,12 @@ def test_overrides_apply_before_validation(tmp_path):
     "[run]\nsample_stride = 7\n",              # does not divide 128
     "[sweep]\nparameter = nu\ntemplate = value\nvalues = 1\n",
     "[sweep]\nparameter = beta\ntemplate = value\nvalues =\n",
+    "[solver]\nband = nan\n",                 # non-finite numbers
+    "[solver]\norbit_tol = inf\n",
+    "[solver]\neigen_tol = nan\n",
+    "[solver]\neps = nan\n",
+    "[solver]\neps = inf\n",
+    "[run]\ntarget = inf\n",
 ])
 def test_config_rejections(tmp_path, extra):
     with pytest.raises(ConfigError):

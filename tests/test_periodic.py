@@ -13,9 +13,9 @@ import math
 import numpy as np
 import pytest
 
-from vectorhost import (BoundarySpec, NonUniqueOrbit, PeriodicOrbit,
-                        RegimeError, build_grid, solve_Hbar,
-                        solve_endemic_pair, solve_logistic_orbit)
+from vectorhost import (BoundarySpec, NoConvergence, NonUniqueOrbit,
+                        PeriodicOrbit, RegimeError, SolverOptions, build_grid,
+                        solve_Hbar, solve_endemic_pair, solve_logistic_orbit)
 from conftest import make_constants
 
 NEUMANN1 = BoundarySpec.neumann(1)
@@ -125,6 +125,14 @@ def test_hbar_space_varying_source(grid):
     assert np.max(np.abs(hbar.samples[0][0] - expected)) < 1e-4
 
 
+def test_hbar_guard_reads_the_eigen_options(grid):
+    # the gamma_rho contraction guard runs on the caller's eigen budget
+    V = flat_orbit(1.0, grid, NEUMANN2)
+    with pytest.raises(NoConvergence):
+        solve_Hbar(make_constants(), NEUMANN1, grid, V,
+                   o=SolverOptions(max_eigen_iters=1))
+
+
 # ─────────────────────────────────────────────────────── endemic pair ──
 
 
@@ -141,7 +149,7 @@ def test_endemic_pair_constants(grid):
 
 
 def test_endemic_pair_with_band(grid):
-    pair = solve_endemic_pair(make_constants(), BCS, grid, eps=0.05)
+    pair = solve_endemic_pair(make_constants(), BCS, grid, SolverOptions(eps=0.05))
     assert pair.eps_used == pytest.approx(0.05)
     assert np.max(np.abs(pair.H_orbit.samples[0] - 3.3)) < 1e-6
     assert np.max(np.abs(pair.Vi_orbit.samples[0] - 0.66)) < 1e-6
@@ -149,7 +157,7 @@ def test_endemic_pair_with_band(grid):
 
 def test_endemic_pair_auto_band(grid):
     # default ladder start is a tenth of the orbit floor
-    pair = solve_endemic_pair(make_constants(), BCS, grid, eps=None)
+    pair = solve_endemic_pair(make_constants(), BCS, grid, SolverOptions(eps=None))
     assert pair.eps_used == pytest.approx(0.1, abs=1e-6)
     assert np.max(np.abs(pair.H_orbit.samples[0] - 3.6)) < 1e-6
     assert np.max(np.abs(pair.Vi_orbit.samples[0] - 0.72)) < 1e-6
@@ -157,7 +165,7 @@ def test_endemic_pair_auto_band(grid):
 
 def test_endemic_histories_are_monotone_and_ordered(grid):
     # history entries are (H, V_i) component tuples at period boundaries
-    pair = solve_endemic_pair(make_constants(), BCS, grid, eps=0.05)
+    pair = solve_endemic_pair(make_constants(), BCS, grid, SolverOptions(eps=0.05))
     ups, los = pair.upper_history, pair.lower_history
     assert len(ups) >= 2 and len(los) >= 2
     slack = 1e-12

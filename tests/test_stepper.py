@@ -168,12 +168,24 @@ def test_blowup_raises(grid):
 
 def test_nan_state_raises_blowup(grid, endemic_c):
     # a NaN fails every ordered comparison, so the cap test must be one
-    # that NaN cannot pass
+    # that NaN cannot pass; the message names the state non-finite
     model = NonlinearModel(kind="full", c=endemic_c, bc1=NEUMANN[0],
                            bc2=NEUMANN[1], grid=grid)
     u0 = build_initial_state(grid, *NEUMANN, (np.nan, 0.5, 0.1))
-    with pytest.raises(BlowupError):
+    with pytest.raises(BlowupError, match="non-finite"):
         integrate_trajectory(model, u0, 2, sample_stride=8)
+
+
+def test_trajectory_times_stay_on_the_step_lattice(endemic_c):
+    # dt = 1/96 is not dyadic, so summing dt step by step would drift off
+    # k*dt, the time every orbit CSV writes
+    g = build_grid(0.0, 1.0, 15, 1.0, 96)
+    model = NonlinearModel(kind="full", c=endemic_c, bc1=NEUMANN[0],
+                           bc2=NEUMANN[1], grid=g)
+    u0 = build_initial_state(g, *NEUMANN, (1.0, 0.5, 0.1))
+    traj = integrate_trajectory(model, u0, 4, sample_stride=8)
+    assert all(s.t == s.step * g.dt for s in traj.states)
+    assert traj.states[-1].t == 4.0
 
 
 def test_affine_source_equilibrium(grid):
