@@ -65,12 +65,14 @@ def _write_csv(path: str, header, rows) -> None:
         w.writerows(rows)
 
 
-def _node_csv(path: str, grid, times, named) -> None:
+def _node_csv(path: str, grid, named, times=None) -> None:
     """Node table: columns x, t, then one column per field.
 
     named is a sequence of (column, values, bc) with values shaped
-    (len(times), n) on the layout of bc.
+    (len(times), n) on the layout of bc; times default to the m+1 levels
+    k*dt of one period, where every orbit is stored.
     """
+    times = np.arange(grid.steps_per_period + 1) * grid.dt if times is None else times
     xs = grid.full_nodes()
     # every CSV uses the full node set; Dirichlet data gets its zero endpoints back
     padded = [map_between(values, bc, BoundarySpec.neumann(bc.group))
@@ -81,10 +83,6 @@ def _node_csv(path: str, grid, times, named) -> None:
         for i, x in enumerate(xs):
             rows.append([_FMT % x, ts] + [_FMT % p[k, i] for p in padded])
     _write_csv(path, ["x", "t"] + [name for name, _, _ in named], rows)
-
-
-def _orbit_times(grid) -> np.ndarray:
-    return np.arange(grid.steps_per_period + 1) * grid.dt
 
 
 def _report_violations(rep, stream) -> None:
@@ -144,9 +142,8 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
             for name, hist in histories for i, r in enumerate(hist)]
     _write_csv(os.path.join(args.out, "eigen_history.csv"),
                ["name", "iteration", "r_estimate"], rows)
-    phi = lr.zeta_result.eigenfunction
-    _node_csv(os.path.join(args.out, "phi_zeta.csv"), g, _orbit_times(g),
-              [("phi", phi.samples[0], cfg.bc2)])
+    _node_csv(os.path.join(args.out, "phi_zeta.csv"), g,
+              [("phi", lr.zeta_result.eigenfunction.samples[0], cfg.bc2)])
     print(f"zeta={lr.zeta:.6g} gamma_rho={gr.value:.6g}")
     return EXIT_OK
 
@@ -156,10 +153,10 @@ def cmd_periodic(cfg: RunConfig, args) -> int:
     c, g = cfg.coeffs, cfg.grid
     bcs = (cfg.bc1, cfg.bc2)
     lr = solve_logistic_orbit(c, cfg.bc2, g, o)
-    _node_csv(os.path.join(args.out, "V_orbit.csv"), g, _orbit_times(g),
+    _node_csv(os.path.join(args.out, "V_orbit.csv"), g,
               [("V", lr.orbit.samples[0], cfg.bc2)])
     hbar = solve_Hbar(c, cfg.bc1, g, lr.orbit, o=o)
-    _node_csv(os.path.join(args.out, "Hbar.csv"), g, _orbit_times(g),
+    _node_csv(os.path.join(args.out, "Hbar.csv"), g,
               [("H_bar", hbar.samples[0], cfg.bc1)])
     items = [("zeta", lr.zeta),
              ("V_converged_in", lr.converged_in),
@@ -183,7 +180,6 @@ def cmd_periodic(cfg: RunConfig, args) -> int:
                   ("endemic_upper_residual", pair.upper_residual),
                   ("endemic_lower_residual", pair.lower_residual)]
         _node_csv(os.path.join(args.out, "endemic_orbit.csv"), g,
-                  _orbit_times(g),
                   [("H_i", pair.H_orbit.samples[0], cfg.bc1),
                    ("V_i", pair.Vi_orbit.samples[0], cfg.bc2)])
     _write_report(os.path.join(args.out, "periodic_report.txt"), items)
@@ -199,19 +195,17 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     model = NonlinearModel(kind="full", c=cfg.coeffs, bc1=cfg.bc1,
                            bc2=cfg.bc2, grid=cfg.grid, cap=o.blowup_cap)
     traj = integrate_trajectory(model, u0, o.n_periods, o.sample_stride)
-    stacked = [np.stack(levels) for levels in zip(*(s.components for s in traj.states))]
+    names = ("H_i", "V_u", "V_i")
     _node_csv(os.path.join(args.out, "trajectory.csv"), cfg.grid,
-              [s.t for s in traj.states],
-              list(zip(("H_i", "V_u", "V_i"), stacked, (cfg.bc1, cfg.bc2, cfg.bc2))))
-    last = traj.states[-1]
+              list(zip(names, traj.samples, (cfg.bc1, cfg.bc2, cfg.bc2))), traj.times)
     items = [("n_periods", o.n_periods),
              ("sample_stride", o.sample_stride),
-             ("samples", len(traj.states)),
-             ("final_t", last.t)]
-    for name, comp in zip(("H_i", "V_u", "V_i"), last.components):
-        items.append((f"final_sup_{name}", float(np.max(np.abs(comp)))))
+             ("samples", len(traj.steps)),
+             ("final_t", float(traj.times[-1]))]
+    for name, s in zip(names, traj.samples):
+        items.append((f"final_sup_{name}", float(np.max(np.abs(s[-1])))))
     _write_report(os.path.join(args.out, "simulate_report.txt"), items)
-    print(f"integrated {o.n_periods} periods, {len(traj.states)} samples")
+    print(f"integrated {o.n_periods} periods, {len(traj.steps)} samples")
     return EXIT_OK
 
 
@@ -228,12 +222,9 @@ def cmd_classify(cfg: RunConfig, args) -> int:
     _write_report(os.path.join(args.out, "classify_report.txt"),
                   _classify_items(rep))
     if rep.attractor is not None:
-        a = rep.attractor
         _node_csv(os.path.join(args.out, "attractor.csv"), cfg.grid,
-                  _orbit_times(cfg.grid),
-                  [("H_i", a.samples[0], cfg.bc1),
-                   ("V_u", a.samples[1], cfg.bc2),
-                   ("V_i", a.samples[2], cfg.bc2)])
+                  list(zip(("H_i", "V_u", "V_i"), rep.attractor.samples,
+                           (cfg.bc1, cfg.bc2, cfg.bc2))))
     print(f"regime={rep.regime} zeta={rep.zeta:.6g}"
           + ("" if rep.lambda_V is None else f" lambda_V={rep.lambda_V:.6g}"))
     if rep.regime == INDETERMINATE and args.strict:

@@ -27,11 +27,15 @@ __all__ = ["RunSettings", "SweepSettings", "RunConfig", "load_config",
            "substituted_coeffs"]
 
 
-def _positive(raw):
+def _finite(raw, positive=False):
     v = float(raw)
-    if not 0 < v < math.inf:  # NaN fails too
-        raise ConfigError(f"must be {'positive' if v <= 0 else 'finite'}, got {v}")
+    if not (0 < v < math.inf if positive else math.isfinite(v)):  # NaN fails too
+        raise ConfigError(f"must be {'positive' if positive and v <= 0 else 'finite'}, got {v}")
     return v
+
+
+def _positive(raw):
+    return _finite(raw, positive=True)
 
 
 def _count(raw):
@@ -214,7 +218,7 @@ def load_config(path: str, overrides=()) -> RunConfig:
         parse_expression(_get(parser, "run", key, str, _DEFAULT_INITIAL[key]))
         for key in ("initial_H_i", "initial_V_u", "initial_V_i"))
     run = RunSettings(initial=initial,
-                      t_offset=_get(parser, "run", "t_offset", float, 0.0))
+                      t_offset=_get(parser, "run", "t_offset", _finite, 0.0))
 
     sweep = None
     if parser.has_section("sweep"):

@@ -13,7 +13,7 @@ vector population enter the +/- eps*phi band around the carrying orbit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import median
 
 import numpy as np
@@ -23,7 +23,7 @@ from .eigen import EigenResult, PeriodicOrbit, lambda_V
 from .errors import InputError
 from .grid import BoundarySpec, Grid
 from .periodic import (EndemicPairResult, LogisticOrbitResult, SolverOptions,
-                       solve_endemic_pair, solve_logistic_orbit)
+                       band_sign, solve_endemic_pair, solve_logistic_orbit)
 from .stepper import NonlinearModel, StateField, Trajectory, integrate_trajectory
 
 __all__ = [
@@ -49,7 +49,7 @@ class RegimeReport:
     invade).  attractor is a three-component orbit (host infected, vector
     uninfected, vector infected) or None for INDETERMINATE; with eps > 0
     in the options the endemic attractor is the band envelope, not the
-    orbit itself.
+    orbit itself (verify_trichotomy measures against the orbit).
     """
 
     zeta: float
@@ -107,43 +107,46 @@ def classify_regime(c: CoefficientSet, bcs, grid: Grid,
 
     lr = solve_logistic_orbit(c, bc2, g, o)
     z = lr.zeta
-    if z >= o.band:
+    side = band_sign(z, o.band)
+    if side > 0:
         return RegimeReport(
             zeta=z, lambda_V=None, regime=EXTINCTION,
             attractor=PeriodicOrbit.zeros([n1, n2, n2], m, g.dt, g.T),
             attractor_kind="(0, 0, 0)", band=o.band, logistic=lr)
-    if z > -o.band:
+    if side == 0:
         return RegimeReport(
             zeta=z, lambda_V=None, regime=INDETERMINATE, attractor=None,
             attractor_kind="undecided (zeta inside the band)", band=o.band,
             logistic=lr)
 
     lam = lambda_V(c, bcs, g, lr.orbit, o.eigen_tol, o.max_eigen_iters)
-    zeros1 = np.zeros((m + 1, n1))
-    zeros2 = np.zeros((m + 1, n2))
-    if lam.value >= o.band:
-        attractor = PeriodicOrbit((zeros1, lr.orbit.samples[0], zeros2),
-                                  g.dt, g.T, lr.orbit.residual)
+    side = band_sign(lam.value, o.band)
+    if side > 0:
+        attractor = PeriodicOrbit(
+            (np.zeros((m + 1, n1)), lr.orbit.samples[0], np.zeros((m + 1, n2))),
+            g.dt, g.T, lr.orbit.residual)
         return RegimeReport(
             zeta=z, lambda_V=lam.value, regime=DISEASE_FREE,
             attractor=attractor, attractor_kind="(0, V, 0)", band=o.band,
             logistic=lr, lambda_V_result=lam)
-    if lam.value <= -o.band:
+    if side < 0:
         pair = solve_endemic_pair(c, bcs, g, o, logistic=lr, lam=lam)
-        attractor = PeriodicOrbit(
-            (pair.H_orbit.samples[0],
-             lr.orbit.samples[0] - pair.Vi_orbit.samples[0],
-             pair.Vi_orbit.samples[0]),
-            g.dt, g.T,
-            max(lr.orbit.residual, pair.upper_residual))
         return RegimeReport(
-            zeta=z, lambda_V=lam.value, regime=ENDEMIC, attractor=attractor,
+            zeta=z, lambda_V=lam.value, regime=ENDEMIC,
+            attractor=_endemic_attractor(g, pair),
             attractor_kind="(H_i, V - V_i, V_i)", band=o.band, logistic=lr,
             lambda_V_result=lam, pair=pair)
     return RegimeReport(
         zeta=z, lambda_V=lam.value, regime=INDETERMINATE, attractor=None,
         attractor_kind="undecided (lambda(V) inside the band)", band=o.band,
         logistic=lr, lambda_V_result=lam)
+
+
+def _endemic_attractor(g: Grid, pair: EndemicPairResult) -> PeriodicOrbit:
+    """(H_i, V - V_i, V_i) from the pair's upper limit and carrying orbit."""
+    H, V, Vi = pair.H_orbit.samples[0], pair.V.samples[0], pair.Vi_orbit.samples[0]
+    return PeriodicOrbit((H, V - Vi, Vi), g.dt, g.T,
+                         max(pair.V.residual, pair.upper_residual))
 
 
 # ──────────────────────────────────────────────────────── verification ──
@@ -187,14 +190,12 @@ def _check_positive_interior(u: StateField, bcs) -> None:
 def _period_errors(traj: Trajectory, attractor: PeriodicOrbit,
                    n_periods: int) -> list:
     m = traj.grid.steps_per_period
-    errors = [0.0] * n_periods
-    for s in traj.states:
-        n = min(s.step // m, n_periods - 1)
-        d = max(float(np.max(np.abs(comp - attractor.level(i, s.step % m))))
-                for i, comp in enumerate(s.components))
-        if d > errors[n]:
-            errors[n] = d
-    return errors
+    levels = traj.steps % m
+    d = np.max([np.max(np.abs(s - attractor.level(i, levels)), axis=1)
+                for i, s in enumerate(traj.samples)], axis=0)
+    errors = np.zeros(n_periods)
+    np.maximum.at(errors, np.minimum(traj.steps // m, n_periods - 1), d)
+    return errors.tolist()
 
 
 def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid,
@@ -207,7 +208,10 @@ def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid,
     errors[n] is the sup distance over all components, nodes, and stored
     levels of period n; the verdict is PASS when the final error is at or
     below target and the median period-to-period ratio is below one.
-    Initial data must be strictly positive at interior nodes.
+    An endemic report built with eps > 0 carries the band envelope, so
+    the eps = 0 orbit is rebuilt from its carrying orbit and lambda(V) and
+    measured against instead.  Initial data must be strictly positive at
+    interior nodes.
     """
     o = tols if tols is not None else SolverOptions()
     n_periods = o.n_periods if n_periods is None else n_periods
@@ -227,11 +231,17 @@ def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid,
         build_initial_state(grid, bc1, bc2, initial)
     _check_positive_interior(u0, bcs)
 
+    attractor = report.attractor
+    if report.regime == ENDEMIC and report.pair.eps_used != 0.0:
+        pair = solve_endemic_pair(c, bcs, grid, replace(o, eps=0.0),
+                                  report.logistic, report.lambda_V_result)
+        attractor = _endemic_attractor(grid, pair)
+
     model = NonlinearModel(kind="full", c=c, bc1=bc1, bc2=bc2, grid=grid,
                            cap=o.blowup_cap)
     traj = integrate_trajectory(model, u0, n_periods, o.sample_stride)
 
-    errors = _period_errors(traj, report.attractor, n_periods)
+    errors = _period_errors(traj, attractor, n_periods)
     ratios = [errors[n + 1] / errors[n]
               for n in range(n_periods - 1) if errors[n] > _TINY_ERROR]
     med = float(median(ratios)) if ratios else 0.0
@@ -254,20 +264,16 @@ def sandwich_check(c: CoefficientSet, bcs, grid: Grid, V: PeriodicOrbit,
         raise InputError("the sandwich band needs eps > 0")
     m = grid.steps_per_period
     n_total = trajectory.n_periods
-    if V.sup_norm() == 0.0:
-        return SandwichReport(eps=eps, entered_at=None, status="NOT_REACHED",
-                              n_periods=n_total)
-    scale = V.sup_norm() + eps * phi.sup_norm()
-    slack = 1e-12 * max(1.0, scale)
-    last_bad = -1
-    for s in trajectory.states:
-        k = s.step % m
-        W = s.components[1] + s.components[2]
+    N = n_total + 1  # not entered
+    if V.sup_norm() > 0.0:
+        slack = 1e-12 * max(1.0, V.sup_norm() + eps * phi.sup_norm())
+        k = trajectory.steps % m
+        W = trajectory.samples[1] + trajectory.samples[2]
         lo = V.level(0, k) - eps * phi.level(0, k)
         hi = V.level(0, k) + eps * phi.level(0, k)
-        if float(np.min(W - lo)) < -slack or float(np.max(W - hi)) > slack:
-            last_bad = s.step
-    N = 0 if last_bad < 0 else last_bad // m + 1
+        bad = (np.min(W - lo, axis=1) < -slack) | (np.max(W - hi, axis=1) > slack)
+        # the period after the last sample outside the band
+        N = int(trajectory.steps[bad][-1]) // m + 1 if bad.any() else 0
     if N > n_total:
         return SandwichReport(eps=eps, entered_at=None, status="NOT_REACHED",
                               n_periods=n_total)

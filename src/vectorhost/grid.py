@@ -76,11 +76,13 @@ def build_grid(x_left: float, x_right: float, nx: int, T: float,
     """Validate mesh parameters and return a Grid.
 
     Raises:
-        DomainError: if x_left >= x_right, nx < 3, T <= 0, or
-            steps_per_period < 8.
+        DomainError: if x_left >= x_right, an endpoint is not finite,
+            nx < 3, T <= 0, or steps_per_period < 8.
     """
     if not x_left < x_right:
         raise DomainError(f"need x_left < x_right, got ({x_left}, {x_right})")
+    if not np.isfinite([x_left, x_right]).all():
+        raise DomainError(f"need finite x_left and x_right, got ({x_left}, {x_right})")
     if nx < 3:
         raise DomainError(f"need nx >= 3, got {nx}")
     if not T > 0:

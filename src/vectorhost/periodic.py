@@ -115,6 +115,12 @@ class EndemicPairResult:
 # ─────────────────────────────────────────────────────────────── helpers ──
 
 
+def band_sign(value: float, band: float) -> int:
+    """The decision-band rule of every threshold test: +1 when value >= band,
+    -1 when value <= -band, 0 inside the band (NaN included)."""
+    return 1 if value >= band else -1 if value <= -band else 0
+
+
 def _layout_spec(orbit: PeriodicOrbit, grid: Grid, group: int) -> BoundarySpec:
     """Recover the node-layout flavor of a stored orbit from its width."""
     n = orbit.samples[0].shape[1]
@@ -175,13 +181,9 @@ def _limits(model, P, upper: StateField, lower: StateField, tol: float,
 
 def _store_orbit(model, prepared, state: StateField) -> PeriodicOrbit:
     """One stored sweep from a converged boundary state."""
-    g = model.grid
-    levels = integrate_over_period(model, state, prepared=prepared, store=True)
-    ncomp = len(state.components)
-    samples = tuple(np.stack([lev.components[i] for lev in levels])
-                    for i in range(ncomp))
+    samples = integrate_over_period(model, state, prepared=prepared, store=True)
     residual = max(float(np.max(np.abs(s[-1] - s[0]))) for s in samples)
-    return PeriodicOrbit(samples, g.dt, g.T, residual)
+    return PeriodicOrbit(samples, model.grid.dt, model.grid.T, residual)
 
 
 # ─────────────────────────────────────────────── the vector total orbit ──
@@ -206,7 +208,7 @@ def solve_logistic_orbit(c: CoefficientSet, bc2: BoundarySpec, grid: Grid,
     rz = zeta(c, bc2, grid, o.eigen_tol, o.max_eigen_iters)
     g = grid
     n2 = g.n_unknowns(bc2)
-    if rz.value > -o.band:
+    if band_sign(rz.value, o.band) >= 0:
         return LogisticOrbitResult(
             orbit=PeriodicOrbit.zeros([n2], g.steps_per_period, g.dt, g.T),
             zeta_result=rz, converged_in=0, fixed_point_residual=0.0,
@@ -325,22 +327,24 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
     if logistic is None:
         logistic = solve_logistic_orbit(c, bc2, grid, o)
     rz, V = logistic.zeta_result, logistic.orbit
-    if rz.value >= band:
+    side = band_sign(rz.value, band)
+    if side > 0:
         raise RegimeError(
             f"the vector population dies out (zeta = {rz.value:.6g} >= {band:g}); "
             "endemic orbit absent")
-    if rz.value > -band:
+    if side == 0:
         raise RegimeError(
             f"growth threshold {rz.value:.6g} lies inside the decision band "
             f"(+/-{band:g}); endemic state unresolved at this resolution",
             indeterminate=True)
     lamV = lam if lam is not None else lambda_V(c, (bc1, bc2), grid, V,
                                                 o.eigen_tol, o.max_eigen_iters)
-    if lamV.value >= band:
+    side = band_sign(lamV.value, band)
+    if side > 0:
         raise RegimeError(
             f"the disease-free state resists invasion (lambda(V) = "
             f"{lamV.value:.6g} >= {band:g}); endemic orbit absent")
-    if lamV.value > -band:
+    if side == 0:
         raise RegimeError(
             f"invasion exponent {lamV.value:.6g} lies inside the decision band "
             f"(+/-{band:g}); endemic state unresolved at this resolution",
@@ -367,7 +371,7 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
                 continue
             le = lambda_V_eps(c, (bc1, bc2), grid, V, phi, e,
                               o.eigen_tol, o.max_eigen_iters)
-            if le.value > -band:
+            if band_sign(le.value, band) >= 0:
                 e *= 0.5
                 continue
 

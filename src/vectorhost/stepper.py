@@ -5,10 +5,12 @@ tridiagonal implicit matrix (diffusion assembled at t+dt plus the linear
 decay diagonal), with cross-component coupling and nonlinear terms taken
 explicitly at time t.  prepare() reads every coefficient once, through
 coeffs.field_lattice on the m solver levels of [0, T), and builds every
-state-independent implicit matrix there; steps index those lattices by
-level mod m, so the period map is literally the same map every period and
-long runs cannot drift off the coefficient lattice.  _solve is the one
-tridiagonal kernel (LAPACK gtsv).
+state-independent implicit matrix there.  _run is the one stepping loop:
+a prepared step maps the component arrays at step k to those at step k+1
+by indexing the lattices at level k mod m, so the period map is literally
+the same map every period, and the kept levels go straight into stacked
+(n_kept, n_c) arrays, the layout of PeriodicOrbit.samples.  _solve is the
+one tridiagonal kernel (LAPACK gtsv).
 
 Structural properties the rest of the package leans on:
 
@@ -60,16 +62,6 @@ class StateField:
     components: tuple
     t: float = 0.0
     step: int = 0
-
-    @property
-    def m(self) -> int:
-        return len(self.components)
-
-    def copy(self) -> "StateField":
-        return StateField(tuple(c.copy() for c in self.components), self.t, self.step)
-
-    def sup_norm(self) -> float:
-        return max(float(np.max(np.abs(c))) if c.size else 0.0 for c in self.components)
 
 
 @dataclass(frozen=True)
@@ -147,26 +139,21 @@ class NonlinearModel:
 
 @dataclass
 class Trajectory:
-    """Sampled states of a run; always contains every period boundary."""
+    """Kept levels of a run: row r of samples[c], shape (len(steps), n_c),
+    is component c at global step steps[r]; every period boundary is kept."""
 
     grid: Grid
-    states: list
+    steps: np.ndarray
+    samples: tuple
     sample_stride: int
 
-    def boundary_state(self, n: int) -> StateField:
-        k = n * self.grid.steps_per_period
-        for s in self.states:
-            if s.step == k:
-                return s
-        raise KeyError(f"period boundary {n} not stored")
-
-    def period_states(self, n: int) -> list:
-        m = self.grid.steps_per_period
-        return [s for s in self.states if n * m <= s.step <= (n + 1) * m]
+    @property
+    def times(self) -> np.ndarray:
+        return self.steps * self.grid.dt
 
     @property
     def n_periods(self) -> int:
-        return self.states[-1].step // self.grid.steps_per_period
+        return int(self.steps[-1]) // self.grid.steps_per_period
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -197,7 +184,6 @@ class _PreparedLinear:
     def __init__(self, sys: LinearPeriodicSystem):
         g = sys.grid
         ts = g.level_times()
-        n = len(sys.comps)
         self.sys = sys
         nodes = [g.nodes_for(c.bc) for c in sys.comps]
 
@@ -206,7 +192,7 @@ class _PreparedLinear:
 
         self.coupling = [[lattice(f, i) for f in row]
                          for i, row in enumerate(sys.coupling)]
-        self.src = [None] * n if sys.source is None else \
+        self.src = [None] * len(sys.comps) if sys.source is None else \
             [lattice(f, i) for i, f in enumerate(sys.source)]
         self.ab = []        # [i] implicit banded matrices, shape (m, 3, n_i)
         for i, comp in enumerate(sys.comps):
@@ -214,25 +200,23 @@ class _PreparedLinear:
             D = assemble_diffusion(g, comp.d, comp.bc, ts)
             self.ab.append(_banded(D, g.dt, 0.0 if decay is None else -decay))
 
-    def step(self, u: StateField) -> StateField:
+    def step(self, u: tuple, k: int) -> tuple:
+        """Component arrays at step k -> component arrays at step k+1."""
         sys = self.sys
-        g = sys.grid
-        m = g.steps_per_period
-        dt = g.dt
-        j0 = u.step % m
-        j1 = (u.step + 1) % m
-        n = len(sys.comps)
+        m = sys.grid.steps_per_period
+        dt = sys.grid.dt
+        j0, j1 = k % m, (k + 1) % m
         new = []
-        for i in range(n):
-            rhs = u.components[i].copy()
+        for i in range(len(sys.comps)):
+            rhs = u[i].copy()
             for jc, w in enumerate(self.coupling[i]):
                 if w is not None and jc != i:
-                    rhs += dt * w[j0] * map_between(u.components[jc],
-                                                    sys.comps[jc].bc, sys.comps[i].bc)
+                    rhs += dt * w[j0] * map_between(u[jc], sys.comps[jc].bc,
+                                                    sys.comps[i].bc)
             if self.src[i] is not None:
                 rhs += dt * self.src[i][j0]
             new.append(_solve(self.ab[i][j1], rhs))
-        return StateField(tuple(new), (u.step + 1) * dt, u.step + 1)
+        return tuple(new)
 
 
 class _PreparedModel:
@@ -246,8 +230,7 @@ class _PreparedModel:
         dt = g.dt
         c = model.c
         self.model = model
-        x1 = g.nodes_for(model.bc1)
-        x2 = g.nodes_for(model.bc2)
+        x1, x2 = g.nodes_for(model.bc1), g.nodes_for(model.bc2)
 
         def lattice(f, x):
             return field_lattice(f, x, ts)
@@ -286,21 +269,19 @@ class _PreparedModel:
         ab[1] += self.model.grid.dt * (self.mu1[j1] + self.mu2[j1] * total)
         return ab
 
-    def step(self, u: StateField) -> StateField:
+    def step(self, u: tuple, k: int) -> tuple:
+        """Component arrays at step k -> step k+1; BlowupError past the cap."""
         model = self.model
-        g = model.grid
-        m = g.steps_per_period
-        dt = g.dt
-        j0 = u.step % m
-        j1 = (u.step + 1) % m
+        m = model.grid.steps_per_period
+        dt = model.grid.dt
+        j0, j1 = k % m, (k + 1) % m
 
         if model.kind == "logistic":
-            (V,) = u.components
-            Vn = _solve(self._vector_matrix(j1, V), V + dt * self.beta[j0] * V)
-            out = (Vn,)
+            (V,) = u
+            out = (_solve(self._vector_matrix(j1, V), V + dt * self.beta[j0] * V),)
 
         elif model.kind == "full":
-            Hi, Vu, Vi = u.components
+            Hi, Vu, Vi = u
             Vsum = Vu + Vi
             trans = self.sigma2[j0] * Vu * map_between(Hi, model.bc1, model.bc2)
             ab_v = self._vector_matrix(j1, Vsum)
@@ -312,7 +293,7 @@ class _PreparedModel:
             out = (Hi_n, Vu_n, Vi_n)
 
         else:  # truncated
-            Hi, Z = u.components
+            Hi, Z = u
             pos = np.maximum(self.band[j0] - Z, 0.0)
             trans = self.sigma2[j0] * pos * map_between(Hi, model.bc1, model.bc2)
             Z_n = _solve(self.ab_z[j1], Z + dt * trans)
@@ -321,7 +302,7 @@ class _PreparedModel:
             out = (Hi_n, Z_n)
 
         self._check_cap(out)
-        return StateField(out, (u.step + 1) * dt, u.step + 1)
+        return out
 
 
 def prepare(system) -> object:
@@ -344,8 +325,9 @@ def _check_state(system, u: StateField) -> None:
         raise InputError(f"state time {u.t} not aligned with step {u.step}")
     layouts = (system.layouts() if isinstance(system, NonlinearModel)
                else tuple(c.bc for c in system.comps))
-    if u.m != len(layouts):
-        raise InputError(f"state has {u.m} components, system expects {len(layouts)}")
+    if len(u.components) != len(layouts):
+        raise InputError(
+            f"state has {len(u.components)} components, system expects {len(layouts)}")
     for i, bc in enumerate(layouts):
         want = g.n_unknowns(bc)
         if u.components[i].shape != (want,):
@@ -353,43 +335,52 @@ def _check_state(system, u: StateField) -> None:
                 f"component {i} has shape {u.components[i].shape}, expected ({want},)")
 
 
+def _run(system, u0: StateField, nsteps: int, stride: int, prepared):
+    """nsteps steps from u0, keeping u0, the last step and every step whose
+    index is a multiple of stride as rows of one (n_kept, n_c) array per
+    component; returns the kept step indices and those arrays."""
+    _check_state(system, u0)
+    P = prepared if prepared is not None else prepare(system)
+    k0, k1 = u0.step, u0.step + nsteps
+    steps = np.arange(k0, k1 + 1)
+    steps = steps[(steps == k0) | (steps == k1) | (steps % stride == 0)]
+    samples = tuple(np.empty((len(steps), len(c))) for c in u0.components)
+    u, done = u0.components, k0
+    for row, kept in enumerate(steps.tolist()):
+        for k in range(done, kept):
+            u = P.step(u, k)
+        done = kept
+        for s, c in zip(samples, u):
+            s[row] = c
+    return steps, samples
+
+
 def integrate_over_period(system, u0: StateField, prepared=None,
                           store: bool = False):
     """Apply the period map once: steps_per_period IMEX steps from u0.
 
-    With store=True returns the full list of m+1 levels (including u0),
-    otherwise just the final state.
+    With store=True returns every level stacked, one (m+1, n_c) array per
+    component with row j at step u0.step + j; otherwise the final state.
     """
-    _check_state(system, u0)
-    P = prepared if prepared is not None else prepare(system)
-    u = u0
-    levels = [u0] if store else None
-    for _ in range(system.grid.steps_per_period):
-        u = P.step(u)
-        if store:
-            levels.append(u)
-    return levels if store else u
+    m = system.grid.steps_per_period
+    _, samples = _run(system, u0, m, 1 if store else m, prepared)
+    if store:
+        return samples
+    return StateField(tuple(s[-1] for s in samples), (u0.step + m) * system.grid.dt,
+                      u0.step + m)
 
 
 def integrate_trajectory(model, u0: StateField, n_periods: int,
                          sample_stride: int = 1) -> Trajectory:
-    """Integrate n_periods periods, sampling every sample_stride steps.
+    """Integrate n_periods periods, keeping every sample_stride-th step.
 
     sample_stride must divide steps_per_period so that every period
-    boundary is stored.  Raises BlowupError if any component passes the
+    boundary is kept.  Raises BlowupError if any component passes the
     model's cap.
     """
-    g = model.grid
-    m = g.steps_per_period
+    m = model.grid.steps_per_period
     if sample_stride < 1 or m % sample_stride != 0:
         raise DomainError(
             f"sample_stride must divide steps_per_period ({sample_stride} vs {m})")
-    _check_state(model, u0)
-    P = prepare(model)
-    u = u0
-    states = [u0.copy()]
-    for _ in range(n_periods * m):
-        u = P.step(u)
-        if u.step % sample_stride == 0:
-            states.append(u)
-    return Trajectory(grid=g, states=states, sample_stride=sample_stride)
+    steps, samples = _run(model, u0, n_periods * m, sample_stride, None)
+    return Trajectory(model.grid, steps, samples, sample_stride)

@@ -173,7 +173,7 @@ def test_criterion_05_carrying_orbit_exists_and_is_unique(
         v0 = rng.uniform(0.05, 4.0, size=33)
         traj = integrate_trajectory(model, StateField((v0,), 0.0, 0), 25,
                                     sample_stride=128)
-        final = traj.states[-1].components[0]
+        final = traj.samples[0][-1]
         assert float(np.max(np.abs(final - ref))) <= 1e-6
 
 
@@ -205,9 +205,8 @@ def test_criterion_07_trichotomy_long_runs_reach_their_attractors(
                                bc2=neumann_bcs[1], grid=grid31)
         u0 = build_initial_state(grid31, *neumann_bcs, (1.0, 0.5, 0.1))
         traj = integrate_trajectory(model, u0, 40, sample_stride=128)
-        final = traj.states[-1]
-        worst = max(float(np.max(np.abs(comp - val)))
-                    for comp, val in zip(final.components, expected))
+        worst = max(float(np.max(np.abs(s[-1] - val)))
+                    for s, val in zip(traj.samples, expected))
         assert worst <= 1e-3, report.regime
         cr = verify_trichotomy(c, neumann_bcs, grid31,
                                initial=(1.0, 0.5, 0.1), report=report)
@@ -236,8 +235,7 @@ def test_criterion_09_stepper_positivity_comparison_reduction():
         u0 = StateField(tuple(rng.uniform(0.0, 3.0, size=33)
                               for _ in range(3)), 0.0, 0)
         traj = integrate_trajectory(model, u0, 3, sample_stride=4)
-        lowest = min(lowest, min(float(np.min(comp)) for s in traj.states
-                                 for comp in s.components))
+        lowest = min(lowest, min(float(np.min(s)) for s in traj.samples))
     assert lowest >= -1e-12
 
     assert check_comparison_principle(20, seed=1234, grid=g) >= -1e-12
@@ -253,9 +251,8 @@ def test_criterion_09_stepper_positivity_comparison_reduction():
         sample_stride=1)
     t_logi = integrate_trajectory(
         logi, StateField((vu0 + vi0,), 0.0, 0), 4, sample_stride=1)
-    worst = max(float(np.max(np.abs(sf.components[1] + sf.components[2]
-                                    - sl.components[0])))
-                for sf, sl in zip(t_full.states, t_logi.states))
+    worst = float(np.max(np.abs(t_full.samples[1] + t_full.samples[2]
+                                - t_logi.samples[0])))
     assert worst <= 1e-12
 
 

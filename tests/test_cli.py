@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from vectorhost import ConfigError, evaluate, load_config
+from vectorhost import ConfigError, DomainError, evaluate, load_config
 from vectorhost.cli import main
 
 BASE = """\
@@ -28,6 +28,10 @@ d1 = 1
 d2 = 1
 H_u = 5
 """
+
+# the README's example: seasonal beta, slower vectors
+README = (BASE.replace("beta = 2\n", "beta = 2 + sin(2*pi*t)\n")
+          .replace("d2 = 1\n", "d2 = 0.5\n"))
 
 
 def write_config(tmp_path, extra="", name="run.ini"):
@@ -127,6 +131,23 @@ def test_overrides_apply_before_validation(tmp_path):
 def test_config_rejections(tmp_path, extra):
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, extra))
+
+
+@pytest.mark.parametrize("override, error", [
+    ("domain.x_left=-inf", DomainError),
+    ("domain.x_right=inf", DomainError),
+    ("run.t_offset=inf", ConfigError),
+])
+def test_non_finite_domain_values_exit_one(tmp_path, capsys, override, error):
+    path = write_config(tmp_path)
+    with pytest.raises(error, match="inf"):
+        load_config(path, overrides=[override])
+    assert main(["classify", "--config", path, "--out", str(tmp_path / "o"),
+                 "--override", override]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err or "need finite" in captured.err
+    assert "inf" in captured.err
 
 
 def test_config_bad_number_and_missing_file(tmp_path):
@@ -313,6 +334,23 @@ def test_verify_reaches_target(tmp_path, capsys):
     assert conv[0] == "n,e_n"
     assert len(conv) == 1 + 40
     capsys.readouterr()
+
+
+def test_verify_with_a_band_measures_against_the_orbit(tmp_path, capsys):
+    # with eps > 0 classify's attractor is the band envelope; verify still
+    # measures the README run against the endemic orbit it reaches
+    path = tmp_path / "readme.ini"
+    path.write_text(README)
+    out_0, out_eps = str(tmp_path / "e0"), str(tmp_path / "e5")
+    assert main(["verify", "--config", str(path), "--out", out_0]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--config", str(path), "--out", out_eps,
+                 "--override", "solver.eps=0.05"]) == 0
+    assert capsys.readouterr().out == \
+        "regime=ENDEMIC verdict=PASS final_error=6.20155e-09\n"
+    conv = [open(os.path.join(out, "convergence.csv"), "rb").read()
+            for out in (out_0, out_eps)]
+    assert conv[0] == conv[1]
 
 
 def test_sweep_crossing_order_and_errors(tmp_path, capsys):

@@ -146,6 +146,19 @@ def test_verify_endemic_passes(endemic_c, neumann_bcs, grid31, endemic_report):
     assert len(cr.errors) == 40
 
 
+def test_verify_measures_a_band_envelope_report_against_the_orbit(
+        endemic_c, neumann_bcs, grid31, endemic_report, endemic_banded_report):
+    # the eps = 0.05 report carries the envelope, which runs do not reach;
+    # verify rebuilds the eps = 0 orbit and measures the same errors
+    cr = verify_trichotomy(endemic_c, neumann_bcs, grid31,
+                           initial=(1.0, 0.5, 0.1), report=endemic_banded_report)
+    ref = verify_trichotomy(endemic_c, neumann_bcs, grid31,
+                            initial=(1.0, 0.5, 0.1), report=endemic_report)
+    assert cr.verdict == "PASS"
+    assert cr.errors == ref.errors
+    assert cr.regime_report is endemic_banded_report
+
+
 def test_verify_disease_free_passes(disease_free_c, neumann_bcs, grid31,
                                     disease_free_report):
     cr = verify_trichotomy(disease_free_c, neumann_bcs, grid31,
@@ -179,8 +192,7 @@ def test_extinction_total_vector_is_nonincreasing(extinction_c, neumann_bcs,
                            bc2=neumann_bcs[1], grid=grid31)
     u0 = build_initial_state(grid31, *neumann_bcs, (1.0, 0.5, 0.5))
     traj = integrate_trajectory(model, u0, 10, sample_stride=128)
-    sups = [float(np.max(s.components[1] + s.components[2]))
-            for s in traj.states]
+    sups = np.max(traj.samples[1] + traj.samples[2], axis=1).tolist()
     assert all(b < a for a, b in zip(sups, sups[1:]))
 
 

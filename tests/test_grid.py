@@ -14,6 +14,8 @@ def test_build_grid_validates_inputs():
     build_grid(0.0, 1.0, 3, 1.0, 8)  # smallest legal mesh
     with pytest.raises(DomainError):
         build_grid(1.0, 0.0, 31, 1.0, 64)
+    with pytest.raises(DomainError, match="inf"):
+        build_grid(0.0, math.inf, 31, 1.0, 64)  # h would be inf
     with pytest.raises(DomainError):
         build_grid(0.0, 1.0, 2, 1.0, 64)
     with pytest.raises(DomainError):

@@ -92,8 +92,7 @@ def test_positivity_from_random_nonnegative_data(grid):
         u0 = StateField(tuple(rng.uniform(0.0, 3.0, size=33) for _ in range(3)),
                         0.0, 0)
         traj = integrate_trajectory(model, u0, 3, sample_stride=4)
-        lowest = min(float(np.min(comp)) for s in traj.states
-                     for comp in s.components)
+        lowest = min(float(np.min(s)) for s in traj.samples)
         assert lowest >= -1e-12
 
 
@@ -116,9 +115,8 @@ def test_total_vector_reduces_to_logistic_exactly(grid):
         full, StateField((h0, vu0, vi0), 0.0, 0), 4, sample_stride=1)
     t_logi = integrate_trajectory(
         logi, StateField((vu0 + vi0,), 0.0, 0), 4, sample_stride=1)
-    worst = max(float(np.max(np.abs(sf.components[1] + sf.components[2]
-                                    - sl.components[0])))
-                for sf, sl in zip(t_full.states, t_logi.states))
+    worst = float(np.max(np.abs(t_full.samples[1] + t_full.samples[2]
+                                - t_logi.samples[0])))
     assert worst <= 1e-12
 
 
@@ -184,8 +182,8 @@ def test_trajectory_times_stay_on_the_step_lattice(endemic_c):
                            bc2=NEUMANN[1], grid=g)
     u0 = build_initial_state(g, *NEUMANN, (1.0, 0.5, 0.1))
     traj = integrate_trajectory(model, u0, 4, sample_stride=8)
-    assert all(s.t == s.step * g.dt for s in traj.states)
-    assert traj.states[-1].t == 4.0
+    assert all(t == k * g.dt for t, k in zip(traj.times, traj.steps.tolist()))
+    assert traj.times[-1] == 4.0
 
 
 def test_affine_source_equilibrium(grid):
@@ -205,10 +203,10 @@ def test_store_returns_all_levels(grid, endemic_c):
     model = NonlinearModel(kind="logistic", c=endemic_c, bc1=NEUMANN[0],
                            bc2=NEUMANN[1], grid=grid)
     u0 = StateField((np.full(33, 1.0),), 0.0, 0)
-    levels = integrate_over_period(model, u0, store=True)
+    (levels,) = integrate_over_period(model, u0, store=True)
     assert len(levels) == grid.steps_per_period + 1
-    assert levels[0] is u0
-    assert levels[-1].step == grid.steps_per_period
+    assert np.array_equal(levels[0], u0.components[0])
+    assert np.array_equal(levels[-1], integrate_over_period(model, u0).components[0])
 
 
 def test_trajectory_sampling_and_boundaries(grid, endemic_c):
@@ -217,13 +215,47 @@ def test_trajectory_sampling_and_boundaries(grid, endemic_c):
     u0 = build_initial_state(grid, *NEUMANN, (1.0, 0.5, 0.1))
     traj = integrate_trajectory(model, u0, 3, sample_stride=16)
     assert traj.n_periods == 3
-    assert len(traj.states) == 3 * 64 // 16 + 1
-    b2 = traj.boundary_state(2)
-    assert b2.step == 128
-    assert b2.t == pytest.approx(2.0)
-    assert len(traj.period_states(1)) == 64 // 16 + 1
+    assert len(traj.steps) == 3 * 64 // 16 + 1
+    assert all(s.shape == (len(traj.steps), 33) for s in traj.samples)
+    b2 = list(traj.steps).index(128)          # period boundary 2
+    assert traj.times[b2] == pytest.approx(2.0)
+    assert np.count_nonzero((traj.steps >= 64) & (traj.steps <= 128)) == 64 // 16 + 1
     with pytest.raises(DomainError):
         integrate_trajectory(model, u0, 2, sample_stride=7)  # 7 does not divide 64
+
+
+def test_trajectory_and_period_maps_share_one_loop():
+    # a Dirichlet host beside no-flux vectors: the kept trajectory rows at
+    # each period boundary are the repeated period map, bit for bit, and a
+    # stored sweep starts at u0 and ends at the unstored map
+    g = build_grid(0.0, 1.0, 15, 1.0, 64)
+    m = g.steps_per_period
+    bc1, bc2 = BoundarySpec.dirichlet(1), BoundarySpec.neumann(2)
+    c = make_constants(beta="2 + sin(2*pi*t)", H_u="5*(1 + 0.5*cos(pi*x))")
+    model = NonlinearModel(kind="full", c=c, bc1=bc1, bc2=bc2, grid=g)
+    u0 = build_initial_state(g, bc1, bc2, (1.0, 0.5, 0.1))
+    traj = integrate_trajectory(model, u0, 3, sample_stride=16)
+    rows = {int(k): r for r, k in enumerate(traj.steps)}
+    u = u0
+    for n in range(1, 4):
+        u = integrate_over_period(model, u)
+        assert u.step == n * m and u.t == n * m * g.dt
+        for s, comp in zip(traj.samples, u.components):
+            assert np.array_equal(s[rows[n * m]], comp)
+
+    stored = integrate_over_period(model, u0, store=True)
+    once = integrate_over_period(model, u0)
+    for s, first, last in zip(stored, u0.components, once.components):
+        assert s.shape == (m + 1, len(first))
+        assert np.array_equal(s[0], first)
+        assert np.array_equal(s[m], last)
+
+    # a period map may start between period boundaries
+    mid = StateField(tuple(s[rows[16]] for s in traj.samples), 16 * g.dt, 16)
+    end = integrate_over_period(model, mid)
+    assert end.step == 16 + m
+    for s, comp in zip(traj.samples, end.components):
+        assert np.array_equal(s[rows[16 + m]], comp)
 
 
 def test_state_shape_checks(grid, endemic_c):
