@@ -11,7 +11,8 @@ INDETERMINATE when --strict asked for a decisive answer.
 
 All tabular output is CSV with comma separators, LF line endings, a fixed
 header row, and 17 significant digits so repeated runs are byte-identical.
-Reports are key=value text, one pair per line.
+Reports are key=value text, one pair per line.  Warnings print on stderr
+as one line each, `<Category>: <message>`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import csv
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -155,7 +157,7 @@ def cmd_periodic(cfg: RunConfig, args) -> int:
     lr = solve_logistic_orbit(c, cfg.bc2, g, o)
     _node_csv(os.path.join(args.out, "V_orbit.csv"), g,
               [("V", lr.orbit.samples[0], cfg.bc2)])
-    hbar = solve_Hbar(c, cfg.bc1, g, lr.orbit, o=o)
+    hbar = solve_Hbar(c, bcs, g, lr.orbit, o=o)
     _node_csv(os.path.join(args.out, "Hbar.csv"), g,
               [("H_bar", hbar.samples[0], cfg.bc1)])
     items = [("zeta", lr.zeta),
@@ -333,28 +335,32 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # remap argparse usage errors onto the contract
         return EXIT_OK if not exc.code else EXIT_CONFIG
-    try:
-        cfg = load_config(args.config, tuple(args.override))
-        os.makedirs(args.out, exist_ok=True)
-        if args.seed is not None:
-            np.random.seed(args.seed % 2**32)
-        # the standing hypothesis gates every solve; validate reports it
-        # itself and sweep checks each substituted row
-        if args.command not in ("validate", "sweep"):
-            rep = validate_hypothesis_H(cfg.coeffs, cfg.grid, cfg.run.t_offset)
-            if not rep.passed:
-                _report_violations(rep, sys.stderr)
-                return EXIT_HYPOTHESIS
-        return _DISPATCH[args.command](cfg, args)
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CoefficientError as exc:
-        print(f"hypothesis violation: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except VectorHostError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    # one line per warning, without a source location that varies by install
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, category, *_: print(
+            f"{category.__name__}: {message}", file=sys.stderr)
+        try:
+            cfg = load_config(args.config, tuple(args.override))
+            os.makedirs(args.out, exist_ok=True)
+            if args.seed is not None:
+                np.random.seed(args.seed % 2**32)
+            # the standing hypothesis gates every solve; validate reports it
+            # itself and sweep checks each substituted row
+            if args.command not in ("validate", "sweep"):
+                rep = validate_hypothesis_H(cfg.coeffs, cfg.grid, cfg.run.t_offset)
+                if not rep.passed:
+                    _report_violations(rep, sys.stderr)
+                    return EXIT_HYPOTHESIS
+            return _DISPATCH[args.command](cfg, args)
+        except _CONFIG_ERRORS as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except CoefficientError as exc:
+            print(f"hypothesis violation: {exc}", file=sys.stderr)
+            return EXIT_HYPOTHESIS
+        except VectorHostError as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

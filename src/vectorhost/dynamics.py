@@ -49,7 +49,8 @@ class RegimeReport:
     invade).  attractor is a three-component orbit (host infected, vector
     uninfected, vector infected) or None for INDETERMINATE; with eps > 0
     in the options the endemic attractor is the band envelope, not the
-    orbit itself (verify_trichotomy measures against the orbit).
+    orbit itself (verify_trichotomy classifies at eps = 0, or rebuilds the
+    orbit from a passed-in envelope report, and measures against it).
     """
 
     zeta: float
@@ -177,10 +178,9 @@ def build_initial_state(grid: Grid, bc1: BoundarySpec, bc2: BoundarySpec,
     return StateField(tuple(comps), 0.0, 0)
 
 
-def _check_positive_interior(u: StateField, bcs) -> None:
-    # Dirichlet layouts carry interior nodes only, so the slice is everything
+def _check_positive_interior(u: StateField, grid: Grid, bcs) -> None:
     for i, (comp, bc) in enumerate(zip(u.components, (bcs[0], bcs[1], bcs[1]))):
-        inner = comp[1:-1] if bc.flavor == "robin" else comp
+        inner = grid.interior(comp, bc)
         if not np.all(inner > 0.0):  # written so that NaN fails too
             raise InputError(
                 f"initial component {i} must be strictly positive at interior "
@@ -208,16 +208,18 @@ def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid,
     errors[n] is the sup distance over all components, nodes, and stored
     levels of period n; the verdict is PASS when the final error is at or
     below target and the median period-to-period ratio is below one.
-    An endemic report built with eps > 0 carries the band envelope, so
-    the eps = 0 orbit is rebuilt from its carrying orbit and lambda(V) and
-    measured against instead.  Initial data must be strictly positive at
-    interior nodes.
+    Without a report the regime is classified at eps = 0, so one endemic
+    pair is solved and its orbit is the attractor.  A report passed in
+    that was built with eps > 0 carries the band envelope, so the eps = 0
+    orbit is rebuilt from its carrying orbit and lambda(V) and measured
+    against instead.  Initial data must be strictly positive at interior
+    nodes.
     """
     o = tols if tols is not None else SolverOptions()
     n_periods = o.n_periods if n_periods is None else n_periods
     target = o.target if target is None else target
     if report is None:
-        report = classify_regime(c, bcs, grid, o)
+        report = classify_regime(c, bcs, grid, replace(o, eps=0.0))
     if report.regime == INDETERMINATE:
         return ConvergenceReport(
             regime=INDETERMINATE, errors=(), ratios=(), final_error=float("nan"),
@@ -229,7 +231,7 @@ def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid,
         initial = (1.0, 0.5, 0.1)
     u0 = initial if isinstance(initial, StateField) else \
         build_initial_state(grid, bc1, bc2, initial)
-    _check_positive_interior(u0, bcs)
+    _check_positive_interior(u0, grid, bcs)
 
     attractor = report.attractor
     if report.regime == ENDEMIC and report.pair.eps_used != 0.0:
@@ -253,8 +255,7 @@ def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid,
         n_periods=n_periods, target=target, regime_report=report)
 
 
-def sandwich_check(c: CoefficientSet, bcs, grid: Grid, V: PeriodicOrbit,
-                   phi: PeriodicOrbit, eps: float,
+def sandwich_check(V: PeriodicOrbit, phi: PeriodicOrbit, eps: float,
                    trajectory: Trajectory) -> SandwichReport:
     """Smallest period N after which the total vector stays inside
     [V - eps*phi, V + eps*phi] at every stored sample; NOT_REACHED when
@@ -262,7 +263,7 @@ def sandwich_check(c: CoefficientSet, bcs, grid: Grid, V: PeriodicOrbit,
     """
     if eps <= 0.0:
         raise InputError("the sandwich band needs eps > 0")
-    m = grid.steps_per_period
+    m = trajectory.grid.steps_per_period
     n_total = trajectory.n_periods
     N = n_total + 1  # not entered
     if V.sup_norm() > 0.0:

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .coeffs import CoefficientSet, field_lattice
+from .coeffs import CoefficientSet
 from .coeffs import field_values  # noqa: F401  (name the benchmark tracer wraps here)
 from .errors import (EpsilonTooLarge, InputError, InternalError, NoConvergence,
                      ReducibleSystemWarning, SolveError)
@@ -143,25 +143,22 @@ class EigenResult:
 # ═══════════════════════════════════════════════════════════════════════════
 
 
-def _layout_map(n_rows: int, n_cols: int, row_bc: BoundarySpec, col_bc: BoundarySpec,
+def _layout_map(g: Grid, row_bc: BoundarySpec, col_bc: BoundarySpec,
                 weights: np.ndarray):
-    """(rows, cols, data) of diag(weights) composed with the node-layout map."""
-    if row_bc.flavor == col_bc.flavor:
-        idx = np.arange(n_rows)
-        return idx, idx, weights
-    if row_bc.flavor == "dirichlet":      # rows interior, cols full
-        idx = np.arange(n_rows)
-        return idx, idx + 1, weights
-    # rows full, cols interior: boundary rows receive nothing
-    idx = np.arange(1, n_rows - 1)
-    return idx, idx - 1, weights[..., 1:-1]
+    """(rows, cols, data) of diag(weights) composed with the node-layout map:
+    each node id both layouts carry pairs its row with its column, and rows
+    without a partner (Robin endpoints facing a Dirichlet layout) get nothing."""
+    row_ids, col_ids = g.node_ids(row_bc), g.node_ids(col_bc)
+    shared = np.intersect1d(row_ids, col_ids)
+    rows = shared - row_ids[0]   # one contiguous run, so data is a view
+    return rows, shared - col_ids[0], weights[..., rows[0]:rows[-1] + 1]
 
 
 class _PreparedEigen:
     """Banded Crank-Nicolson factors of the stacked generator at every level.
 
     Unknowns are interleaved by physical node, then component (key
-    node*ncomp + comp; Dirichlet components start at node 1), so the
+    node_id*ncomp + comp, node ids from Grid.node_ids), so the
     generator A has half-bandwidth kb = ncomp.  All m levels of A live in
     one LAPACK band array; I - dt/2 A is factored per level with gbtrf.
     period_map takes and returns the stacked (component-block) layout.
@@ -177,7 +174,7 @@ class _PreparedEigen:
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
         self.total = N = int(self.offsets[-1])
         diffusion = [assemble_diffusion(g, c.d, c.bc, ts) for c in sys.comps]
-        coup = [[None if f is None else field_lattice(f, g.nodes_for(comp.bc), ts)
+        coup = [[None if f is None else g.lattice(f, comp.bc)
                  for f in row] for comp, row in zip(sys.comps, sys.coupling)]
         # the first negative level, then the first (row, column) at that level
         bad = [(int(np.argmax(low)), i, jc) for i, row in enumerate(coup)
@@ -188,8 +185,8 @@ class _PreparedEigen:
             raise InputError(f"system not cooperative: coupling[{i}][{jc}] reaches "
                              f"{np.min(coup[i][jc][j]):.3g} at t={ts[j]:.6g}")
 
-        key = np.concatenate([(np.arange(n) + (c.bc.flavor == "dirichlet")) * ncomp + i
-                              for i, (n, c) in enumerate(zip(self.sizes, sys.comps))])
+        key = np.concatenate([g.node_ids(c.bc) * ncomp + i
+                              for i, c in enumerate(sys.comps)])
         self.perm = np.argsort(key)          # stacked index at each band position
         self.unperm = np.argsort(self.perm)  # band position of each stacked index
         self.kb = kb = ncomp
@@ -209,8 +206,7 @@ class _PreparedEigen:
             put(idx[:-1], idx[1:], D.upper)
             for jc, w in enumerate(coup[i]):
                 if w is not None:
-                    r, c_, d_ = _layout_map(self.sizes[i], self.sizes[jc],
-                                            comp.bc, sys.comps[jc].bc, w)
+                    r, c_, d_ = _layout_map(g, comp.bc, sys.comps[jc].bc, w)
                     put(o + r, self.offsets[jc] + c_, d_)
 
         half = g.dt / 2.0
@@ -274,7 +270,9 @@ def principal_eigenvalue(system: LinearPeriodicSystem,
         InputError: non-cooperative coupling or a sourced system.
     Warns:
         ReducibleSystemWarning: the converged eigenfunction has interior
-            zeros (Perron structure degenerate).
+            zeros (Perron structure degenerate), or it changes sign, when
+            the Crank-Nicolson map's stiffest mode outgrows the principal
+            one (too few steps_per_period for the diffusion and h).
     """
     P = _PreparedEigen(system)
     g = system.grid
@@ -318,14 +316,16 @@ def principal_eigenvalue(system: LinearPeriodicSystem,
     orbit = PeriodicOrbit(tuple(np.ascontiguousarray(s) for s in P.split(phi)),
                           g.dt, g.T, residual)
 
-    interior_min = np.inf
-    for i, comp in enumerate(system.comps):
-        vals = orbit.samples[i]
-        if comp.bc.flavor == "robin":
-            vals = vals[:, 1:-1]
-        interior_min = min(interior_min, float(np.min(vals)))
+    interior_min = min(float(np.min(g.interior(s, comp.bc)))
+                       for s, comp in zip(orbit.samples, system.comps))
     # iterates stall near the tolerance floor, so zeros show up at O(tol)
-    if interior_min <= max(1e-12, 100.0 * tol):
+    floor = max(1e-12, 100.0 * tol)
+    if interior_min < -floor:
+        warnings.warn(
+            f"period-map eigenfunction changes sign (min {interior_min:.3g}): the "
+            "Crank-Nicolson map's stiffest mode dominates; more steps_per_period "
+            "damp it", ReducibleSystemWarning)
+    elif interior_min <= floor:
         warnings.warn(
             f"principal eigenfunction has interior zeros (min {interior_min:.3g}); "
             "the cooperative system is reducible", ReducibleSystemWarning)
@@ -344,11 +344,10 @@ def zeta(c: CoefficientSet, bc2: BoundarySpec, grid: Grid,
          tol: float = DEFAULT_EIGEN_TOL, max_iters: int = DEFAULT_MAX_ITERS) -> EigenResult:
     """Vector growth threshold: principal eigenvalue of the scalar problem
     with net growth beta - mu1 under the vector boundary operator."""
-    x2, ts = grid.nodes_for(bc2), grid.level_times()
     sys = LinearPeriodicSystem(
         grid=grid,
         comps=(ComponentSpec(d=c.d2, bc=bc2),),
-        coupling=((field_lattice(c.beta, x2, ts) - field_lattice(c.mu1, x2, ts),),))
+        coupling=((grid.lattice(c.beta, bc2) - grid.lattice(c.mu1, bc2),),))
     return principal_eigenvalue(sys, tol, max_iters)
 
 
@@ -359,7 +358,7 @@ def gamma_rho(c: CoefficientSet, bc1: BoundarySpec, grid: Grid,
     sys = LinearPeriodicSystem(
         grid=grid,
         comps=(ComponentSpec(d=c.d1, bc=bc1),),
-        coupling=((-field_lattice(c.rho, grid.nodes_for(bc1), grid.level_times()),),))
+        coupling=((-grid.lattice(c.rho, bc1),),))
     res = principal_eigenvalue(sys, tol, max_iters)
     if res.value <= 0:
         raise InternalError(
@@ -385,21 +384,13 @@ def _invasion_system(c: CoefficientSet, bcs, grid: Grid, coupling,
     """The 2x2 linearisation; coupling and decay are orbit lattices of
     shape (m, n2) on the vector layout."""
     bc1, bc2 = bcs
-    ts = grid.level_times()
-    x1, x2 = grid.nodes_for(bc1), grid.nodes_for(bc2)
-
-    def host(f):
-        return field_lattice(f, x1, ts)
-
-    def vector(f):
-        return field_lattice(f, x2, ts)
-
+    L = grid.lattice
     return LinearPeriodicSystem(
         grid=grid,
         comps=(ComponentSpec(d=c.d1, bc=bc1), ComponentSpec(d=c.d2, bc=bc2)),
-        coupling=((-host(c.rho), host(c.sigma1) * host(c.H_u)),
-                  (vector(c.sigma2) * vector(coupling),
-                   -(vector(c.mu1) + vector(c.mu2) * vector(decay)))))
+        coupling=((-L(c.rho, bc1), L(c.sigma1, bc1) * L(c.H_u, bc1)),
+                  (L(c.sigma2, bc2) * L(coupling, bc2),
+                   -(L(c.mu1, bc2) + L(c.mu2, bc2) * L(decay, bc2)))))
 
 
 def lambda_V(c: CoefficientSet, bcs, grid: Grid, V: PeriodicOrbit,

@@ -5,7 +5,8 @@ h = (x_right - x_left)/(nx + 1).  Unknown layouts depend on the boundary
 flavor: Dirichlet rows eliminate the (zero) endpoint values and the
 operator acts on the nx interior nodes; Robin rows keep both endpoints
 (nx + 2 unknowns) and close the stencil by second-order ghost-point
-elimination consistent with  d_nu u + b u = 0.
+elimination consistent with  d_nu u + b u = 0.  Grid.node_ids states that
+rule once; node coordinates, lattices and interior views derive from it.
 
 The operator is div(d grad u) in flux form with face-averaged diffusion
 d(x_{i +/- 1/2}, t), which keeps the assembled tridiagonal matrix
@@ -54,9 +55,6 @@ class Grid:
         """The steps_per_period solver-level times k*dt of one period."""
         return np.arange(self.steps_per_period) * self.dt
 
-    def interior_nodes(self) -> np.ndarray:
-        return self.x_left + self.h * np.arange(1, self.nx + 1)
-
     def full_nodes(self) -> np.ndarray:
         return self.x_left + self.h * np.arange(self.nx + 2)
 
@@ -64,11 +62,24 @@ class Grid:
         """The nx+1 cell-face coordinates x_left + (k + 1/2) h."""
         return self.x_left + self.h * (np.arange(self.nx + 1) + 0.5)
 
+    def node_ids(self, bc: "BoundarySpec") -> np.ndarray:
+        """Mesh indices the layout of bc carries: 1..nx (Dirichlet), 0..nx+1 (Robin)."""
+        return np.arange(self.nx + 2) if bc.flavor == "robin" else np.arange(1, self.nx + 1)
+
     def nodes_for(self, bc: "BoundarySpec") -> np.ndarray:
-        return self.full_nodes() if bc.flavor == "robin" else self.interior_nodes()
+        return self.x_left + self.h * self.node_ids(bc)
 
     def n_unknowns(self, bc: "BoundarySpec") -> int:
-        return self.nx + 2 if bc.flavor == "robin" else self.nx
+        return len(self.node_ids(bc))
+
+    def lattice(self, f, bc: "BoundarySpec") -> np.ndarray:
+        """Field f on the layout of bc at the m solver levels, shape (m, n)."""
+        return field_lattice(f, self.nodes_for(bc), self.level_times())
+
+    def interior(self, values: np.ndarray, bc: "BoundarySpec") -> np.ndarray:
+        """Values on the layout of bc at node ids 1..nx (node axis last)."""
+        lo = 1 - int(self.node_ids(bc)[0])
+        return values[..., lo:lo + self.nx]
 
 
 def build_grid(x_left: float, x_right: float, nx: int, T: float,

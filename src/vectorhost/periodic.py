@@ -121,16 +121,6 @@ def band_sign(value: float, band: float) -> int:
     return 1 if value >= band else -1 if value <= -band else 0
 
 
-def _layout_spec(orbit: PeriodicOrbit, grid: Grid, group: int) -> BoundarySpec:
-    """Recover the node-layout flavor of a stored orbit from its width."""
-    n = orbit.samples[0].shape[1]
-    if n == grid.nx + 2:
-        return BoundarySpec.neumann(group)
-    if n == grid.nx:
-        return BoundarySpec.dirichlet(group)
-    raise InputError(f"orbit width {n} fits no layout of this grid (nx={grid.nx})")
-
-
 def _iterate_to_fixed_point(model, prepared, state: StateField, tol: float,
                             max_periods: int, label: str,
                             history: list | None = None):
@@ -248,19 +238,21 @@ def solve_logistic_orbit(c: CoefficientSet, bc2: BoundarySpec, grid: Grid,
 # ───────────────────────────────────────────────────── the host profile ──
 
 
-def solve_Hbar(c: CoefficientSet, bc1: BoundarySpec, grid: Grid,
+def solve_Hbar(c: CoefficientSet, bcs, grid: Grid,
                V: PeriodicOrbit, eps: float = 0.0,
                phi: PeriodicOrbit | None = None,
                o: SolverOptions = SolverOptions()) -> PeriodicOrbit:
     """Periodic host profile: the unique orbit with removal rho and source
-    sigma1 * H_u * (V + eps*phi).
+    sigma1 * H_u * (V + eps*phi), on the host layout of bcs[0]; V and phi
+    are on the vector layout of bcs[1].
 
     The host decay rate is evaluated first as a contraction guard
     (InternalError from gamma_rho if it fails to be positive); the affine
     period map is then iterated from zero.
     """
+    bc1, bc2 = bcs
     gamma_rho(c, bc1, grid, o.eigen_tol, o.max_eigen_iters)
-    if V.ncomp != 1 or V.m != grid.steps_per_period:
+    if V.ncomp != 1 or V.samples[0].shape != (grid.steps_per_period + 1, grid.n_unknowns(bc2)):
         raise InputError("V must be a scalar orbit on this grid's lattice")
     if eps != 0.0:
         if phi is None:
@@ -268,13 +260,12 @@ def solve_Hbar(c: CoefficientSet, bc1: BoundarySpec, grid: Grid,
         drive = PeriodicOrbit.combine(V, phi, lambda v, p: v + eps * p)
     else:
         drive = V
-    x1, ts = grid.nodes_for(bc1), grid.level_times()
-    src = (field_lattice(c.sigma1, x1, ts) * field_lattice(c.H_u, x1, ts)
-           * map_between(drive.samples[0][:-1], _layout_spec(drive, grid, 2), bc1))
+    src = (grid.lattice(c.sigma1, bc1) * grid.lattice(c.H_u, bc1)
+           * map_between(drive.samples[0][:-1], bc2, bc1))
     sys = LinearPeriodicSystem(
         grid=grid,
         comps=(ComponentSpec(d=c.d1, bc=bc1),),
-        coupling=((-field_lattice(c.rho, x1, ts),),),
+        coupling=((-grid.lattice(c.rho, bc1),),),
         source=(src,))
     P = prepare(sys)
     u0 = StateField((np.zeros(grid.n_unknowns(bc1)),), 0.0, 0)
@@ -291,10 +282,9 @@ def _band_inequality_holds(c: CoefficientSet, grid: Grid, bc2: BoundarySpec,
                            eps: float, zeta_value: float) -> bool:
     """Pointwise quadratic admissibility of the band shift:
     (eps*phi)^2 * mu2 - eps*phi*|beta + zeta| < beta*V on the lattice."""
-    x2, ts = grid.nodes_for(bc2), grid.level_times()
     ephi = eps * phi.samples[0][:-1]
-    beta = field_lattice(c.beta, x2, ts)
-    lhs = ephi ** 2 * field_lattice(c.mu2, x2, ts) - ephi * np.abs(beta + zeta_value)
+    beta = grid.lattice(c.beta, bc2)
+    lhs = ephi ** 2 * grid.lattice(c.mu2, bc2) - ephi * np.abs(beta + zeta_value)
     return bool(np.all(lhs < beta * V.samples[0][:-1]))
 
 
@@ -375,7 +365,7 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
                 e *= 0.5
                 continue
 
-        Hbar = solve_Hbar(c, bc1, grid, V, e, phi if e != 0.0 else None, o)
+        Hbar = solve_Hbar(c, bcs, grid, V, e, phi if e != 0.0 else None, o)
         model = NonlinearModel(kind="truncated", c=c, bc1=bc1, bc2=bc2,
                                grid=grid, V=V, phi=phi if e != 0.0 else None,
                                eps=e)

@@ -4,13 +4,13 @@ One step advances every component by one backward-Euler solve of its own
 tridiagonal implicit matrix (diffusion assembled at t+dt plus the linear
 decay diagonal), with cross-component coupling and nonlinear terms taken
 explicitly at time t.  prepare() reads every coefficient once, through
-coeffs.field_lattice on the m solver levels of [0, T), and builds every
-state-independent implicit matrix there.  _run is the one stepping loop:
-a prepared step maps the component arrays at step k to those at step k+1
-by indexing the lattices at level k mod m, so the period map is literally
-the same map every period, and the kept levels go straight into stacked
-(n_kept, n_c) arrays, the layout of PeriodicOrbit.samples.  _solve is the
-one tridiagonal kernel (LAPACK gtsv).
+Grid.lattice on a component's node layout at the m solver levels of
+[0, T), and builds every state-independent implicit matrix there.  _run
+is the one stepping loop: a prepared step maps the component arrays at
+step k to those at step k+1 by indexing the lattices at level k mod m, so
+the period map is literally the same map every period, and the kept
+levels go straight into stacked (n_kept, n_c) arrays, the layout of
+PeriodicOrbit.samples.  _solve is the one tridiagonal kernel (LAPACK gtsv).
 
 Structural properties the rest of the package leans on:
 
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .coeffs import CoefficientSet, field_lattice
+from .coeffs import CoefficientSet
 from .coeffs import field_values  # noqa: F401  (name the benchmark tracer wraps here)
 from .errors import BlowupError, DomainError, InputError, SolveError
 from .grid import BoundarySpec, DiffusionMatrix, Grid, assemble_diffusion, map_between
@@ -185,15 +185,10 @@ class _PreparedLinear:
         g = sys.grid
         ts = g.level_times()
         self.sys = sys
-        nodes = [g.nodes_for(c.bc) for c in sys.comps]
-
-        def lattice(f, i):
-            return None if f is None else field_lattice(f, nodes[i], ts)
-
-        self.coupling = [[lattice(f, i) for f in row]
-                         for i, row in enumerate(sys.coupling)]
+        self.coupling = [[None if f is None else g.lattice(f, comp.bc) for f in row]
+                         for comp, row in zip(sys.comps, sys.coupling)]
         self.src = [None] * len(sys.comps) if sys.source is None else \
-            [lattice(f, i) for i, f in enumerate(sys.source)]
+            [g.lattice(f, comp.bc) for comp, f in zip(sys.comps, sys.source)]
         self.ab = []        # [i] implicit banded matrices, shape (m, 3, n_i)
         for i, comp in enumerate(sys.comps):
             decay = self.coupling[i][i]
@@ -230,27 +225,25 @@ class _PreparedModel:
         dt = g.dt
         c = model.c
         self.model = model
-        x1, x2 = g.nodes_for(model.bc1), g.nodes_for(model.bc2)
-
-        def lattice(f, x):
-            return field_lattice(f, x, ts)
+        bc1, bc2 = model.bc1, model.bc2
+        L = g.lattice
 
         # the vector matrix without decay; steps add dt*decay to its diagonal
-        D2 = assemble_diffusion(g, c.d2, model.bc2, ts)
+        D2 = assemble_diffusion(g, c.d2, bc2, ts)
         self.ab2 = _banded(D2, dt)
-        self.sigma2 = lattice(c.sigma2, x2)
-        self.beta = lattice(c.beta, x2)
-        self.mu1 = lattice(c.mu1, x2)
-        self.mu2 = lattice(c.mu2, x2)
+        self.sigma2 = L(c.sigma2, bc2)
+        self.beta = L(c.beta, bc2)
+        self.mu1 = L(c.mu1, bc2)
+        self.mu2 = L(c.mu2, bc2)
         if model.kind != "logistic":
-            D1 = assemble_diffusion(g, c.d1, model.bc1, ts)
-            self.ab_h = _banded(D1, dt, lattice(c.rho, x1))
-            self.s1hu = lattice(c.sigma1, x1) * lattice(c.H_u, x1)
+            D1 = assemble_diffusion(g, c.d1, bc1, ts)
+            self.ab_h = _banded(D1, dt, L(c.rho, bc1))
+            self.s1hu = L(c.sigma1, bc1) * L(c.H_u, bc1)
         if model.kind == "truncated":
-            V = lattice(model.V.samples[0][:-1], x2)
+            V = L(model.V.samples[0][:-1], bc2)
             self.band, shift = V, V
             if model.eps != 0.0:
-                ephi = model.eps * lattice(model.phi.samples[0][:-1], x2)
+                ephi = model.eps * L(model.phi.samples[0][:-1], bc2)
                 self.band, shift = V + ephi, V - ephi
             # the decay reads the orbit at the step's start level, as the
             # full model reads V_u + V_i: row j1 takes shift[j1 - 1]

@@ -214,12 +214,10 @@ def test_criterion_07_trichotomy_long_runs_reach_their_attractors(
         assert cr.median_ratio < 1.0, report.regime
 
 
-def test_criterion_08_band_entry_within_25_periods(
-        endemic_c, neumann_bcs, grid31, endemic_report, endemic_traj40):
+def test_criterion_08_band_entry_within_25_periods(endemic_report, endemic_traj40):
     V = endemic_report.logistic.orbit
     phi = endemic_report.logistic.zeta_result.eigenfunction
-    rep = sandwich_check(endemic_c, neumann_bcs, grid31, V, phi, 0.05,
-                         endemic_traj40)
+    rep = sandwich_check(V, phi, 0.05, endemic_traj40)
     assert rep.status == "ENTERED"
     assert rep.entered_at <= 25
 

@@ -1,9 +1,13 @@
-"""Config loading and the command line front end, run in process."""
+"""Config loading and the command line front end, run in process (one
+warning-format check runs the module as a subprocess)."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
+import vectorhost
 from vectorhost import ConfigError, DomainError, evaluate, load_config
 from vectorhost.cli import main
 
@@ -351,6 +355,28 @@ def test_verify_with_a_band_measures_against_the_orbit(tmp_path, capsys):
     conv = [open(os.path.join(out, "convergence.csv"), "rb").read()
             for out in (out_0, out_eps)]
     assert conv[0] == conv[1]
+
+
+def test_cli_warning_is_one_line_without_source_location(tmp_path):
+    # a Dirichlet host at 23 nodes and 64 steps makes gamma_rho warn; stderr
+    # must read the same from any checkout, so no file name or source line
+    path = tmp_path / "readme.ini"
+    path.write_text(README)
+    src = os.path.dirname(os.path.dirname(vectorhost.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    p = subprocess.run(
+        [sys.executable, "-m", "vectorhost", "eigen", "--config", str(path),
+         "--out", str(tmp_path / "o"), "--override", "grid.nx=23",
+         "--override", "grid.steps_per_period=64",
+         "--override", "bc1.flavor=dirichlet"],
+        capture_output=True, text=True, env=env)
+    assert p.returncode == 0, p.stderr
+    assert ".py:" not in p.stderr
+    lines = p.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        "ReducibleSystemWarning: period-map eigenfunction changes sign")
 
 
 def test_sweep_crossing_order_and_errors(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vectorhost import dynamics
 from vectorhost import (DISEASE_FREE, ENDEMIC, EXTINCTION, INDETERMINATE,
                         BoundarySpec, InputError, NonlinearModel, SolverOptions,
                         StateField, build_grid, build_initial_state,
@@ -159,6 +160,23 @@ def test_verify_measures_a_band_envelope_report_against_the_orbit(
     assert cr.regime_report is endemic_banded_report
 
 
+def test_verify_at_positive_eps_solves_one_endemic_pair(endemic_c, neumann_bcs,
+                                                        grid31, monkeypatch):
+    # without a report verify classifies at eps = 0, so the orbit it
+    # measures against is the report's own attractor and is built once
+    real, calls = dynamics.solve_endemic_pair, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3].eps)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_endemic_pair", counted)
+    cr = verify_trichotomy(endemic_c, neumann_bcs, grid31, n_periods=2,
+                           tols=SolverOptions(eps=0.05))
+    assert calls == [0.0]
+    assert cr.regime == ENDEMIC and cr.regime_report.pair.eps_used == 0.0
+
+
 def test_verify_disease_free_passes(disease_free_c, neumann_bcs, grid31,
                                     disease_free_report):
     cr = verify_trichotomy(disease_free_c, neumann_bcs, grid31,
@@ -214,12 +232,10 @@ def test_truncated_model_preserves_order(endemic_report, neumann_bcs, grid31,
 # ──────────────────────────────────────────────────────────── sandwich ──
 
 
-def test_sandwich_enters_the_band(endemic_c, neumann_bcs, grid31,
-                                  endemic_report, endemic_traj):
+def test_sandwich_enters_the_band(endemic_report, endemic_traj):
     V = endemic_report.logistic.orbit
     phi = endemic_report.logistic.zeta_result.eigenfunction
-    rep = sandwich_check(endemic_c, neumann_bcs, grid31, V, phi, 0.05,
-                         endemic_traj)
+    rep = sandwich_check(V, phi, 0.05, endemic_traj)
     assert rep.status == "ENTERED"
     assert rep.entered_at is not None and rep.entered_at <= 25
     assert rep.n_periods == 40
@@ -234,7 +250,7 @@ def test_sandwich_initial_on_orbit_gives_zero(endemic_c, neumann_bcs, grid31,
     traj = integrate_trajectory(model, u0, 5, sample_stride=8)
     V = endemic_report.logistic.orbit
     phi = endemic_report.logistic.zeta_result.eigenfunction
-    rep = sandwich_check(endemic_c, neumann_bcs, grid31, V, phi, 0.05, traj)
+    rep = sandwich_check(V, phi, 0.05, traj)
     assert rep.status == "ENTERED"
     assert rep.entered_at == 0
 
@@ -247,15 +263,13 @@ def test_sandwich_not_reached_without_carrying_orbit(extinction_c, neumann_bcs,
     traj = integrate_trajectory(model, u0, 3, sample_stride=32)
     V = extinction_report.logistic.orbit
     phi = extinction_report.logistic.zeta_result.eigenfunction
-    rep = sandwich_check(extinction_c, neumann_bcs, grid31, V, phi, 0.05, traj)
+    rep = sandwich_check(V, phi, 0.05, traj)
     assert rep.status == "NOT_REACHED"
     assert rep.entered_at is None
 
 
-def test_sandwich_needs_positive_eps(endemic_c, neumann_bcs, grid31,
-                                     endemic_report, endemic_traj):
+def test_sandwich_needs_positive_eps(endemic_report, endemic_traj):
     V = endemic_report.logistic.orbit
     phi = endemic_report.logistic.zeta_result.eigenfunction
     with pytest.raises(InputError):
-        sandwich_check(endemic_c, neumann_bcs, grid31, V, phi, 0.0,
-                       endemic_traj)
+        sandwich_check(V, phi, 0.0, endemic_traj)

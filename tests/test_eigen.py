@@ -267,6 +267,17 @@ def test_reducible_system_warns(grid):
     assert r.value == pytest.approx(1.0, abs=1e-4)
 
 
+def test_sign_changing_eigenfunction_names_the_stiff_mode():
+    # Dirichlet host at 23 nodes and 64 steps: the Crank-Nicolson factor of
+    # the stiffest diffusion mode, ((1 - a)/(1 + a))^64, outweighs
+    # e^{-gamma T}, so power iteration settles on a sign-changing mode
+    c = make_constants(beta="2 + sin(2*pi*t)", d2="0.5")
+    g = build_grid(0.0, 1.0, 23, 1.0, 64)
+    with pytest.warns(ReducibleSystemWarning,
+                      match="changes sign.*stiffest mode.*steps_per_period"):
+        gamma_rho(c, BoundarySpec.dirichlet(1), g)
+
+
 def test_full_coupling_does_not_warn(grid):
     V = flat_orbit(1.0, grid, NEUMANN2)
     with warnings.catch_warnings():

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from vectorhost import (BoundarySpec, CoefficientError, DomainError,
-                        assemble_diffusion, build_grid, map_between,
-                        parse_expression)
+                        assemble_diffusion, build_grid, field_lattice,
+                        map_between, parse_expression)
 
 
 def test_build_grid_validates_inputs():
@@ -28,7 +28,7 @@ def test_grid_geometry():
     g = build_grid(0.0, 2.0, 7, 0.5, 16)
     assert g.h == pytest.approx(0.25)
     assert g.dt == pytest.approx(0.03125)
-    assert len(g.interior_nodes()) == 7
+    assert len(g.nodes_for(BoundarySpec.dirichlet(1))) == 7
     assert len(g.full_nodes()) == 9
     assert g.full_nodes()[0] == 0.0 and g.full_nodes()[-1] == 2.0
     assert len(g.faces()) == 8
@@ -130,6 +130,27 @@ def test_diffusion_must_be_positive():
     with pytest.raises(CoefficientError):
         assemble_diffusion(g, parse_expression("x - 0.5"),
                            BoundarySpec.neumann(1), 0.0)
+
+
+@pytest.mark.parametrize("bc", [BoundarySpec.dirichlet(2),
+                                BoundarySpec.robin(2, 0.5, 0.25)])
+def test_node_ids_define_the_layout(bc):
+    g = build_grid(-1.0, 2.0, 9, 1.0, 16)
+    ids = g.node_ids(bc)
+    assert np.array_equal(g.nodes_for(bc), g.x_left + g.h * ids)
+    assert g.n_unknowns(bc) == len(ids)
+    f = parse_expression("1 + x*sin(2*pi*t)")
+    assert np.array_equal(g.lattice(f, bc),
+                          field_lattice(f, g.nodes_for(bc), g.level_times()))
+    # three stacked levels; each value names its node id
+    level = np.arange(3)[:, None]
+    values = 10.0 * ids + level
+    assert np.array_equal(g.interior(values, bc), 10.0 * np.arange(1, 10) + level)
+    # map_between puts each value at its node id on the other layout
+    for dst in (BoundarySpec.dirichlet(1), BoundarySpec.neumann(1)):
+        dst_ids = g.node_ids(dst)
+        want = np.where(np.isin(dst_ids, ids), 10.0 * dst_ids + level, 0.0)
+        assert np.array_equal(map_between(values, bc, dst), want)
 
 
 def test_map_between_round_trips():

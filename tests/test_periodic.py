@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from vectorhost import (BoundarySpec, NoConvergence, NonUniqueOrbit,
+from vectorhost import (BoundarySpec, InputError, NoConvergence, NonUniqueOrbit,
                         PeriodicOrbit, RegimeError, SolverOptions, build_grid,
                         solve_Hbar, solve_endemic_pair, solve_logistic_orbit)
 from conftest import make_constants
@@ -97,20 +97,20 @@ def test_two_seed_disagreement_near_criticality(grid):
 
 def test_hbar_constants(grid):
     V = flat_orbit(1.0, grid, NEUMANN2)
-    hbar = solve_Hbar(make_constants(), NEUMANN1, grid, V)
+    hbar = solve_Hbar(make_constants(), BCS, grid, V)
     assert np.max(np.abs(hbar.samples[0] - 5.0)) < 1e-8
 
 
 def test_hbar_with_band_shift(grid):
     V = flat_orbit(1.0, grid, NEUMANN2)
     phi = flat_orbit(1.0, grid, NEUMANN2)
-    hbar = solve_Hbar(make_constants(), NEUMANN1, grid, V, eps=0.05, phi=phi)
+    hbar = solve_Hbar(make_constants(), BCS, grid, V, eps=0.05, phi=phi)
     assert np.max(np.abs(hbar.samples[0] - 5.25)) < 1e-8
 
 
 def test_hbar_zero_drive_is_zero(grid):
     V = flat_orbit(0.0, grid, NEUMANN2)
-    hbar = solve_Hbar(make_constants(), NEUMANN1, grid, V)
+    hbar = solve_Hbar(make_constants(), BCS, grid, V)
     assert hbar.sup_norm() == 0.0
 
 
@@ -119,7 +119,7 @@ def test_hbar_space_varying_source(grid):
     # discrete eigenvector, so H = 1 + 0.5 cos(pi x)/(1 + pi^2) up to h^2
     c = make_constants(H_u="1 + 0.5*cos(pi*x)")
     V = flat_orbit(1.0, grid, NEUMANN2)
-    hbar = solve_Hbar(c, NEUMANN1, grid, V)
+    hbar = solve_Hbar(c, BCS, grid, V)
     xs = grid.full_nodes()
     expected = 1.0 + 0.5 * np.cos(np.pi * xs) / (1.0 + math.pi ** 2)
     assert np.max(np.abs(hbar.samples[0][0] - expected)) < 1e-4
@@ -129,8 +129,15 @@ def test_hbar_guard_reads_the_eigen_options(grid):
     # the gamma_rho contraction guard runs on the caller's eigen budget
     V = flat_orbit(1.0, grid, NEUMANN2)
     with pytest.raises(NoConvergence):
-        solve_Hbar(make_constants(), NEUMANN1, grid, V,
+        solve_Hbar(make_constants(), BCS, grid, V,
                    o=SolverOptions(max_eigen_iters=1))
+
+
+def test_hbar_rejects_V_off_the_vector_layout(grid):
+    # V on the Dirichlet (interior) width cannot be the Robin vector orbit
+    V = flat_orbit(1.0, grid, BoundarySpec.dirichlet(2))
+    with pytest.raises(InputError, match="lattice"):
+        solve_Hbar(make_constants(), BCS, grid, V)
 
 
 # ─────────────────────────────────────────────────────── endemic pair ──
