@@ -20,7 +20,7 @@ import numpy as np
 
 from .coeffs import CoefficientSet, Expression, field_values
 from .eigen import EigenResult, PeriodicOrbit, lambda_V
-from .errors import InputError
+from .errors import DomainError, InputError
 from .grid import BoundarySpec, Grid
 from .periodic import (EndemicPairResult, LogisticOrbitResult, SolverOptions,
                        band_sign, solve_endemic_pair, solve_logistic_orbit)
@@ -217,6 +217,8 @@ def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid,
     """
     o = tols if tols is not None else SolverOptions()
     n_periods = o.n_periods if n_periods is None else n_periods
+    if n_periods < 1:
+        raise DomainError(f"n_periods must be a positive count, got {n_periods}")
     target = o.target if target is None else target
     if report is None:
         report = classify_regime(c, bcs, grid, replace(o, eps=0.0))

@@ -4,13 +4,16 @@ One step advances every component by one backward-Euler solve of its own
 tridiagonal implicit matrix (diffusion assembled at t+dt plus the linear
 decay diagonal), with cross-component coupling and nonlinear terms taken
 explicitly at time t.  prepare() reads every coefficient once, through
-Grid.lattice on a component's node layout at the m solver levels of
-[0, T), and builds every state-independent implicit matrix there.  _run
-is the one stepping loop: a prepared step maps the component arrays at
-step k to those at step k+1 by indexing the lattices at level k mod m, so
-the period map is literally the same map every period, and the kept
-levels go straight into stacked (n_kept, n_c) arrays, the layout of
-PeriodicOrbit.samples.  _solve is the one tridiagonal kernel (LAPACK gtsv).
+Grid.lattice on a component's layout at the m solver levels of [0, T),
+builds every state-independent implicit matrix there, and scales by dt
+once the lattices a step multiplies by dt first (beta, sigma1*H_u, linear
+couplings and sources): dt*w*x evaluates as (dt*w)*x, so no bit moves.
+_run is the one stepping loop.  It calls advance(u, k0, k1), one loop per
+model kind, from each kept level to the next; step k reads the lattices at
+level k mod m (the same map every period), every nonlinear step is checked
+against the blow-up cap, and kept levels go into stacked (n_kept, n_c)
+arrays, the layout of PeriodicOrbit.samples.  _solve is the one
+tridiagonal kernel (LAPACK gtsv).
 
 Structural properties the rest of the package leans on:
 
@@ -171,47 +174,64 @@ def _banded(D: DiffusionMatrix, dt: float, decay=0.0) -> np.ndarray:
 
 
 def _solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system held in banded (1,1) form."""
-    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
+    """Solve the tridiagonal system in banded (1,1) form; rhs is overwritten."""
+    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, overwrite_b=1)
     if info != 0:  # defensive: singular implicit matrix
         raise SolveError(f"implicit solve failed: gtsv info {info}")
     return x
 
 
+def _raise_past_cap(arrays, cap: float) -> None:
+    """BlowupError for the first array with an entry past cap (or non-finite).
+
+    advance() calls this only when its sum of squares is not below cap*cap.
+    That sum is never below a rounded term, |a| > cap rounds a*a to at least
+    cap*cap, and NaN, inf and overflowed squares fail "<": so a sum below
+    cap*cap proves every |a| <= cap, and the exact test here decides the rest.
+    """
+    for a in arrays:
+        peak = np.max(np.abs(a))
+        if not peak <= cap:  # NaN fails too
+            raise BlowupError(f"state exceeded blow-up cap {cap:g}" if np.isfinite(peak)
+                              else "state became non-finite (NaN or inf)")
+
+
 class _PreparedLinear:
-    """Implicit matrices and coupling/source lattices for one system."""
+    """Implicit matrices and dt-scaled coupling/source lattices for one system."""
 
     def __init__(self, sys: LinearPeriodicSystem):
         g = sys.grid
         ts = g.level_times()
         self.sys = sys
-        self.coupling = [[None if f is None else g.lattice(f, comp.bc) for f in row]
-                         for comp, row in zip(sys.comps, sys.coupling)]
-        self.src = [None] * len(sys.comps) if sys.source is None else \
-            [g.lattice(f, comp.bc) for comp, f in zip(sys.comps, sys.source)]
+        self.dt_coupling = [[None if f is None or j == i else g.dt * g.lattice(f, comp.bc)
+                             for j, f in enumerate(row)]
+                            for i, (comp, row) in enumerate(zip(sys.comps, sys.coupling))]
+        self.dt_src = [None] * len(sys.comps) if sys.source is None else \
+            [g.dt * g.lattice(f, comp.bc) for comp, f in zip(sys.comps, sys.source)]
         self.ab = []        # [i] implicit banded matrices, shape (m, 3, n_i)
         for i, comp in enumerate(sys.comps):
-            decay = self.coupling[i][i]
+            decay = sys.coupling[i][i]
             D = assemble_diffusion(g, comp.d, comp.bc, ts)
-            self.ab.append(_banded(D, g.dt, 0.0 if decay is None else -decay))
+            self.ab.append(_banded(D, g.dt, 0.0 if decay is None
+                                   else -g.lattice(decay, comp.bc)))
 
-    def step(self, u: tuple, k: int) -> tuple:
-        """Component arrays at step k -> component arrays at step k+1."""
-        sys = self.sys
-        m = sys.grid.steps_per_period
-        dt = sys.grid.dt
-        j0, j1 = k % m, (k + 1) % m
-        new = []
-        for i in range(len(sys.comps)):
-            rhs = u[i].copy()
-            for jc, w in enumerate(self.coupling[i]):
-                if w is not None and jc != i:
-                    rhs += dt * w[j0] * map_between(u[jc], sys.comps[jc].bc,
-                                                    sys.comps[i].bc)
-            if self.src[i] is not None:
-                rhs += dt * self.src[i][j0]
-            new.append(_solve(self.ab[i][j1], rhs))
-        return tuple(new)
+    def advance(self, u: tuple, k0: int, k1: int) -> tuple:
+        """Component arrays at step k0 -> component arrays at step k1."""
+        m = self.sys.grid.steps_per_period
+        bcs = [comp.bc for comp in self.sys.comps]
+        for k in range(k0, k1):
+            j0, j1 = k % m, (k + 1) % m
+            new = []
+            for i, bc in enumerate(bcs):
+                rhs = u[i].copy()
+                for jc, w in enumerate(self.dt_coupling[i]):
+                    if w is not None:
+                        rhs += w[j0] * map_between(u[jc], bcs[jc], bc)
+                if self.dt_src[i] is not None:
+                    rhs += self.dt_src[i][j0]
+                new.append(_solve(self.ab[i][j1], rhs))
+            u = tuple(new)
+        return u
 
 
 class _PreparedModel:
@@ -232,13 +252,13 @@ class _PreparedModel:
         D2 = assemble_diffusion(g, c.d2, bc2, ts)
         self.ab2 = _banded(D2, dt)
         self.sigma2 = L(c.sigma2, bc2)
-        self.beta = L(c.beta, bc2)
+        self.dt_beta = dt * L(c.beta, bc2)
         self.mu1 = L(c.mu1, bc2)
         self.mu2 = L(c.mu2, bc2)
         if model.kind != "logistic":
             D1 = assemble_diffusion(g, c.d1, bc1, ts)
             self.ab_h = _banded(D1, dt, L(c.rho, bc1))
-            self.s1hu = L(c.sigma1, bc1) * L(c.H_u, bc1)
+            self.dt_s1hu = dt * (L(c.sigma1, bc1) * L(c.H_u, bc1))
         if model.kind == "truncated":
             V = L(model.V.samples[0][:-1], bc2)
             self.band, shift = V, V
@@ -249,53 +269,53 @@ class _PreparedModel:
             # full model reads V_u + V_i: row j1 takes shift[j1 - 1]
             self.ab_z = _banded(D2, dt, self.mu1 + self.mu2 * np.roll(shift, 1, axis=0))
 
-    def _check_cap(self, arrays) -> None:
-        cap = self.model.cap
-        for a in arrays:
-            peak = np.max(np.abs(a))
-            if not peak <= cap:  # NaN fails too
-                raise BlowupError(f"state exceeded blow-up cap {cap:g}" if np.isfinite(peak)
-                                  else "state became non-finite (NaN or inf)")
-
-    def _vector_matrix(self, j1: int, total: np.ndarray) -> np.ndarray:
-        ab = self.ab2[j1].copy()
-        ab[1] += self.model.grid.dt * (self.mu1[j1] + self.mu2[j1] * total)
-        return ab
-
-    def step(self, u: tuple, k: int) -> tuple:
-        """Component arrays at step k -> step k+1; BlowupError past the cap."""
+    def advance(self, u: tuple, k0: int, k1: int) -> tuple:
+        """Component arrays at step k0 -> step k1; BlowupError at the first step past the cap."""
         model = self.model
-        m = model.grid.steps_per_period
-        dt = model.grid.dt
-        j0, j1 = k % m, (k + 1) % m
+        m, dt, cap = model.grid.steps_per_period, model.grid.dt, model.cap
+        cap2 = cap * cap if cap >= 0.0 else -1.0   # a negative cap fails every state
+        bc1, bc2 = model.bc1, model.bc2
+        ab2, mu1, mu2, sigma2, dt_beta = self.ab2, self.mu1, self.mu2, self.sigma2, self.dt_beta
 
         if model.kind == "logistic":
             (V,) = u
-            out = (_solve(self._vector_matrix(j1, V), V + dt * self.beta[j0] * V),)
+            for k in range(k0, k1):
+                j0, j1 = k % m, (k + 1) % m
+                ab = ab2[j1].copy()
+                ab[1] += dt * (mu1[j1] + mu2[j1] * V)
+                V = _solve(ab, V + dt_beta[j0] * V)
+                if not np.dot(V, V) < cap2:
+                    _raise_past_cap((V,), cap)
+            return (V,)
 
-        elif model.kind == "full":
+        ab_h, dt_s1hu = self.ab_h, self.dt_s1hu
+        if model.kind == "full":
             Hi, Vu, Vi = u
-            Vsum = Vu + Vi
-            trans = self.sigma2[j0] * Vu * map_between(Hi, model.bc1, model.bc2)
-            ab_v = self._vector_matrix(j1, Vsum)
-            Vsum_n = _solve(ab_v, Vsum + dt * self.beta[j0] * Vsum)
-            Vi_n = _solve(ab_v, Vi + dt * trans)
-            Vu_n = Vsum_n - Vi_n
-            Hi_n = _solve(self.ab_h[j1],
-                          Hi + dt * self.s1hu[j0] * map_between(Vi, model.bc2, model.bc1))
-            out = (Hi_n, Vu_n, Vi_n)
+            for k in range(k0, k1):
+                j0, j1 = k % m, (k + 1) % m
+                Vsum = Vu + Vi
+                trans = sigma2[j0] * Vu * map_between(Hi, bc1, bc2)
+                ab = ab2[j1].copy()
+                ab[1] += dt * (mu1[j1] + mu2[j1] * Vsum)
+                Vsum_n = _solve(ab, Vsum + dt_beta[j0] * Vsum)
+                Vi_n = _solve(ab, Vi + dt * trans)
+                Hi = _solve(ab_h[j1], Hi + dt_s1hu[j0] * map_between(Vi, bc2, bc1))
+                Vu, Vi = Vsum_n - Vi_n, Vi_n
+                if not np.dot(Hi, Hi) + np.dot(Vu, Vu) + np.dot(Vi, Vi) < cap2:
+                    _raise_past_cap((Hi, Vu, Vi), cap)
+            return (Hi, Vu, Vi)
 
-        else:  # truncated
-            Hi, Z = u
-            pos = np.maximum(self.band[j0] - Z, 0.0)
-            trans = self.sigma2[j0] * pos * map_between(Hi, model.bc1, model.bc2)
-            Z_n = _solve(self.ab_z[j1], Z + dt * trans)
-            Hi_n = _solve(self.ab_h[j1],
-                          Hi + dt * self.s1hu[j0] * map_between(Z, model.bc2, model.bc1))
-            out = (Hi_n, Z_n)
-
-        self._check_cap(out)
-        return out
+        Hi, Z = u                   # truncated
+        band, ab_z = self.band, self.ab_z
+        for k in range(k0, k1):
+            j0, j1 = k % m, (k + 1) % m
+            pos = np.maximum(band[j0] - Z, 0.0)
+            trans = sigma2[j0] * pos * map_between(Hi, bc1, bc2)
+            Z_n = _solve(ab_z[j1], Z + dt * trans)
+            Hi, Z = _solve(ab_h[j1], Hi + dt_s1hu[j0] * map_between(Z, bc2, bc1)), Z_n
+            if not np.dot(Hi, Hi) + np.dot(Z, Z) < cap2:
+                _raise_past_cap((Hi, Z), cap)
+        return (Hi, Z)
 
 
 def prepare(system) -> object:
@@ -340,9 +360,7 @@ def _run(system, u0: StateField, nsteps: int, stride: int, prepared):
     samples = tuple(np.empty((len(steps), len(c))) for c in u0.components)
     u, done = u0.components, k0
     for row, kept in enumerate(steps.tolist()):
-        for k in range(done, kept):
-            u = P.step(u, k)
-        done = kept
+        u, done = P.advance(u, done, kept), kept
         for s, c in zip(samples, u):
             s[row] = c
     return steps, samples
@@ -368,12 +386,14 @@ def integrate_trajectory(model, u0: StateField, n_periods: int,
     """Integrate n_periods periods, keeping every sample_stride-th step.
 
     sample_stride must divide steps_per_period so that every period
-    boundary is kept.  Raises BlowupError if any component passes the
-    model's cap.
+    boundary is kept.  Raises BlowupError at the first step at which any
+    component passes the model's cap.
     """
     m = model.grid.steps_per_period
     if sample_stride < 1 or m % sample_stride != 0:
         raise DomainError(
             f"sample_stride must divide steps_per_period ({sample_stride} vs {m})")
+    if n_periods < 1:
+        raise DomainError(f"n_periods must be a positive count, got {n_periods}")
     steps, samples = _run(model, u0, n_periods * m, sample_stride, None)
     return Trajectory(model.grid, steps, samples, sample_stride)

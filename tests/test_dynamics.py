@@ -5,8 +5,8 @@ import pytest
 
 from vectorhost import dynamics
 from vectorhost import (DISEASE_FREE, ENDEMIC, EXTINCTION, INDETERMINATE,
-                        BoundarySpec, InputError, NonlinearModel, SolverOptions,
-                        StateField, build_grid, build_initial_state,
+                        BoundarySpec, DomainError, InputError, NonlinearModel,
+                        SolverOptions, StateField, build_grid, build_initial_state,
                         classify_regime, integrate_over_period,
                         integrate_trajectory, lambda_V, parse_expression,
                         sandwich_check, solve_logistic_orbit, verify_trichotomy,
@@ -175,6 +175,17 @@ def test_verify_at_positive_eps_solves_one_endemic_pair(endemic_c, neumann_bcs,
                            tols=SolverOptions(eps=0.05))
     assert calls == [0.0]
     assert cr.regime == ENDEMIC and cr.regime_report.pair.eps_used == 0.0
+
+
+def test_verify_refuses_a_non_positive_n_periods_before_classifying(
+        monkeypatch, endemic_c, neumann_bcs, grid31):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("classified before checking n_periods")
+
+    monkeypatch.setattr(dynamics, "classify_regime", unreachable)
+    for n in (0, -2):
+        with pytest.raises(DomainError, match=f"n_periods must be a positive count, got {n}$"):
+            verify_trichotomy(endemic_c, neumann_bcs, grid31, n_periods=n)
 
 
 def test_verify_disease_free_passes(disease_free_c, neumann_bcs, grid31,

@@ -9,12 +9,14 @@ logistic scalar model.
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgtsv
 
 from vectorhost import (BlowupError, BoundarySpec, ComponentSpec, DomainError,
                         InputError, LinearPeriodicSystem, NonlinearModel,
-                        StateField, build_grid, build_initial_state,
-                        integrate_over_period, integrate_trajectory,
-                        parse_expression, prepare, solve_logistic_orbit)
+                        StateField, assemble_diffusion, build_grid,
+                        build_initial_state, integrate_over_period,
+                        integrate_trajectory, map_between, parse_expression,
+                        prepare, solve_logistic_orbit, zeta)
 from conftest import make_constants
 
 NEUMANN = (BoundarySpec.neumann(1), BoundarySpec.neumann(2))
@@ -283,3 +285,210 @@ def test_mixed_layouts_step_together(endemic_c):
     assert u0.components[1].shape == (17,)
     u1 = integrate_over_period(model, u0)
     assert all(float(np.min(comp)) >= 0.0 for comp in u1.components)
+
+
+def test_non_positive_n_periods_is_refused_by_name(grid, endemic_c):
+    model = NonlinearModel(kind="full", c=endemic_c, bc1=NEUMANN[0],
+                           bc2=NEUMANN[1], grid=grid)
+    u0 = build_initial_state(grid, *NEUMANN, (1.0, 0.5, 0.1))
+    for n in (0, -1, -2):
+        with pytest.raises(DomainError, match=f"n_periods must be a positive count, got {n}$"):
+            integrate_trajectory(model, u0, n, sample_stride=8)
+
+
+# ───────────────────────────────────────────────── the per-step cap rule ──
+
+
+def test_cap_is_checked_mid_period():
+    # level 0 of the README carrying orbit peaks at 0.850 and the orbit at
+    # 1.159 mid-period, then returns to 0.850: a cap of 1 must catch the
+    # crossing that neither period boundary shows
+    g = build_grid(0.0, 1.0, 31, 1.0, 128)
+    c = make_constants(beta="2 + sin(2*pi*t)", d2="0.5")
+    V = solve_logistic_orbit(c, NEUMANN[1], g).orbit
+    u0 = StateField((V.level(0, 0),), 0.0, 0)
+    free = NonlinearModel(kind="logistic", c=c, bc1=NEUMANN[0], bc2=NEUMANN[1], grid=g)
+    assert np.max(u0.components[0]) < 1.0 < V.sup_norm()
+    assert np.max(integrate_over_period(free, u0).components[0]) < 1.0
+    capped = NonlinearModel(kind="logistic", c=c, bc1=NEUMANN[0], bc2=NEUMANN[1],
+                            grid=g, cap=1.0)
+    with pytest.raises(BlowupError, match="^state exceeded blow-up cap 1$"):
+        integrate_over_period(capped, u0)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "full", "truncated"])
+def test_cap_edge_is_exact(kind):
+    # P is the exact peak over every step after the start: a cap of P
+    # passes, the next float below it fails with the finite message
+    g = build_grid(0.0, 1.0, 15, 1.0, 32)
+    c = make_constants(beta="2 + sin(2*pi*t)", H_u="5*(1 + 0.5*cos(pi*x))")
+    V = None
+    if kind == "truncated":
+        V = solve_logistic_orbit(c, NEUMANN[1], g).orbit
+        u0 = (np.ones(17), 0.2 * V.level(0, 0))
+    else:
+        u0 = (np.full(17, 0.3),) if kind == "logistic" else \
+            (np.ones(17), np.full(17, 0.5), np.full(17, 0.1))
+
+    def model(cap):
+        return NonlinearModel(kind=kind, c=c, bc1=NEUMANN[0], bc2=NEUMANN[1],
+                              grid=g, V=V, cap=cap)
+
+    traj = integrate_trajectory(model(np.inf), StateField(u0, 0.0, 0), 2)
+    P = max(float(np.max(np.abs(s[1:]))) for s in traj.samples)
+    at_edge = integrate_trajectory(model(P), StateField(u0, 0.0, 0), 2)
+    for a, b in zip(at_edge.samples, traj.samples):
+        assert np.array_equal(a, b)
+    with pytest.raises(BlowupError, match="exceeded"):
+        integrate_trajectory(model(np.nextafter(P, 0.0)), StateField(u0, 0.0, 0), 2)
+
+
+def test_non_finite_state_is_named_under_a_huge_cap(grid, endemic_c):
+    # 1e200 squared overflows to inf, the same as an infinite state's
+    # square: the message must still name the state non-finite
+    model = NonlinearModel(kind="full", c=endemic_c, bc1=NEUMANN[0],
+                           bc2=NEUMANN[1], grid=grid, cap=1e200)
+    u0 = build_initial_state(grid, *NEUMANN, (1.0, 0.5, 0.1))
+    u0.components[2][7] = np.inf
+    with pytest.raises(BlowupError, match="non-finite"):
+        integrate_over_period(model, u0)
+
+
+# ──────────────────────────────── the loops against the step formulas ──
+
+
+class ReferenceSteps:
+    """The IMEX step of each system kind, transcribed formula by formula
+    and taken one step at a time: the reference the stepping loops must
+    reproduce bit for bit."""
+
+    def __init__(self, system):
+        g = system.grid
+        self.system, self.dt, self.m = system, g.dt, g.steps_per_period
+        ts = g.level_times()
+
+        def banded(d, bc, decay=0.0):
+            D = assemble_diffusion(g, d, bc, ts)
+            ab = np.zeros(D.diag.shape[:-1] + (3, D.n))
+            ab[..., 0, 1:] = -g.dt * D.upper
+            ab[..., 1, :] = 1.0 - g.dt * D.diag + g.dt * decay
+            ab[..., 2, :-1] = -g.dt * D.lower
+            return ab
+
+        if isinstance(system, LinearPeriodicSystem):
+            self.w = [[None if f is None else g.lattice(f, comp.bc) for f in row]
+                      for comp, row in zip(system.comps, system.coupling)]
+            self.src = [g.lattice(f, comp.bc) for comp, f in zip(system.comps, system.source)]
+            self.ab = [banded(comp.d, comp.bc, -self.w[i][i])
+                       for i, comp in enumerate(system.comps)]
+            return
+        c, bc1, bc2 = system.c, system.bc1, system.bc2
+        self.ab2 = banded(c.d2, bc2)
+        self.sigma2, self.beta = g.lattice(c.sigma2, bc2), g.lattice(c.beta, bc2)
+        self.mu1, self.mu2 = g.lattice(c.mu1, bc2), g.lattice(c.mu2, bc2)
+        self.ab_h = banded(c.d1, bc1, g.lattice(c.rho, bc1))
+        self.s1hu = g.lattice(c.sigma1, bc1) * g.lattice(c.H_u, bc1)
+        if system.kind == "truncated":
+            V = g.lattice(system.V.samples[0][:-1], bc2)
+            self.band, shift = V, V
+            if system.eps != 0.0:
+                ephi = system.eps * g.lattice(system.phi.samples[0][:-1], bc2)
+                self.band, shift = V + ephi, V - ephi
+            self.ab_z = banded(c.d2, bc2, self.mu1 + self.mu2 * np.roll(shift, 1, axis=0))
+
+    @staticmethod
+    def solve(ab, rhs):
+        return dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)[3]
+
+    def vector_matrix(self, j1, total):
+        ab = self.ab2[j1].copy()
+        ab[1] += self.dt * (self.mu1[j1] + self.mu2[j1] * total)
+        return ab
+
+    def step(self, u, k):
+        s, dt, solve = self.system, self.dt, self.solve
+        j0, j1 = k % self.m, (k + 1) % self.m
+        if isinstance(s, LinearPeriodicSystem):
+            new = []
+            for i, comp in enumerate(s.comps):
+                rhs = u[i].copy()
+                for jc, w in enumerate(self.w[i]):
+                    if w is not None and jc != i:
+                        rhs += dt * w[j0] * map_between(u[jc], s.comps[jc].bc, comp.bc)
+                rhs += dt * self.src[i][j0]
+                new.append(solve(self.ab[i][j1], rhs))
+            return tuple(new)
+        if s.kind == "logistic":
+            (V,) = u
+            return (solve(self.vector_matrix(j1, V), V + dt * self.beta[j0] * V),)
+        if s.kind == "full":
+            Hi, Vu, Vi = u
+            Vsum = Vu + Vi
+            trans = self.sigma2[j0] * Vu * map_between(Hi, s.bc1, s.bc2)
+            ab_v = self.vector_matrix(j1, Vsum)
+            Vsum_n = solve(ab_v, Vsum + dt * self.beta[j0] * Vsum)
+            Vi_n = solve(ab_v, Vi + dt * trans)
+            Hi_n = solve(self.ab_h[j1], Hi + dt * self.s1hu[j0] * map_between(Vi, s.bc2, s.bc1))
+            return (Hi_n, Vsum_n - Vi_n, Vi_n)
+        Hi, Z = u
+        pos = np.maximum(self.band[j0] - Z, 0.0)
+        trans = self.sigma2[j0] * pos * map_between(Hi, s.bc1, s.bc2)
+        Z_n = solve(self.ab_z[j1], Z + dt * trans)
+        Hi_n = solve(self.ab_h[j1], Hi + dt * self.s1hu[j0] * map_between(Z, s.bc2, s.bc1))
+        return (Hi_n, Z_n)
+
+
+def _systems(bcs):
+    """Every system kind on one layout pair at 15/40, with start states;
+    dt = 1/40 is not a power of two, so products with dt round."""
+    bc1, bc2 = bcs
+    g = build_grid(0.0, 1.0, 15, 1.0, 40)
+    c = make_constants(beta="3 + sin(2*pi*t)", d2="0.5*(1 + x*x)", sigma1="0.7 + 0.2*x",
+                       H_u="5*(1 + 0.5*cos(pi*x))", mu2="1 + 0.3*cos(2*pi*t)")
+    V = solve_logistic_orbit(c, bc2, g).orbit
+    assert V.min_value() > 0.4       # a carrying orbit, not the zero state
+    phi = zeta(c, bc2, g).eigenfunction
+    h0 = np.linspace(0.5, 1.5, g.n_unknowns(bc1))
+    v0 = V.level(0, 0)
+    linear = LinearPeriodicSystem(
+        grid=g, comps=(ComponentSpec(d=parse_expression("1 + x"), bc=bc1),
+                       ComponentSpec(d=0.5, bc=bc2)),
+        coupling=((parse_expression("-1 - 0.5*sin(2*pi*t)"), parse_expression("0.7*x")),
+                  (parse_expression("0.4 + 0.2*cos(2*pi*t)"), parse_expression("-2"))),
+        source=(parse_expression("1 + sin(2*pi*t)*x"), parse_expression("0.5")))
+
+    def model(kind, **kw):
+        return NonlinearModel(kind=kind, c=c, bc1=bc1, bc2=bc2, grid=g, **kw)
+
+    return g, [
+        (model("logistic"), (0.5 * v0,)),
+        (model("full"), (h0, 0.8 * v0, 0.2 * v0)),
+        (model("truncated", V=V), (h0, 0.3 * v0)),
+        (model("truncated", V=V, phi=phi, eps=0.05), (h0, 0.3 * v0)),
+        (model("truncated", V=V, phi=phi, eps=-0.05), (h0, 0.3 * v0)),
+        (linear, (h0, v0)),
+    ]
+
+
+@pytest.mark.parametrize("bcs", [NEUMANN, (BoundarySpec.dirichlet(1),
+                                           BoundarySpec.robin(2, 0.5, 1.5))],
+                         ids=["neumann-neumann", "dirichlet-robin"])
+def test_stepping_loops_match_the_step_formulas_bit_for_bit(bcs):
+    g, cases = _systems(bcs)
+    m, k0 = g.steps_per_period, 5        # start off the period boundary
+    for system, u0 in cases:
+        ref = ReferenceSteps(system)
+        levels, u = [u0], u0
+        for k in range(k0, k0 + 2 * m):
+            u = ref.step(u, k)
+            levels.append(u)
+        start = StateField(u0, k0 * g.dt, k0)
+        stored = integrate_over_period(system, start, store=True)
+        for comp, s in enumerate(stored):
+            assert np.array_equal(s, np.array([lv[comp] for lv in levels[:m + 1]]))
+        once = integrate_over_period(system, start)
+        assert all(np.array_equal(a, b) for a, b in zip(once.components, levels[m]))
+        traj = integrate_trajectory(system, start, 2, sample_stride=8)
+        assert traj.steps.tolist() == [k0, *range(8, k0 + 2 * m, 8), k0 + 2 * m]
+        for comp, s in enumerate(traj.samples):
+            assert np.array_equal(s, np.array([levels[k - k0][comp] for k in traj.steps]))
