@@ -29,8 +29,8 @@ from .grid import (BoundarySpec, Grid, assemble_diffusion, build_grid,
 from .periodic import (EndemicPairResult, LogisticOrbitResult, solve_Hbar,
                        solve_endemic_pair, solve_logistic_orbit)
 from .stepper import (ComponentSpec, LinearPeriodicSystem, NonlinearModel,
-                      StateField, Trajectory, integrate_over_period,
-                      integrate_trajectory, prepare)
+                      Trajectory, integrate_over_period, integrate_trajectory,
+                      prepare)
 
 __version__ = "0.1.0"
 
@@ -62,6 +62,6 @@ __all__ = [
     "EndemicPairResult", "LogisticOrbitResult", "solve_Hbar",
     "solve_endemic_pair", "solve_logistic_orbit",
     # time stepping
-    "ComponentSpec", "LinearPeriodicSystem", "NonlinearModel", "StateField",
-    "Trajectory", "integrate_over_period", "integrate_trajectory", "prepare",
+    "ComponentSpec", "LinearPeriodicSystem", "NonlinearModel", "Trajectory",
+    "integrate_over_period", "integrate_trajectory", "prepare",
 ]

@@ -167,7 +167,7 @@ def cmd_periodic(cfg: RunConfig, args) -> int:
              ("Hbar_sup", hbar.sup_norm())]
     indeterminate = False
     try:
-        pair = solve_endemic_pair(c, bcs, g, o, logistic=lr)
+        pair = solve_endemic_pair(c, bcs, g, o, logistic=lr, hbar=hbar)
     except RegimeError as exc:
         items += [("endemic_status",
                    "INDETERMINATE" if exc.indeterminate else "ABSENT"),

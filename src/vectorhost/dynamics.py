@@ -24,7 +24,7 @@ from .errors import DomainError, InputError
 from .grid import BoundarySpec, Grid
 from .periodic import (EndemicPairResult, LogisticOrbitResult, SolverOptions,
                        band_sign, solve_endemic_pair, solve_logistic_orbit)
-from .stepper import NonlinearModel, StateField, Trajectory, integrate_trajectory
+from .stepper import NonlinearModel, Trajectory, integrate_trajectory
 
 __all__ = [
     "SolverOptions", "RegimeReport", "ConvergenceReport", "SandwichReport",
@@ -154,11 +154,12 @@ def _endemic_attractor(g: Grid, pair: EndemicPairResult) -> PeriodicOrbit:
 
 
 def build_initial_state(grid: Grid, bc1: BoundarySpec, bc2: BoundarySpec,
-                        values) -> StateField:
-    """StateField at t = 0 from three per-component values.
+                        values) -> tuple:
+    """The state at t = 0, a tuple of three component arrays, from three
+    per-component values.
 
-    Each entry may be a scalar, an array on the component's node layout,
-    or an Expression evaluated there at t = 0.
+    Each entry may be a scalar, an array on the component's node layout
+    (passed through as it is), or an Expression evaluated there at t = 0.
     """
     if len(values) != 3:
         raise InputError("expected three initial components (H_i, V_u, V_i)")
@@ -175,11 +176,11 @@ def build_initial_state(grid: Grid, bc1: BoundarySpec, bc2: BoundarySpec,
             raise InputError(
                 f"initial component has shape {arr.shape}, layout needs {nodes.shape}")
         comps.append(arr)
-    return StateField(tuple(comps), 0.0, 0)
+    return tuple(comps)
 
 
-def _check_positive_interior(u: StateField, grid: Grid, bcs) -> None:
-    for i, (comp, bc) in enumerate(zip(u.components, (bcs[0], bcs[1], bcs[1]))):
+def _check_positive_interior(u: tuple, grid: Grid, bcs) -> None:
+    for i, (comp, bc) in enumerate(zip(u, (bcs[0], bcs[1], bcs[1]))):
         inner = grid.interior(comp, bc)
         if not np.all(inner > 0.0):  # written so that NaN fails too
             raise InputError(
@@ -212,8 +213,9 @@ def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid,
     pair is solved and its orbit is the attractor.  A report passed in
     that was built with eps > 0 carries the band envelope, so the eps = 0
     orbit is rebuilt from its carrying orbit and lambda(V) and measured
-    against instead.  Initial data must be strictly positive at interior
-    nodes.
+    against instead.  initial is read by build_initial_state (a state
+    tuple passes through), default (1.0, 0.5, 0.1); it must be strictly
+    positive at interior nodes.
     """
     o = tols if tols is not None else SolverOptions()
     n_periods = o.n_periods if n_periods is None else n_periods
@@ -229,10 +231,8 @@ def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid,
             n_periods=n_periods, target=target, regime_report=report)
 
     bc1, bc2 = bcs
-    if initial is None:
-        initial = (1.0, 0.5, 0.1)
-    u0 = initial if isinstance(initial, StateField) else \
-        build_initial_state(grid, bc1, bc2, initial)
+    u0 = build_initial_state(grid, bc1, bc2,
+                             (1.0, 0.5, 0.1) if initial is None else initial)
     _check_positive_interior(u0, grid, bcs)
 
     attractor = report.attractor

@@ -34,7 +34,7 @@ from .errors import (GapError, InputError, InternalError, NoConvergence,
                      NonUniqueOrbit, RegimeError)
 from .grid import BoundarySpec, Grid, map_between
 from .stepper import (DEFAULT_BLOWUP_CAP, ComponentSpec, LinearPeriodicSystem,
-                      NonlinearModel, StateField, integrate_over_period, prepare)
+                      NonlinearModel, integrate_over_period, prepare)
 
 __all__ = [
     "SolverOptions", "LogisticOrbitResult", "EndemicPairResult",
@@ -121,20 +121,21 @@ def band_sign(value: float, band: float) -> int:
     return 1 if value >= band else -1 if value <= -band else 0
 
 
-def _iterate_to_fixed_point(model, prepared, state: StateField, tol: float,
+def _iterate_to_fixed_point(model, prepared, u: tuple, tol: float,
                             max_periods: int, label: str,
                             history: list | None = None):
-    """Period-map iteration until two successive boundaries agree within tol."""
-    u = state
+    """Period-map iteration until two successive boundaries agree within tol.
+
+    Every image is a fresh tuple of fresh arrays, so the history keeps them
+    as they are."""
     if history is not None:
-        history.append(tuple(comp.copy() for comp in u.components))
+        history.append(u)
     for n in range(1, max_periods + 1):
         nxt = integrate_over_period(model, u, prepared=prepared)
-        delta = max(float(np.max(np.abs(a - b)))
-                    for a, b in zip(nxt.components, u.components))
+        delta = max(float(np.max(np.abs(a - b))) for a, b in zip(nxt, u))
         u = nxt
         if history is not None:
-            history.append(tuple(comp.copy() for comp in u.components))
+            history.append(u)
         if delta <= tol:
             return u, n
     raise NoConvergence(
@@ -147,16 +148,15 @@ def _growing_seed(model, P, profile, dl: float, floor):
     times, that falls below its seed by at most floor(seed component) in
     every component; None if no such image exists."""
     for _ in range(_MAX_HALVINGS):
-        seed = StateField(tuple(dl * p for p in profile), 0.0, 0)
+        seed = tuple(dl * p for p in profile)
         nxt = integrate_over_period(model, seed, prepared=P)
-        if all(float(np.min(a - b)) >= -floor(b)
-               for a, b in zip(nxt.components, seed.components)):
+        if all(float(np.min(a - b)) >= -floor(b) for a, b in zip(nxt, seed)):
             return nxt
         dl *= 0.5
     return None
 
 
-def _limits(model, P, upper: StateField, lower: StateField, tol: float,
+def _limits(model, P, upper: tuple, lower: tuple, tol: float,
             max_periods: int, labels, histories=(None, None)):
     """Iterate the upper and the lower sequence to their limits; returns
     both limits, their sup gap and the period count of each."""
@@ -164,12 +164,11 @@ def _limits(model, P, upper: StateField, lower: StateField, tol: float,
                                        labels[0], histories[0])
     low, n_low = _iterate_to_fixed_point(model, P, lower, tol, max_periods,
                                          labels[1], histories[1])
-    gap = max(float(np.max(np.abs(a - b)))
-              for a, b in zip(up.components, low.components))
+    gap = max(float(np.max(np.abs(a - b))) for a, b in zip(up, low))
     return up, low, gap, n_up, n_low
 
 
-def _store_orbit(model, prepared, state: StateField) -> PeriodicOrbit:
+def _store_orbit(model, prepared, state: tuple) -> PeriodicOrbit:
     """One stored sweep from a converged boundary state."""
     samples = integrate_over_period(model, state, prepared=prepared, store=True)
     residual = max(float(np.max(np.abs(s[-1] - s[0]))) for s in samples)
@@ -205,7 +204,7 @@ def solve_logistic_orbit(c: CoefficientSet, bc2: BoundarySpec, grid: Grid,
             agreement_gap=0.0)
 
     model = NonlinearModel(kind="logistic", c=c, bc1=BoundarySpec.neumann(1),
-                           bc2=bc2, grid=g)
+                           bc2=bc2, grid=g, cap=o.blowup_cap)
     P = prepare(model)
     xfull, ts = g.full_nodes(), g.level_times()
     bmax = float(np.max(field_lattice(c.beta, xfull, ts) - field_lattice(c.mu1, xfull, ts)))
@@ -219,9 +218,8 @@ def solve_logistic_orbit(c: CoefficientSet, bc2: BoundarySpec, grid: Grid,
     if low is None:
         raise NoConvergence(
             "no growing lower seed found for the vector orbit", _MAX_HALVINGS)
-    up0 = StateField((np.full(n2, K),), 0.0, 0)
     up, _, agreement, n_up, n_low = _limits(
-        model, P, up0, low, o.orbit_tol, o.max_periods,
+        model, P, (np.full(n2, K),), low, o.orbit_tol, o.max_periods,
         ("vector orbit (upper seed)", "vector orbit (lower seed)"))
     if agreement > AGREEMENT_FACTOR * o.orbit_tol:
         raise NonUniqueOrbit(
@@ -268,9 +266,8 @@ def solve_Hbar(c: CoefficientSet, bcs, grid: Grid,
         coupling=((-grid.lattice(c.rho, bc1),),),
         source=(src,))
     P = prepare(sys)
-    u0 = StateField((np.zeros(grid.n_unknowns(bc1)),), 0.0, 0)
-    u, _ = _iterate_to_fixed_point(sys, P, u0, o.orbit_tol, o.max_periods,
-                                   "host profile")
+    u, _ = _iterate_to_fixed_point(sys, P, (np.zeros(grid.n_unknowns(bc1)),),
+                                   o.orbit_tol, o.max_periods, "host profile")
     return _store_orbit(sys, P, u)
 
 
@@ -291,15 +288,17 @@ def _band_inequality_holds(c: CoefficientSet, grid: Grid, bc2: BoundarySpec,
 def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
                        o: SolverOptions = SolverOptions(),
                        logistic: LogisticOrbitResult | None = None,
-                       lam: EigenResult | None = None) -> EndemicPairResult:
+                       lam: EigenResult | None = None,
+                       hbar: PeriodicOrbit | None = None) -> EndemicPairResult:
     """Two-sided construction of the endemic state of the truncated system.
 
     With eps == 0 the upper and lower limits bracket the endemic orbit
     itself; with eps > 0 they bracket the band-shifted envelope used by
     the sandwich argument.  eps = o.eps is the initial rung of the halving
     ladder; eps = None starts at 0.1 * min(V) / max(phi), V being the
-    carrying orbit.  The logistic result (carrying orbit and zeta) and the
-    invasion eigenvalue may be passed to reuse earlier work; whatever is
+    carrying orbit.  The logistic result (carrying orbit and zeta), the
+    invasion eigenvalue and the eps = 0 host profile (solve_Hbar on that
+    carrying orbit) may be passed to reuse earlier work; whatever is
     missing is computed here.
 
     Raises:
@@ -365,19 +364,17 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
                 e *= 0.5
                 continue
 
-        Hbar = solve_Hbar(c, bcs, grid, V, e, phi if e != 0.0 else None, o)
+        Hbar = hbar if e == 0.0 and hbar is not None else \
+            solve_Hbar(c, bcs, grid, V, e, phi if e != 0.0 else None, o)
         model = NonlinearModel(kind="truncated", c=c, bc1=bc1, bc2=bc2,
                                grid=grid, V=V, phi=phi if e != 0.0 else None,
-                               eps=e)
+                               eps=e, cap=o.blowup_cap)
         P = prepare(model)
 
-        z_seed = (V.level(0, 0) + e * phi.level(0, 0) if e != 0.0
-                  else V.level(0, 0).copy())
-        up_seed = StateField(
-            (Hbar.level(0, 0) * (1.0 + _SUPERSOLUTION_BUMP), z_seed), 0.0, 0)
+        z_seed = V.level(0, 0) + e * phi.level(0, 0) if e != 0.0 else V.level(0, 0)
+        up_seed = (Hbar.level(0, 0) * (1.0 + _SUPERSOLUTION_BUMP), z_seed)
         up1 = integrate_over_period(model, up_seed, prepared=P)
-        if not all(float(np.max(a - b)) <= floor(b)
-                   for a, b in zip(up1.components, up_seed.components)):
+        if not all(float(np.max(a - b)) <= floor(b) for a, b in zip(up1, up_seed)):
             if e == 0.0:
                 raise InternalError(
                     "upper seed failed to decrease with no band to shrink")
@@ -386,7 +383,7 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
 
         profile = tuple(le.eigenfunction.level(i, 0) for i in range(2))
         ratios = [float(np.min(0.5 * s[p > 1e-300] / p[p > 1e-300]))
-                  for s, p in zip(up_seed.components, profile)]
+                  for s, p in zip(up_seed, profile)]
         low1 = _growing_seed(model, P, profile,
                              2.0 ** np.floor(np.log2(min(ratios))), floor)
         if low1 is None:
@@ -401,7 +398,7 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
             f"no admissible band width found below eps = {eps:g}; "
             "endemic construction abandoned")
 
-    upper_history: list = [tuple(comp.copy() for comp in up_seed.components)]
+    upper_history: list = [up_seed]
     lower_history: list = []
     up, low, gap, n_up, n_low = _limits(
         model, P, up1, low1, tol, o.max_periods,

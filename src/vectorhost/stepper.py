@@ -1,5 +1,9 @@
 """Time stepping: first-order IMEX schemes for the model and its variants.
 
+A state is a tuple of component arrays, one (n_c,) array per component on
+its node layout; the period map and the trajectory take one and start it
+at global step `step` (0 unless given), time step * dt.
+
 One step advances every component by one backward-Euler solve of its own
 tridiagonal implicit matrix (diffusion assembled at t+dt plus the linear
 decay diagonal), with cross-component coupling and nonlinear terms taken
@@ -48,23 +52,11 @@ from .errors import BlowupError, DomainError, InputError, SolveError
 from .grid import BoundarySpec, DiffusionMatrix, Grid, assemble_diffusion, map_between
 
 __all__ = [
-    "StateField", "ComponentSpec", "LinearPeriodicSystem", "NonlinearModel",
-    "Trajectory", "integrate_over_period", "integrate_trajectory",
+    "ComponentSpec", "LinearPeriodicSystem", "NonlinearModel", "Trajectory",
+    "integrate_over_period", "integrate_trajectory",
 ]
 
 DEFAULT_BLOWUP_CAP = 1e12
-
-
-@dataclass
-class StateField:
-    """Nodal values of every component at one time level.
-
-    t is global time, step the global step index (t = step * dt).
-    """
-
-    components: tuple
-    t: float = 0.0
-    step: int = 0
 
 
 @dataclass(frozen=True)
@@ -332,33 +324,32 @@ def prepare(system) -> object:
 # ═══════════════════════════════════════════════════════════════════════════
 
 
-def _check_state(system, u: StateField) -> None:
+def _check_state(system, u: tuple) -> None:
     g = system.grid
-    if abs(u.t - u.step * g.dt) > 1e-9 * max(1.0, g.T):
-        raise InputError(f"state time {u.t} not aligned with step {u.step}")
     layouts = (system.layouts() if isinstance(system, NonlinearModel)
                else tuple(c.bc for c in system.comps))
-    if len(u.components) != len(layouts):
+    if len(u) != len(layouts):
         raise InputError(
-            f"state has {len(u.components)} components, system expects {len(layouts)}")
+            f"state has {len(u)} components, system expects {len(layouts)}")
     for i, bc in enumerate(layouts):
         want = g.n_unknowns(bc)
-        if u.components[i].shape != (want,):
+        if u[i].shape != (want,):
             raise InputError(
-                f"component {i} has shape {u.components[i].shape}, expected ({want},)")
+                f"component {i} has shape {u[i].shape}, expected ({want},)")
 
 
-def _run(system, u0: StateField, nsteps: int, stride: int, prepared):
-    """nsteps steps from u0, keeping u0, the last step and every step whose
-    index is a multiple of stride as rows of one (n_kept, n_c) array per
-    component; returns the kept step indices and those arrays."""
+def _run(system, u0: tuple, step: int, nsteps: int, stride: int, prepared):
+    """nsteps steps from u0 at global step `step`, keeping u0, the last step
+    and every step whose index is a multiple of stride as rows of one
+    (n_kept, n_c) array per component; returns the kept step indices and
+    those arrays."""
     _check_state(system, u0)
     P = prepared if prepared is not None else prepare(system)
-    k0, k1 = u0.step, u0.step + nsteps
-    steps = np.arange(k0, k1 + 1)
-    steps = steps[(steps == k0) | (steps == k1) | (steps % stride == 0)]
-    samples = tuple(np.empty((len(steps), len(c))) for c in u0.components)
-    u, done = u0.components, k0
+    k1 = step + nsteps
+    steps = np.arange(step, k1 + 1)
+    steps = steps[(steps == step) | (steps == k1) | (steps % stride == 0)]
+    samples = tuple(np.empty((len(steps), len(c))) for c in u0)
+    u, done = u0, step
     for row, kept in enumerate(steps.tolist()):
         u, done = P.advance(u, done, kept), kept
         for s, c in zip(samples, u):
@@ -366,24 +357,26 @@ def _run(system, u0: StateField, nsteps: int, stride: int, prepared):
     return steps, samples
 
 
-def integrate_over_period(system, u0: StateField, prepared=None,
-                          store: bool = False):
-    """Apply the period map once: steps_per_period IMEX steps from u0.
+def integrate_over_period(system, u0: tuple, prepared=None,
+                          store: bool = False, step: int = 0):
+    """Apply the period map once: steps_per_period IMEX steps from the
+    component arrays u0 at global step `step`.
 
     With store=True returns every level stacked, one (m+1, n_c) array per
-    component with row j at step u0.step + j; otherwise the final state.
+    component with row j at step + j; otherwise the final state, a tuple
+    of component arrays.
     """
     m = system.grid.steps_per_period
-    _, samples = _run(system, u0, m, 1 if store else m, prepared)
+    _, samples = _run(system, u0, step, m, 1 if store else m, prepared)
     if store:
         return samples
-    return StateField(tuple(s[-1] for s in samples), (u0.step + m) * system.grid.dt,
-                      u0.step + m)
+    return tuple(s[-1] for s in samples)
 
 
-def integrate_trajectory(model, u0: StateField, n_periods: int,
-                         sample_stride: int = 1) -> Trajectory:
-    """Integrate n_periods periods, keeping every sample_stride-th step.
+def integrate_trajectory(model, u0: tuple, n_periods: int,
+                         sample_stride: int = 1, step: int = 0) -> Trajectory:
+    """Integrate n_periods periods from the component arrays u0 at global
+    step `step`, keeping every sample_stride-th step.
 
     sample_stride must divide steps_per_period so that every period
     boundary is kept.  Raises BlowupError at the first step at which any
@@ -395,5 +388,5 @@ def integrate_trajectory(model, u0: StateField, n_periods: int,
             f"sample_stride must divide steps_per_period ({sample_stride} vs {m})")
     if n_periods < 1:
         raise DomainError(f"n_periods must be a positive count, got {n_periods}")
-    steps, samples = _run(model, u0, n_periods * m, sample_stride, None)
+    steps, samples = _run(model, u0, step, n_periods * m, sample_stride, None)
     return Trajectory(model.grid, steps, samples, sample_stride)

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from vectorhost import (BoundarySpec, ComponentSpec, LinearPeriodicSystem,
-                        NonlinearModel, StateField, apply_period_map,
-                        build_grid, build_initial_state, field_values,
+                        NonlinearModel, apply_period_map, build_grid,
+                        build_initial_state, field_values,
                         gamma_rho, integrate_trajectory, lambda_V,
                         parse_expression, sandwich_check,
                         solve_logistic_orbit, verify_trichotomy, zeta)
@@ -171,8 +171,7 @@ def test_criterion_05_carrying_orbit_exists_and_is_unique(
     ref = lr.orbit.samples[0][0]
     for _ in range(10):
         v0 = rng.uniform(0.05, 4.0, size=33)
-        traj = integrate_trajectory(model, StateField((v0,), 0.0, 0), 25,
-                                    sample_stride=128)
+        traj = integrate_trajectory(model, (v0,), 25, sample_stride=128)
         final = traj.samples[0][-1]
         assert float(np.max(np.abs(final - ref))) <= 1e-6
 
@@ -230,8 +229,7 @@ def test_criterion_09_stepper_positivity_comparison_reduction():
     rng = np.random.default_rng(42)
     lowest = 0.0
     for _ in range(5):
-        u0 = StateField(tuple(rng.uniform(0.0, 3.0, size=33)
-                              for _ in range(3)), 0.0, 0)
+        u0 = tuple(rng.uniform(0.0, 3.0, size=33) for _ in range(3))
         traj = integrate_trajectory(model, u0, 3, sample_stride=4)
         lowest = min(lowest, min(float(np.min(s)) for s in traj.samples))
     assert lowest >= -1e-12
@@ -245,10 +243,9 @@ def test_criterion_09_stepper_positivity_comparison_reduction():
     vu0 = 0.5 + 0.3 * np.cos(np.pi * xs)
     vi0 = 0.2 + 0.1 * np.sin(np.pi * xs) ** 2
     t_full = integrate_trajectory(
-        full, StateField((np.full(33, 1.0), vu0, vi0), 0.0, 0), 4,
-        sample_stride=1)
+        full, (np.full(33, 1.0), vu0, vi0), 4, sample_stride=1)
     t_logi = integrate_trajectory(
-        logi, StateField((vu0 + vi0,), 0.0, 0), 4, sample_stride=1)
+        logi, (vu0 + vi0,), 4, sample_stride=1)
     worst = float(np.max(np.abs(t_full.samples[1] + t_full.samples[2]
                                 - t_logi.samples[0])))
     assert worst <= 1e-12

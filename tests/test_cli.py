@@ -311,6 +311,47 @@ def test_periodic_present_then_absent(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_periodic_solves_the_host_profile_once(tmp_path, capsys, monkeypatch):
+    # cmd_periodic hands its host profile to the endemic pair, so at eps = 0
+    # one gamma_rho guard and one host iteration (23 maps, 1 stored) run
+    from vectorhost import periodic
+    calls = {"gamma_rho": 0, "linear": 0}
+    real_gamma, real_map = periodic.gamma_rho, periodic.integrate_over_period
+
+    def gamma(*args, **kwargs):
+        calls["gamma_rho"] += 1
+        return real_gamma(*args, **kwargs)
+
+    def period_map(system, *args, **kwargs):
+        if isinstance(system, vectorhost.LinearPeriodicSystem):
+            calls["linear"] += 1
+        return real_map(system, *args, **kwargs)
+
+    monkeypatch.setattr(periodic, "gamma_rho", gamma)
+    monkeypatch.setattr(periodic, "integrate_over_period", period_map)
+    path = tmp_path / "readme.ini"
+    path.write_text(README)
+    out = str(tmp_path / "o")
+    assert main(["periodic", "--config", str(path), "--out", out]) == 0
+    assert read_report(os.path.join(out, "periodic_report.txt"))["endemic_status"] \
+        == "PRESENT"
+    assert calls == {"gamma_rho": 1, "linear": 24}
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["classify", "periodic"])
+def test_blowup_cap_reaches_the_orbit_solvers(tmp_path, capsys, command):
+    # the README carrying orbit peaks at 1.159, so a cap of 0.5 must stop
+    # the orbit solvers as it stops simulate and verify
+    path = tmp_path / "readme.ini"
+    path.write_text(README)
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "o"),
+                 "--override", "solver.blowup_cap=0.5"])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "numerical failure: state exceeded blow-up cap 0.5\n"
+
+
 def test_simulate_is_deterministic(tmp_path, capsys):
     path = write_config(tmp_path, "[run]\nn_periods = 6\nsample_stride = 16\n")
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")

@@ -6,7 +6,7 @@ import pytest
 from vectorhost import dynamics
 from vectorhost import (DISEASE_FREE, ENDEMIC, EXTINCTION, INDETERMINATE,
                         BoundarySpec, DomainError, InputError, NonlinearModel,
-                        SolverOptions, StateField, build_grid, build_initial_state,
+                        SolverOptions, build_grid, build_initial_state,
                         classify_regime, integrate_over_period,
                         integrate_trajectory, lambda_V, parse_expression,
                         sandwich_check, solve_logistic_orbit, verify_trichotomy,
@@ -105,11 +105,10 @@ def test_build_initial_state_accepts_mixed_values(grid31, neumann_bcs):
     u = build_initial_state(
         grid31, *neumann_bcs,
         (2.0, parse_expression("1 + 0.5*cos(pi*x)"), np.full(33, 0.25)))
-    assert np.all(u.components[0] == 2.0)
-    assert u.components[1][0] == pytest.approx(1.5)
-    assert u.components[2][5] == 0.25
-    assert u.t == 0.0 and u.step == 0
-    assert xs.shape == u.components[0].shape
+    assert np.all(u[0] == 2.0)
+    assert u[1][0] == pytest.approx(1.5)
+    assert u[2][5] == 0.25
+    assert xs.shape == u[0].shape
 
 
 def test_build_initial_state_rejects_bad_shapes(grid31, neumann_bcs):
@@ -117,6 +116,18 @@ def test_build_initial_state_rejects_bad_shapes(grid31, neumann_bcs):
         build_initial_state(grid31, *neumann_bcs, (1.0, 1.0))
     with pytest.raises(InputError):
         build_initial_state(grid31, *neumann_bcs, (np.ones(7), 1.0, 1.0))
+
+
+def test_verify_reads_a_state_tuple_and_values_alike(neumann_bcs, grid31):
+    # a built state passes through build_initial_state unchanged, so both
+    # forms of initial take one path and give the same errors
+    c = make_constants(beta="2 + sin(2*pi*t)", d2="0.5")
+    report = classify_regime(c, neumann_bcs, grid31)
+    built = build_initial_state(grid31, *neumann_bcs, (1.0, 0.5, 0.1))
+    from_state = verify_trichotomy(c, neumann_bcs, grid31, initial=built, report=report)
+    from_values = verify_trichotomy(c, neumann_bcs, grid31, initial=(1.0, 0.5, 0.1),
+                                    report=report)
+    assert from_state.errors == from_values.errors
 
 
 def test_verify_rejects_nonpositive_initial_interior(endemic_c, neumann_bcs,
@@ -232,11 +243,11 @@ def test_truncated_model_preserves_order(endemic_report, neumann_bcs, grid31,
     V = endemic_report.logistic.orbit
     model = NonlinearModel(kind="truncated", c=endemic_c, bc1=neumann_bcs[0],
                            bc2=neumann_bcs[1], grid=grid31, V=V)
-    lo = StateField((np.full(33, 0.5), np.full(33, 0.1)), 0.0, 0)
-    hi = StateField((np.full(33, 4.0), np.full(33, 0.9)), 0.0, 0)
+    lo = (np.full(33, 0.5), np.full(33, 0.1))
+    hi = (np.full(33, 4.0), np.full(33, 0.9))
     lo1 = integrate_over_period(model, lo)
     hi1 = integrate_over_period(model, hi)
-    for a, b in zip(lo1.components, hi1.components):
+    for a, b in zip(lo1, hi1):
         assert float(np.min(b - a)) >= -1e-12
 
 

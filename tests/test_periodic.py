@@ -13,9 +13,10 @@ import math
 import numpy as np
 import pytest
 
-from vectorhost import (BoundarySpec, InputError, NoConvergence, NonUniqueOrbit,
-                        PeriodicOrbit, RegimeError, SolverOptions, build_grid,
-                        solve_Hbar, solve_endemic_pair, solve_logistic_orbit)
+from vectorhost import (BlowupError, BoundarySpec, InputError, NoConvergence,
+                        NonUniqueOrbit, PeriodicOrbit, RegimeError,
+                        SolverOptions, build_grid, solve_Hbar,
+                        solve_endemic_pair, solve_logistic_orbit)
 from conftest import make_constants
 
 NEUMANN1 = BoundarySpec.neumann(1)
@@ -204,6 +205,34 @@ def test_pair_reuses_precomputed_logistic(grid):
     pair = solve_endemic_pair(make_constants(), BCS, grid, logistic=lr)
     assert pair.V is lr.orbit
     assert np.max(np.abs(pair.H_orbit.samples[0] - 3.0)) < 1e-6
+
+
+def test_pair_reuses_a_passed_host_profile(grid):
+    # a profile passed in replaces the eps = 0 rung's own solve_Hbar; a
+    # doubled profile is still a supersolution, so the pair is unchanged
+    c = make_constants()
+    lr = solve_logistic_orbit(c, NEUMANN2, grid)
+    hbar = solve_Hbar(c, BCS, grid, lr.orbit)
+    ref = solve_endemic_pair(c, BCS, grid, logistic=lr)
+    pair = solve_endemic_pair(c, BCS, grid, logistic=lr, hbar=hbar)
+    assert np.array_equal(pair.upper_history[0][0], ref.upper_history[0][0])
+    assert np.array_equal(pair.H_orbit.samples[0], ref.H_orbit.samples[0])
+    doubled = PeriodicOrbit((2.0 * hbar.samples[0],), grid.dt, grid.T)
+    seeded = solve_endemic_pair(c, BCS, grid, logistic=lr, hbar=doubled)
+    assert np.array_equal(seeded.upper_history[0][0],
+                          2.0 * ref.upper_history[0][0])
+    assert np.max(np.abs(seeded.H_orbit.samples[0] - 3.0)) < 1e-6
+
+
+def test_orbit_solvers_obey_the_blowup_cap(grid):
+    # the carrying orbit is 1 and the host profile 5: a cap of 0.5 stops
+    # the logistic orbit, a cap of 2 the truncated pair
+    c = make_constants()
+    with pytest.raises(BlowupError, match="^state exceeded blow-up cap 0.5$"):
+        solve_logistic_orbit(c, NEUMANN2, grid, SolverOptions(blowup_cap=0.5))
+    lr = solve_logistic_orbit(c, NEUMANN2, grid)
+    with pytest.raises(BlowupError, match="^state exceeded blow-up cap 2$"):
+        solve_endemic_pair(c, BCS, grid, SolverOptions(blowup_cap=2.0), logistic=lr)
 
 
 def test_seasonal_endemic_pair(grid):

@@ -13,10 +13,10 @@ from scipy.linalg.lapack import dgtsv
 
 from vectorhost import (BlowupError, BoundarySpec, ComponentSpec, DomainError,
                         InputError, LinearPeriodicSystem, NonlinearModel,
-                        StateField, assemble_diffusion, build_grid,
-                        build_initial_state, integrate_over_period,
-                        integrate_trajectory, map_between, parse_expression,
-                        prepare, solve_logistic_orbit, zeta)
+                        assemble_diffusion, build_grid, build_initial_state,
+                        integrate_over_period, integrate_trajectory,
+                        map_between, parse_expression, prepare,
+                        solve_logistic_orbit, zeta)
 from conftest import make_constants
 
 NEUMANN = (BoundarySpec.neumann(1), BoundarySpec.neumann(2))
@@ -61,10 +61,10 @@ def check_comparison_principle(n_systems, seed, grid):
             lo = rng.uniform(0.0, 1.0, size=n)
             los.append(lo)
             his.append(lo + rng.uniform(0.0, 1.0, size=n))
-        ulo = integrate_over_period(sys_, StateField(tuple(los), 0.0, 0))
-        uhi = integrate_over_period(sys_, StateField(tuple(his), 0.0, 0))
+        ulo = integrate_over_period(sys_, tuple(los))
+        uhi = integrate_over_period(sys_, tuple(his))
         gap = min(float(np.min(b - a))
-                  for a, b in zip(ulo.components, uhi.components))
+                  for a, b in zip(ulo, uhi))
         worst = min(worst, gap)
     return worst
 
@@ -81,7 +81,7 @@ def test_constant_equilibrium_is_exact(grid, endemic_c):
                            bc2=NEUMANN[1], grid=grid)
     u0 = build_initial_state(grid, *NEUMANN, (3.0, 0.4, 0.6))
     u1 = integrate_over_period(model, u0)
-    for a, b in zip(u1.components, u0.components):
+    for a, b in zip(u1, u0):
         assert np.max(np.abs(a - b)) < 1e-13
 
 
@@ -91,8 +91,7 @@ def test_positivity_from_random_nonnegative_data(grid):
                            grid=grid)
     rng = np.random.default_rng(42)
     for _ in range(5):
-        u0 = StateField(tuple(rng.uniform(0.0, 3.0, size=33) for _ in range(3)),
-                        0.0, 0)
+        u0 = tuple(rng.uniform(0.0, 3.0, size=33) for _ in range(3))
         traj = integrate_trajectory(model, u0, 3, sample_stride=4)
         lowest = min(float(np.min(s)) for s in traj.samples)
         assert lowest >= -1e-12
@@ -114,9 +113,9 @@ def test_total_vector_reduces_to_logistic_exactly(grid):
     vi0 = 0.2 + 0.1 * np.sin(np.pi * xs) ** 2
     h0 = np.full(33, 1.0)
     t_full = integrate_trajectory(
-        full, StateField((h0, vu0, vi0), 0.0, 0), 4, sample_stride=1)
+        full, (h0, vu0, vi0), 4, sample_stride=1)
     t_logi = integrate_trajectory(
-        logi, StateField((vu0 + vi0,), 0.0, 0), 4, sample_stride=1)
+        logi, (vu0 + vi0,), 4, sample_stride=1)
     worst = float(np.max(np.abs(t_full.samples[1] + t_full.samples[2]
                                 - t_logi.samples[0])))
     assert worst <= 1e-12
@@ -134,10 +133,10 @@ def test_truncated_period_matches_full_model_on_the_carrying_orbit():
     full = NonlinearModel(kind="full", c=c, bc1=NEUMANN[0], bc2=NEUMANN[1], grid=g)
     trunc = NonlinearModel(kind="truncated", c=c, bc1=NEUMANN[0],
                            bc2=NEUMANN[1], grid=g, V=V)
-    uf = integrate_over_period(full, StateField((H, V0 - Z, Z), 0.0, 0))
-    ut = integrate_over_period(trunc, StateField((H, Z), 0.0, 0))
-    assert np.max(np.abs(uf.components[0] - ut.components[0])) <= 1e-12
-    assert np.max(np.abs(uf.components[2] - ut.components[1])) <= 1e-12
+    uf = integrate_over_period(full, (H, V0 - Z, Z))
+    ut = integrate_over_period(trunc, (H, Z))
+    assert np.max(np.abs(uf[0] - ut[0])) <= 1e-12
+    assert np.max(np.abs(uf[2] - ut[1])) <= 1e-12
 
 
 def test_first_order_in_dt():
@@ -151,7 +150,7 @@ def test_first_order_in_dt():
                                bc2=NEUMANN[1], grid=g)
         u0 = build_initial_state(g, *NEUMANN, (1.0, 0.5, 0.1))
         u1 = integrate_over_period(model, u0)
-        finals[m] = np.concatenate(u1.components)
+        finals[m] = np.concatenate(u1)
     e64 = np.max(np.abs(finals[64] - finals[1024]))
     e128 = np.max(np.abs(finals[128] - finals[1024]))
     assert 1.6 <= e64 / e128 <= 2.4
@@ -161,7 +160,7 @@ def test_blowup_raises(grid):
     c = make_constants(beta="40")  # heads for carrying capacity 39
     model = NonlinearModel(kind="logistic", c=c, bc1=NEUMANN[0],
                            bc2=NEUMANN[1], grid=grid, cap=10.0)
-    u0 = StateField((np.full(33, 1.0),), 0.0, 0)
+    u0 = (np.full(33, 1.0),)
     with pytest.raises(BlowupError):
         integrate_trajectory(model, u0, 5, sample_stride=8)
 
@@ -196,19 +195,19 @@ def test_affine_source_equilibrium(grid):
         comps=(ComponentSpec(d=1.0, bc=NEUMANN[0]),),
         coupling=((parse_expression("-1"),),),
         source=(parse_expression("2"),))
-    u0 = StateField((np.full(33, 2.0),), 0.0, 0)
+    u0 = (np.full(33, 2.0),)
     u1 = integrate_over_period(sys_, u0)
-    assert np.max(np.abs(u1.components[0] - 2.0)) < 1e-13
+    assert np.max(np.abs(u1[0] - 2.0)) < 1e-13
 
 
 def test_store_returns_all_levels(grid, endemic_c):
     model = NonlinearModel(kind="logistic", c=endemic_c, bc1=NEUMANN[0],
                            bc2=NEUMANN[1], grid=grid)
-    u0 = StateField((np.full(33, 1.0),), 0.0, 0)
+    u0 = (np.full(33, 1.0),)
     (levels,) = integrate_over_period(model, u0, store=True)
     assert len(levels) == grid.steps_per_period + 1
-    assert np.array_equal(levels[0], u0.components[0])
-    assert np.array_equal(levels[-1], integrate_over_period(model, u0).components[0])
+    assert np.array_equal(levels[0], u0[0])
+    assert np.array_equal(levels[-1], integrate_over_period(model, u0)[0])
 
 
 def test_trajectory_sampling_and_boundaries(grid, endemic_c):
@@ -240,30 +239,28 @@ def test_trajectory_and_period_maps_share_one_loop():
     rows = {int(k): r for r, k in enumerate(traj.steps)}
     u = u0
     for n in range(1, 4):
-        u = integrate_over_period(model, u)
-        assert u.step == n * m and u.t == n * m * g.dt
-        for s, comp in zip(traj.samples, u.components):
+        u = integrate_over_period(model, u, step=(n - 1) * m)
+        for s, comp in zip(traj.samples, u):
             assert np.array_equal(s[rows[n * m]], comp)
 
     stored = integrate_over_period(model, u0, store=True)
     once = integrate_over_period(model, u0)
-    for s, first, last in zip(stored, u0.components, once.components):
+    for s, first, last in zip(stored, u0, once):
         assert s.shape == (m + 1, len(first))
         assert np.array_equal(s[0], first)
         assert np.array_equal(s[m], last)
 
     # a period map may start between period boundaries
-    mid = StateField(tuple(s[rows[16]] for s in traj.samples), 16 * g.dt, 16)
-    end = integrate_over_period(model, mid)
-    assert end.step == 16 + m
-    for s, comp in zip(traj.samples, end.components):
+    mid = tuple(s[rows[16]] for s in traj.samples)
+    end = integrate_over_period(model, mid, step=16)
+    for s, comp in zip(traj.samples, end):
         assert np.array_equal(s[rows[16 + m]], comp)
 
 
 def test_state_shape_checks(grid, endemic_c):
     model = NonlinearModel(kind="full", c=endemic_c, bc1=NEUMANN[0],
                            bc2=NEUMANN[1], grid=grid)
-    bad = StateField((np.ones(33), np.ones(10), np.ones(33)), 0.0, 0)
+    bad = (np.ones(33), np.ones(10), np.ones(33))
     with pytest.raises(InputError):
         integrate_over_period(model, bad)
     with pytest.raises(InputError):
@@ -281,10 +278,10 @@ def test_mixed_layouts_step_together(endemic_c):
     bc2 = BoundarySpec.neumann(2)
     model = NonlinearModel(kind="full", c=endemic_c, bc1=bc1, bc2=bc2, grid=g)
     u0 = build_initial_state(g, bc1, bc2, (1.0, 0.5, 0.1))
-    assert u0.components[0].shape == (15,)
-    assert u0.components[1].shape == (17,)
+    assert u0[0].shape == (15,)
+    assert u0[1].shape == (17,)
     u1 = integrate_over_period(model, u0)
-    assert all(float(np.min(comp)) >= 0.0 for comp in u1.components)
+    assert all(float(np.min(comp)) >= 0.0 for comp in u1)
 
 
 def test_non_positive_n_periods_is_refused_by_name(grid, endemic_c):
@@ -306,10 +303,10 @@ def test_cap_is_checked_mid_period():
     g = build_grid(0.0, 1.0, 31, 1.0, 128)
     c = make_constants(beta="2 + sin(2*pi*t)", d2="0.5")
     V = solve_logistic_orbit(c, NEUMANN[1], g).orbit
-    u0 = StateField((V.level(0, 0),), 0.0, 0)
+    u0 = (V.level(0, 0),)
     free = NonlinearModel(kind="logistic", c=c, bc1=NEUMANN[0], bc2=NEUMANN[1], grid=g)
-    assert np.max(u0.components[0]) < 1.0 < V.sup_norm()
-    assert np.max(integrate_over_period(free, u0).components[0]) < 1.0
+    assert np.max(u0[0]) < 1.0 < V.sup_norm()
+    assert np.max(integrate_over_period(free, u0)[0]) < 1.0
     capped = NonlinearModel(kind="logistic", c=c, bc1=NEUMANN[0], bc2=NEUMANN[1],
                             grid=g, cap=1.0)
     with pytest.raises(BlowupError, match="^state exceeded blow-up cap 1$"):
@@ -334,13 +331,13 @@ def test_cap_edge_is_exact(kind):
         return NonlinearModel(kind=kind, c=c, bc1=NEUMANN[0], bc2=NEUMANN[1],
                               grid=g, V=V, cap=cap)
 
-    traj = integrate_trajectory(model(np.inf), StateField(u0, 0.0, 0), 2)
+    traj = integrate_trajectory(model(np.inf), u0, 2)
     P = max(float(np.max(np.abs(s[1:]))) for s in traj.samples)
-    at_edge = integrate_trajectory(model(P), StateField(u0, 0.0, 0), 2)
+    at_edge = integrate_trajectory(model(P), u0, 2)
     for a, b in zip(at_edge.samples, traj.samples):
         assert np.array_equal(a, b)
     with pytest.raises(BlowupError, match="exceeded"):
-        integrate_trajectory(model(np.nextafter(P, 0.0)), StateField(u0, 0.0, 0), 2)
+        integrate_trajectory(model(np.nextafter(P, 0.0)), u0, 2)
 
 
 def test_non_finite_state_is_named_under_a_huge_cap(grid, endemic_c):
@@ -349,7 +346,7 @@ def test_non_finite_state_is_named_under_a_huge_cap(grid, endemic_c):
     model = NonlinearModel(kind="full", c=endemic_c, bc1=NEUMANN[0],
                            bc2=NEUMANN[1], grid=grid, cap=1e200)
     u0 = build_initial_state(grid, *NEUMANN, (1.0, 0.5, 0.1))
-    u0.components[2][7] = np.inf
+    u0[2][7] = np.inf
     with pytest.raises(BlowupError, match="non-finite"):
         integrate_over_period(model, u0)
 
@@ -482,13 +479,12 @@ def test_stepping_loops_match_the_step_formulas_bit_for_bit(bcs):
         for k in range(k0, k0 + 2 * m):
             u = ref.step(u, k)
             levels.append(u)
-        start = StateField(u0, k0 * g.dt, k0)
-        stored = integrate_over_period(system, start, store=True)
+        stored = integrate_over_period(system, u0, store=True, step=k0)
         for comp, s in enumerate(stored):
             assert np.array_equal(s, np.array([lv[comp] for lv in levels[:m + 1]]))
-        once = integrate_over_period(system, start)
-        assert all(np.array_equal(a, b) for a, b in zip(once.components, levels[m]))
-        traj = integrate_trajectory(system, start, 2, sample_stride=8)
+        once = integrate_over_period(system, u0, step=k0)
+        assert all(np.array_equal(a, b) for a, b in zip(once, levels[m]))
+        traj = integrate_trajectory(system, u0, 2, sample_stride=8, step=k0)
         assert traj.steps.tolist() == [k0, *range(8, k0 + 2 * m, 8), k0 + 2 * m]
         for comp, s in enumerate(traj.samples):
             assert np.array_equal(s, np.array([levels[k - k0][comp] for k in traj.steps]))
