@@ -9,15 +9,17 @@ tridiagonal implicit matrix (diffusion assembled at t+dt plus the linear
 decay diagonal), with cross-component coupling and nonlinear terms taken
 explicitly at time t.  prepare() reads every coefficient once, through
 Grid.lattice on a component's layout at the m solver levels of [0, T),
-builds every state-independent implicit matrix there, and scales by dt
-once the lattices a step multiplies by dt first (beta, sigma1*H_u, linear
-couplings and sources): dt*w*x evaluates as (dt*w)*x, so no bit moves.
-_run is the one stepping loop.  It calls advance(u, k0, k1), one loop per
-model kind, from each kept level to the next; step k reads the lattices at
-level k mod m (the same map every period), every nonlinear step is checked
-against the blow-up cap, and kept levels go into stacked (n_kept, n_c)
-arrays, the layout of PeriodicOrbit.samples.  _solve is the one
-tridiagonal kernel (LAPACK gtsv).
+factors every state-independent implicit matrix there once (LAPACK
+gttrf), and scales by dt once the lattices a step multiplies by dt first
+(beta, sigma1*H_u, linear couplings and sources): dt*w*x evaluates as
+(dt*w)*x, so no bit moves; each step of "full" and "logistic" factors the
+state-dependent vector matrix once.  _run is the one stepping loop.  It
+calls advance(u, k0, k1), one loop per model kind, from each kept level to
+the next; step k reads the lattices at level k mod m (the same map every
+period), every nonlinear step is checked against the blow-up cap, and kept
+levels go into stacked (n_kept, n_c) arrays, the layout of
+PeriodicOrbit.samples.  _solve is the one tridiagonal kernel, a solve on a
+factor (LAPACK gttrs), bit for bit what gtsv computes.
 
 Structural properties the rest of the package leans on:
 
@@ -44,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .coeffs import CoefficientSet
 from .coeffs import field_values  # noqa: F401  (name the benchmark tracer wraps here)
@@ -156,20 +158,43 @@ class Trajectory:
 # ═══════════════════════════════════════════════════════════════════════════
 
 
-def _banded(D: DiffusionMatrix, dt: float, decay=0.0) -> np.ndarray:
-    """Banded (1,1) form of I - dt*D + dt*diag(decay), stacked like D."""
-    ab = np.zeros(D.diag.shape[:-1] + (3, D.n))
+def _banded(D: DiffusionMatrix, dt: float, decay=0.0, rows: int = 3) -> np.ndarray:
+    """I - dt*D + dt*diag(decay), stacked like D, in rows 0-2 (banded (1,1)
+    form: du, d, dl) of a (rows, n) block per level."""
+    ab = np.zeros(D.diag.shape[:-1] + (rows, D.n))
     ab[..., 0, 1:] = -dt * D.upper
     ab[..., 1, :] = 1.0 - dt * D.diag + dt * decay
     ab[..., 2, :-1] = -dt * D.lower
     return ab
 
 
-def _solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system in banded (1,1) form; rhs is overwritten."""
-    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, overwrite_b=1)
+def _factor(dl, d, du) -> tuple:
+    """The factor (dl, d, du, du2, ipiv) of the tridiagonal matrix with these
+    diagonals (LAPACK gttrf); d is overwritten."""
+    dl, d, du, du2, ipiv, info = dgttrf(dl, d, du, overwrite_d=1)
     if info != 0:  # defensive: singular implicit matrix
-        raise SolveError(f"implicit solve failed: gtsv info {info}")
+        raise SolveError(f"implicit matrix is singular: gttrf info {info}")
+    return dl, d, du, du2, ipiv
+
+
+def _factored(D: DiffusionMatrix, dt: float, decay=0.0) -> list:
+    """The factor of every level of _banded(D, dt, decay), stored in one
+    (m, 5, n) array: rows 0-2 hold its du, d and dl, row 3 du2 and row 4
+    the pivots through an int32 view.  Level j's factor is the tuple of
+    views of its block that _solve reads."""
+    factors = []
+    for lu in _banded(D, dt, decay, rows=5):
+        views = (lu[2, :-1], lu[1], lu[0, 1:], lu[3, :-2], lu[4].view(np.int32)[:D.n])
+        for view, part in zip(views, _factor(*views[:3])):   # d is factored in place
+            view[:] = part
+        factors.append(views)
+    return factors
+
+
+def _solve(lu, rhs: np.ndarray) -> np.ndarray:
+    """Solve on a factor from _factor or _factored (LAPACK gttrs); rhs is
+    overwritten."""
+    x, _ = dgttrs(*lu, rhs, overwrite_b=1)
     return x
 
 
@@ -200,12 +225,12 @@ class _PreparedLinear:
                             for i, (comp, row) in enumerate(zip(sys.comps, sys.coupling))]
         self.dt_src = [None] * len(sys.comps) if sys.source is None else \
             [g.dt * g.lattice(f, comp.bc) for comp, f in zip(sys.comps, sys.source)]
-        self.ab = []        # [i] implicit banded matrices, shape (m, 3, n_i)
+        self.lu = []        # [i][j] factor of component i's implicit matrix at level j
         for i, comp in enumerate(sys.comps):
             decay = sys.coupling[i][i]
             D = assemble_diffusion(g, comp.d, comp.bc, ts)
-            self.ab.append(_banded(D, g.dt, 0.0 if decay is None
-                                   else -g.lattice(decay, comp.bc)))
+            self.lu.append(_factored(D, g.dt, 0.0 if decay is None
+                                     else -g.lattice(decay, comp.bc)))
 
     def advance(self, u: tuple, k0: int, k1: int) -> tuple:
         """Component arrays at step k0 -> component arrays at step k1."""
@@ -221,15 +246,15 @@ class _PreparedLinear:
                         rhs += w[j0] * map_between(u[jc], bcs[jc], bc)
                 if self.dt_src[i] is not None:
                     rhs += self.dt_src[i][j0]
-                new.append(_solve(self.ab[i][j1], rhs))
+                new.append(_solve(self.lu[i][j1], rhs))
             u = tuple(new)
         return u
 
 
 class _PreparedModel:
-    """Coefficient lattices and fixed implicit matrices for the nonlinear
+    """Coefficient lattices and factored implicit matrices for the nonlinear
     selectors; only the vector matrix of "full"/"logistic" depends on the
-    state and is completed per step."""
+    state, and each step completes its diagonal and factors it."""
 
     def __init__(self, model: NonlinearModel):
         g = model.grid
@@ -240,16 +265,19 @@ class _PreparedModel:
         bc1, bc2 = model.bc1, model.bc2
         L = g.lattice
 
-        # the vector matrix without decay; steps add dt*decay to its diagonal
         D2 = assemble_diffusion(g, c.d2, bc2, ts)
-        self.ab2 = _banded(D2, dt)
-        self.sigma2 = L(c.sigma2, bc2)
-        self.dt_beta = dt * L(c.beta, bc2)
-        self.mu1 = L(c.mu1, bc2)
-        self.mu2 = L(c.mu2, bc2)
+        mu1, mu2 = L(c.mu1, bc2), L(c.mu2, bc2)
+        if model.kind != "truncated":
+            # the vector matrix without decay, as its (dl, d, du) stacked by
+            # level; steps add dt*decay to d and factor it
+            ab2 = _banded(D2, dt)
+            self.diags2 = ab2[:, 2, :-1], ab2[:, 1], ab2[:, 0, 1:]
+            self.dt_beta = dt * L(c.beta, bc2)
+            self.mu1, self.mu2 = mu1, mu2
         if model.kind != "logistic":
+            self.sigma2 = L(c.sigma2, bc2)
             D1 = assemble_diffusion(g, c.d1, bc1, ts)
-            self.ab_h = _banded(D1, dt, L(c.rho, bc1))
+            self.lu_h = _factored(D1, dt, L(c.rho, bc1))
             self.dt_s1hu = dt * (L(c.sigma1, bc1) * L(c.H_u, bc1))
         if model.kind == "truncated":
             V = L(model.V.samples[0][:-1], bc2)
@@ -259,7 +287,7 @@ class _PreparedModel:
                 self.band, shift = V + ephi, V - ephi
             # the decay reads the orbit at the step's start level, as the
             # full model reads V_u + V_i: row j1 takes shift[j1 - 1]
-            self.ab_z = _banded(D2, dt, self.mu1 + self.mu2 * np.roll(shift, 1, axis=0))
+            self.lu_z = _factored(D2, dt, mu1 + mu2 * np.roll(shift, 1, axis=0))
 
     def advance(self, u: tuple, k0: int, k1: int) -> tuple:
         """Component arrays at step k0 -> step k1; BlowupError at the first step past the cap."""
@@ -267,44 +295,43 @@ class _PreparedModel:
         m, dt, cap = model.grid.steps_per_period, model.grid.dt, model.cap
         cap2 = cap * cap if cap >= 0.0 else -1.0   # a negative cap fails every state
         bc1, bc2 = model.bc1, model.bc2
-        ab2, mu1, mu2, sigma2, dt_beta = self.ab2, self.mu1, self.mu2, self.sigma2, self.dt_beta
 
         if model.kind == "logistic":
+            (dl, d, du), mu1, mu2, dt_beta = self.diags2, self.mu1, self.mu2, self.dt_beta
             (V,) = u
             for k in range(k0, k1):
                 j0, j1 = k % m, (k + 1) % m
-                ab = ab2[j1].copy()
-                ab[1] += dt * (mu1[j1] + mu2[j1] * V)
-                V = _solve(ab, V + dt_beta[j0] * V)
+                lu = _factor(dl[j1], d[j1] + dt * (mu1[j1] + mu2[j1] * V), du[j1])
+                V = _solve(lu, V + dt_beta[j0] * V)
                 if not np.dot(V, V) < cap2:
                     _raise_past_cap((V,), cap)
             return (V,)
 
-        ab_h, dt_s1hu = self.ab_h, self.dt_s1hu
+        sigma2, lu_h, dt_s1hu = self.sigma2, self.lu_h, self.dt_s1hu
         if model.kind == "full":
+            (dl, d, du), mu1, mu2, dt_beta = self.diags2, self.mu1, self.mu2, self.dt_beta
             Hi, Vu, Vi = u
             for k in range(k0, k1):
                 j0, j1 = k % m, (k + 1) % m
                 Vsum = Vu + Vi
                 trans = sigma2[j0] * Vu * map_between(Hi, bc1, bc2)
-                ab = ab2[j1].copy()
-                ab[1] += dt * (mu1[j1] + mu2[j1] * Vsum)
-                Vsum_n = _solve(ab, Vsum + dt_beta[j0] * Vsum)
-                Vi_n = _solve(ab, Vi + dt * trans)
-                Hi = _solve(ab_h[j1], Hi + dt_s1hu[j0] * map_between(Vi, bc2, bc1))
+                lu = _factor(dl[j1], d[j1] + dt * (mu1[j1] + mu2[j1] * Vsum), du[j1])
+                Vsum_n = _solve(lu, Vsum + dt_beta[j0] * Vsum)
+                Vi_n = _solve(lu, Vi + dt * trans)
+                Hi = _solve(lu_h[j1], Hi + dt_s1hu[j0] * map_between(Vi, bc2, bc1))
                 Vu, Vi = Vsum_n - Vi_n, Vi_n
                 if not np.dot(Hi, Hi) + np.dot(Vu, Vu) + np.dot(Vi, Vi) < cap2:
                     _raise_past_cap((Hi, Vu, Vi), cap)
             return (Hi, Vu, Vi)
 
         Hi, Z = u                   # truncated
-        band, ab_z = self.band, self.ab_z
+        band, lu_z = self.band, self.lu_z
         for k in range(k0, k1):
             j0, j1 = k % m, (k + 1) % m
             pos = np.maximum(band[j0] - Z, 0.0)
             trans = sigma2[j0] * pos * map_between(Hi, bc1, bc2)
-            Z_n = _solve(ab_z[j1], Z + dt * trans)
-            Hi, Z = _solve(ab_h[j1], Hi + dt_s1hu[j0] * map_between(Z, bc2, bc1)), Z_n
+            Z_n = _solve(lu_z[j1], Z + dt * trans)
+            Hi, Z = _solve(lu_h[j1], Hi + dt_s1hu[j0] * map_between(Z, bc2, bc1)), Z_n
             if not np.dot(Hi, Hi) + np.dot(Z, Z) < cap2:
                 _raise_past_cap((Hi, Z), cap)
         return (Hi, Z)

@@ -16,7 +16,8 @@ from vectorhost import (BlowupError, BoundarySpec, ComponentSpec, DomainError,
                         assemble_diffusion, build_grid, build_initial_state,
                         integrate_over_period, integrate_trajectory,
                         map_between, parse_expression, prepare,
-                        solve_logistic_orbit, zeta)
+                        solve_logistic_orbit, stepper, zeta)
+from vectorhost.grid import DiffusionMatrix
 from conftest import make_constants
 
 NEUMANN = (BoundarySpec.neumann(1), BoundarySpec.neumann(2))
@@ -488,3 +489,51 @@ def test_stepping_loops_match_the_step_formulas_bit_for_bit(bcs):
         assert traj.steps.tolist() == [k0, *range(8, k0 + 2 * m, 8), k0 + 2 * m]
         for comp, s in enumerate(traj.samples):
             assert np.array_equal(s, np.array([levels[k - k0][comp] for k in traj.steps]))
+
+
+def test_one_period_map_makes_the_solves_the_benchmark_counts(monkeypatch):
+    # the benchmark counts solves per step from the model kind: 1 logistic,
+    # 2 truncated, 3 full, one per component of a linear system
+    g, cases = _systems(NEUMANN)
+    real, solves = stepper._solve, [0]
+
+    def counted(lu, rhs):
+        solves[0] += 1
+        return real(lu, rhs)
+
+    monkeypatch.setattr(stepper, "_solve", counted)
+    for system, u0 in cases:
+        per_step = (len(system.comps) if isinstance(system, LinearPeriodicSystem)
+                    else {"logistic": 1, "truncated": 2, "full": 3}[system.kind])
+        solves[0] = 0
+        integrate_over_period(system, u0)
+        assert solves[0] == per_step * g.steps_per_period
+
+
+# ──────────────────────────────── the tridiagonal kernel ──
+
+
+@pytest.mark.parametrize("n", [3, 33, 129])
+def test_factors_solve_as_gtsv_does_under_row_interchanges(n):
+    # |dl| > |d| makes gttrf interchange rows, which fills du2 and the
+    # pivots; n = 3 is the smallest layout (Dirichlet at nx = 3)
+    rng = np.random.default_rng(n)
+    levels = 4
+    D = DiffusionMatrix(lower=rng.choice([-1.0, 1.0], (levels, n - 1))
+                        * rng.uniform(2.0, 3.0, (levels, n - 1)),
+                        diag=rng.uniform(0.0, 2.0, (levels, n)),
+                        upper=rng.normal(size=(levels, n - 1)), t=np.zeros(levels), h=1.0)
+    ab = stepper._banded(D, 1.0)       # the matrices the factors hold
+    factors = stepper._factored(D, 1.0)
+    store = factors[0][1].base
+    assert store.shape == (levels, 5, n)
+    for j, lu in enumerate(factors):
+        dl, d, du, du2, ipiv = lu
+        assert all(np.shares_memory(part, store) for part in lu)
+        assert ipiv.dtype == np.int32 and np.any(ipiv != np.arange(1, n + 1))
+        assert np.any(du2 != 0.0)
+        stepwise = stepper._factor(ab[j, 2, :-1], ab[j, 1].copy(), ab[j, 0, 1:])
+        for rhs in rng.normal(size=(3, n)):
+            ref = dgtsv(ab[j, 2, :-1], ab[j, 1], ab[j, 0, 1:], rhs)[3]
+            assert np.array_equal(stepper._solve(lu, rhs.copy()), ref)
+            assert np.array_equal(stepper._solve(stepwise, rhs.copy()), ref)
