@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import os
 import sys
 import warnings
@@ -75,16 +76,16 @@ def _node_csv(path: str, grid, named, times=None) -> None:
     k*dt of one period, where every orbit is stored.
     """
     times = np.arange(grid.steps_per_period + 1) * grid.dt if times is None else times
-    xs = grid.full_nodes()
+    xs = [_FMT % x for x in grid.full_nodes()]
     # every CSV uses the full node set; Dirichlet data gets its zero endpoints back
     padded = [map_between(values, bc, BoundarySpec.neumann(bc.group))
               for _, values, bc in named]
-    rows = []
-    for k, t in enumerate(times):
-        ts = _FMT % t
-        for i, x in enumerate(xs):
-            rows.append([_FMT % x, ts] + [_FMT % p[k, i] for p in padded])
-    _write_csv(path, ["x", "t"] + [name for name, _, _ in named], rows)
+    line = "%s,%s" + f",{_FMT}" * len(padded) + "\n"   # numbers need no CSV quoting
+    with open(path, "w", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerow(["x", "t"] + [name for name, _, _ in named])
+        for k, t in enumerate(times):   # level by level: no table of every row in memory
+            rows = zip(xs, itertools.repeat(_FMT % t), *(p[k].tolist() for p in padded))
+            f.writelines([line % row for row in rows])
 
 
 def _report_violations(rep, stream) -> None:

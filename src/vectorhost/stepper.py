@@ -12,14 +12,17 @@ Grid.lattice on a component's layout at the m solver levels of [0, T),
 factors every state-independent implicit matrix there once (LAPACK
 gttrf), and scales by dt once the lattices a step multiplies by dt first
 (beta, sigma1*H_u, linear couplings and sources): dt*w*x evaluates as
-(dt*w)*x, so no bit moves; each step of "full" and "logistic" factors the
-state-dependent vector matrix once.  _run is the one stepping loop.  It
+(dt*w)*x, so no bit moves; it keeps each lattice as a list of per-level
+rows, which a step indexes faster than a 2-D array.  Each step of "full"
+and "logistic" builds the diagonals of the state-dependent vector matrix
+once and solves on them directly.  _run is the one stepping loop.  It
 calls advance(u, k0, k1), one loop per model kind, from each kept level to
 the next; step k reads the lattices at level k mod m (the same map every
 period), every nonlinear step is checked against the blow-up cap, and kept
 levels go into stacked (n_kept, n_c) arrays, the layout of
-PeriodicOrbit.samples.  _solve is the one tridiagonal kernel, a solve on a
-factor (LAPACK gttrs), bit for bit what gtsv computes.
+PeriodicOrbit.samples.  _solve is the one tridiagonal kernel: a one-shot
+matrix goes to LAPACK gtsv, a stored factor to gttrs, which computes bit
+for bit what gtsv does.
 
 Structural properties the rest of the package leans on:
 
@@ -46,7 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.blas import ddot
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .coeffs import CoefficientSet
 from .coeffs import field_values  # noqa: F401  (name the benchmark tracer wraps here)
@@ -192,19 +196,31 @@ def _factored(D: DiffusionMatrix, dt: float, decay=0.0) -> list:
 
 
 def _solve(lu, rhs: np.ndarray) -> np.ndarray:
-    """Solve on a factor from _factor or _factored (LAPACK gttrs); rhs is
-    overwritten."""
-    x, _ = dgttrs(*lu, rhs, overwrite_b=1)
-    return x
+    """Solve with a tridiagonal matrix; rhs is overwritten.
+
+    lu is either the diagonals (dl, d, du) of a matrix used once, solved by
+    LAPACK gtsv on copies of them, or a factor (dl, d, du, du2, ipiv) from
+    _factor or _factored, solved by gttrs.  Arguments go positionally:
+    f2py takes about 0.5 us to parse a keyword, a third of a gttrs call at
+    n = 33.
+    """
+    if len(lu) == 3:
+        _, _, _, x, info = dgtsv(*lu, rhs, 0, 0, 0, 1)
+        if info != 0:  # defensive: singular implicit matrix
+            raise SolveError(f"implicit matrix is singular: gtsv info {info}")
+        return x
+    return dgttrs(*lu, rhs, "N", 1)[0]
 
 
 def _raise_past_cap(arrays, cap: float) -> None:
     """BlowupError for the first array with an entry past cap (or non-finite).
 
-    advance() calls this only when its sum of squares is not below cap*cap.
-    That sum is never below a rounded term, |a| > cap rounds a*a to at least
-    cap*cap, and NaN, inf and overflowed squares fail "<": so a sum below
-    cap*cap proves every |a| <= cap, and the exact test here decides the rest.
+    advance() calls this only when its sum of squares (BLAS ddot) is not
+    below cap*cap.  Every partial sum of nonnegative terms, in any order and
+    with or without fused multiply-adds, is at least each rounded term;
+    |a| > cap rounds a*a to at least cap*cap, and NaN, inf and overflowed
+    squares fail "<": so a sum below cap*cap proves every |a| <= cap, and
+    the exact test here decides the rest.
     """
     for a in arrays:
         peak = np.max(np.abs(a))
@@ -214,17 +230,18 @@ def _raise_past_cap(arrays, cap: float) -> None:
 
 
 class _PreparedLinear:
-    """Implicit matrices and dt-scaled coupling/source lattices for one system."""
+    """Implicit matrices and dt-scaled coupling/source lattices for one
+    system, each a list of per-level rows."""
 
     def __init__(self, sys: LinearPeriodicSystem):
         g = sys.grid
         ts = g.level_times()
         self.sys = sys
-        self.dt_coupling = [[None if f is None or j == i else g.dt * g.lattice(f, comp.bc)
+        self.dt_coupling = [[None if f is None or j == i else list(g.dt * g.lattice(f, comp.bc))
                              for j, f in enumerate(row)]
                             for i, (comp, row) in enumerate(zip(sys.comps, sys.coupling))]
         self.dt_src = [None] * len(sys.comps) if sys.source is None else \
-            [g.dt * g.lattice(f, comp.bc) for comp, f in zip(sys.comps, sys.source)]
+            [list(g.dt * g.lattice(f, comp.bc)) for comp, f in zip(sys.comps, sys.source)]
         self.lu = []        # [i][j] factor of component i's implicit matrix at level j
         for i, comp in enumerate(sys.comps):
             decay = sys.coupling[i][i]
@@ -252,9 +269,10 @@ class _PreparedLinear:
 
 
 class _PreparedModel:
-    """Coefficient lattices and factored implicit matrices for the nonlinear
-    selectors; only the vector matrix of "full"/"logistic" depends on the
-    state, and each step completes its diagonal and factors it."""
+    """Coefficient lattices, as lists of per-level rows, and factored
+    implicit matrices for the nonlinear selectors; only the vector matrix of
+    "full"/"logistic" depends on the state, and each step completes its
+    diagonal and solves on it."""
 
     def __init__(self, model: NonlinearModel):
         g = model.grid
@@ -268,23 +286,24 @@ class _PreparedModel:
         D2 = assemble_diffusion(g, c.d2, bc2, ts)
         mu1, mu2 = L(c.mu1, bc2), L(c.mu2, bc2)
         if model.kind != "truncated":
-            # the vector matrix without decay, as its (dl, d, du) stacked by
-            # level; steps add dt*decay to d and factor it
+            # the vector matrix without decay, as its (dl, d, du) by level;
+            # steps add dt*decay to d and solve on it
             ab2 = _banded(D2, dt)
-            self.diags2 = ab2[:, 2, :-1], ab2[:, 1], ab2[:, 0, 1:]
-            self.dt_beta = dt * L(c.beta, bc2)
-            self.mu1, self.mu2 = mu1, mu2
+            self.diags2 = list(ab2[:, 2, :-1]), list(ab2[:, 1]), list(ab2[:, 0, 1:])
+            self.dt_beta = list(dt * L(c.beta, bc2))
+            self.mu1, self.mu2 = list(mu1), list(mu2)
         if model.kind != "logistic":
-            self.sigma2 = L(c.sigma2, bc2)
+            self.sigma2 = list(L(c.sigma2, bc2))
             D1 = assemble_diffusion(g, c.d1, bc1, ts)
             self.lu_h = _factored(D1, dt, L(c.rho, bc1))
-            self.dt_s1hu = dt * (L(c.sigma1, bc1) * L(c.H_u, bc1))
+            self.dt_s1hu = list(dt * (L(c.sigma1, bc1) * L(c.H_u, bc1)))
         if model.kind == "truncated":
             V = L(model.V.samples[0][:-1], bc2)
-            self.band, shift = V, V
+            band, shift = V, V
             if model.eps != 0.0:
                 ephi = model.eps * L(model.phi.samples[0][:-1], bc2)
-                self.band, shift = V + ephi, V - ephi
+                band, shift = V + ephi, V - ephi
+            self.band = list(band)
             # the decay reads the orbit at the step's start level, as the
             # full model reads V_u + V_i: row j1 takes shift[j1 - 1]
             self.lu_z = _factored(D2, dt, mu1 + mu2 * np.roll(shift, 1, axis=0))
@@ -292,8 +311,10 @@ class _PreparedModel:
     def advance(self, u: tuple, k0: int, k1: int) -> tuple:
         """Component arrays at step k0 -> step k1; BlowupError at the first step past the cap."""
         model = self.model
-        m, dt, cap = model.grid.steps_per_period, model.grid.dt, model.cap
+        m, cap = model.grid.steps_per_period, model.cap
         cap2 = cap * cap if cap >= 0.0 else -1.0   # a negative cap fails every state
+        # 0-d arrays multiply an array faster than Python floats, to the same bits
+        dt, zero = np.array(model.grid.dt), np.array(0.0)
         bc1, bc2 = model.bc1, model.bc2
 
         if model.kind == "logistic":
@@ -301,9 +322,9 @@ class _PreparedModel:
             (V,) = u
             for k in range(k0, k1):
                 j0, j1 = k % m, (k + 1) % m
-                lu = _factor(dl[j1], d[j1] + dt * (mu1[j1] + mu2[j1] * V), du[j1])
-                V = _solve(lu, V + dt_beta[j0] * V)
-                if not np.dot(V, V) < cap2:
+                A = dl[j1], d[j1] + dt * (mu1[j1] + mu2[j1] * V), du[j1]
+                V = _solve(A, V + dt_beta[j0] * V)
+                if not ddot(V, V) < cap2:
                     _raise_past_cap((V,), cap)
             return (V,)
 
@@ -315,12 +336,12 @@ class _PreparedModel:
                 j0, j1 = k % m, (k + 1) % m
                 Vsum = Vu + Vi
                 trans = sigma2[j0] * Vu * map_between(Hi, bc1, bc2)
-                lu = _factor(dl[j1], d[j1] + dt * (mu1[j1] + mu2[j1] * Vsum), du[j1])
-                Vsum_n = _solve(lu, Vsum + dt_beta[j0] * Vsum)
-                Vi_n = _solve(lu, Vi + dt * trans)
+                A = dl[j1], d[j1] + dt * (mu1[j1] + mu2[j1] * Vsum), du[j1]
+                Vsum_n = _solve(A, Vsum + dt_beta[j0] * Vsum)
+                Vi_n = _solve(A, Vi + dt * trans)
                 Hi = _solve(lu_h[j1], Hi + dt_s1hu[j0] * map_between(Vi, bc2, bc1))
                 Vu, Vi = Vsum_n - Vi_n, Vi_n
-                if not np.dot(Hi, Hi) + np.dot(Vu, Vu) + np.dot(Vi, Vi) < cap2:
+                if not ddot(Hi, Hi) + ddot(Vu, Vu) + ddot(Vi, Vi) < cap2:
                     _raise_past_cap((Hi, Vu, Vi), cap)
             return (Hi, Vu, Vi)
 
@@ -328,11 +349,11 @@ class _PreparedModel:
         band, lu_z = self.band, self.lu_z
         for k in range(k0, k1):
             j0, j1 = k % m, (k + 1) % m
-            pos = np.maximum(band[j0] - Z, 0.0)
+            pos = np.maximum(band[j0] - Z, zero)
             trans = sigma2[j0] * pos * map_between(Hi, bc1, bc2)
             Z_n = _solve(lu_z[j1], Z + dt * trans)
             Hi, Z = _solve(lu_h[j1], Hi + dt_s1hu[j0] * map_between(Z, bc2, bc1)), Z_n
-            if not np.dot(Hi, Hi) + np.dot(Z, Z) < cap2:
+            if not ddot(Hi, Hi) + ddot(Z, Z) < cap2:
                 _raise_past_cap((Hi, Z), cap)
         return (Hi, Z)
 

@@ -1,15 +1,18 @@
 """Config loading and the command line front end, run in process (one
 warning-format check runs the module as a subprocess)."""
 
+import csv
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import vectorhost
-from vectorhost import ConfigError, DomainError, evaluate, load_config
-from vectorhost.cli import main
+from vectorhost import (BoundarySpec, ConfigError, DomainError, build_grid,
+                        evaluate, load_config, map_between)
+from vectorhost.cli import _node_csv, main
 
 BASE = """\
 [domain]
@@ -366,6 +369,39 @@ def test_simulate_is_deterministic(tmp_path, capsys):
     assert lines[0] == "x,t,H_i,V_u,V_i"
     assert len(lines) == 1 + (6 * 8 + 1) * 33
     capsys.readouterr()
+
+
+def reference_node_csv(path, grid, named, times=None):
+    """The node table written as csv.writer rows: the reference _node_csv
+    must match byte for byte."""
+    times = np.arange(grid.steps_per_period + 1) * grid.dt if times is None else times
+    padded = [map_between(values, bc, BoundarySpec.neumann(bc.group))
+              for _, values, bc in named]
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(["x", "t"] + [name for name, _, _ in named])
+        for k, t in enumerate(times):
+            for i, x in enumerate(grid.full_nodes()):
+                w.writerow(["%.17g" % x, "%.17g" % t] + ["%.17g" % p[k, i] for p in padded])
+
+
+def test_node_table_writer_matches_the_csv_writer_rows(tmp_path):
+    g = build_grid(-0.5, 1.0, 7, 2.0, 8)
+    host, vector = BoundarySpec.dirichlet(1), BoundarySpec.robin(2, 0.5, 1.5)
+    rng = np.random.default_rng(3)
+    # an orbit on the m+1 levels: the Dirichlet host is padded with zeros
+    orbit = [("H_i", rng.uniform(0.0, 2.0, (9, 7)), host),
+             ("V", rng.uniform(0.0, 2.0, (9, 9)), vector)]
+    # trajectory times and values that print as 0, 1 and with exponents
+    times = np.array([0.0, 0.25, 1.0, 40.0, 1e-7])
+    edge = np.array([0.0, -0.0, 1.0, 1e-300, 5e-324, 1e21, -3.5e-5, np.inf, np.nan])
+    trajectory = [("V_u", np.resize(edge, (5, 9)), vector),
+                  ("V_i", rng.normal(size=(5, 9)) * 10.0 ** rng.integers(-20, 20, (5, 9)),
+                   vector)]
+    for named, kw in ((orbit, {}), (trajectory, {"times": times})):
+        _node_csv(str(tmp_path / "a.csv"), g, named, **kw)
+        reference_node_csv(str(tmp_path / "b.csv"), g, named, **kw)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_verify_reaches_target(tmp_path, capsys):

@@ -7,6 +7,8 @@ exact agreement between the total vector of the full model and the
 logistic scalar model.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dgtsv
@@ -341,6 +343,29 @@ def test_cap_edge_is_exact(kind):
         integrate_trajectory(model(np.nextafter(P, 0.0)), u0, 2)
 
 
+def test_cap_pre_filter_does_not_warn_when_squares_overflow():
+    # Hi = 1e170 squares past the largest float, so the pre-filter's sum of
+    # squares overflows: that is bookkeeping, not the model, and a cap of
+    # 1e200 must run silently to the same bits as no cap
+    g = build_grid(0.0, 1.0, 15, 1.0, 32)
+    c = make_constants(beta="2 + sin(2*pi*t)", H_u="5*(1 + 0.5*cos(pi*x))")
+    V = solve_logistic_orbit(c, NEUMANN[1], g).orbit
+    u0 = (np.full(17, 1e170), 0.2 * V.level(0, 0))
+
+    def model(cap):
+        return NonlinearModel(kind="truncated", c=c, bc1=NEUMANN[0], bc2=NEUMANN[1],
+                              grid=g, V=V, cap=cap)
+
+    free = integrate_trajectory(model(np.inf), u0, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        capped = integrate_trajectory(model(1e200), u0, 2)
+    for a, b in zip(capped.samples, free.samples):
+        assert np.array_equal(a, b)
+    with pytest.raises(BlowupError, match=r"^state exceeded blow-up cap 1e\+169$"):
+        integrate_trajectory(model(1e169), u0, 2)
+
+
 def test_non_finite_state_is_named_under_a_huge_cap(grid, endemic_c):
     # 1e200 squared overflows to inf, the same as an infinite state's
     # square: the message must still name the state non-finite
@@ -533,7 +558,13 @@ def test_factors_solve_as_gtsv_does_under_row_interchanges(n):
         assert ipiv.dtype == np.int32 and np.any(ipiv != np.arange(1, n + 1))
         assert np.any(du2 != 0.0)
         stepwise = stepper._factor(ab[j, 2, :-1], ab[j, 1].copy(), ab[j, 0, 1:])
+        # a one-shot matrix is solved on its diagonals, which must survive:
+        # "full" solves twice on one diagonal
+        diags = (ab[j, 2, :-1].copy(), ab[j, 1].copy(), ab[j, 0, 1:].copy())
         for rhs in rng.normal(size=(3, n)):
             ref = dgtsv(ab[j, 2, :-1], ab[j, 1], ab[j, 0, 1:], rhs)[3]
             assert np.array_equal(stepper._solve(lu, rhs.copy()), ref)
             assert np.array_equal(stepper._solve(stepwise, rhs.copy()), ref)
+            assert np.array_equal(stepper._solve(diags, rhs.copy()), ref)
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(diags, (ab[j, 2, :-1], ab[j, 1], ab[j, 0, 1:])))
