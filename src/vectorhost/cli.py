@@ -239,8 +239,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     o = cfg.solver
     u0 = build_initial_state(cfg.grid, cfg.bc1, cfg.bc2, cfg.run.initial)
     cr = verify_trichotomy(cfg.coeffs, (cfg.bc1, cfg.bc2), cfg.grid,
-                           initial=u0, n_periods=o.n_periods,
-                           target=o.target, tols=o)
+                           initial=u0, tols=o)
     items = _classify_items(cr.regime_report)
     items += [("verdict", cr.verdict),
               ("final_error", cr.final_error),
@@ -342,7 +341,11 @@ def main(argv=None) -> int:
             f"{category.__name__}: {message}", file=sys.stderr)
         try:
             cfg = load_config(args.config, tuple(args.override))
-            os.makedirs(args.out, exist_ok=True)
+            try:
+                os.makedirs(args.out, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot create output directory {args.out}: "
+                                  f"{exc.strerror}") from None
             if args.seed is not None:
                 np.random.seed(args.seed % 2**32)
             # the standing hypothesis gates every solve; validate reports it

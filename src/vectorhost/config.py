@@ -232,8 +232,8 @@ def load_config(path: str, overrides=()) -> RunConfig:
         raw = _get(parser, "sweep", "values", str, required=True)
         parts = [p for chunk in raw.split(",") for p in chunk.split()]
         try:
-            values = tuple(float(p) for p in parts)
-        except ValueError as exc:
+            values = tuple(_finite(p) for p in parts)
+        except (ValueError, ConfigError) as exc:
             _fail("sweep", "values", str(exc))
         if not values:
             _fail("sweep", "values", "value list is empty")

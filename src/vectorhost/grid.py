@@ -152,15 +152,13 @@ class DiffusionMatrix:
     """Tridiagonal discretisation of div(d grad .) at a fixed time.
 
     Dimension nx (Dirichlet) or nx+2 (Robin); `lower`/`upper` hold the
-    off-diagonals (length n-1).  Assembled over an array of times, t is
-    that array and every diagonal gains a leading time axis.
+    off-diagonals (length n-1).  Assembled over an array of times, every
+    diagonal gains a leading time axis.
     """
 
     lower: np.ndarray
     diag: np.ndarray
     upper: np.ndarray
-    t: object   # float | np.ndarray
-    h: float
 
     @property
     def n(self) -> int:
@@ -221,8 +219,8 @@ def assemble_diffusion(grid: Grid, d, bc: BoundarySpec, t) -> DiffusionMatrix:
         diag[:, -1] = -2.0 * dface[:, -1] / h2 - 2.0 * br * dface[:, -1] / grid.h
         lower[:, -1] = 2.0 * dface[:, -1] / h2
     if np.ndim(t) == 0:
-        return DiffusionMatrix(lower[0], diag[0], upper[0], float(t), grid.h)
-    return DiffusionMatrix(lower, diag, upper, ts, grid.h)
+        return DiffusionMatrix(lower[0], diag[0], upper[0])
+    return DiffusionMatrix(lower, diag, upper)
 
 
 def map_between(values: np.ndarray, src: BoundarySpec, dst: BoundarySpec) -> np.ndarray:

@@ -20,9 +20,11 @@ calls advance(u, k0, k1), one loop per model kind, from each kept level to
 the next; step k reads the lattices at level k mod m (the same map every
 period), every nonlinear step is checked against the blow-up cap, and kept
 levels go into stacked (n_kept, n_c) arrays, the layout of
-PeriodicOrbit.samples.  _solve is the one tridiagonal kernel: a one-shot
-matrix goes to LAPACK gtsv, a stored factor to gttrs, which computes bit
-for bit what gtsv does.
+PeriodicOrbit.samples.  _solve is the one tridiagonal kernel.  Every
+implicit matrix reaches it as the (dl, d, du) that _implicit forms from
+assemble_diffusion's diagonals: a one-shot matrix goes to LAPACK gtsv, a
+stored one as gttrf's own factor to gttrs, which computes bit for bit
+what gtsv does.
 
 Structural properties the rest of the package leans on:
 
@@ -162,47 +164,34 @@ class Trajectory:
 # ═══════════════════════════════════════════════════════════════════════════
 
 
-def _banded(D: DiffusionMatrix, dt: float, decay=0.0, rows: int = 3) -> np.ndarray:
-    """I - dt*D + dt*diag(decay), stacked like D, in rows 0-2 (banded (1,1)
-    form: du, d, dl) of a (rows, n) block per level."""
-    ab = np.zeros(D.diag.shape[:-1] + (rows, D.n))
-    ab[..., 0, 1:] = -dt * D.upper
-    ab[..., 1, :] = 1.0 - dt * D.diag + dt * decay
-    ab[..., 2, :-1] = -dt * D.lower
-    return ab
+def _implicit(D: DiffusionMatrix, dt: float, decay=0.0) -> tuple:
+    """The diagonals (dl, d, du) of I - dt*D + dt*diag(decay), stacked like D."""
+    return -dt * D.lower, 1.0 - dt * D.diag + dt * decay, -dt * D.upper
 
 
 def _factor(dl, d, du) -> tuple:
-    """The factor (dl, d, du, du2, ipiv) of the tridiagonal matrix with these
-    diagonals (LAPACK gttrf); d is overwritten."""
-    dl, d, du, du2, ipiv, info = dgttrf(dl, d, du, overwrite_d=1)
+    """gttrf's factor (dl, d, du, du2, ipiv) of the tridiagonal matrix with
+    these diagonals, in place: dl, d and du are overwritten, so a stored
+    level holds two new arrays, not five, and peak memory stays lower."""
+    dl, d, du, du2, ipiv, info = dgttrf(dl, d, du, 1, 1, 1)
     if info != 0:  # defensive: singular implicit matrix
         raise SolveError(f"implicit matrix is singular: gttrf info {info}")
     return dl, d, du, du2, ipiv
 
 
 def _factored(D: DiffusionMatrix, dt: float, decay=0.0) -> list:
-    """The factor of every level of _banded(D, dt, decay), stored in one
-    (m, 5, n) array: rows 0-2 hold its du, d and dl, row 3 du2 and row 4
-    the pivots through an int32 view.  Level j's factor is the tuple of
-    views of its block that _solve reads."""
-    factors = []
-    for lu in _banded(D, dt, decay, rows=5):
-        views = (lu[2, :-1], lu[1], lu[0, 1:], lu[3, :-2], lu[4].view(np.int32)[:D.n])
-        for view, part in zip(views, _factor(*views[:3])):   # d is factored in place
-            view[:] = part
-        factors.append(views)
-    return factors
+    """gttrf's factor (dl, d, du, du2, ipiv) of each level of _implicit(D, dt, decay)."""
+    return [_factor(*level) for level in zip(*_implicit(D, dt, decay))]
 
 
 def _solve(lu, rhs: np.ndarray) -> np.ndarray:
     """Solve with a tridiagonal matrix; rhs is overwritten.
 
-    lu is either the diagonals (dl, d, du) of a matrix used once, solved by
-    LAPACK gtsv on copies of them, or a factor (dl, d, du, du2, ipiv) from
-    _factor or _factored, solved by gttrs.  Arguments go positionally:
-    f2py takes about 0.5 us to parse a keyword, a third of a gttrs call at
-    n = 33.
+    lu is either a level (dl, d, du) of _implicit for a matrix used once,
+    solved by LAPACK gtsv on copies of it, or gttrf's factor (dl, d, du,
+    du2, ipiv) of one, from _factor or _factored, solved by gttrs.
+    Arguments go positionally: f2py takes about 0.5 us to parse a keyword,
+    a third of a gttrs call at n = 33.
     """
     if len(lu) == 3:
         _, _, _, x, info = dgtsv(*lu, rhs, 0, 0, 0, 1)
@@ -288,8 +277,7 @@ class _PreparedModel:
         if model.kind != "truncated":
             # the vector matrix without decay, as its (dl, d, du) by level;
             # steps add dt*decay to d and solve on it
-            ab2 = _banded(D2, dt)
-            self.diags2 = list(ab2[:, 2, :-1]), list(ab2[:, 1]), list(ab2[:, 0, 1:])
+            self.diags2 = tuple(list(diag) for diag in _implicit(D2, dt))
             self.dt_beta = list(dt * L(c.beta, bc2))
             self.mu1, self.mu2 = list(mu1), list(mu2)
         if model.kind != "logistic":

@@ -134,6 +134,8 @@ def test_overrides_apply_before_validation(tmp_path):
     "[solver]\neps = nan\n",
     "[solver]\neps = inf\n",
     "[run]\ntarget = inf\n",
+    "[sweep]\nparameter = H_u\ntemplate = value\nvalues = nan 5\n",
+    "[sweep]\nparameter = H_u\ntemplate = value\nvalues = inf\n",
 ])
 def test_config_rejections(tmp_path, extra):
     with pytest.raises(ConfigError):
@@ -185,6 +187,13 @@ def test_config_error_exits_one(tmp_path, capsys):
     assert main(["classify", "--config", str(bad),
                  "--out", str(tmp_path / "o")]) == 1
     capsys.readouterr()
+    taken = tmp_path / "taken"          # --out names a file
+    taken.write_text("")
+    assert main(["validate", "--config", write_config(tmp_path),
+                 "--out", str(taken)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: cannot create output directory {taken}: File exists\n"
 
 
 def test_validate_pass_and_hypothesis_failure(tmp_path, capsys):

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dgttrf
 
 from vectorhost import (BlowupError, BoundarySpec, ComponentSpec, DomainError,
                         InputError, LinearPeriodicSystem, NonlinearModel,
@@ -547,24 +547,26 @@ def test_factors_solve_as_gtsv_does_under_row_interchanges(n):
     D = DiffusionMatrix(lower=rng.choice([-1.0, 1.0], (levels, n - 1))
                         * rng.uniform(2.0, 3.0, (levels, n - 1)),
                         diag=rng.uniform(0.0, 2.0, (levels, n)),
-                        upper=rng.normal(size=(levels, n - 1)), t=np.zeros(levels), h=1.0)
-    ab = stepper._banded(D, 1.0)       # the matrices the factors hold
+                        upper=rng.normal(size=(levels, n - 1)))
+    dl, d, du = stepper._implicit(D, 1.0)     # the matrices the factors hold
     factors = stepper._factored(D, 1.0)
-    store = factors[0][1].base
-    assert store.shape == (levels, 5, n)
+    assert len(factors) == levels
     for j, lu in enumerate(factors):
-        dl, d, du, du2, ipiv = lu
-        assert all(np.shares_memory(part, store) for part in lu)
+        # the stored factor is gttrf's own output on the level's diagonals
+        raw = dgttrf(dl[j], d[j], du[j])[:5]
+        assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                   for a, b in zip(lu, raw))
+        _, _, _, du2, ipiv = lu
         assert ipiv.dtype == np.int32 and np.any(ipiv != np.arange(1, n + 1))
         assert np.any(du2 != 0.0)
-        stepwise = stepper._factor(ab[j, 2, :-1], ab[j, 1].copy(), ab[j, 0, 1:])
+        stepwise = stepper._factor(dl[j].copy(), d[j].copy(), du[j].copy())
         # a one-shot matrix is solved on its diagonals, which must survive:
         # "full" solves twice on one diagonal
-        diags = (ab[j, 2, :-1].copy(), ab[j, 1].copy(), ab[j, 0, 1:].copy())
+        diags = (dl[j].copy(), d[j].copy(), du[j].copy())
         for rhs in rng.normal(size=(3, n)):
-            ref = dgtsv(ab[j, 2, :-1], ab[j, 1], ab[j, 0, 1:], rhs)[3]
+            ref = dgtsv(dl[j], d[j], du[j], rhs)[3]
             assert np.array_equal(stepper._solve(lu, rhs.copy()), ref)
             assert np.array_equal(stepper._solve(stepwise, rhs.copy()), ref)
             assert np.array_equal(stepper._solve(diags, rhs.copy()), ref)
             assert all(np.array_equal(a, b) for a, b in
-                       zip(diags, (ab[j, 2, :-1], ab[j, 1], ab[j, 0, 1:])))
+                       zip(diags, (dl[j], d[j], du[j])))
