@@ -27,7 +27,7 @@ import warnings
 import numpy as np
 
 from .coeffs import validate_hypothesis_H
-from .config import RunConfig, load_config, substituted_coeffs
+from .config import RunConfig, check_sample_stride, load_config, substituted_coeffs
 from .dynamics import (INDETERMINATE, build_initial_state, classify_regime,
                        verify_trichotomy)
 from .eigen import gamma_rho, lambda_V, lambda_V_eps
@@ -341,6 +341,8 @@ def main(argv=None) -> int:
             f"{category.__name__}: {message}", file=sys.stderr)
         try:
             cfg = load_config(args.config, tuple(args.override))
+            if args.command in ("simulate", "verify"):   # the two that keep a trajectory
+                check_sample_stride(cfg.grid, cfg.solver)
             try:
                 os.makedirs(args.out, exist_ok=True)
             except OSError as exc:

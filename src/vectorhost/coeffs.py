@@ -13,6 +13,8 @@ text in a tiny arithmetic grammar:
 
 Functions: sin, cos, exp, abs (one argument), max, min, pow (two).
 Precedence: ^  >  unary -  >  * /  >  + -.  Python's '**' is rejected.
+An expression may nest at most MAX_DEPTH levels: a longer chain of
+operators or deeper brackets is a ParseError.
 
 Evaluation is pure and numpy-vectorised over x and t.  Every solver reads
 its coefficients through field_lattice, which evaluates a field once on the
@@ -42,6 +44,12 @@ __all__ = [
 FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "abs": 1, "max": 2, "min": 2, "pow": 2}
 
 VARIABLES = ("x", "t")
+
+# The deepest an expression may nest.  The parser spends at most five Python
+# frames per nested group, _ev one and to_source two per tree level, so all
+# three stay well inside Python's default recursion limit of 1000.
+MAX_DEPTH = 150
+_TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
 
 # Relative tolerance for the T-periodicity lattice check.
 PERIODICITY_RTOL = 1e-10
@@ -129,6 +137,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0      # open unary() calls: every recursion passes there
         self.constants = constants
 
     def peek(self):
@@ -175,11 +184,17 @@ class _Parser:
                 return e
 
     def unary(self) -> Expression:
-        kind, text, _ = self.peek()
+        kind, text, pos = self.peek()
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(_TOO_DEEP, pos)
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            e = Neg(self.unary())
+        else:
+            e = self.power()
+        self.depth -= 1
+        return e
 
     def power(self) -> Expression:
         base = self.atom()
@@ -234,9 +249,25 @@ def parse_expression(source: str, constants: Mapping[str, float] | None = None) 
             they are inlined as literals at parse time.
 
     Raises:
-        ParseError: with the byte offset of the offending token.
+        ParseError: with the byte offset of the offending token, or offset
+            0 for a tree deeper than MAX_DEPTH.
     """
-    return _Parser(source, constants or {}).parse()
+    e = _Parser(source, constants or {}).parse()
+    if _height(e) > MAX_DEPTH:
+        raise ParseError(_TOO_DEEP, 0)
+    return e
+
+
+def _height(e: Expression) -> int:
+    """Levels of the tree under e, counted without recursion."""
+    height, todo = 0, [(e, 1)]
+    while todo:
+        e, level = todo.pop()
+        height = max(height, level)
+        kids = (e.operand,) if isinstance(e, Neg) else (e.left, e.right) \
+            if isinstance(e, Bin) else e.args if isinstance(e, Call) else ()
+        todo += [(k, level + 1) for k in kids]
+    return height
 
 
 # ═══════════════════════════════════════════════════════════════════════════

@@ -24,7 +24,7 @@ from .grid import BoundarySpec, Grid, build_grid
 from .periodic import SolverOptions
 
 __all__ = ["RunSettings", "SweepSettings", "RunConfig", "load_config",
-           "substituted_coeffs"]
+           "check_sample_stride", "substituted_coeffs"]
 
 
 def _finite(raw, positive=False):
@@ -209,10 +209,8 @@ def load_config(path: str, overrides=()) -> RunConfig:
     if not 0 <= solver.eps < math.inf:  # NaN fails too
         raise ConfigError("[solver] eps: must be "
                           + ("nonnegative" if solver.eps < 0 else "finite"))
-    if grid.steps_per_period % solver.sample_stride != 0:
-        raise ConfigError(
-            f"[run] sample_stride: {solver.sample_stride} does not divide "
-            f"steps_per_period {grid.steps_per_period}")
+    if parser.has_option("run", "sample_stride"):
+        check_sample_stride(grid, solver)
 
     initial = tuple(
         parse_expression(_get(parser, "run", key, str, _DEFAULT_INITIAL[key]))
@@ -241,6 +239,17 @@ def load_config(path: str, overrides=()) -> RunConfig:
 
     return RunConfig(grid=grid, bc1=bc1, bc2=bc2, coeffs=coeffs, solver=solver,
                      run=run, sweep=sweep)
+
+
+def check_sample_stride(grid: Grid, solver: SolverOptions) -> None:
+    """ConfigError unless the trajectory stride divides steps_per_period.
+
+    load_config checks a stride the config sets; the subcommands that keep
+    a trajectory check the default one too, since only they sample."""
+    if grid.steps_per_period % solver.sample_stride != 0:
+        raise ConfigError(
+            f"[run] sample_stride: {solver.sample_stride} does not divide "
+            f"steps_per_period {grid.steps_per_period}")
 
 
 def substituted_coeffs(cfg: RunConfig, value: float) -> CoefficientSet:

@@ -112,7 +112,7 @@ def classify_regime(c: CoefficientSet, bcs, grid: Grid,
     if side > 0:
         return RegimeReport(
             zeta=z, lambda_V=None, regime=EXTINCTION,
-            attractor=PeriodicOrbit.zeros([n1, n2, n2], m, g.dt, g.T),
+            attractor=PeriodicOrbit.zeros([n1, n2, n2], m),
             attractor_kind="(0, 0, 0)", band=o.band, logistic=lr)
     if side == 0:
         return RegimeReport(
@@ -125,7 +125,7 @@ def classify_regime(c: CoefficientSet, bcs, grid: Grid,
     if side > 0:
         attractor = PeriodicOrbit(
             (np.zeros((m + 1, n1)), lr.orbit.samples[0], np.zeros((m + 1, n2))),
-            g.dt, g.T, lr.orbit.residual)
+            lr.orbit.residual)
         return RegimeReport(
             zeta=z, lambda_V=lam.value, regime=DISEASE_FREE,
             attractor=attractor, attractor_kind="(0, V, 0)", band=o.band,
@@ -134,7 +134,7 @@ def classify_regime(c: CoefficientSet, bcs, grid: Grid,
         pair = solve_endemic_pair(c, bcs, g, o, logistic=lr, lam=lam)
         return RegimeReport(
             zeta=z, lambda_V=lam.value, regime=ENDEMIC,
-            attractor=_endemic_attractor(g, pair),
+            attractor=_endemic_attractor(pair),
             attractor_kind="(H_i, V - V_i, V_i)", band=o.band, logistic=lr,
             lambda_V_result=lam, pair=pair)
     return RegimeReport(
@@ -143,11 +143,10 @@ def classify_regime(c: CoefficientSet, bcs, grid: Grid,
         logistic=lr, lambda_V_result=lam)
 
 
-def _endemic_attractor(g: Grid, pair: EndemicPairResult) -> PeriodicOrbit:
+def _endemic_attractor(pair: EndemicPairResult) -> PeriodicOrbit:
     """(H_i, V - V_i, V_i) from the pair's upper limit and carrying orbit."""
     H, V, Vi = pair.H_orbit.samples[0], pair.V.samples[0], pair.Vi_orbit.samples[0]
-    return PeriodicOrbit((H, V - Vi, Vi), g.dt, g.T,
-                         max(pair.V.residual, pair.upper_residual))
+    return PeriodicOrbit((H, V - Vi, Vi), max(pair.V.residual, pair.upper_residual))
 
 
 # ──────────────────────────────────────────────────────── verification ──
@@ -239,7 +238,7 @@ def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid,
     if report.regime == ENDEMIC and report.pair.eps_used != 0.0:
         pair = solve_endemic_pair(c, bcs, grid, replace(o, eps=0.0),
                                   report.logistic, report.lambda_V_result)
-        attractor = _endemic_attractor(grid, pair)
+        attractor = _endemic_attractor(pair)
 
     model = NonlinearModel(kind="full", c=c, bc1=bc1, bc2=bc2, grid=grid,
                            cap=o.blowup_cap)

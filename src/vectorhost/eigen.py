@@ -55,15 +55,12 @@ _COOP_SLACK = -1e-12
 
 @dataclass(frozen=True)
 class PeriodicOrbit:
-    """One period of a (possibly multi-component) field, sampled at every
-    solver level: samples[c] has shape (m+1, n_c) with row k at t = k*dt.
-
-    Level access wraps periodically (level m is stored only as a residual
-    witness; arithmetic uses k mod m)."""
+    """One period of a (possibly multi-component) field: its samples and its
+    residual.  samples[c] has shape (m+1, n_c); rows 0..m-1, lattice(c), are
+    the m solver levels (row k at t = k * grid.dt), and row m only witnesses
+    the residual.  Level access wraps periodically (k mod m)."""
 
     samples: tuple
-    dt: float
-    T: float
     residual: float = 0.0
 
     @property
@@ -77,48 +74,22 @@ class PeriodicOrbit:
     def level(self, comp: int, k: int) -> np.ndarray:
         return self.samples[comp][k % self.m]
 
+    def lattice(self, comp: int = 0) -> np.ndarray:
+        """Component comp at the m solver levels, shape (m, n_c): a view."""
+        return self.samples[comp][:-1]
+
     def sup_norm(self) -> float:
         return max(float(np.max(np.abs(s))) if s.size else 0.0 for s in self.samples)
 
     def min_value(self) -> float:
-        return min(float(np.min(s[:-1])) for s in self.samples)
-
-    def field(self, comp: int = 0):
-        """A coefficient-field view (x, t) -> nodal values at the level t/dt.
-
-        Only valid on the solver's time lattice; the spatial argument must
-        already be this component's node set.
-        """
-        def fn(x, t):
-            k = round(t / self.dt)
-            if abs(t - k * self.dt) > 1e-6 * self.dt:
-                raise InputError(f"time {t} is off the orbit lattice (dt={self.dt})")
-            v = self.level(comp, k)
-            if np.shape(x) != v.shape:
-                raise InputError("node layout mismatch when sampling orbit")
-            return v
-        return fn
-
-    def map_values(self, fn) -> "PeriodicOrbit":
-        """New orbit with fn applied to each component's sample array."""
-        return PeriodicOrbit(tuple(np.asarray(fn(s), dtype=float) for s in self.samples),
-                             self.dt, self.T, self.residual)
+        return min(float(np.min(self.lattice(c))) for c in range(self.ncomp))
 
     @staticmethod
-    def combine(a: "PeriodicOrbit", b: "PeriodicOrbit", fn) -> "PeriodicOrbit":
-        if a.samples[0].shape[0] != b.samples[0].shape[0] or a.dt != b.dt:
-            raise InputError("orbit lattices do not match")
-        return PeriodicOrbit(
-            tuple(np.asarray(fn(x, y), dtype=float)
-                  for x, y in zip(a.samples, b.samples)),
-            a.dt, a.T, max(a.residual, b.residual))
-
-    @staticmethod
-    def zeros(sizes, m: int, dt: float, T: float) -> "PeriodicOrbit":
-        return PeriodicOrbit(tuple(np.zeros((m + 1, n)) for n in sizes), dt, T, 0.0)
+    def zeros(sizes, m: int) -> "PeriodicOrbit":
+        return PeriodicOrbit(tuple(np.zeros((m + 1, n)) for n in sizes))
 
     def component(self, comp: int) -> "PeriodicOrbit":
-        return PeriodicOrbit((self.samples[comp],), self.dt, self.T, self.residual)
+        return PeriodicOrbit((self.samples[comp],), self.residual)
 
 
 @dataclass(frozen=True)
@@ -313,8 +284,7 @@ def principal_eigenvalue(system: LinearPeriodicSystem,
     phi = np.exp(value * ts)[:, None] * P.period_map(u, store=True)
     phi /= np.max(np.abs(phi))
     residual = float(np.max(np.abs(phi[-1] - phi[0])))
-    orbit = PeriodicOrbit(tuple(np.ascontiguousarray(s) for s in P.split(phi)),
-                          g.dt, g.T, residual)
+    orbit = PeriodicOrbit(tuple(np.ascontiguousarray(s) for s in P.split(phi)), residual)
 
     interior_min = min(float(np.min(g.interior(s, comp.bc)))
                        for s, comp in zip(orbit.samples, system.comps))
@@ -402,7 +372,7 @@ def lambda_V(c: CoefficientSet, bcs, grid: Grid, V: PeriodicOrbit,
     mu1 + mu2*V).  Negative values mean the infection invades.
     """
     _check_orbit_for_linearisation(V, grid)
-    sys = _invasion_system(c, bcs, grid, V.samples[0][:-1], V.samples[0][:-1])
+    sys = _invasion_system(c, bcs, grid, V.lattice(), V.lattice())
     return principal_eigenvalue(sys, tol, max_iters)
 
 
@@ -425,6 +395,6 @@ def lambda_V_eps(c: CoefficientSet, bcs, grid: Grid, V: PeriodicOrbit,
         raise EpsilonTooLarge(
             f"V - |eps|*phi reaches {margin:.3g} (eps={eps:g}); "
             "the band leaves the positive cone")
-    Vs, Ps = V.samples[0][:-1], phi.samples[0][:-1]
+    Vs, Ps = V.lattice(), phi.lattice()
     sys = _invasion_system(c, bcs, grid, Vs + eps * Ps, Vs - eps * Ps)
     return principal_eigenvalue(sys, tol, max_iters)

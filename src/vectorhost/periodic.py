@@ -172,7 +172,7 @@ def _store_orbit(model, prepared, state: tuple) -> PeriodicOrbit:
     """One stored sweep from a converged boundary state."""
     samples = integrate_over_period(model, state, prepared=prepared, store=True)
     residual = max(float(np.max(np.abs(s[-1] - s[0]))) for s in samples)
-    return PeriodicOrbit(samples, model.grid.dt, model.grid.T, residual)
+    return PeriodicOrbit(samples, residual)
 
 
 # ─────────────────────────────────────────────── the vector total orbit ──
@@ -199,7 +199,7 @@ def solve_logistic_orbit(c: CoefficientSet, bc2: BoundarySpec, grid: Grid,
     n2 = g.n_unknowns(bc2)
     if band_sign(rz.value, o.band) >= 0:
         return LogisticOrbitResult(
-            orbit=PeriodicOrbit.zeros([n2], g.steps_per_period, g.dt, g.T),
+            orbit=PeriodicOrbit.zeros([n2], g.steps_per_period),
             zeta_result=rz, converged_in=0, fixed_point_residual=0.0,
             agreement_gap=0.0)
 
@@ -252,14 +252,15 @@ def solve_Hbar(c: CoefficientSet, bcs, grid: Grid,
     gamma_rho(c, bc1, grid, o.eigen_tol, o.max_eigen_iters)
     if V.ncomp != 1 or V.samples[0].shape != (grid.steps_per_period + 1, grid.n_unknowns(bc2)):
         raise InputError("V must be a scalar orbit on this grid's lattice")
+    drive = V.lattice()
     if eps != 0.0:
         if phi is None:
             raise InputError("a band shift eps != 0 needs phi")
-        drive = PeriodicOrbit.combine(V, phi, lambda v, p: v + eps * p)
-    else:
-        drive = V
+        if phi.ncomp != 1 or phi.samples[0].shape != V.samples[0].shape:
+            raise InputError("phi must be a scalar orbit on V's lattice")
+        drive = drive + eps * phi.lattice()
     src = (grid.lattice(c.sigma1, bc1) * grid.lattice(c.H_u, bc1)
-           * map_between(drive.samples[0][:-1], bc2, bc1))
+           * map_between(drive, bc2, bc1))
     sys = LinearPeriodicSystem(
         grid=grid,
         comps=(ComponentSpec(d=c.d1, bc=bc1),),
@@ -279,10 +280,10 @@ def _band_inequality_holds(c: CoefficientSet, grid: Grid, bc2: BoundarySpec,
                            eps: float, zeta_value: float) -> bool:
     """Pointwise quadratic admissibility of the band shift:
     (eps*phi)^2 * mu2 - eps*phi*|beta + zeta| < beta*V on the lattice."""
-    ephi = eps * phi.samples[0][:-1]
+    ephi = eps * phi.lattice()
     beta = grid.lattice(c.beta, bc2)
     lhs = ephi ** 2 * grid.lattice(c.mu2, bc2) - ephi * np.abs(beta + zeta_value)
-    return bool(np.all(lhs < beta * V.samples[0][:-1]))
+    return bool(np.all(lhs < beta * V.lattice()))
 
 
 def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
@@ -341,7 +342,7 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
 
     phi = rz.eigenfunction
     if eps is None:
-        eps = 0.1 * float(np.min(V.samples[0][:-1])) / phi.sup_norm()
+        eps = 0.1 * float(np.min(V.lattice())) / phi.sup_norm()
     slack = 10.0 * tol
 
     def floor(b):  # per-component slack, relative to the seed's scale

@@ -143,12 +143,12 @@ class NonlinearModel:
 @dataclass
 class Trajectory:
     """Kept levels of a run: row r of samples[c], shape (len(steps), n_c),
-    is component c at global step steps[r]; every period boundary is kept."""
+    is component c at global step steps[r].  steps is the one record of
+    which levels were kept; every period boundary is among them."""
 
     grid: Grid
     steps: np.ndarray
     samples: tuple
-    sample_stride: int
 
     @property
     def times(self) -> np.ndarray:
@@ -286,10 +286,10 @@ class _PreparedModel:
             self.lu_h = _factored(D1, dt, L(c.rho, bc1))
             self.dt_s1hu = list(dt * (L(c.sigma1, bc1) * L(c.H_u, bc1)))
         if model.kind == "truncated":
-            V = L(model.V.samples[0][:-1], bc2)
+            V = L(model.V.lattice(), bc2)
             band, shift = V, V
             if model.eps != 0.0:
-                ephi = model.eps * L(model.phi.samples[0][:-1], bc2)
+                ephi = model.eps * L(model.phi.lattice(), bc2)
                 band, shift = V + ephi, V - ephi
             self.band = list(band)
             # the decay reads the orbit at the step's start level, as the
@@ -425,4 +425,4 @@ def integrate_trajectory(model, u0: tuple, n_periods: int,
     if n_periods < 1:
         raise DomainError(f"n_periods must be a positive count, got {n_periods}")
     steps, samples = _run(model, u0, step, n_periods * m, sample_stride, None)
-    return Trajectory(model.grid, steps, samples, sample_stride)
+    return Trajectory(model.grid, steps, samples)

@@ -38,7 +38,7 @@ def scalar_system(net_growth, d, bc, grid):
 def invasion_system(c, bcs, grid, V):
     # the linearisation about (Hbar, V, 0): host removal rho with source
     # sigma1*H_u, vector infection sigma2*V with decay mu1 + mu2*V
-    Vf = V.field(0)
+    Vf = lambda x, t: V.level(0, round(t / grid.dt))
     s1hu = lambda x, t: field_values(c.sigma1, x, t) * field_values(c.H_u, x, t)
     f21 = lambda x, t: field_values(c.sigma2, x, t) * Vf(x, t)
     f22 = lambda x, t: -(field_values(c.mu1, x, t)

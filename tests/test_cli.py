@@ -159,6 +159,34 @@ def test_non_finite_domain_values_exit_one(tmp_path, capsys, override, error):
     assert "inf" in captured.err
 
 
+def test_default_sample_stride_gates_only_the_trajectory_subcommands(tmp_path, capsys):
+    # the default stride 8 does not divide 100 steps per period: the
+    # subcommands that keep no trajectory run, simulate and verify refuse
+    # before any solve, and a stride the config sets is still checked on load
+    path = write_config(tmp_path, "[sweep]\nparameter = H_u\ntemplate = value\nvalues = 5\n")
+    m100 = ["--override", "grid.steps_per_period=100", "--override", "grid.nx=15"]
+    for cmd in ("validate", "eigen", "periodic", "classify", "sweep"):
+        assert main([cmd, "--config", path, "--out", str(tmp_path / cmd)] + m100) == 0
+    capsys.readouterr()
+    for cmd in ("simulate", "verify"):
+        assert main([cmd, "--config", path, "--out", str(tmp_path / cmd)] + m100) == 1
+        assert capsys.readouterr().err == ("config error: [run] sample_stride: 8 "
+                                           "does not divide steps_per_period 100\n")
+        assert not (tmp_path / cmd).exists()
+    with pytest.raises(ConfigError, match="sample_stride: 8 does not divide"):
+        load_config(path, ["grid.steps_per_period=100", "run.sample_stride=8"])
+
+
+def test_over_deep_expressions_are_config_errors(tmp_path, capsys):
+    for expr in (" + ".join(["0.001"] * 1500), "(" * 300 + "1" + ")" * 300):
+        assert main(["classify", "--config", write_config(tmp_path),
+                     "--out", str(tmp_path / "o"),
+                     "--override", f"coefficients.rho={expr}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: expression nests deeper than 150 levels")
+        assert err.count("\n") == 1
+
+
 def test_config_bad_number_and_missing_file(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text(BASE.replace("nx = 31", "nx = banana"))

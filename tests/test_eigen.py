@@ -31,7 +31,7 @@ NEUMANN2 = BoundarySpec.neumann(2)
 def flat_orbit(value, grid, bc):
     n = grid.n_unknowns(bc)
     samples = (np.full((grid.steps_per_period + 1, n), float(value)),)
-    return PeriodicOrbit(samples, grid.dt, grid.T)
+    return PeriodicOrbit(samples)
 
 
 def two_by_two_lambda(rho, s1hu, s2V, mu1, mu2V):
@@ -306,25 +306,7 @@ def test_zeta_sign_agrees_with_logistic_orbit(grid):
     assert seen_zero and seen_positive  # the draw covers both regimes
 
 
-def test_periodic_orbit_field_lattice_checks(grid):
-    V = flat_orbit(2.0, grid, NEUMANN2)
-    f = V.field(0)
-    xs = grid.full_nodes()
-    assert np.all(f(xs, 0.0) == 2.0)
-    assert np.all(f(xs, grid.T + grid.dt) == 2.0)  # wraps periodically
-    with pytest.raises(InputError):
-        f(xs, 0.4999 * grid.dt)  # off the time lattice
-    with pytest.raises(InputError):
-        f(xs[:-1], 0.0)
-
-
 def test_periodic_orbit_combine_and_component(grid):
-    a = flat_orbit(2.0, grid, NEUMANN2)
-    b = flat_orbit(0.5, grid, NEUMANN2)
-    s = PeriodicOrbit.combine(a, b, lambda u, v: u + 3.0 * v)
-    assert s.sup_norm() == pytest.approx(3.5)
-    doubled = a.map_values(lambda u: 2.0 * u)
-    assert doubled.sup_norm() == 4.0
-    z = PeriodicOrbit.zeros([15, 17], grid.steps_per_period, grid.dt, grid.T)
+    z = PeriodicOrbit.zeros([15, 17], grid.steps_per_period)
     assert z.ncomp == 2
     assert z.component(1).samples[0].shape == (grid.steps_per_period + 1, 17)

@@ -7,6 +7,7 @@ import pytest
 
 from vectorhost import EvalError, InputError, ParseError, evaluate, \
     field_lattice, field_values, parse_expression, to_source
+from vectorhost.coeffs import MAX_DEPTH
 
 
 def ev(src, x=0.0, t=0.0, constants=None):
@@ -70,6 +71,23 @@ def test_parse_errors_carry_offset():
     with pytest.raises(ParseError) as err:
         parse_expression("1 + unknown_name")
     assert err.value.offset >= 4
+
+
+def test_nesting_limit():
+    # input at the limit parses, evaluates and prints back; one level more,
+    # or the 1500-term sum and 300 brackets that overflowed Python's stack,
+    # is refused by name
+    assert ev(" + ".join(["0.01"] * 100)) == pytest.approx(1.0)
+    for src in (" + ".join(["1"] * MAX_DEPTH), "-" * (MAX_DEPTH - 1) + "2",
+                "(" * (MAX_DEPTH - 1) + "2" + ")" * (MAX_DEPTH - 1)):
+        e = parse_expression(src)
+        assert parse_expression(to_source(e)) == e
+        assert abs(evaluate(e, 0.0, 0.0)) >= 2.0
+    for src in (" + ".join(["1"] * (MAX_DEPTH + 1)), "-" * MAX_DEPTH + "2",
+                "(" * MAX_DEPTH + "2" + ")" * MAX_DEPTH,
+                " + ".join(["1"] * 1500), "(" * 300 + "1" + ")" * 300):
+        with pytest.raises(ParseError, match=f"^expression nests deeper than {MAX_DEPTH} levels"):
+            parse_expression(src)
 
 
 def test_eval_errors():

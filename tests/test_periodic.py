@@ -9,14 +9,16 @@ Constant-coefficient oracles:
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from vectorhost import (BlowupError, BoundarySpec, InputError, NoConvergence,
-                        NonUniqueOrbit, PeriodicOrbit, RegimeError,
-                        SolverOptions, build_grid, solve_Hbar,
-                        solve_endemic_pair, solve_logistic_orbit)
+from vectorhost import (BlowupError, BoundarySpec, InputError, InternalError,
+                        NoConvergence, NonlinearModel, NonUniqueOrbit,
+                        PeriodicOrbit, RegimeError, SolverOptions, build_grid,
+                        periodic, prepare, solve_Hbar, solve_endemic_pair,
+                        solve_logistic_orbit)
 from conftest import make_constants
 
 NEUMANN1 = BoundarySpec.neumann(1)
@@ -26,9 +28,7 @@ BCS = (NEUMANN1, NEUMANN2)
 
 def flat_orbit(value, grid, bc):
     n = grid.n_unknowns(bc)
-    return PeriodicOrbit(
-        (np.full((grid.steps_per_period + 1, n), float(value)),),
-        grid.dt, grid.T)
+    return PeriodicOrbit((np.full((grid.steps_per_period + 1, n), float(value)),))
 
 
 @pytest.fixture(scope="module")
@@ -135,10 +135,14 @@ def test_hbar_guard_reads_the_eigen_options(grid):
 
 
 def test_hbar_rejects_V_off_the_vector_layout(grid):
-    # V on the Dirichlet (interior) width cannot be the Robin vector orbit
-    V = flat_orbit(1.0, grid, BoundarySpec.dirichlet(2))
+    # V on the Dirichlet (interior) width cannot be the Robin vector orbit,
+    # nor can a band shift phi of that width drive the Robin V
+    narrow = flat_orbit(1.0, grid, BoundarySpec.dirichlet(2))
     with pytest.raises(InputError, match="lattice"):
-        solve_Hbar(make_constants(), BCS, grid, V)
+        solve_Hbar(make_constants(), BCS, grid, narrow)
+    V = flat_orbit(1.0, grid, NEUMANN2)
+    with pytest.raises(InputError, match="^phi must be a scalar orbit on V's lattice$"):
+        solve_Hbar(make_constants(), BCS, grid, V, 0.1, narrow)
 
 
 # ─────────────────────────────────────────────────────── endemic pair ──
@@ -217,7 +221,7 @@ def test_pair_reuses_a_passed_host_profile(grid):
     pair = solve_endemic_pair(c, BCS, grid, logistic=lr, hbar=hbar)
     assert np.array_equal(pair.upper_history[0][0], ref.upper_history[0][0])
     assert np.array_equal(pair.H_orbit.samples[0], ref.H_orbit.samples[0])
-    doubled = PeriodicOrbit((2.0 * hbar.samples[0],), grid.dt, grid.T)
+    doubled = PeriodicOrbit((2.0 * hbar.samples[0],))
     seeded = solve_endemic_pair(c, BCS, grid, logistic=lr, hbar=doubled)
     assert np.array_equal(seeded.upper_history[0][0],
                           2.0 * ref.upper_history[0][0])
@@ -242,3 +246,80 @@ def test_seasonal_endemic_pair(grid):
     assert pair.H_orbit.min_value() > 0.0
     assert pair.Vi_orbit.min_value() > 0.0
     assert float(np.max(pair.Vi_orbit.samples[0] - pair.V.samples[0])) < 0.0
+
+
+# ──────────────────────────────────────────────── the band-width ladder ──
+
+
+def test_orbit_budget_names_the_upper_seed(grid):
+    with pytest.raises(NoConvergence, match=r"^vector orbit \(upper seed\) "
+                       r"iteration still moving after 3 periods") as err:
+        solve_logistic_orbit(make_constants(), NEUMANN2, grid,
+                             SolverOptions(max_periods=3))
+    assert err.value.iterations == 3
+
+
+def test_band_ladder_halves_a_width_outside_the_cone(grid):
+    # on the README coefficients V - 2*phi leaves the positive cone and
+    # V - phi does not, so the ladder stops at its second rung
+    c = make_constants(beta="2 + sin(2*pi*t)", d2="0.5")
+    pair = solve_endemic_pair(c, BCS, grid, SolverOptions(eps=2.0))
+    assert pair.eps_used == 1.0
+
+
+@pytest.mark.parametrize("name", ["lambda_V_eps", "solve_Hbar", "_growing_seed"])
+def test_band_ladder_halves_after_a_failed_rung(grid, monkeypatch, name):
+    # each later check of a rung, failed on the first rung only, sends the
+    # ladder one rung down: a shifted exponent outside the band's negative
+    # side, a host profile too low to be a supersolution, no lower seed
+    c = make_constants()
+    lr = solve_logistic_orbit(c, NEUMANN2, grid)
+    spoil = {"lambda_V_eps": lambda res: replace(res, value=1.0),
+             "solve_Hbar": lambda res: PeriodicOrbit.zeros(
+                 [grid.n_unknowns(NEUMANN1)], grid.steps_per_period),
+             "_growing_seed": lambda res: None}[name]
+    real, calls = getattr(periodic, name), []
+
+    def first_fails(*args, **kwargs):
+        calls.append(args)
+        res = real(*args, **kwargs)
+        return spoil(res) if len(calls) == 1 else res
+
+    monkeypatch.setattr(periodic, name, first_fails)
+    pair = solve_endemic_pair(c, BCS, grid, SolverOptions(eps=0.05), logistic=lr)
+    assert pair.eps_used == 0.025 and len(calls) == 2
+
+
+def test_growing_seed_halves_until_the_image_grows(grid):
+    ones = (np.ones(grid.n_unknowns(NEUMANN2)),)
+    # seeds 4 and 2 lie above the carrying capacity 1 and shrink; 1 is a
+    # fixed point of the constant-coefficient period map
+    model = NonlinearModel(kind="logistic", c=make_constants(), bc1=NEUMANN1,
+                           bc2=NEUMANN2, grid=grid)
+    image = periodic._growing_seed(model, prepare(model), ones, 4.0,
+                                   lambda seed: 1e-12)
+    assert np.max(np.abs(image[0] - 1.0)) <= 1e-12
+    # under supercritical mortality every seed shrinks
+    dying = replace(model, c=make_constants(beta="1", mu1="2"))
+    assert periodic._growing_seed(dying, prepare(dying), ones, 1.0,
+                                  lambda seed: 0.0) is None
+
+
+def test_band_ladder_without_an_admissible_rung(grid, monkeypatch):
+    monkeypatch.setattr(periodic, "_band_inequality_holds", lambda *args: False)
+    with pytest.raises(RegimeError, match=r"^no admissible band width found "
+                       r"below eps = 0\.05; endemic construction abandoned$"):
+        solve_endemic_pair(make_constants(), BCS, grid, SolverOptions(eps=0.05))
+
+
+def test_failed_seed_at_zero_width_raises(grid, monkeypatch):
+    # with no band left to halve, a seed that fails is an error
+    c = make_constants()
+    lr = solve_logistic_orbit(c, NEUMANN2, grid)
+    zero = PeriodicOrbit.zeros([grid.n_unknowns(NEUMANN1)], grid.steps_per_period)
+    with pytest.raises(InternalError, match="^upper seed failed to decrease"):
+        solve_endemic_pair(c, BCS, grid, logistic=lr, hbar=zero)
+    monkeypatch.setattr(periodic, "_growing_seed", lambda *args: None)
+    with pytest.raises(NoConvergence, match="^no growing lower seed found "
+                       "for the endemic pair$"):
+        solve_endemic_pair(c, BCS, grid, logistic=lr)
