@@ -31,10 +31,11 @@ from .config import RunConfig, check_sample_stride, load_config, substituted_coe
 from .dynamics import (INDETERMINATE, build_initial_state, classify_regime,
                        verify_trichotomy)
 from .eigen import gamma_rho, lambda_V, lambda_V_eps
-from .errors import (CoefficientError, ConfigError, DomainError, EvalError,
-                     InputError, ParseError, RegimeError, VectorHostError)
+from .errors import (CoefficientError, ConfigError, DomainError, EpsilonTooLarge,
+                     EvalError, InputError, ParseError, RegimeError, VectorHostError)
 from .grid import BoundarySpec, map_between
-from .periodic import solve_Hbar, solve_endemic_pair, solve_logistic_orbit
+from .periodic import (_MAX_HALVINGS, solve_Hbar, solve_endemic_pair,
+                       solve_logistic_orbit)
 from .stepper import NonlinearModel, integrate_trajectory
 
 __all__ = ["main"]
@@ -98,7 +99,8 @@ def _report_violations(rep, stream) -> None:
 
 
 def cmd_validate(cfg: RunConfig, args) -> int:
-    rep = validate_hypothesis_H(cfg.coeffs, cfg.grid, cfg.run.t_offset)
+    rep = validate_hypothesis_H(cfg.coeffs, (cfg.bc1, cfg.bc2), cfg.grid,
+                                cfg.run.t_offset)
     items = [("status", "PASS" if rep.passed else "FAIL"),
              ("violations", len(rep.violations))]
     for i, v in enumerate(rep.violations, 1):
@@ -132,10 +134,20 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
                   ("lambda_V_residual", lam.residual)]
         histories.append(("lambda_V", lam.r_history))
         if o.eps > 0.0:
-            le = lambda_V_eps(c, (cfg.bc1, cfg.bc2), g, lr.orbit,
-                              lr.zeta_result.eigenfunction, o.eps,
-                              o.eigen_tol, o.max_eigen_iters)
-            items += [("eps", o.eps), ("lambda_V_eps", le.value),
+            # halve the band as the endemic pair's ladder does, until
+            # V - eps*phi stays in the positive cone
+            eps = o.eps
+            for halvings in itertools.count():
+                try:
+                    le = lambda_V_eps(c, (cfg.bc1, cfg.bc2), g, lr.orbit,
+                                      lr.zeta_result.eigenfunction, eps,
+                                      o.eigen_tol, o.max_eigen_iters)
+                    break
+                except EpsilonTooLarge:
+                    if halvings == _MAX_HALVINGS:
+                        raise
+                    eps *= 0.5
+            items += [("eps", eps), ("lambda_V_eps", le.value),
                       ("lambda_V_eps_iterations", le.iterations)]
             histories.append(("lambda_V_eps", le.r_history))
     else:
@@ -264,7 +276,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     def run_row(value: float):
         try:
             c = substituted_coeffs(cfg, value)
-            if not validate_hypothesis_H(c, cfg.grid, cfg.run.t_offset).passed:
+            if not validate_hypothesis_H(c, bcs, cfg.grid, cfg.run.t_offset).passed:
                 return (value, "", "", "ERROR")
             rep = classify_regime(c, bcs, cfg.grid, cfg.solver)
             lam = "" if rep.lambda_V is None else _FMT % rep.lambda_V
@@ -353,7 +365,8 @@ def main(argv=None) -> int:
             # the standing hypothesis gates every solve; validate reports it
             # itself and sweep checks each substituted row
             if args.command not in ("validate", "sweep"):
-                rep = validate_hypothesis_H(cfg.coeffs, cfg.grid, cfg.run.t_offset)
+                rep = validate_hypothesis_H(cfg.coeffs, (cfg.bc1, cfg.bc2), cfg.grid,
+                                            cfg.run.t_offset)
                 if not rep.passed:
                     _report_violations(rep, sys.stderr)
                     return EXIT_HYPOTHESIS

@@ -16,12 +16,14 @@ Precedence: ^  >  unary -  >  * /  >  + -.  Python's '**' is rejected.
 An expression may nest at most MAX_DEPTH levels: a longer chain of
 operators or deeper brackets is a ParseError.
 
+FUNCTIONS and _BINARY give each operator its numpy ufunc, and each binary
+operator its precedence; the parser, evaluator and printer all read them.
 Evaluation is pure and numpy-vectorised over x and t.  Every solver reads
 its coefficients through field_lattice, which evaluates a field once on the
 whole node x time-level lattice of a setup.  Hypothesis checks sample every
-field on the grid/time lattice over two periods and report (never throw)
-violations of periodicity, nonnegativity, strict positivity, and
-nontriviality of the infection pathway.
+field and Robin expression weight on the grid/time lattice over two periods
+and report (never throw) violations of periodicity, nonnegativity, strict
+positivity, and nontriviality of the infection pathway.
 """
 
 from __future__ import annotations
@@ -41,7 +43,17 @@ __all__ = [
     "CoefficientSet", "Violation", "ValidationReport", "validate_hypothesis_H",
 ]
 
-FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "abs": 1, "max": 2, "min": 2, "pow": 2}
+# function name -> numpy ufunc; its arity is the ufunc's nin
+FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs,
+             "max": np.maximum, "min": np.minimum, "pow": np.power}
+
+# precedence levels, loosest first; they drive parsing and minimal-paren printing
+_LEVEL_SUM, _LEVEL_TERM, _LEVEL_UNARY, _LEVEL_POWER, _LEVEL_ATOM = 1, 2, 3, 4, 5
+
+# binary operator -> (precedence level, numpy ufunc)
+_BINARY = {"+": (_LEVEL_SUM, np.add), "-": (_LEVEL_SUM, np.subtract),
+           "*": (_LEVEL_TERM, np.multiply), "/": (_LEVEL_TERM, np.divide),
+           "^": (_LEVEL_POWER, np.power)}
 
 VARIABLES = ("x", "t")
 
@@ -157,31 +169,23 @@ class _Parser:
     # grammar rules, lowest precedence first
 
     def parse(self) -> Expression:
-        e = self.sum()
+        e = self.binary()
         kind, text, pos = self.peek()
         if kind != "end":
             raise ParseError(f"expected operator or end of input, found {text!r}", pos)
         return e
 
-    def sum(self) -> Expression:
-        e = self.term()
+    def binary(self, level: int = _LEVEL_SUM) -> Expression:
+        """Operands one level tighter joined, left to right, by the
+        operators of this level: + - at _LEVEL_SUM, * / at _LEVEL_TERM."""
+        e, op = None, None
         while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                e = Bin(text, e, self.term())
-            else:
+            right = self.binary(level + 1) if level < _LEVEL_TERM else self.unary()
+            e = right if op is None else Bin(op, e, right)
+            kind, op, _ = self.peek()
+            if kind != "op" or op not in _BINARY or _BINARY[op][0] != level:
                 return e
-
-    def term(self) -> Expression:
-        e = self.unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                e = Bin(text, e, self.unary())
-            else:
-                return e
+            self.advance()
 
     def unary(self) -> Expression:
         kind, text, pos = self.peek()
@@ -216,16 +220,12 @@ class _Parser:
                 return Num(math.pi)
             if text in FUNCTIONS:
                 self.expect_op("(")
-                args = [self.sum()]
-                while True:
-                    k2, t2, p2 = self.peek()
-                    if k2 == "op" and t2 == ",":
-                        self.advance()
-                        args.append(self.sum())
-                    else:
-                        break
+                args = [self.binary()]
+                while self.peek()[:2] == ("op", ","):
+                    self.advance()
+                    args.append(self.binary())
                 self.expect_op(")")
-                arity = FUNCTIONS[text]
+                arity = FUNCTIONS[text].nin
                 if len(args) != arity:
                     raise ParseError(
                         f"{text} takes {arity} argument(s), got {len(args)}", pos)
@@ -234,7 +234,7 @@ class _Parser:
                 return Num(float(self.constants[text]))
             raise ParseError(f"unknown name {text!r}", pos)
         if kind == "op" and text == "(":
-            e = self.sum()
+            e = self.binary()
             self.expect_op(")")
             return e
         raise ParseError(f"expected a value, found {text or 'end of input'!r}", pos)
@@ -283,36 +283,12 @@ def _ev(e: Expression, x, t: float):
     if isinstance(e, Neg):
         return -_ev(e.operand, x, t)
     if isinstance(e, Bin):
-        a = _ev(e.left, x, t)
-        b = _ev(e.right, x, t)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if np.any(np.asarray(b) == 0):
-                raise EvalError(f"division by zero in {to_source(e)!r}")
-            return a / b
-        # '^'
-        return np.power(a, b)
+        a, b = _ev(e.left, x, t), _ev(e.right, x, t)
+        if e.op == "/" and np.any(np.asarray(b) == 0):
+            raise EvalError(f"division by zero in {to_source(e)!r}")
+        return _BINARY[e.op][1](a, b)
     if isinstance(e, Call):
-        vals = [_ev(a, x, t) for a in e.args]
-        if e.fn == "sin":
-            return np.sin(vals[0])
-        if e.fn == "cos":
-            return np.cos(vals[0])
-        if e.fn == "exp":
-            return np.exp(vals[0])
-        if e.fn == "abs":
-            return np.abs(vals[0])
-        if e.fn == "max":
-            return np.maximum(vals[0], vals[1])
-        if e.fn == "min":
-            return np.minimum(vals[0], vals[1])
-        # pow
-        return np.power(vals[0], vals[1])
+        return FUNCTIONS[e.fn](*[_ev(a, x, t) for a in e.args])
     raise TypeError(f"not an Expression: {e!r}")
 
 
@@ -365,18 +341,10 @@ def field_lattice(f, x: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(v, dtype=float), shape).copy()
 
 
-# precedence levels for minimal-paren printing
-_LEVEL_SUM, _LEVEL_TERM, _LEVEL_UNARY, _LEVEL_POWER, _LEVEL_ATOM = 1, 2, 3, 4, 5
-
-
 def _level(e: Expression) -> int:
-    if isinstance(e, (Num, Var, Call)):
-        return _LEVEL_ATOM
-    if isinstance(e, Neg):
-        return _LEVEL_UNARY
-    return {"+": _LEVEL_SUM, "-": _LEVEL_SUM,
-            "*": _LEVEL_TERM, "/": _LEVEL_TERM,
-            "^": _LEVEL_POWER}[e.op]
+    if isinstance(e, Bin):
+        return _BINARY[e.op][0]
+    return _LEVEL_UNARY if isinstance(e, Neg) else _LEVEL_ATOM
 
 
 def _wrap(e: Expression, minimum: int) -> str:
@@ -394,15 +362,13 @@ def to_source(e: Expression) -> str:
         return "-" + _wrap(e.operand, _LEVEL_UNARY)
     if isinstance(e, Call):
         return e.fn + "(" + ", ".join(to_source(a) for a in e.args) + ")"
-    if e.op in "+-":
-        # right operand of '-' needs wrapping at the same level: a-(b+c)
-        right_min = _LEVEL_SUM + 1 if e.op == "-" else _LEVEL_SUM
-        return f"{_wrap(e.left, _LEVEL_SUM)} {e.op} {_wrap(e.right, right_min)}"
-    if e.op in "*/":
-        right_min = _LEVEL_TERM + 1 if e.op == "/" else _LEVEL_TERM
-        return f"{_wrap(e.left, _LEVEL_TERM)} {e.op} {_wrap(e.right, right_min)}"
-    # '^': right-associative, binds tighter than unary minus
-    return f"{_wrap(e.left, _LEVEL_ATOM)}^{_wrap(e.right, _LEVEL_UNARY)}"
+    if e.op == "^":
+        # right-associative, binds tighter than unary minus
+        return f"{_wrap(e.left, _LEVEL_ATOM)}^{_wrap(e.right, _LEVEL_UNARY)}"
+    # a right operand of - or / at the same level keeps its brackets: a-(b+c), a/(b*c)
+    level = _BINARY[e.op][0]
+    right_min = level + 1 if e.op in "-/" else level
+    return f"{_wrap(e.left, level)} {e.op} {_wrap(e.right, right_min)}"
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -422,8 +388,9 @@ COEFFICIENT_FIELDS = tuple(_FIELD_STRICT)
 class CoefficientSet:
     """All coefficient fields of the model plus the period T.
 
-    robin_b1/robin_b2 are optional (left, right) endpoint weight pairs for
-    the host/vector boundary operators; present only for Robin flavors.
+    The Robin endpoint weights belong to the boundary operators
+    (grid.BoundarySpec), which both the solvers and validate_hypothesis_H
+    read.
     """
 
     T: float
@@ -436,11 +403,9 @@ class CoefficientSet:
     d1: Expression
     d2: Expression
     H_u: Expression
-    robin_b1: tuple | None = None  # (Expression, Expression) for (left, right)
-    robin_b2: tuple | None = None
 
     @classmethod
-    def from_strings(cls, T: float = 1.0, robin_b1=None, robin_b2=None,
+    def from_strings(cls, T: float = 1.0,
                      constants: Mapping[str, float] | None = None,
                      **fields: str) -> "CoefficientSet":
         """Build from expression strings, e.g. rho="1", beta="2+sin(2*pi*t)"."""
@@ -452,25 +417,11 @@ class CoefficientSet:
         extra = set(fields) - set(_FIELD_STRICT)
         if extra:
             raise KeyError(f"unknown coefficient(s): {sorted(extra)}")
-
-        def pair(p):
-            if p is None:
-                return None
-            left, right = p
-            return (parse_expression(left, constants),
-                    parse_expression(right, constants))
-
-        return cls(T=float(T), robin_b1=pair(robin_b1), robin_b2=pair(robin_b2),
-                   **parsed)
+        return cls(T=float(T), **parsed)
 
     def named_fields(self) -> dict:
-        """Coefficient fields keyed by name, including Robin pairs if set."""
-        out = {name: getattr(self, name) for name in _FIELD_STRICT}
-        if self.robin_b1 is not None:
-            out["robin_b1_left"], out["robin_b1_right"] = self.robin_b1
-        if self.robin_b2 is not None:
-            out["robin_b2_left"], out["robin_b2_right"] = self.robin_b2
-        return out
+        """Coefficient fields keyed by name."""
+        return {name: getattr(self, name) for name in _FIELD_STRICT}
 
 
 @dataclass(frozen=True)
@@ -497,14 +448,17 @@ class ValidationReport:
         return "\n".join(v.describe() for v in self.violations)
 
 
-def validate_hypothesis_H(c: CoefficientSet, grid, t_offset: float = 0.0) -> ValidationReport:
+def validate_hypothesis_H(c: CoefficientSet, bcs, grid,
+                          t_offset: float = 0.0) -> ValidationReport:
     """Check the standing hypothesis on a space-time lattice.
 
-    Samples every field on the grid's full node set crossed with the solver
-    time levels over [0, 2T] (shifted by t_offset, a diagnostic knob).
-    Checks, in order: T-periodicity (relative 1e-10), nonnegativity of all
-    fields, strict positivity of rho/sigma2/mu1/d1/d2, nontriviality of
-    sigma1*H_u, and nonnegativity+periodicity of any Robin weights.
+    Samples every field of c, then every Expression weight of a Robin
+    operator in bcs (named robin_b<group>_left/right, in the order of bcs),
+    on the grid's full node set crossed with the solver time levels over
+    [0, 2T] (shifted by t_offset, a diagnostic knob).  Numeric weights are
+    checked when their BoundarySpec is built.  Checks, per field in that
+    order: T-periodicity (relative 1e-10), nonnegativity, and strict
+    positivity of rho/sigma2/mu1/d1/d2; then nontriviality of sigma1*H_u.
 
     Returns a report listing violations; never raises on a failed check.
     """
@@ -516,8 +470,13 @@ def validate_hypothesis_H(c: CoefficientSet, grid, t_offset: float = 0.0) -> Val
     def worst(mask: np.ndarray, vals: np.ndarray):
         return np.unravel_index(np.argmin(np.where(mask, vals, np.inf)), vals.shape)
 
-    lattices = {name: field_lattice(expr, xs, ts)
-                for name, expr in c.named_fields().items()}
+    fields = c.named_fields()
+    for bc in bcs:
+        for side in ("left", "right"):
+            w = getattr(bc, f"b_{side}")
+            if isinstance(w, Expression):
+                fields[f"robin_b{bc.group}_{side}"] = w
+    lattices = {name: field_lattice(f, xs, ts) for name, f in fields.items()}
     for name, vals in lattices.items():
         # periodicity: compare t and t+T over the first period of the lattice
         a = vals[: m + 1]

@@ -155,19 +155,19 @@ def _check_schema(parser: configparser.ConfigParser) -> None:
             raise ConfigError(f"missing required section [{required}]")
 
 
-def _boundary(parser, section: str, group: int):
-    """The group's boundary operator and its Robin weights (None unless the
-    flavor is robin): the one parse both the solver and validation read."""
+def _boundary(parser, section: str, group: int) -> BoundarySpec:
+    """The group's boundary operator; a robin flavor carries its weights as
+    parsed expressions, which both the solver and validation read."""
     flavor = parser.get(section, "flavor", fallback="neumann").strip().lower()
     if flavor == "dirichlet":
-        return BoundarySpec.dirichlet(group), None
+        return BoundarySpec.dirichlet(group)
     if flavor == "neumann":
-        return BoundarySpec.neumann(group), None
+        return BoundarySpec.neumann(group)
     if flavor != "robin":
         _fail(section, "flavor", f"expected dirichlet, neumann, or robin, got {flavor!r}")
-    weights = tuple(parse_expression(parser.get(section, key, fallback="0"))
-                    for key in ("b_left", "b_right"))
-    return BoundarySpec.robin(group, *weights), weights
+    b_left, b_right = (parse_expression(parser.get(section, key, fallback="0"))
+                       for key in ("b_left", "b_right"))
+    return BoundarySpec.robin(group, b_left, b_right)
 
 
 def load_config(path: str, overrides=()) -> RunConfig:
@@ -195,12 +195,12 @@ def load_config(path: str, overrides=()) -> RunConfig:
         steps_per_period=_get(parser, "grid", "steps_per_period", _count,
                               required=True))
 
-    bc1, robin1 = _boundary(parser, "bc1", 1)
-    bc2, robin2 = _boundary(parser, "bc2", 2)
+    bc1 = _boundary(parser, "bc1", 1)
+    bc2 = _boundary(parser, "bc2", 2)
 
     fields = {name: _get(parser, "coefficients", name, str, required=True)
               for name in COEFFICIENT_FIELDS}
-    coeffs = CoefficientSet(T=grid.T, robin_b1=robin1, robin_b2=robin2, **{
+    coeffs = CoefficientSet(T=grid.T, **{
         name: parse_expression(src) for name, src in fields.items()})
 
     solver = SolverOptions(**{

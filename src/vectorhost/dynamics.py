@@ -20,11 +20,12 @@ import numpy as np
 
 from .coeffs import CoefficientSet, Expression, field_values
 from .eigen import EigenResult, PeriodicOrbit, lambda_V
-from .errors import DomainError, InputError
+from .errors import InputError
 from .grid import BoundarySpec, Grid
 from .periodic import (EndemicPairResult, LogisticOrbitResult, SolverOptions,
                        band_sign, solve_endemic_pair, solve_logistic_orbit)
-from .stepper import NonlinearModel, Trajectory, integrate_trajectory
+from .stepper import (NonlinearModel, Trajectory, check_trajectory,
+                      integrate_trajectory)
 
 __all__ = [
     "SolverOptions", "RegimeReport", "ConvergenceReport", "SandwichReport",
@@ -214,12 +215,12 @@ def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid,
     orbit is rebuilt from its carrying orbit and lambda(V) and measured
     against instead.  initial is read by build_initial_state (a state
     tuple passes through), default (1.0, 0.5, 0.1); it must be strictly
-    positive at interior nodes.
+    positive at interior nodes.  n_periods and the options' sample_stride
+    pass check_trajectory before anything is solved.
     """
     o = tols if tols is not None else SolverOptions()
     n_periods = o.n_periods if n_periods is None else n_periods
-    if n_periods < 1:
-        raise DomainError(f"n_periods must be a positive count, got {n_periods}")
+    check_trajectory(grid, n_periods, o.sample_stride)
     target = o.target if target is None else target
     if report is None:
         report = classify_regime(c, bcs, grid, replace(o, eps=0.0))

@@ -22,6 +22,8 @@ time.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +112,8 @@ class BoundarySpec:
     group 1 is the host operator, group 2 the vector operator.  flavor
     "dirichlet" pins the endpoints to zero; "robin" imposes
     d_nu u + b u = 0 with nonnegative, T-periodic endpoint weights
-    (b == 0 is the no-flux case).
+    (b == 0 is the no-flux case).  A numeric weight is checked here; an
+    expression weight is checked on the lattice by validate_hypothesis_H.
     """
 
     group: int
@@ -123,6 +126,11 @@ class BoundarySpec:
             raise DomainError(f"boundary group must be 1 or 2, got {self.group}")
         if self.flavor not in ("dirichlet", "robin"):
             raise DomainError(f"unknown boundary flavor {self.flavor!r}")
+        for name in ("b_left", "b_right"):
+            b = getattr(self, name)
+            if isinstance(b, numbers.Real) and not 0.0 <= b < math.inf:  # NaN fails too
+                raise DomainError(f"Robin weight {name} must be nonnegative and "
+                                  f"finite, got {b}")
 
     @classmethod
     def dirichlet(cls, group: int) -> "BoundarySpec":

@@ -409,20 +409,26 @@ def integrate_over_period(system, u0: tuple, prepared=None,
     return tuple(s[-1] for s in samples)
 
 
-def integrate_trajectory(model, u0: tuple, n_periods: int,
-                         sample_stride: int = 1, step: int = 0) -> Trajectory:
-    """Integrate n_periods periods from the component arrays u0 at global
-    step `step`, keeping every sample_stride-th step.
-
-    sample_stride must divide steps_per_period so that every period
-    boundary is kept.  Raises BlowupError at the first step at which any
-    component passes the model's cap.
-    """
-    m = model.grid.steps_per_period
+def check_trajectory(grid: Grid, n_periods: int, sample_stride: int) -> None:
+    """DomainError unless sample_stride divides steps_per_period, so that
+    every period boundary is kept, and n_periods is a positive count."""
+    m = grid.steps_per_period
     if sample_stride < 1 or m % sample_stride != 0:
         raise DomainError(
             f"sample_stride must divide steps_per_period ({sample_stride} vs {m})")
     if n_periods < 1:
         raise DomainError(f"n_periods must be a positive count, got {n_periods}")
+
+
+def integrate_trajectory(model, u0: tuple, n_periods: int,
+                         sample_stride: int = 1, step: int = 0) -> Trajectory:
+    """Integrate n_periods periods from the component arrays u0 at global
+    step `step`, keeping every sample_stride-th step.
+
+    The arguments must pass check_trajectory.  Raises BlowupError at the
+    first step at which any component passes the model's cap.
+    """
+    check_trajectory(model.grid, n_periods, sample_stride)
+    m = model.grid.steps_per_period
     steps, samples = _run(model, u0, step, n_periods * m, sample_stride, None)
     return Trajectory(model.grid, steps, samples)

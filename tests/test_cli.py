@@ -100,7 +100,10 @@ values = 0.5 1, 2,5
 """))
     assert cfg.bc1.flavor == "dirichlet"
     assert cfg.bc2.flavor == "robin"
-    assert "robin_b2_left" in cfg.coeffs.named_fields()
+    # the weights live on the boundary operator, the one copy that both the
+    # solver and validation read
+    assert evaluate(cfg.bc2.b_left, 0.0, 0.0) == 0.5
+    assert evaluate(cfg.bc2.b_right, 1.0, 0.0) == 1.0
     assert cfg.solver.eps == 0.05
     assert cfg.solver.n_periods == 12
     assert cfg.run.t_offset == 0.25
@@ -311,6 +314,25 @@ def test_classify_override_and_strict_indeterminate(tmp_path, capsys):
     rep = read_report(os.path.join(out2, "classify_report.txt"))
     assert rep["regime"] == "INDETERMINATE"
     assert rep["attractor"].startswith("undecided")
+    capsys.readouterr()
+
+
+def test_eigen_halves_an_oversized_band(tmp_path, capsys):
+    # at eps = 2 the band leaves the positive cone; eigen halves it as the
+    # endemic pair does and reports the width it used
+    path = tmp_path / "readme.ini"
+    path.write_text(README)
+    outs = {}
+    for eps in ("2", "1"):
+        out = tmp_path / f"eps{eps}"
+        assert main(["eigen", "--config", str(path), "--out", str(out),
+                     "--override", f"solver.eps={eps}"]) == 0
+        outs[eps] = [(out / name).read_bytes()
+                     for name in ("eigen_report.txt", "eigen_history.csv")]
+    assert outs["2"] == outs["1"]
+    rep = read_report(str(tmp_path / "eps2" / "eigen_report.txt"))
+    assert rep["eps"] == "1"
+    assert rep["lambda_V_eps"] == "-1.9755191564402268"
     capsys.readouterr()
 
 

@@ -1,8 +1,11 @@
 """Coefficient sets and the standing-hypothesis checks."""
 
+import dataclasses
+
 import pytest
 
-from vectorhost import build_grid, validate_hypothesis_H
+from vectorhost import (BoundarySpec, CoefficientSet, build_grid, parse_expression,
+                        validate_hypothesis_H)
 from conftest import make_constants
 
 
@@ -25,94 +28,100 @@ def test_from_strings_parses_every_field(endemic_c):
 
 
 def test_from_strings_rejects_missing_and_unknown_fields():
-    from vectorhost import CoefficientSet
     with pytest.raises(KeyError):
         CoefficientSet.from_strings(T=1.0, rho="1")
     with pytest.raises(KeyError):
         make_constants(nu="3")
 
 
-def test_robin_weights_become_named_fields():
-    from vectorhost import CoefficientSet
-    c = CoefficientSet.from_strings(
-        T=1.0, robin_b2=("1.0", "0.5 + 0.5*cos(2*pi*t)"),
-        rho="1", sigma1="1", sigma2="1", beta="2", mu1="1", mu2="1",
-        d1="1", d2="1", H_u="5")
-    nf = c.named_fields()
-    assert "robin_b2_left" in nf and "robin_b2_right" in nf
-    assert nf["robin_b2_right"].eval(0.0, 0.0) == 1.0
+def test_robin_weights_become_named_fields(endemic_c, grid):
+    # validation names each expression weight of a Robin operator after its
+    # group and side, left before right
+    bc = BoundarySpec.robin(2, parse_expression("1.0 - 2*x"),
+                            parse_expression("0.5 + 0.5*cos(2*pi*t) + t"))
+    assert bc.b_right.eval(0.0, 0.0) == 1.0
+    rep = validate_hypothesis_H(endemic_c, (BoundarySpec.dirichlet(1), bc), grid)
+    assert [v.field for v in rep.violations] == ["robin_b2_left", "robin_b2_right"]
 
 
-def test_hypothesis_passes_for_valid_constants(endemic_c, grid):
-    rep = validate_hypothesis_H(endemic_c, grid)
+def test_hypothesis_passes_for_valid_constants(endemic_c, grid, neumann_bcs):
+    rep = validate_hypothesis_H(endemic_c, neumann_bcs, grid)
     assert rep.passed
     assert rep.violations == []
     assert "passed" in rep.describe()
 
 
-def test_hypothesis_passes_for_seasonal_fields(grid):
+def test_hypothesis_passes_for_seasonal_fields(grid, neumann_bcs):
     c = make_constants(beta="2 + sin(2*pi*t)", H_u="5*(1 + 0.5*cos(pi*x))")
-    assert validate_hypothesis_H(c, grid).passed
+    assert validate_hypothesis_H(c, neumann_bcs, grid).passed
 
 
-def test_strict_positivity_enforced(grid):
+def test_strict_positivity_enforced(grid, neumann_bcs):
     for name in ("rho", "sigma2", "mu1", "d1", "d2"):
-        rep = validate_hypothesis_H(make_constants(**{name: "0"}), grid)
+        rep = validate_hypothesis_H(make_constants(**{name: "0"}), neumann_bcs, grid)
         assert not rep.passed
         assert name in violated_fields(rep)
 
 
-def test_nonnegativity_enforced(grid):
-    rep = validate_hypothesis_H(make_constants(beta="-1"), grid)
+def test_nonnegativity_enforced(grid, neumann_bcs):
+    rep = validate_hypothesis_H(make_constants(beta="-1"), neumann_bcs, grid)
     assert not rep.passed
     assert "beta" in violated_fields(rep)
     # spatially localised sign change is still caught
-    rep2 = validate_hypothesis_H(make_constants(mu2="0.5 - x"), grid)
+    rep2 = validate_hypothesis_H(make_constants(mu2="0.5 - x"), neumann_bcs, grid)
     assert "mu2" in violated_fields(rep2)
 
 
-def test_infection_pathway_must_not_vanish(grid):
-    rep = validate_hypothesis_H(make_constants(H_u="0"), grid)
+def test_infection_pathway_must_not_vanish(grid, neumann_bcs):
+    rep = validate_hypothesis_H(make_constants(H_u="0"), neumann_bcs, grid)
     assert not rep.passed
     assert "sigma1*H_u" in violated_fields(rep)
     # sigma1 = 0 kills the pathway the same way
-    rep2 = validate_hypothesis_H(make_constants(sigma1="0"), grid)
+    rep2 = validate_hypothesis_H(make_constants(sigma1="0"), neumann_bcs, grid)
     assert "sigma1*H_u" in violated_fields(rep2)
 
 
-def test_periodicity_enforced(grid):
-    rep = validate_hypothesis_H(make_constants(beta="2 + t"), grid)
+def test_periodicity_enforced(grid, neumann_bcs):
+    rep = validate_hypothesis_H(make_constants(beta="2 + t"), neumann_bcs, grid)
     assert not rep.passed
     assert "beta" in violated_fields(rep)
     # period-T forcing is fine even though it varies
-    ok = validate_hypothesis_H(make_constants(beta="2 + sin(2*pi*t)"), grid)
+    ok = validate_hypothesis_H(make_constants(beta="2 + sin(2*pi*t)"), neumann_bcs, grid)
     assert ok.passed
 
 
-def test_t_offset_shifts_the_sampling_window(grid):
+def test_t_offset_shifts_the_sampling_window(grid, neumann_bcs):
     c = make_constants(beta="2 - t")
     # over [0, 2] the ramp stays nonnegative, so only periodicity trips
-    rep0 = validate_hypothesis_H(c, grid, t_offset=0.0)
+    rep0 = validate_hypothesis_H(c, neumann_bcs, grid, t_offset=0.0)
     assert violated_fields(rep0) == {"beta"}
     assert len(rep0.violations) == 1
     # shifted far out the ramp is negative as well
-    rep10 = validate_hypothesis_H(c, grid, t_offset=10.0)
+    rep10 = validate_hypothesis_H(c, neumann_bcs, grid, t_offset=10.0)
     assert len(rep10.violations) == 2
 
 
-def test_violation_describe_names_field_and_location(grid):
-    rep = validate_hypothesis_H(make_constants(rho="0"), grid)
+def test_violation_describe_names_field_and_location(grid, neumann_bcs):
+    rep = validate_hypothesis_H(make_constants(rho="0"), neumann_bcs, grid)
     line = rep.violations[0].describe()
     assert line.startswith("rho:")
     assert "x=" in line and "t=" in line
 
 
-def test_robin_weight_negativity_is_a_violation(grid):
-    from vectorhost import CoefficientSet
-    c = CoefficientSet.from_strings(
-        T=1.0, robin_b1=("-1", "0"),
-        rho="1", sigma1="1", sigma2="1", beta="2", mu1="1", mu2="1",
-        d1="1", d2="1", H_u="5")
-    rep = validate_hypothesis_H(c, grid)
+def test_robin_weight_negativity_is_a_violation(endemic_c, grid):
+    bc = BoundarySpec.robin(1, parse_expression("-1"), parse_expression("0"))
+    rep = validate_hypothesis_H(endemic_c, (bc, BoundarySpec.neumann(2)), grid)
     assert not rep.passed
     assert "robin_b1_left" in violated_fields(rep)
+
+
+def test_validation_reads_the_weights_on_the_boundary_operator(endemic_c, grid):
+    # the coefficient set carries no weights: the operator the solver
+    # assembles from is the one place they are stated
+    assert not [f.name for f in dataclasses.fields(CoefficientSet)
+                if f.name.startswith("robin")]
+    weight = parse_expression("x - 0.5")
+    bcs = (BoundarySpec.robin(1, weight, 0.0), BoundarySpec.neumann(2))
+    rep = validate_hypothesis_H(endemic_c, bcs, grid)
+    assert [v.describe() for v in rep.violations] == [
+        "robin_b1_left: must be nonnegative at (x=0, t=0), value -0.5"]

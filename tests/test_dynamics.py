@@ -199,6 +199,18 @@ def test_verify_refuses_a_non_positive_n_periods_before_classifying(
             verify_trichotomy(endemic_c, neumann_bcs, grid31, n_periods=n)
 
 
+def test_verify_refuses_a_bad_stride_before_classifying(monkeypatch, endemic_c,
+                                                       neumann_bcs):
+    # the default stride, 8, does not divide 100 steps per period
+    calls = []
+    monkeypatch.setattr(dynamics, "classify_regime",
+                        lambda *args, **kwargs: calls.append(args))
+    g = build_grid(0.0, 1.0, 15, 1.0, 100)
+    with pytest.raises(DomainError, match=r"sample_stride must divide steps_per_period \(8 vs 100\)"):
+        verify_trichotomy(endemic_c, neumann_bcs, g)
+    assert calls == []
+
+
 def test_verify_disease_free_passes(disease_free_c, neumann_bcs, grid31,
                                     disease_free_report):
     cr = verify_trichotomy(disease_free_c, neumann_bcs, grid31,

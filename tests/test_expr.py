@@ -7,7 +7,7 @@ import pytest
 
 from vectorhost import EvalError, InputError, ParseError, evaluate, \
     field_lattice, field_values, parse_expression, to_source
-from vectorhost.coeffs import MAX_DEPTH
+from vectorhost.coeffs import FUNCTIONS, MAX_DEPTH
 
 
 def ev(src, x=0.0, t=0.0, constants=None):
@@ -42,6 +42,21 @@ def test_functions():
     assert ev("max(2, 5)") == 5.0
     assert ev("min(2, 5)") == 2.0
     assert ev("pow(2, 10)") == 1024.0
+
+
+def test_operators_match_numpy_bit_for_bit():
+    # each table entry evaluates exactly as the numpy call it names
+    x = np.linspace(-1.0, 3.0, 41)
+    t = 1.5 + np.cos(7.0 * x)          # positive: a divisor and an exponent
+    cases = {"sin(x)": np.sin(x), "cos(x)": np.cos(x), "exp(x)": np.exp(x),
+             "abs(x)": np.abs(x), "max(x, t)": np.maximum(x, t),
+             "min(x, t)": np.minimum(x, t),
+             "pow(x + 1.5, t)": np.power(x + 1.5, t),
+             "x + t": x + t, "x - t": x - t, "x * t": x * t, "x / t": x / t,
+             "(x + 1.5)^t": np.power(x + 1.5, t), "-x": -x}
+    assert set(FUNCTIONS) == {"sin", "cos", "exp", "abs", "max", "min", "pow"}
+    for src, want in cases.items():
+        assert np.array_equal(evaluate(parse_expression(src), x, t), want), src
 
 
 def test_vectorized_over_x():

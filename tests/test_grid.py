@@ -48,6 +48,16 @@ def test_boundary_spec_construction():
         BoundarySpec(group=1, flavor="periodic")
 
 
+def test_boundary_spec_refuses_a_bad_numeric_weight():
+    # an expression weight is checked on the lattice by validation; a
+    # number is checked here, once
+    for weights, name in (((-1.0, 0.0), "b_left"), ((0.0, math.nan), "b_right"),
+                          ((math.inf, 0.0), "b_left")):
+        with pytest.raises(DomainError, match=f"Robin weight {name} must be"):
+            BoundarySpec.robin(1, *weights)
+    assert BoundarySpec.robin(2, 0.0, 2.5).b_right == 2.5
+
+
 def test_robin_weights_evaluate_in_time():
     g = build_grid(0.0, 1.0, 7, 1.0, 16)
     bc = BoundarySpec.robin(2, 1.0, parse_expression("0.5 + 0.5*cos(2*pi*t)"))
