@@ -27,7 +27,7 @@ import warnings
 import numpy as np
 
 from .coeffs import validate_hypothesis_H
-from .config import RunConfig, check_sample_stride, load_config, substituted_coeffs
+from .config import RunConfig, load_config, substituted_coeffs
 from .dynamics import (INDETERMINATE, build_initial_state, classify_regime,
                        verify_trichotomy)
 from .eigen import gamma_rho, lambda_V, lambda_V_eps
@@ -36,7 +36,7 @@ from .errors import (CoefficientError, ConfigError, DomainError, EpsilonTooLarge
 from .grid import BoundarySpec, map_between
 from .periodic import (_MAX_HALVINGS, solve_Hbar, solve_endemic_pair,
                        solve_logistic_orbit)
-from .stepper import NonlinearModel, integrate_trajectory
+from .stepper import NonlinearModel, check_trajectory, integrate_trajectory
 
 __all__ = ["main"]
 
@@ -120,10 +120,10 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
     gr = gamma_rho(c, cfg.bc1, g, o.eigen_tol, o.max_eigen_iters)
     items = [("zeta", lr.zeta),
              ("zeta_iterations", lr.zeta_result.iterations),
-             ("zeta_residual", lr.zeta_result.residual),
+             ("zeta_residual", lr.zeta_result.eigenfunction.residual),
              ("gamma_rho", gr.value),
              ("gamma_rho_iterations", gr.iterations),
-             ("gamma_rho_residual", gr.residual)]
+             ("gamma_rho_residual", gr.eigenfunction.residual)]
     histories = [("zeta", lr.zeta_result.r_history),
                  ("gamma_rho", gr.r_history)]
     if lr.orbit.sup_norm() > 0.0:
@@ -131,7 +131,7 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
                        o.eigen_tol, o.max_eigen_iters)
         items += [("lambda_V", lam.value),
                   ("lambda_V_iterations", lam.iterations),
-                  ("lambda_V_residual", lam.residual)]
+                  ("lambda_V_residual", lam.eigenfunction.residual)]
         histories.append(("lambda_V", lam.r_history))
         if o.eps > 0.0:
             # halve the band as the endemic pair's ladder does, until
@@ -175,7 +175,7 @@ def cmd_periodic(cfg: RunConfig, args) -> int:
               [("H_bar", hbar.samples[0], cfg.bc1)])
     items = [("zeta", lr.zeta),
              ("V_converged_in", lr.converged_in),
-             ("V_fixed_point_residual", lr.fixed_point_residual),
+             ("V_fixed_point_residual", lr.orbit.residual),
              ("V_agreement_gap", lr.agreement_gap),
              ("Hbar_sup", hbar.sup_norm())]
     indeterminate = False
@@ -192,11 +192,10 @@ def cmd_periodic(cfg: RunConfig, args) -> int:
                   ("eps_used", pair.eps_used),
                   ("endemic_gap", pair.gap),
                   ("endemic_converged_in", pair.converged_in),
-                  ("endemic_upper_residual", pair.upper_residual),
+                  ("endemic_upper_residual", pair.orbit.residual),
                   ("endemic_lower_residual", pair.lower_residual)]
         _node_csv(os.path.join(args.out, "endemic_orbit.csv"), g,
-                  [("H_i", pair.H_orbit.samples[0], cfg.bc1),
-                   ("V_i", pair.Vi_orbit.samples[0], cfg.bc2)])
+                  list(zip(("H_i", "V_i"), pair.orbit.samples, bcs)))
     _write_report(os.path.join(args.out, "periodic_report.txt"), items)
     print(f"zeta={lr.zeta:.6g} endemic={dict(items).get('endemic_status')}")
     if indeterminate and args.strict:
@@ -248,10 +247,9 @@ def cmd_classify(cfg: RunConfig, args) -> int:
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
-    o = cfg.solver
     u0 = build_initial_state(cfg.grid, cfg.bc1, cfg.bc2, cfg.run.initial)
     cr = verify_trichotomy(cfg.coeffs, (cfg.bc1, cfg.bc2), cfg.grid,
-                           initial=u0, tols=o)
+                           initial=u0, o=cfg.solver)
     items = _classify_items(cr.regime_report)
     items += [("verdict", cr.verdict),
               ("final_error", cr.final_error),
@@ -354,7 +352,7 @@ def main(argv=None) -> int:
         try:
             cfg = load_config(args.config, tuple(args.override))
             if args.command in ("simulate", "verify"):   # the two that keep a trajectory
-                check_sample_stride(cfg.grid, cfg.solver)
+                check_trajectory(cfg.grid, cfg.solver.n_periods, cfg.solver.sample_stride)
             try:
                 os.makedirs(args.out, exist_ok=True)
             except OSError as exc:

@@ -365,10 +365,9 @@ def to_source(e: Expression) -> str:
     if e.op == "^":
         # right-associative, binds tighter than unary minus
         return f"{_wrap(e.left, _LEVEL_ATOM)}^{_wrap(e.right, _LEVEL_UNARY)}"
-    # a right operand of - or / at the same level keeps its brackets: a-(b+c), a/(b*c)
+    # left-associative: a same-level right operand keeps its brackets, a+(b+c)
     level = _BINARY[e.op][0]
-    right_min = level + 1 if e.op in "-/" else level
-    return f"{_wrap(e.left, level)} {e.op} {_wrap(e.right, right_min)}"
+    return f"{_wrap(e.left, level)} {e.op} {_wrap(e.right, level + 1)}"
 
 
 # ═══════════════════════════════════════════════════════════════════════════

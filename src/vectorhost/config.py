@@ -19,12 +19,13 @@ import os
 from dataclasses import dataclass
 
 from .coeffs import COEFFICIENT_FIELDS, CoefficientSet, parse_expression
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .grid import BoundarySpec, Grid, build_grid
 from .periodic import SolverOptions
+from .stepper import check_trajectory
 
 __all__ = ["RunSettings", "SweepSettings", "RunConfig", "load_config",
-           "check_sample_stride", "substituted_coeffs"]
+           "substituted_coeffs"]
 
 
 def _finite(raw, positive=False):
@@ -209,8 +210,13 @@ def load_config(path: str, overrides=()) -> RunConfig:
     if not 0 <= solver.eps < math.inf:  # NaN fails too
         raise ConfigError("[solver] eps: must be "
                           + ("nonnegative" if solver.eps < 0 else "finite"))
+    # a stride the config sets is checked here, as a setting; the default
+    # one only by the subcommands that keep a trajectory
     if parser.has_option("run", "sample_stride"):
-        check_sample_stride(grid, solver)
+        try:
+            check_trajectory(grid, solver.n_periods, solver.sample_stride)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from None
 
     initial = tuple(
         parse_expression(_get(parser, "run", key, str, _DEFAULT_INITIAL[key]))
@@ -239,17 +245,6 @@ def load_config(path: str, overrides=()) -> RunConfig:
 
     return RunConfig(grid=grid, bc1=bc1, bc2=bc2, coeffs=coeffs, solver=solver,
                      run=run, sweep=sweep)
-
-
-def check_sample_stride(grid: Grid, solver: SolverOptions) -> None:
-    """ConfigError unless the trajectory stride divides steps_per_period.
-
-    load_config checks a stride the config sets; the subcommands that keep
-    a trajectory check the default one too, since only they sample."""
-    if grid.steps_per_period % solver.sample_stride != 0:
-        raise ConfigError(
-            f"[run] sample_stride: {solver.sample_stride} does not divide "
-            f"steps_per_period {grid.steps_per_period}")
 
 
 def substituted_coeffs(cfg: RunConfig, value: float) -> CoefficientSet:

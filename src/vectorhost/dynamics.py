@@ -94,60 +94,46 @@ class SandwichReport:
 
 
 def classify_regime(c: CoefficientSet, bcs, grid: Grid,
-                    tols: SolverOptions | None = None) -> RegimeReport:
+                    o: SolverOptions = SolverOptions()) -> RegimeReport:
     """Name the long-time regime from the signs of zeta and lambda(V).
 
-    Signs are only trusted outside +/- band; inside it the report says
-    INDETERMINATE and carries no attractor.  Endemic attractors come from
-    the two-sided pair construction (eps taken from the options).
+    lambda(V) is solved only when zeta <= -band, and the one threshold
+    that decides is read through band_sign: inside +/- band the report
+    says INDETERMINATE and carries no attractor.  Endemic attractors come
+    from the two-sided pair construction (eps taken from the options).
     """
-    o = tols if tols is not None else SolverOptions()
     bc1, bc2 = bcs
-    g = grid
-    m = g.steps_per_period
-    n1, n2 = g.n_unknowns(bc1), g.n_unknowns(bc2)
-
-    lr = solve_logistic_orbit(c, bc2, g, o)
-    z = lr.zeta
-    side = band_sign(z, o.band)
-    if side > 0:
-        return RegimeReport(
-            zeta=z, lambda_V=None, regime=EXTINCTION,
-            attractor=PeriodicOrbit.zeros([n1, n2, n2], m),
-            attractor_kind="(0, 0, 0)", band=o.band, logistic=lr)
+    m = grid.steps_per_period
+    n1, n2 = grid.n_unknowns(bc1), grid.n_unknowns(bc2)
+    lr = solve_logistic_orbit(c, bc2, grid, o)
+    lam = pair = attractor = None
+    if band_sign(lr.zeta, o.band) < 0:
+        lam = lambda_V(c, bcs, grid, lr.orbit, o.eigen_tol, o.max_eigen_iters)
+    name, value = ("zeta", lr.zeta) if lam is None else ("lambda(V)", lam.value)
+    side = band_sign(value, o.band)
     if side == 0:
-        return RegimeReport(
-            zeta=z, lambda_V=None, regime=INDETERMINATE, attractor=None,
-            attractor_kind="undecided (zeta inside the band)", band=o.band,
-            logistic=lr)
-
-    lam = lambda_V(c, bcs, g, lr.orbit, o.eigen_tol, o.max_eigen_iters)
-    side = band_sign(lam.value, o.band)
-    if side > 0:
+        regime, kind = INDETERMINATE, f"undecided ({name} inside the band)"
+    elif side < 0:   # lambda(V) below the band
+        pair = solve_endemic_pair(c, bcs, grid, o, logistic=lr, lam=lam)
+        regime, kind, attractor = ENDEMIC, "(H_i, V - V_i, V_i)", _endemic_attractor(pair)
+    elif lam is None:
+        regime, kind = EXTINCTION, "(0, 0, 0)"
+        attractor = PeriodicOrbit.zeros([n1, n2, n2], m)
+    else:
+        regime, kind = DISEASE_FREE, "(0, V, 0)"
         attractor = PeriodicOrbit(
             (np.zeros((m + 1, n1)), lr.orbit.samples[0], np.zeros((m + 1, n2))),
             lr.orbit.residual)
-        return RegimeReport(
-            zeta=z, lambda_V=lam.value, regime=DISEASE_FREE,
-            attractor=attractor, attractor_kind="(0, V, 0)", band=o.band,
-            logistic=lr, lambda_V_result=lam)
-    if side < 0:
-        pair = solve_endemic_pair(c, bcs, g, o, logistic=lr, lam=lam)
-        return RegimeReport(
-            zeta=z, lambda_V=lam.value, regime=ENDEMIC,
-            attractor=_endemic_attractor(pair),
-            attractor_kind="(H_i, V - V_i, V_i)", band=o.band, logistic=lr,
-            lambda_V_result=lam, pair=pair)
     return RegimeReport(
-        zeta=z, lambda_V=lam.value, regime=INDETERMINATE, attractor=None,
-        attractor_kind="undecided (lambda(V) inside the band)", band=o.band,
-        logistic=lr, lambda_V_result=lam)
+        zeta=lr.zeta, lambda_V=None if lam is None else lam.value, regime=regime,
+        attractor=attractor, attractor_kind=kind, band=o.band, logistic=lr,
+        lambda_V_result=lam, pair=pair)
 
 
 def _endemic_attractor(pair: EndemicPairResult) -> PeriodicOrbit:
     """(H_i, V - V_i, V_i) from the pair's upper limit and carrying orbit."""
-    H, V, Vi = pair.H_orbit.samples[0], pair.V.samples[0], pair.Vi_orbit.samples[0]
-    return PeriodicOrbit((H, V - Vi, Vi), max(pair.V.residual, pair.upper_residual))
+    (H, Vi), V = pair.orbit.samples, pair.logistic.orbit
+    return PeriodicOrbit((H, V.samples[0] - Vi, Vi), max(V.residual, pair.orbit.residual))
 
 
 # ──────────────────────────────────────────────────────── verification ──
@@ -199,29 +185,26 @@ def _period_errors(traj: Trajectory, attractor: PeriodicOrbit,
     return errors.tolist()
 
 
-def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid,
-                      initial=None, n_periods: int | None = None,
-                      target: float | None = None,
-                      tols: SolverOptions | None = None,
+def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid, initial=None,
+                      o: SolverOptions = SolverOptions(),
                       report: RegimeReport | None = None) -> ConvergenceReport:
     """Integrate the full model and measure convergence to the attractor.
 
     errors[n] is the sup distance over all components, nodes, and stored
-    levels of period n; the verdict is PASS when the final error is at or
-    below target and the median period-to-period ratio is below one.
+    levels of period n, for the options' n_periods; the verdict is PASS
+    when the final error is at or below o.target and the median
+    period-to-period ratio is below one.
     Without a report the regime is classified at eps = 0, so one endemic
     pair is solved and its orbit is the attractor.  A report passed in
     that was built with eps > 0 carries the band envelope, so the eps = 0
     orbit is rebuilt from its carrying orbit and lambda(V) and measured
     against instead.  initial is read by build_initial_state (a state
     tuple passes through), default (1.0, 0.5, 0.1); it must be strictly
-    positive at interior nodes.  n_periods and the options' sample_stride
+    positive at interior nodes.  The options' n_periods and sample_stride
     pass check_trajectory before anything is solved.
     """
-    o = tols if tols is not None else SolverOptions()
-    n_periods = o.n_periods if n_periods is None else n_periods
+    n_periods, target = o.n_periods, o.target
     check_trajectory(grid, n_periods, o.sample_stride)
-    target = o.target if target is None else target
     if report is None:
         report = classify_regime(c, bcs, grid, replace(o, eps=0.0))
     if report.regime == INDETERMINATE:

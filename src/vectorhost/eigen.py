@@ -88,23 +88,19 @@ class PeriodicOrbit:
     def zeros(sizes, m: int) -> "PeriodicOrbit":
         return PeriodicOrbit(tuple(np.zeros((m + 1, n)) for n in sizes))
 
-    def component(self, comp: int) -> "PeriodicOrbit":
-        return PeriodicOrbit((self.samples[comp],), self.residual)
-
 
 @dataclass(frozen=True)
 class EigenResult:
     """Principal eigenpair of a period map.
 
     value = -ln(multiplier)/T; eigenfunction is sup-normalised over the
-    whole period (max sample = 1) and periodic up to `residual` in sup norm.
-    r_history records the multiplier estimates per power iteration.
+    whole period (max sample = 1) and periodic up to its residual in sup
+    norm.  r_history records the multiplier estimates per power iteration.
     """
 
     value: float
     multiplier: float
     eigenfunction: PeriodicOrbit
-    residual: float
     iterations: int
     r_history: tuple = ()
 
@@ -233,8 +229,8 @@ def principal_eigenvalue(system: LinearPeriodicSystem,
 
     Power iteration from a positive constant vector; the multiplier is the
     ratio at the normalisation (sup) node, converged when successive
-    estimates differ by <= tol and the normalised iterate direction moves
-    by <= tol in sup norm.
+    estimates differ by <= max(tol, 4 ulp of the estimate) and the
+    normalised iterate direction moves by <= tol in sup norm.
 
     Raises:
         NoConvergence: budget exhausted before both criteria held.
@@ -264,7 +260,7 @@ def principal_eigenvalue(system: LinearPeriodicSystem,
         s = w / denom
         if s[int(np.argmax(np.abs(s)))] < 0:
             s = -s
-        if r_prev is not None and abs(r - r_prev) <= tol and \
+        if r_prev is not None and abs(r - r_prev) <= max(tol, 4 * np.spacing(r)) and \
                 float(np.max(np.abs(s - u))) <= tol:
             u = s
             converged = True
@@ -283,8 +279,8 @@ def principal_eigenvalue(system: LinearPeriodicSystem,
     ts = np.arange(g.steps_per_period + 1) * g.dt
     phi = np.exp(value * ts)[:, None] * P.period_map(u, store=True)
     phi /= np.max(np.abs(phi))
-    residual = float(np.max(np.abs(phi[-1] - phi[0])))
-    orbit = PeriodicOrbit(tuple(np.ascontiguousarray(s) for s in P.split(phi)), residual)
+    orbit = PeriodicOrbit(tuple(np.ascontiguousarray(s) for s in P.split(phi)),
+                          float(np.max(np.abs(phi[-1] - phi[0]))))
 
     interior_min = min(float(np.min(g.interior(s, comp.bc)))
                        for s, comp in zip(orbit.samples, system.comps))
@@ -301,8 +297,7 @@ def principal_eigenvalue(system: LinearPeriodicSystem,
             "the cooperative system is reducible", ReducibleSystemWarning)
 
     return EigenResult(value=float(value), multiplier=r, eigenfunction=orbit,
-                       residual=residual, iterations=iterations,
-                       r_history=tuple(r_history))
+                       iterations=iterations, r_history=tuple(r_history))
 
 
 # ═══════════════════════════════════════════════════════════════════════════

@@ -11,10 +11,12 @@ carrying orbit; the host decay rate makes the period map a contraction.
 solve_endemic_pair runs the classical two-sided scheme on the truncated
 infection system: an upper seed built from the host profile and the
 band-shifted carrying orbit, a lower seed proportional to the invasion
-eigenfunction, both iterated until they meet.  The band width eps is
-halved until admissible (positivity, the quadratic band inequality, a
-strictly negative shifted invasion exponent, certified first-step
-monotonicity).
+eigenfunction, both iterated until they meet.  One gate refuses it unless
+zeta and then lambda(V) lie below the decision band.  The band width eps
+is halved until admissible (_band_admissible: positivity and the quadratic
+band inequality; then a strictly negative shifted invasion exponent and
+certified first-step monotonicity).  Its result keeps the upper limit as
+one (H_i, V_i) orbit and the logistic result it was built on.
 
 Both orbits share one two-sided construction: _growing_seed finds the
 lower seed and _limits iterates both sequences to their limits.
@@ -79,7 +81,6 @@ class LogisticOrbitResult:
     orbit: PeriodicOrbit
     zeta_result: EigenResult
     converged_in: int
-    fixed_point_residual: float
     agreement_gap: float
 
     @property
@@ -91,21 +92,20 @@ class LogisticOrbitResult:
 class EndemicPairResult:
     """Upper/lower limits of the truncated infection system.
 
-    H_orbit and Vi_orbit are the upper limit (the endemic orbit when
-    eps_used == 0, an upper envelope otherwise); gap is the final sup
-    distance between the two limits; the histories hold the period
-    boundary snapshots (tuples of component arrays) of each sequence.
+    orbit is the upper limit, components (H_i, V_i): the endemic orbit
+    when eps_used == 0, an upper envelope otherwise.  logistic is the
+    carrying orbit and zeta the pair was built on; the lower limit is not
+    kept, only its residual.  gap is the final sup distance between the
+    two limits; the histories hold the period boundary snapshots (tuples
+    of component arrays) of each sequence.
     """
 
-    H_orbit: PeriodicOrbit
-    Vi_orbit: PeriodicOrbit
-    V: PeriodicOrbit
+    orbit: PeriodicOrbit
+    logistic: LogisticOrbitResult
     eps_used: float
-    upper_residual: float
     lower_residual: float
     gap: float
     converged_in: int
-    zeta_result: EigenResult
     lambda_V_result: EigenResult
     lambda_V_eps_result: EigenResult
     upper_history: tuple
@@ -200,8 +200,7 @@ def solve_logistic_orbit(c: CoefficientSet, bc2: BoundarySpec, grid: Grid,
     if band_sign(rz.value, o.band) >= 0:
         return LogisticOrbitResult(
             orbit=PeriodicOrbit.zeros([n2], g.steps_per_period),
-            zeta_result=rz, converged_in=0, fixed_point_residual=0.0,
-            agreement_gap=0.0)
+            zeta_result=rz, converged_in=0, agreement_gap=0.0)
 
     model = NonlinearModel(kind="logistic", c=c, bc1=BoundarySpec.neumann(1),
                            bc2=bc2, grid=g, cap=o.blowup_cap)
@@ -226,10 +225,8 @@ def solve_logistic_orbit(c: CoefficientSet, bc2: BoundarySpec, grid: Grid,
             f"upper and lower vector-orbit limits differ by {agreement:.3g} "
             f"(allowed {AGREEMENT_FACTOR * o.orbit_tol:g}); the orbit is not certified unique")
 
-    orbit = _store_orbit(model, P, up)
-    return LogisticOrbitResult(orbit=orbit, zeta_result=rz,
+    return LogisticOrbitResult(orbit=_store_orbit(model, P, up), zeta_result=rz,
                                converged_in=max(n_up, n_low + 1),
-                               fixed_point_residual=orbit.residual,
                                agreement_gap=agreement)
 
 
@@ -275,11 +272,31 @@ def solve_Hbar(c: CoefficientSet, bcs, grid: Grid,
 # ─────────────────────────────────────────────────── the endemic pair ──
 
 
-def _band_inequality_holds(c: CoefficientSet, grid: Grid, bc2: BoundarySpec,
-                           V: PeriodicOrbit, phi: PeriodicOrbit,
-                           eps: float, zeta_value: float) -> bool:
-    """Pointwise quadratic admissibility of the band shift:
+def _endemic_gate(value: float, band: float, absent: str, name: str,
+                  inside: str) -> None:
+    """RegimeError unless value <= -band.  At or above band the endemic
+    orbit is absent: the message opens with `absent` and calls the value
+    `name`.  Inside the band the state is unresolved (indeterminate): the
+    message opens with `inside`."""
+    side = band_sign(value, band)
+    if side > 0:
+        raise RegimeError(f"{absent} ({name} = {value:.6g} >= {band:g}); "
+                          "endemic orbit absent")
+    if side == 0:
+        raise RegimeError(
+            f"{inside} {value:.6g} lies inside the decision band "
+            f"(+/-{band:g}); endemic state unresolved at this resolution",
+            indeterminate=True)
+
+
+def _band_admissible(c: CoefficientSet, grid: Grid, bc2: BoundarySpec,
+                     V: PeriodicOrbit, phi: PeriodicOrbit,
+                     eps: float, zeta_value: float) -> bool:
+    """The band shift keeps V - eps*phi > 0 on every sample and satisfies
+    the pointwise quadratic inequality
     (eps*phi)^2 * mu2 - eps*phi*|beta + zeta| < beta*V on the lattice."""
+    if float(np.min(V.samples[0] - eps * phi.samples[0])) <= 0.0:
+        return False
     ephi = eps * phi.lattice()
     beta = grid.lattice(c.beta, bc2)
     lhs = ephi ** 2 * grid.lattice(c.mu2, bc2) - ephi * np.abs(beta + zeta_value)
@@ -317,28 +334,12 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
     if logistic is None:
         logistic = solve_logistic_orbit(c, bc2, grid, o)
     rz, V = logistic.zeta_result, logistic.orbit
-    side = band_sign(rz.value, band)
-    if side > 0:
-        raise RegimeError(
-            f"the vector population dies out (zeta = {rz.value:.6g} >= {band:g}); "
-            "endemic orbit absent")
-    if side == 0:
-        raise RegimeError(
-            f"growth threshold {rz.value:.6g} lies inside the decision band "
-            f"(+/-{band:g}); endemic state unresolved at this resolution",
-            indeterminate=True)
+    _endemic_gate(rz.value, band, "the vector population dies out", "zeta",
+                  "growth threshold")
     lamV = lam if lam is not None else lambda_V(c, (bc1, bc2), grid, V,
                                                 o.eigen_tol, o.max_eigen_iters)
-    side = band_sign(lamV.value, band)
-    if side > 0:
-        raise RegimeError(
-            f"the disease-free state resists invasion (lambda(V) = "
-            f"{lamV.value:.6g} >= {band:g}); endemic orbit absent")
-    if side == 0:
-        raise RegimeError(
-            f"invasion exponent {lamV.value:.6g} lies inside the decision band "
-            f"(+/-{band:g}); endemic state unresolved at this resolution",
-            indeterminate=True)
+    _endemic_gate(lamV.value, band, "the disease-free state resists invasion",
+                  "lambda(V)", "invasion exponent")
 
     phi = rz.eigenfunction
     if eps is None:
@@ -350,20 +351,14 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
 
     e = eps
     for _ in range(_MAX_HALVINGS + 1):
-        if e == 0.0:
-            le = lamV
-        else:
-            if float(np.min(V.samples[0] - e * phi.samples[0])) <= 0.0:
-                e *= 0.5
-                continue
-            if not _band_inequality_holds(c, grid, bc2, V, phi, e, rz.value):
-                e *= 0.5
-                continue
-            le = lambda_V_eps(c, (bc1, bc2), grid, V, phi, e,
-                              o.eigen_tol, o.max_eigen_iters)
-            if band_sign(le.value, band) >= 0:
-                e *= 0.5
-                continue
+        if e != 0.0 and not _band_admissible(c, grid, bc2, V, phi, e, rz.value):
+            e *= 0.5
+            continue
+        le = lamV if e == 0.0 else lambda_V_eps(c, (bc1, bc2), grid, V, phi, e,
+                                                o.eigen_tol, o.max_eigen_iters)
+        if band_sign(le.value, band) >= 0:   # a shifted rung: lamV passed the gate
+            e *= 0.5
+            continue
 
         Hbar = hbar if e == 0.0 and hbar is not None else \
             solve_Hbar(c, bcs, grid, V, e, phi if e != 0.0 else None, o)
@@ -410,20 +405,17 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
             f"endemic upper/lower limits remain {gap:.3g} apart "
             f"(allowed {GAP_FACTOR * tol:g}); orbit not certified")
 
-    upper_orbit = _store_orbit(model, P, up)
-    lower_orbit = _store_orbit(model, P, low)
-    H_orbit = upper_orbit.component(0)
-    Vi_orbit = upper_orbit.component(1)
+    orbit = _store_orbit(model, P, up)
+    lower_residual = _store_orbit(model, P, low).residual
 
     envelope = V.samples[0] + e * phi.samples[0]
-    overshoot = float(np.max(Vi_orbit.samples[0] - envelope))
+    overshoot = float(np.max(orbit.samples[1] - envelope))
     if overshoot > slack * max(1.0, float(np.max(envelope))):
         raise InternalError(
             f"infected-vector orbit exceeds the band envelope by {overshoot:.3g}")
 
     return EndemicPairResult(
-        H_orbit=H_orbit, Vi_orbit=Vi_orbit, V=V, eps_used=e,
-        upper_residual=upper_orbit.residual, lower_residual=lower_orbit.residual,
+        orbit=orbit, logistic=logistic, eps_used=e, lower_residual=lower_residual,
         gap=gap, converged_in=max(n_up + 1, n_low + 1),
-        zeta_result=rz, lambda_V_result=lamV, lambda_V_eps_result=le,
+        lambda_V_result=lamV, lambda_V_eps_result=le,
         upper_history=tuple(upper_history), lower_history=tuple(lower_history))

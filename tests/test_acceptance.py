@@ -144,7 +144,7 @@ def test_criterion_04_eigen_residual_bounds(eigen_suite, endemic_report,
                                             disease_free_report,
                                             extinction_report):
     for label, system, res in eigen_suite["cases"]:
-        assert res.residual <= 1e-8, label
+        assert res.eigenfunction.residual <= 1e-8, label
         assert period_map_residual(system, res) <= 1e-7, label
     # eigen results embedded in the regime reports obey the same bound
     for rep in (endemic_report, disease_free_report, extinction_report):
@@ -154,7 +154,7 @@ def test_criterion_04_eigen_residual_bounds(eigen_suite, endemic_report,
         if rep.pair is not None:
             embedded.append(rep.pair.lambda_V_result)
         for res in embedded:
-            assert res.residual <= 1e-8
+            assert res.eigenfunction.residual <= 1e-8
 
 
 def test_criterion_05_carrying_orbit_exists_and_is_unique(
@@ -178,9 +178,10 @@ def test_criterion_05_carrying_orbit_exists_and_is_unique(
 
 def test_criterion_06_endemic_pair_values_and_monotone_sweeps(endemic_report):
     pair = endemic_report.pair
-    assert float(np.max(np.abs(pair.H_orbit.samples[0] - 3.0))) <= 1e-4
-    assert float(np.max(np.abs(pair.Vi_orbit.samples[0] - 0.6))) <= 1e-4
-    assert np.all(pair.Vi_orbit.samples[0] < pair.V.samples[0])
+    H, Vi = pair.orbit.samples
+    assert float(np.max(np.abs(H - 3.0))) <= 1e-4
+    assert float(np.max(np.abs(Vi - 0.6))) <= 1e-4
+    assert np.all(Vi < pair.logistic.orbit.samples[0])
     for a, b in zip(pair.upper_history, pair.upper_history[1:]):
         for ca, cb in zip(a, b):
             assert float(np.min(ca - cb)) >= -1e-12    # uppers come down

@@ -173,10 +173,10 @@ def test_default_sample_stride_gates_only_the_trajectory_subcommands(tmp_path, c
     capsys.readouterr()
     for cmd in ("simulate", "verify"):
         assert main([cmd, "--config", path, "--out", str(tmp_path / cmd)] + m100) == 1
-        assert capsys.readouterr().err == ("config error: [run] sample_stride: 8 "
-                                           "does not divide steps_per_period 100\n")
+        assert capsys.readouterr().err == ("config error: sample_stride must divide "
+                                           "steps_per_period (8 vs 100)\n")
         assert not (tmp_path / cmd).exists()
-    with pytest.raises(ConfigError, match="sample_stride: 8 does not divide"):
+    with pytest.raises(ConfigError, match=r"^sample_stride must divide steps_per_period \(8 vs 100\)$"):
         load_config(path, ["grid.steps_per_period=100", "run.sample_stride=8"])
 
 

@@ -63,6 +63,14 @@ def test_classify_indeterminate(neumann_bcs, grid31):
     assert r.regime == INDETERMINATE
     assert r.attractor is None
     assert abs(r.lambda_V) < r.band
+    assert r.attractor_kind == "undecided (lambda(V) inside the band)"
+    # zeta = -0.0005 decides nothing, so lambda(V) is never solved
+    r = classify_regime(make_constants(beta="1.0005 + sin(2*pi*t)"), neumann_bcs, grid31)
+    assert r.regime == INDETERMINATE
+    assert abs(r.zeta) < r.band
+    assert r.lambda_V is None and r.lambda_V_result is None
+    assert r.attractor is None
+    assert r.attractor_kind == "undecided (zeta inside the band)"
 
 
 def test_classify_with_band_envelope(endemic_banded_report):
@@ -134,7 +142,7 @@ def test_verify_rejects_nonpositive_initial_interior(endemic_c, neumann_bcs,
                                                      grid31, endemic_report):
     with pytest.raises(InputError):
         verify_trichotomy(endemic_c, neumann_bcs, grid31,
-                          initial=(1.0, 0.0, 0.1), n_periods=2,
+                          initial=(1.0, 0.0, 0.1), o=SolverOptions(n_periods=2),
                           report=endemic_report)
 
 
@@ -142,7 +150,7 @@ def test_verify_rejects_nan_initial_data(endemic_c, neumann_bcs, grid31,
                                         endemic_report):
     with pytest.raises(InputError):
         verify_trichotomy(endemic_c, neumann_bcs, grid31,
-                          initial=(np.nan, 0.5, 0.1), n_periods=2,
+                          initial=(np.nan, 0.5, 0.1), o=SolverOptions(n_periods=2),
                           report=endemic_report)
 
 
@@ -182,8 +190,8 @@ def test_verify_at_positive_eps_solves_one_endemic_pair(endemic_c, neumann_bcs,
         return real(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "solve_endemic_pair", counted)
-    cr = verify_trichotomy(endemic_c, neumann_bcs, grid31, n_periods=2,
-                           tols=SolverOptions(eps=0.05))
+    cr = verify_trichotomy(endemic_c, neumann_bcs, grid31,
+                           o=SolverOptions(eps=0.05, n_periods=2))
     assert calls == [0.0]
     assert cr.regime == ENDEMIC and cr.regime_report.pair.eps_used == 0.0
 
@@ -196,7 +204,7 @@ def test_verify_refuses_a_non_positive_n_periods_before_classifying(
     monkeypatch.setattr(dynamics, "classify_regime", unreachable)
     for n in (0, -2):
         with pytest.raises(DomainError, match=f"n_periods must be a positive count, got {n}$"):
-            verify_trichotomy(endemic_c, neumann_bcs, grid31, n_periods=n)
+            verify_trichotomy(endemic_c, neumann_bcs, grid31, o=SolverOptions(n_periods=n))
 
 
 def test_verify_refuses_a_bad_stride_before_classifying(monkeypatch, endemic_c,

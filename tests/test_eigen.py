@@ -152,7 +152,7 @@ def test_period_map_residual_directly(grid):
     phi0 = r.eigenfunction.level(0, 0)
     (mapped,) = apply_period_map(sys_, (phi0,))
     assert np.max(np.abs(mapped - r.multiplier * phi0)) <= 1e-10
-    assert r.residual <= 1e-10
+    assert r.eigenfunction.residual <= 1e-10
 
 
 def test_source_terms_are_rejected(grid):
@@ -251,6 +251,15 @@ def test_period_map_matches_dense_reference(flavors):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_large_multiplier_converges_within_its_ulp():
+    # beta = 20 puts the multiplier near e^19, whose ulp (3e-8) exceeds the
+    # 1e-10 tolerance; successive estimates may differ by 4 ulp
+    g = build_grid(0.0, 1.0, 31, 1.0, 128)
+    r = zeta(make_constants(beta="20 + sin(2*pi*t)", d2="0.5"), NEUMANN2, g)
+    assert r.value == pytest.approx(-19.0351, abs=1e-4)
+    assert r.iterations < 10
+
+
 def test_no_convergence_raises(grid):
     with pytest.raises(NoConvergence):
         zeta(make_constants(beta="2 + sin(2*pi*t)"), NEUMANN2, grid,
@@ -306,7 +315,8 @@ def test_zeta_sign_agrees_with_logistic_orbit(grid):
     assert seen_zero and seen_positive  # the draw covers both regimes
 
 
-def test_periodic_orbit_combine_and_component(grid):
+def test_periodic_orbit_zeros_and_lattice(grid):
     z = PeriodicOrbit.zeros([15, 17], grid.steps_per_period)
     assert z.ncomp == 2
-    assert z.component(1).samples[0].shape == (grid.steps_per_period + 1, 17)
+    assert z.samples[1].shape == (grid.steps_per_period + 1, 17)
+    assert z.lattice(1).shape == (grid.steps_per_period, 17)

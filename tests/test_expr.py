@@ -114,9 +114,10 @@ def test_eval_errors():
 
 def test_to_source_round_trip():
     for src in ("1 + 2*x", "-(x + t)", "sin(2*pi*t)", "2^3^2",
-                "max(x, t)/(1 + x)", "-x^2"):
+                "max(x, t)/(1 + x)", "-x^2", "0.1 + (0.2 + 0.3)", "x*(t*3)"):
         e = parse_expression(src)
         again = parse_expression(to_source(e))
+        assert again == e, src
         for x in (0.0, 0.3, 2.0):
             assert evaluate(again, x, 0.7) == evaluate(e, x, 0.7)
 

@@ -44,7 +44,7 @@ def test_constants_orbit_hits_carrying_capacity(grid):
     assert np.max(np.abs(lr.orbit.samples[0] - 1.0)) < 1e-6
     assert lr.zeta == pytest.approx(-1.0, abs=1e-4)
     assert lr.agreement_gap <= 1e-8
-    assert lr.fixed_point_residual <= 1e-9
+    assert lr.orbit.residual <= 1e-9
     assert lr.converged_in > 0
 
 
@@ -150,29 +150,29 @@ def test_hbar_rejects_V_off_the_vector_layout(grid):
 
 def test_endemic_pair_constants(grid):
     pair = solve_endemic_pair(make_constants(), BCS, grid)
-    assert np.max(np.abs(pair.H_orbit.samples[0] - 3.0)) < 1e-6
-    assert np.max(np.abs(pair.Vi_orbit.samples[0] - 0.6)) < 1e-6
+    assert np.max(np.abs(pair.orbit.samples[0] - 3.0)) < 1e-6
+    assert np.max(np.abs(pair.orbit.samples[1] - 0.6)) < 1e-6
     assert pair.eps_used == 0.0
     assert pair.gap <= 1e-7
-    assert pair.upper_residual <= 1e-8
+    assert pair.orbit.residual <= 1e-8
     assert pair.lower_residual <= 1e-8
     # strictly below the carrying orbit
-    assert float(np.max(pair.Vi_orbit.samples[0] - pair.V.samples[0])) < 0.0
+    assert float(np.max(pair.orbit.samples[1] - pair.logistic.orbit.samples[0])) < 0.0
 
 
 def test_endemic_pair_with_band(grid):
     pair = solve_endemic_pair(make_constants(), BCS, grid, SolverOptions(eps=0.05))
     assert pair.eps_used == pytest.approx(0.05)
-    assert np.max(np.abs(pair.H_orbit.samples[0] - 3.3)) < 1e-6
-    assert np.max(np.abs(pair.Vi_orbit.samples[0] - 0.66)) < 1e-6
+    assert np.max(np.abs(pair.orbit.samples[0] - 3.3)) < 1e-6
+    assert np.max(np.abs(pair.orbit.samples[1] - 0.66)) < 1e-6
 
 
 def test_endemic_pair_auto_band(grid):
     # default ladder start is a tenth of the orbit floor
     pair = solve_endemic_pair(make_constants(), BCS, grid, SolverOptions(eps=None))
     assert pair.eps_used == pytest.approx(0.1, abs=1e-6)
-    assert np.max(np.abs(pair.H_orbit.samples[0] - 3.6)) < 1e-6
-    assert np.max(np.abs(pair.Vi_orbit.samples[0] - 0.72)) < 1e-6
+    assert np.max(np.abs(pair.orbit.samples[0] - 3.6)) < 1e-6
+    assert np.max(np.abs(pair.orbit.samples[1] - 0.72)) < 1e-6
 
 
 def test_endemic_histories_are_monotone_and_ordered(grid):
@@ -193,22 +193,32 @@ def test_endemic_histories_are_monotone_and_ordered(grid):
 
 
 def test_pair_refused_outside_endemic_regime(grid):
-    with pytest.raises(RegimeError) as err:
-        solve_endemic_pair(make_constants(H_u="1"), BCS, grid)
-    assert not err.value.indeterminate  # decisively disease-free
-    with pytest.raises(RegimeError) as err2:
-        solve_endemic_pair(make_constants(beta="1", mu1="2"), BCS, grid)
-    assert not err2.value.indeterminate  # vector dies out, decisively
-    with pytest.raises(RegimeError) as err3:
-        solve_endemic_pair(make_constants(H_u="2"), BCS, grid)
-    assert err3.value.indeterminate     # lambda(V) lands inside the band
+    # one gate per threshold: absent above the band, unresolved inside it
+    unresolved = (r" lies inside the decision band \(\+/-0\.001\); "
+                  r"endemic state unresolved at this resolution$")
+    cases = [
+        ({"H_u": "1"}, False,       # decisively disease-free
+         r"^the disease-free state resists invasion \(lambda\(V\) = 0\.381966 "
+         r">= 0\.001\); endemic orbit absent$"),
+        ({"beta": "1", "mu1": "2"}, False,   # vector dies out, decisively
+         r"^the vector population dies out \(zeta = 1\.00001 >= 0\.001\); "
+         r"endemic orbit absent$"),
+        ({"H_u": "2"}, True,        # lambda(V) is zero up to roundoff
+         r"^invasion exponent -?\d\.\d+e-\d+" + unresolved),
+        ({"beta": "1.0005 + sin(2*pi*t)"}, True,   # zeta lands inside the band
+         r"^growth threshold -0\.000500004" + unresolved),
+    ]
+    for fields, indeterminate, message in cases:
+        with pytest.raises(RegimeError, match=message) as err:
+            solve_endemic_pair(make_constants(**fields), BCS, grid)
+        assert err.value.indeterminate == indeterminate, fields
 
 
 def test_pair_reuses_precomputed_logistic(grid):
     lr = solve_logistic_orbit(make_constants(), NEUMANN2, grid)
     pair = solve_endemic_pair(make_constants(), BCS, grid, logistic=lr)
-    assert pair.V is lr.orbit
-    assert np.max(np.abs(pair.H_orbit.samples[0] - 3.0)) < 1e-6
+    assert pair.logistic is lr
+    assert np.max(np.abs(pair.orbit.samples[0] - 3.0)) < 1e-6
 
 
 def test_pair_reuses_a_passed_host_profile(grid):
@@ -220,12 +230,12 @@ def test_pair_reuses_a_passed_host_profile(grid):
     ref = solve_endemic_pair(c, BCS, grid, logistic=lr)
     pair = solve_endemic_pair(c, BCS, grid, logistic=lr, hbar=hbar)
     assert np.array_equal(pair.upper_history[0][0], ref.upper_history[0][0])
-    assert np.array_equal(pair.H_orbit.samples[0], ref.H_orbit.samples[0])
+    assert np.array_equal(pair.orbit.samples[0], ref.orbit.samples[0])
     doubled = PeriodicOrbit((2.0 * hbar.samples[0],))
     seeded = solve_endemic_pair(c, BCS, grid, logistic=lr, hbar=doubled)
     assert np.array_equal(seeded.upper_history[0][0],
                           2.0 * ref.upper_history[0][0])
-    assert np.max(np.abs(seeded.H_orbit.samples[0] - 3.0)) < 1e-6
+    assert np.max(np.abs(seeded.orbit.samples[0] - 3.0)) < 1e-6
 
 
 def test_orbit_solvers_obey_the_blowup_cap(grid):
@@ -243,9 +253,8 @@ def test_seasonal_endemic_pair(grid):
     c = make_constants(beta="2 + sin(2*pi*t)")
     pair = solve_endemic_pair(c, BCS, grid)
     assert pair.gap <= 1e-7
-    assert pair.H_orbit.min_value() > 0.0
-    assert pair.Vi_orbit.min_value() > 0.0
-    assert float(np.max(pair.Vi_orbit.samples[0] - pair.V.samples[0])) < 0.0
+    assert pair.orbit.min_value() > 0.0   # H_i and V_i both
+    assert float(np.max(pair.orbit.samples[1] - pair.logistic.orbit.samples[0])) < 0.0
 
 
 # ──────────────────────────────────────────────── the band-width ladder ──
@@ -306,7 +315,7 @@ def test_growing_seed_halves_until_the_image_grows(grid):
 
 
 def test_band_ladder_without_an_admissible_rung(grid, monkeypatch):
-    monkeypatch.setattr(periodic, "_band_inequality_holds", lambda *args: False)
+    monkeypatch.setattr(periodic, "_band_admissible", lambda *args: False)
     with pytest.raises(RegimeError, match=r"^no admissible band width found "
                        r"below eps = 0\.05; endemic construction abandoned$"):
         solve_endemic_pair(make_constants(), BCS, grid, SolverOptions(eps=0.05))
