@@ -26,8 +26,8 @@ from .errors import (BlowupError, CoefficientError, ConfigError, DomainError,
                      VectorHostError)
 from .grid import (BoundarySpec, Grid, assemble_diffusion, build_grid,
                    map_between)
-from .periodic import (EndemicPairResult, LogisticOrbitResult, solve_Hbar,
-                       solve_endemic_pair, solve_logistic_orbit)
+from .periodic import (EndemicPairResult, LogisticOrbitResult, band_edges,
+                       solve_Hbar, solve_endemic_pair, solve_logistic_orbit)
 from .stepper import (ComponentSpec, LinearPeriodicSystem, NonlinearModel,
                       Trajectory, integrate_over_period, integrate_trajectory,
                       prepare)
@@ -59,7 +59,7 @@ __all__ = [
     # mesh and boundary operators
     "BoundarySpec", "Grid", "assemble_diffusion", "build_grid", "map_between",
     # periodic orbits
-    "EndemicPairResult", "LogisticOrbitResult", "solve_Hbar",
+    "EndemicPairResult", "LogisticOrbitResult", "band_edges", "solve_Hbar",
     "solve_endemic_pair", "solve_logistic_orbit",
     # time stepping
     "ComponentSpec", "LinearPeriodicSystem", "NonlinearModel", "Trajectory",

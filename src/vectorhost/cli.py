@@ -34,8 +34,8 @@ from .eigen import gamma_rho, lambda_V, lambda_V_eps
 from .errors import (CoefficientError, ConfigError, DomainError, EpsilonTooLarge,
                      EvalError, InputError, ParseError, RegimeError, VectorHostError)
 from .grid import BoundarySpec, map_between
-from .periodic import (_MAX_HALVINGS, solve_Hbar, solve_endemic_pair,
-                       solve_logistic_orbit)
+from .periodic import (_MAX_HALVINGS, band_edges, solve_Hbar,
+                       solve_endemic_pair, solve_logistic_orbit)
 from .stepper import NonlinearModel, check_trajectory, integrate_trajectory
 
 __all__ = ["main"]
@@ -139,14 +139,14 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
             eps = o.eps
             for halvings in itertools.count():
                 try:
-                    le = lambda_V_eps(c, (cfg.bc1, cfg.bc2), g, lr.orbit,
-                                      lr.zeta_result.eigenfunction, eps,
-                                      o.eigen_tol, o.max_eigen_iters)
+                    edges = band_edges(lr.orbit, lr.zeta_result.eigenfunction, eps)
                     break
                 except EpsilonTooLarge:
                     if halvings == _MAX_HALVINGS:
                         raise
                     eps *= 0.5
+            le = lambda_V_eps(c, (cfg.bc1, cfg.bc2), g, *edges,
+                              o.eigen_tol, o.max_eigen_iters)
             items += [("eps", eps), ("lambda_V_eps", le.value),
                       ("lambda_V_eps_iterations", le.iterations)]
             histories.append(("lambda_V_eps", le.r_history))

@@ -46,16 +46,15 @@ _TINY_ERROR = 1e-12   # distances below this carry no ratio information
 class RegimeReport:
     """Threshold values, the named regime, and the attractor orbit.
 
-    lambda_V is None whenever the carrying orbit is zero (no state to
-    invade).  attractor is a three-component orbit (host infected, vector
-    uninfected, vector infected) or None for INDETERMINATE; with eps > 0
-    in the options the endemic attractor is the band envelope, not the
-    orbit itself (verify_trichotomy classifies at eps = 0, or rebuilds the
-    orbit from a passed-in envelope report, and measures against it).
+    zeta and lambda_V read logistic and lambda_V_result; lambda_V is None
+    whenever the carrying orbit is zero (no state to invade).  attractor is
+    a three-component orbit (host infected, vector uninfected, vector
+    infected) or None for INDETERMINATE; with eps > 0 in the options the
+    endemic attractor is the band envelope, not the orbit itself
+    (verify_trichotomy classifies at eps = 0, or rebuilds the orbit from a
+    passed-in envelope report, and measures against it).
     """
 
-    zeta: float
-    lambda_V: float | None
     regime: str
     attractor: PeriodicOrbit | None
     attractor_kind: str
@@ -63,6 +62,14 @@ class RegimeReport:
     logistic: LogisticOrbitResult
     lambda_V_result: EigenResult | None = None
     pair: EndemicPairResult | None = None
+
+    @property
+    def zeta(self) -> float:
+        return self.logistic.zeta
+
+    @property
+    def lambda_V(self) -> float | None:
+        return None if self.lambda_V_result is None else self.lambda_V_result.value
 
 
 @dataclass(frozen=True)
@@ -124,10 +131,8 @@ def classify_regime(c: CoefficientSet, bcs, grid: Grid,
         attractor = PeriodicOrbit(
             (np.zeros((m + 1, n1)), lr.orbit.samples[0], np.zeros((m + 1, n2))),
             lr.orbit.residual)
-    return RegimeReport(
-        zeta=lr.zeta, lambda_V=None if lam is None else lam.value, regime=regime,
-        attractor=attractor, attractor_kind=kind, band=o.band, logistic=lr,
-        lambda_V_result=lam, pair=pair)
+    return RegimeReport(regime=regime, attractor=attractor, attractor_kind=kind,
+                        band=o.band, logistic=lr, lambda_V_result=lam, pair=pair)
 
 
 def _endemic_attractor(pair: EndemicPairResult) -> PeriodicOrbit:

@@ -5,18 +5,19 @@ constant supersolution and a small multiple of the growth eigenfunction;
 when the growth threshold zeta is nonnegative (up to the decision band)
 the zero orbit is returned instead.
 
-solve_Hbar iterates the affine host equation driven by the band-shifted
-carrying orbit; the host decay rate makes the period map a contraction.
+solve_Hbar iterates the affine host equation driven by one vector orbit;
+the host decay rate makes the period map a contraction.
 
 solve_endemic_pair runs the classical two-sided scheme on the truncated
-infection system: an upper seed built from the host profile and the
-band-shifted carrying orbit, a lower seed proportional to the invasion
-eigenfunction, both iterated until they meet.  One gate refuses it unless
-zeta and then lambda(V) lie below the decision band.  The band width eps
-is halved until admissible (_band_admissible: positivity and the quadratic
-band inequality; then a strictly negative shifted invasion exponent and
-certified first-step monotonicity).  Its result keeps the upper limit as
-one (H_i, V_i) orbit and the logistic result it was built on.
+infection system: an upper seed built from the host profile and the upper
+band edge, a lower seed proportional to the invasion eigenfunction, both
+iterated until they meet.  One gate refuses it unless zeta and then
+lambda(V) lie below the decision band.  The band width eps is halved until
+admissible (band_edges, the one home of the edges V +/- eps*phi, keeps
+them positive; then the quadratic band inequality, a strictly negative
+shifted invasion exponent and certified first-step monotonicity).  Its
+result keeps the upper limit as one (H_i, V_i) orbit and the logistic
+result it was built on.
 
 Both orbits share one two-sided construction: _growing_seed finds the
 lower seed and _limits iterates both sequences to their limits.
@@ -32,15 +33,15 @@ from .coeffs import CoefficientSet, field_lattice
 from .coeffs import field_values  # noqa: F401  (name the benchmark tracer wraps here)
 from .eigen import (DEFAULT_EIGEN_TOL, DEFAULT_MAX_ITERS, EigenResult,
                     PeriodicOrbit, gamma_rho, lambda_V, lambda_V_eps, zeta)
-from .errors import (GapError, InputError, InternalError, NoConvergence,
-                     NonUniqueOrbit, RegimeError)
+from .errors import (EpsilonTooLarge, GapError, InputError, InternalError,
+                     NoConvergence, NonUniqueOrbit, RegimeError)
 from .grid import BoundarySpec, Grid, map_between
 from .stepper import (DEFAULT_BLOWUP_CAP, ComponentSpec, LinearPeriodicSystem,
                       NonlinearModel, integrate_over_period, prepare)
 
 __all__ = [
     "SolverOptions", "LogisticOrbitResult", "EndemicPairResult",
-    "solve_logistic_orbit", "solve_Hbar", "solve_endemic_pair",
+    "band_edges", "solve_logistic_orbit", "solve_Hbar", "solve_endemic_pair",
 ]
 
 AGREEMENT_FACTOR = 10.0   # two-seed limits of the same orbit
@@ -119,6 +120,26 @@ def band_sign(value: float, band: float) -> int:
     """The decision-band rule of every threshold test: +1 when value >= band,
     -1 when value <= -band, 0 inside the band (NaN included)."""
     return 1 if value >= band else -1 if value <= -band else 0
+
+
+def band_edges(V: PeriodicOrbit, phi: PeriodicOrbit, eps: float) -> tuple:
+    """The edge orbits (V + eps*phi, V - eps*phi) of the band around V; at
+    eps = 0 both are V itself.  InputError unless phi is a scalar orbit on
+    V's lattice; EpsilonTooLarge if V - |eps|*phi is not positive on every
+    sample."""
+    if phi.ncomp != 1 or phi.samples[0].shape != V.samples[0].shape:
+        raise InputError("phi must be a scalar orbit on V's lattice")
+    if eps == 0.0:
+        return V, V
+    shift = eps * phi.samples[0]
+    upper, lower = V.samples[0] + shift, V.samples[0] - shift
+    margin = float(np.min(lower if eps > 0.0 else upper))
+    if margin <= 0.0:
+        raise EpsilonTooLarge(
+            f"V - |eps|*phi reaches {margin:.3g} (eps={eps:g}); "
+            "the band leaves the positive cone")
+    return tuple(PeriodicOrbit((s,), float(np.max(np.abs(s[-1] - s[0]))))
+                 for s in (upper, lower))
 
 
 def _iterate_to_fixed_point(model, prepared, u: tuple, tol: float,
@@ -233,13 +254,12 @@ def solve_logistic_orbit(c: CoefficientSet, bc2: BoundarySpec, grid: Grid,
 # ───────────────────────────────────────────────────── the host profile ──
 
 
-def solve_Hbar(c: CoefficientSet, bcs, grid: Grid,
-               V: PeriodicOrbit, eps: float = 0.0,
-               phi: PeriodicOrbit | None = None,
+def solve_Hbar(c: CoefficientSet, bcs, grid: Grid, V: PeriodicOrbit,
                o: SolverOptions = SolverOptions()) -> PeriodicOrbit:
     """Periodic host profile: the unique orbit with removal rho and source
-    sigma1 * H_u * (V + eps*phi), on the host layout of bcs[0]; V and phi
-    are on the vector layout of bcs[1].
+    sigma1 * H_u * V, on the host layout of bcs[0]; the driving orbit V
+    (the carrying orbit, or the upper edge of a band around it) is on the
+    vector layout of bcs[1].
 
     The host decay rate is evaluated first as a contraction guard
     (InternalError from gamma_rho if it fails to be positive); the affine
@@ -249,15 +269,8 @@ def solve_Hbar(c: CoefficientSet, bcs, grid: Grid,
     gamma_rho(c, bc1, grid, o.eigen_tol, o.max_eigen_iters)
     if V.ncomp != 1 or V.samples[0].shape != (grid.steps_per_period + 1, grid.n_unknowns(bc2)):
         raise InputError("V must be a scalar orbit on this grid's lattice")
-    drive = V.lattice()
-    if eps != 0.0:
-        if phi is None:
-            raise InputError("a band shift eps != 0 needs phi")
-        if phi.ncomp != 1 or phi.samples[0].shape != V.samples[0].shape:
-            raise InputError("phi must be a scalar orbit on V's lattice")
-        drive = drive + eps * phi.lattice()
     src = (grid.lattice(c.sigma1, bc1) * grid.lattice(c.H_u, bc1)
-           * map_between(drive, bc2, bc1))
+           * map_between(V.lattice(), bc2, bc1))
     sys = LinearPeriodicSystem(
         grid=grid,
         comps=(ComponentSpec(d=c.d1, bc=bc1),),
@@ -292,15 +305,27 @@ def _endemic_gate(value: float, band: float, absent: str, name: str,
 def _band_admissible(c: CoefficientSet, grid: Grid, bc2: BoundarySpec,
                      V: PeriodicOrbit, phi: PeriodicOrbit,
                      eps: float, zeta_value: float) -> bool:
-    """The band shift keeps V - eps*phi > 0 on every sample and satisfies
-    the pointwise quadratic inequality
+    """The band shift satisfies the pointwise quadratic inequality
     (eps*phi)^2 * mu2 - eps*phi*|beta + zeta| < beta*V on the lattice."""
-    if float(np.min(V.samples[0] - eps * phi.samples[0])) <= 0.0:
-        return False
     ephi = eps * phi.lattice()
     beta = grid.lattice(c.beta, bc2)
     lhs = ephi ** 2 * grid.lattice(c.mu2, bc2) - ephi * np.abs(beta + zeta_value)
     return bool(np.all(lhs < beta * V.lattice()))
+
+
+def _infection_step_hint(c: CoefficientSet, bcs, grid: Grid,
+                         Hbar: PeriodicOrbit) -> str:
+    """Why an upper seed can fail to decrease: the explicit infection term
+    Z + dt*sigma2*Hbar*(V - Z) is monotone in Z only while dt*sigma2*Hbar
+    stays below 1.  When its maximum does not, the text names it and the
+    smallest steps_per_period that brings it below 1; otherwise it is empty."""
+    bc1, bc2 = bcs
+    top = float(np.max(grid.lattice(c.sigma2, bc2) * map_between(Hbar.lattice(), bc1, bc2)))
+    if grid.dt * top < 1.0:
+        return ""
+    return (f"; max dt*sigma2*Hbar = {grid.dt * top:.4g} >= 1 makes the explicit "
+            f"infection step non-monotone (steps_per_period >= {int(grid.T * top) + 1} "
+            "brings it below 1)")
 
 
 def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
@@ -351,29 +376,31 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
 
     e = eps
     for _ in range(_MAX_HALVINGS + 1):
+        try:
+            upper, lower = band_edges(V, phi, e)
+        except EpsilonTooLarge:
+            e *= 0.5
+            continue
         if e != 0.0 and not _band_admissible(c, grid, bc2, V, phi, e, rz.value):
             e *= 0.5
             continue
-        le = lamV if e == 0.0 else lambda_V_eps(c, (bc1, bc2), grid, V, phi, e,
+        le = lamV if e == 0.0 else lambda_V_eps(c, bcs, grid, upper, lower,
                                                 o.eigen_tol, o.max_eigen_iters)
         if band_sign(le.value, band) >= 0:   # a shifted rung: lamV passed the gate
             e *= 0.5
             continue
 
-        Hbar = hbar if e == 0.0 and hbar is not None else \
-            solve_Hbar(c, bcs, grid, V, e, phi if e != 0.0 else None, o)
-        model = NonlinearModel(kind="truncated", c=c, bc1=bc1, bc2=bc2,
-                               grid=grid, V=V, phi=phi if e != 0.0 else None,
-                               eps=e, cap=o.blowup_cap)
+        Hbar = hbar if e == 0.0 and hbar is not None else solve_Hbar(c, bcs, grid, upper, o)
+        model = NonlinearModel(kind="truncated", c=c, bc1=bc1, bc2=bc2, grid=grid,
+                               upper=upper, lower=lower, cap=o.blowup_cap)
         P = prepare(model)
 
-        z_seed = V.level(0, 0) + e * phi.level(0, 0) if e != 0.0 else V.level(0, 0)
-        up_seed = (Hbar.level(0, 0) * (1.0 + _SUPERSOLUTION_BUMP), z_seed)
+        up_seed = (Hbar.level(0, 0) * (1.0 + _SUPERSOLUTION_BUMP), upper.level(0, 0))
         up1 = integrate_over_period(model, up_seed, prepared=P)
         if not all(float(np.max(a - b)) <= floor(b) for a, b in zip(up1, up_seed)):
             if e == 0.0:
-                raise InternalError(
-                    "upper seed failed to decrease with no band to shrink")
+                raise InternalError("upper seed failed to decrease with no band "
+                                    "to shrink" + _infection_step_hint(c, bcs, grid, Hbar))
             e *= 0.5
             continue
 
@@ -408,7 +435,7 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
     orbit = _store_orbit(model, P, up)
     lower_residual = _store_orbit(model, P, low).residual
 
-    envelope = V.samples[0] + e * phi.samples[0]
+    envelope = upper.samples[0]
     overshoot = float(np.max(orbit.samples[1] - envelope))
     if overshoot > slack * max(1.0, float(np.max(envelope))):
         raise InternalError(

@@ -42,8 +42,9 @@ Structural properties the rest of the package leans on:
 
 Model selectors: "full" (host + two vector components), "logistic" (the
 scalar total-vector equation), "truncated" (the two-component reduced
-system with signed band-shift eps; eps < 0 gives the auxiliary
-comparison variant).
+system driven by the two edge orbits of a band around the carrying orbit,
+periodic.band_edges; the edges swapped give the auxiliary comparison
+variant).
 """
 
 from __future__ import annotations
@@ -107,10 +108,11 @@ class NonlinearModel:
     kind "full": components (H_i, V_u, V_i).
     kind "logistic": single component V (the vector total).
     kind "truncated": components (H_i, V_i) of the reduced system, with the
-        periodic orbit V, the growth-threshold eigenfunction phi, and the
-        signed band shift eps; coupling uses (V + eps*phi - V_i)_+ and the
-        decay uses mu1 + mu2*(V - eps*phi), both with V and phi at the start
-        of the step, where the full model reads V_u + V_i.
+        edge orbits upper and lower of a band around the carrying orbit V
+        (both V at zero width); coupling uses (upper - V_i)_+ and the decay
+        uses mu1 + mu2*lower, both at the start of the step, where the full
+        model reads V_u + V_i.  Swapping the two edges gives the auxiliary
+        comparison variant.
     """
 
     kind: str
@@ -118,19 +120,15 @@ class NonlinearModel:
     bc1: BoundarySpec
     bc2: BoundarySpec
     grid: Grid
-    V: object | None = None      # PeriodicOrbit
-    phi: object | None = None    # PeriodicOrbit (scalar)
-    eps: float = 0.0
+    upper: object | None = None  # PeriodicOrbit (scalar)
+    lower: object | None = None  # PeriodicOrbit (scalar)
     cap: float = DEFAULT_BLOWUP_CAP
 
     def __post_init__(self):
         if self.kind not in ("full", "logistic", "truncated"):
             raise InputError(f"unknown model kind {self.kind!r}")
-        if self.kind == "truncated":
-            if self.V is None:
-                raise InputError("truncated model needs the periodic orbit V")
-            if self.eps != 0.0 and self.phi is None:
-                raise InputError("truncated model with eps != 0 needs phi")
+        if self.kind == "truncated" and (self.upper is None or self.lower is None):
+            raise InputError("truncated model needs the band's upper and lower orbits")
 
     def layouts(self) -> tuple:
         if self.kind == "full":
@@ -286,15 +284,11 @@ class _PreparedModel:
             self.lu_h = _factored(D1, dt, L(c.rho, bc1))
             self.dt_s1hu = list(dt * (L(c.sigma1, bc1) * L(c.H_u, bc1)))
         if model.kind == "truncated":
-            V = L(model.V.lattice(), bc2)
-            band, shift = V, V
-            if model.eps != 0.0:
-                ephi = model.eps * L(model.phi.lattice(), bc2)
-                band, shift = V + ephi, V - ephi
-            self.band = list(band)
+            self.band = list(L(model.upper.lattice(), bc2))
             # the decay reads the orbit at the step's start level, as the
-            # full model reads V_u + V_i: row j1 takes shift[j1 - 1]
-            self.lu_z = _factored(D2, dt, mu1 + mu2 * np.roll(shift, 1, axis=0))
+            # full model reads V_u + V_i: row j1 takes lower[j1 - 1]
+            lower = L(model.lower.lattice(), bc2)
+            self.lu_z = _factored(D2, dt, mu1 + mu2 * np.roll(lower, 1, axis=0))
 
     def advance(self, u: tuple, k0: int, k1: int) -> tuple:
         """Component arrays at step k0 -> step k1; BlowupError at the first step past the cap."""

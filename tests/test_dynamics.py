@@ -262,7 +262,7 @@ def test_truncated_model_preserves_order(endemic_report, neumann_bcs, grid31,
     # states stay ordered under the period map
     V = endemic_report.logistic.orbit
     model = NonlinearModel(kind="truncated", c=endemic_c, bc1=neumann_bcs[0],
-                           bc2=neumann_bcs[1], grid=grid31, V=V)
+                           bc2=neumann_bcs[1], grid=grid31, upper=V, lower=V)
     lo = (np.full(33, 0.5), np.full(33, 0.1))
     hi = (np.full(33, 4.0), np.full(33, 0.9))
     lo1 = integrate_over_period(model, lo)

@@ -14,10 +14,10 @@ import warnings
 import numpy as np
 import pytest
 
-from vectorhost import (BoundarySpec, ComponentSpec, EpsilonTooLarge,
-                        InputError, InternalError, LinearPeriodicSystem,
-                        NoConvergence, PeriodicOrbit, ReducibleSystemWarning,
-                        SolveError, apply_period_map, build_grid, gamma_rho,
+from vectorhost import (BoundarySpec, ComponentSpec, InputError,
+                        InternalError, LinearPeriodicSystem, NoConvergence,
+                        PeriodicOrbit, ReducibleSystemWarning, SolveError,
+                        apply_period_map, band_edges, build_grid, gamma_rho,
                         lambda_V, lambda_V_eps, parse_expression,
                         principal_eigenvalue, solve_logistic_orbit, zeta)
 from vectorhost.coeffs import field_values
@@ -113,16 +113,14 @@ def test_lambda_V_eps_shifts_the_band(grid):
     c = make_constants()
     V = flat_orbit(1.0, grid, NEUMANN2)
     phi = flat_orbit(1.0, grid, NEUMANN2)
-    le = lambda_V_eps(c, (NEUMANN1, NEUMANN2), grid, V, phi, 0.05)
+    le = lambda_V_eps(c, (NEUMANN1, NEUMANN2), grid, *band_edges(V, phi, 0.05))
     assert le.value == pytest.approx(
         two_by_two_lambda(1.0, 5.0, 1.05, 1.0, 0.95), abs=1e-4)
     # widening the band strengthens the coupling, so lambda drops
     l0 = lambda_V(c, (NEUMANN1, NEUMANN2), grid, V).value
-    l1 = lambda_V_eps(c, (NEUMANN1, NEUMANN2), grid, V, phi, 0.02).value
-    l2 = lambda_V_eps(c, (NEUMANN1, NEUMANN2), grid, V, phi, 0.05).value
+    l1 = lambda_V_eps(c, (NEUMANN1, NEUMANN2), grid, *band_edges(V, phi, 0.02)).value
+    l2 = lambda_V_eps(c, (NEUMANN1, NEUMANN2), grid, *band_edges(V, phi, 0.05)).value
     assert l2 < l1 < l0
-    with pytest.raises(EpsilonTooLarge):
-        lambda_V_eps(c, (NEUMANN1, NEUMANN2), grid, V, phi, 2.0)
 
 
 def test_lambda_V_input_checks(grid):

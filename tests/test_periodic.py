@@ -14,11 +14,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vectorhost import (BlowupError, BoundarySpec, InputError, InternalError,
+from vectorhost import (BlowupError, BoundarySpec, EpsilonTooLarge,
+                        InputError, InternalError,
                         NoConvergence, NonlinearModel, NonUniqueOrbit,
                         PeriodicOrbit, RegimeError, SolverOptions, build_grid,
-                        periodic, prepare, solve_Hbar, solve_endemic_pair,
-                        solve_logistic_orbit)
+                        band_edges, periodic, prepare, solve_Hbar,
+                        solve_endemic_pair, solve_logistic_orbit)
 from conftest import make_constants
 
 NEUMANN1 = BoundarySpec.neumann(1)
@@ -105,7 +106,7 @@ def test_hbar_constants(grid):
 def test_hbar_with_band_shift(grid):
     V = flat_orbit(1.0, grid, NEUMANN2)
     phi = flat_orbit(1.0, grid, NEUMANN2)
-    hbar = solve_Hbar(make_constants(), BCS, grid, V, eps=0.05, phi=phi)
+    hbar = solve_Hbar(make_constants(), BCS, grid, band_edges(V, phi, 0.05)[0])
     assert np.max(np.abs(hbar.samples[0] - 5.25)) < 1e-8
 
 
@@ -135,14 +136,41 @@ def test_hbar_guard_reads_the_eigen_options(grid):
 
 
 def test_hbar_rejects_V_off_the_vector_layout(grid):
-    # V on the Dirichlet (interior) width cannot be the Robin vector orbit,
-    # nor can a band shift phi of that width drive the Robin V
+    # V on the Dirichlet (interior) width cannot be the Robin vector orbit
     narrow = flat_orbit(1.0, grid, BoundarySpec.dirichlet(2))
     with pytest.raises(InputError, match="lattice"):
         solve_Hbar(make_constants(), BCS, grid, narrow)
+
+
+# ────────────────────────────────────────────────────────────── band ──
+
+
+def test_band_edges_at_zero_width_are_the_orbit_itself(grid):
+    V, phi = flat_orbit(1.0, grid, NEUMANN2), flat_orbit(0.5, grid, NEUMANN2)
+    upper, lower = band_edges(V, phi, 0.0)
+    assert upper is V and lower is V
+
+
+def test_band_edges_are_the_shifted_orbit_bit_for_bit(grid):
+    lr = solve_logistic_orbit(make_constants(beta="2 + sin(2*pi*t)", d2="0.5"),
+                              NEUMANN2, grid)
+    V, phi = lr.orbit, lr.zeta_result.eigenfunction
+    upper, lower = band_edges(V, phi, 0.05)
+    assert np.array_equal(upper.samples[0], V.samples[0] + 0.05 * phi.samples[0])
+    assert np.array_equal(lower.samples[0], V.samples[0] - 0.05 * phi.samples[0])
+    assert upper.ncomp == lower.ncomp == 1
+    # on the README coefficients V - 2*phi leaves the positive cone
+    with pytest.raises(EpsilonTooLarge, match=r"^V - \|eps\|\*phi reaches -0\.845 "
+                       r"\(eps=2\); the band leaves the positive cone$"):
+        band_edges(V, phi, 2.0)
+
+
+def test_band_edges_reject_phi_off_V_lattice(grid):
+    # a phi of the Dirichlet (interior) width cannot shift the no-flux V
     V = flat_orbit(1.0, grid, NEUMANN2)
+    narrow = flat_orbit(1.0, grid, BoundarySpec.dirichlet(2))
     with pytest.raises(InputError, match="^phi must be a scalar orbit on V's lattice$"):
-        solve_Hbar(make_constants(), BCS, grid, V, 0.1, narrow)
+        band_edges(V, narrow, 0.1)
 
 
 # ─────────────────────────────────────────────────────── endemic pair ──
@@ -326,9 +354,21 @@ def test_failed_seed_at_zero_width_raises(grid, monkeypatch):
     c = make_constants()
     lr = solve_logistic_orbit(c, NEUMANN2, grid)
     zero = PeriodicOrbit.zeros([grid.n_unknowns(NEUMANN1)], grid.steps_per_period)
-    with pytest.raises(InternalError, match="^upper seed failed to decrease"):
+    with pytest.raises(InternalError, match="^upper seed failed to decrease") as err:
         solve_endemic_pair(c, BCS, grid, logistic=lr, hbar=zero)
+    assert "steps_per_period" not in str(err.value)   # dt*sigma2*Hbar = 0
     monkeypatch.setattr(periodic, "_growing_seed", lambda *args: None)
     with pytest.raises(NoConvergence, match="^no growing lower seed found "
                        "for the endemic pair$"):
         solve_endemic_pair(c, BCS, grid, logistic=lr)
+
+
+def test_failed_seed_names_the_explicit_infection_step(grid):
+    # README coefficients at H_u = 300: max Hbar = 306.7, so the explicit
+    # infection step dt*sigma2*Hbar reaches 2.396 at 128 steps per period
+    c = make_constants(beta="2 + sin(2*pi*t)", d2="0.5", H_u="300")
+    with pytest.raises(InternalError, match=(
+            r"^upper seed failed to decrease with no band to shrink; "
+            r"max dt\*sigma2\*Hbar = 2\.396 >= 1 makes the explicit infection "
+            r"step non-monotone \(steps_per_period >= 307 brings it below 1\)$")):
+        solve_endemic_pair(c, BCS, grid)

@@ -15,10 +15,10 @@ from scipy.linalg.lapack import dgtsv, dgttrf
 
 from vectorhost import (BlowupError, BoundarySpec, ComponentSpec, DomainError,
                         InputError, LinearPeriodicSystem, NonlinearModel,
-                        assemble_diffusion, build_grid, build_initial_state,
-                        integrate_over_period, integrate_trajectory,
-                        map_between, parse_expression, prepare,
-                        solve_logistic_orbit, stepper, zeta)
+                        assemble_diffusion, band_edges, build_grid,
+                        build_initial_state, integrate_over_period,
+                        integrate_trajectory, map_between, parse_expression,
+                        prepare, solve_logistic_orbit, stepper, zeta)
 from vectorhost.grid import DiffusionMatrix
 from conftest import make_constants
 
@@ -135,7 +135,7 @@ def test_truncated_period_matches_full_model_on_the_carrying_orbit():
     H, Z = np.ones(g.nx + 2), 0.3 * V0
     full = NonlinearModel(kind="full", c=c, bc1=NEUMANN[0], bc2=NEUMANN[1], grid=g)
     trunc = NonlinearModel(kind="truncated", c=c, bc1=NEUMANN[0],
-                           bc2=NEUMANN[1], grid=g, V=V)
+                           bc2=NEUMANN[1], grid=g, upper=V, lower=V)
     uf = integrate_over_period(full, (H, V0 - Z, Z))
     ut = integrate_over_period(trunc, (H, Z))
     assert np.max(np.abs(uf[0] - ut[0])) <= 1e-12
@@ -271,7 +271,7 @@ def test_state_shape_checks(grid, endemic_c):
                        bc2=NEUMANN[1], grid=grid)
     with pytest.raises(InputError):
         NonlinearModel(kind="truncated", c=endemic_c, bc1=NEUMANN[0],
-                       bc2=NEUMANN[1], grid=grid)  # missing V
+                       bc2=NEUMANN[1], grid=grid)  # missing the band edges
 
 
 def test_mixed_layouts_step_together(endemic_c):
@@ -332,7 +332,7 @@ def test_cap_edge_is_exact(kind):
 
     def model(cap):
         return NonlinearModel(kind=kind, c=c, bc1=NEUMANN[0], bc2=NEUMANN[1],
-                              grid=g, V=V, cap=cap)
+                              grid=g, upper=V, lower=V, cap=cap)
 
     traj = integrate_trajectory(model(np.inf), u0, 2)
     P = max(float(np.max(np.abs(s[1:]))) for s in traj.samples)
@@ -354,7 +354,7 @@ def test_cap_pre_filter_does_not_warn_when_squares_overflow():
 
     def model(cap):
         return NonlinearModel(kind="truncated", c=c, bc1=NEUMANN[0], bc2=NEUMANN[1],
-                              grid=g, V=V, cap=cap)
+                              grid=g, upper=V, lower=V, cap=cap)
 
     free = integrate_trajectory(model(np.inf), u0, 2)
     with warnings.catch_warnings():
@@ -412,11 +412,8 @@ class ReferenceSteps:
         self.ab_h = banded(c.d1, bc1, g.lattice(c.rho, bc1))
         self.s1hu = g.lattice(c.sigma1, bc1) * g.lattice(c.H_u, bc1)
         if system.kind == "truncated":
-            V = g.lattice(system.V.samples[0][:-1], bc2)
-            self.band, shift = V, V
-            if system.eps != 0.0:
-                ephi = system.eps * g.lattice(system.phi.samples[0][:-1], bc2)
-                self.band, shift = V + ephi, V - ephi
+            self.band = g.lattice(system.upper.samples[0][:-1], bc2)
+            shift = g.lattice(system.lower.samples[0][:-1], bc2)
             self.ab_z = banded(c.d2, bc2, self.mu1 + self.mu2 * np.roll(shift, 1, axis=0))
 
     @staticmethod
@@ -470,7 +467,7 @@ def _systems(bcs):
                        H_u="5*(1 + 0.5*cos(pi*x))", mu2="1 + 0.3*cos(2*pi*t)")
     V = solve_logistic_orbit(c, bc2, g).orbit
     assert V.min_value() > 0.4       # a carrying orbit, not the zero state
-    phi = zeta(c, bc2, g).eigenfunction
+    upper, lower = band_edges(V, zeta(c, bc2, g).eigenfunction, 0.05)
     h0 = np.linspace(0.5, 1.5, g.n_unknowns(bc1))
     v0 = V.level(0, 0)
     linear = LinearPeriodicSystem(
@@ -486,9 +483,9 @@ def _systems(bcs):
     return g, [
         (model("logistic"), (0.5 * v0,)),
         (model("full"), (h0, 0.8 * v0, 0.2 * v0)),
-        (model("truncated", V=V), (h0, 0.3 * v0)),
-        (model("truncated", V=V, phi=phi, eps=0.05), (h0, 0.3 * v0)),
-        (model("truncated", V=V, phi=phi, eps=-0.05), (h0, 0.3 * v0)),
+        (model("truncated", upper=V, lower=V), (h0, 0.3 * v0)),
+        (model("truncated", upper=upper, lower=lower), (h0, 0.3 * v0)),
+        (model("truncated", upper=lower, lower=upper), (h0, 0.3 * v0)),
         (linear, (h0, v0)),
     ]
 
