@@ -27,7 +27,8 @@ from .errors import (BlowupError, CoefficientError, ConfigError, DomainError,
 from .grid import (BoundarySpec, Grid, assemble_diffusion, build_grid,
                    map_between)
 from .periodic import (EndemicPairResult, LogisticOrbitResult, band_edges,
-                       solve_Hbar, solve_endemic_pair, solve_logistic_orbit)
+                       shrink_band, solve_Hbar, solve_endemic_pair,
+                       solve_logistic_orbit)
 from .stepper import (ComponentSpec, LinearPeriodicSystem, NonlinearModel,
                       Trajectory, integrate_over_period, integrate_trajectory,
                       prepare)
@@ -59,8 +60,8 @@ __all__ = [
     # mesh and boundary operators
     "BoundarySpec", "Grid", "assemble_diffusion", "build_grid", "map_between",
     # periodic orbits
-    "EndemicPairResult", "LogisticOrbitResult", "band_edges", "solve_Hbar",
-    "solve_endemic_pair", "solve_logistic_orbit",
+    "EndemicPairResult", "LogisticOrbitResult", "band_edges", "shrink_band",
+    "solve_Hbar", "solve_endemic_pair", "solve_logistic_orbit",
     # time stepping
     "ComponentSpec", "LinearPeriodicSystem", "NonlinearModel", "Trajectory",
     "integrate_over_period", "integrate_trajectory", "prepare",

@@ -31,11 +31,11 @@ from .config import RunConfig, load_config, substituted_coeffs
 from .dynamics import (INDETERMINATE, build_initial_state, classify_regime,
                        verify_trichotomy)
 from .eigen import gamma_rho, lambda_V, lambda_V_eps
-from .errors import (CoefficientError, ConfigError, DomainError, EpsilonTooLarge,
-                     EvalError, InputError, ParseError, RegimeError, VectorHostError)
+from .errors import (CoefficientError, ConfigError, DomainError, EvalError,
+                     InputError, ParseError, RegimeError, VectorHostError)
 from .grid import BoundarySpec, map_between
-from .periodic import (_MAX_HALVINGS, band_edges, solve_Hbar,
-                       solve_endemic_pair, solve_logistic_orbit)
+from .periodic import (shrink_band, solve_Hbar, solve_endemic_pair,
+                       solve_logistic_orbit)
 from .stepper import NonlinearModel, check_trajectory, integrate_trajectory
 
 __all__ = ["main"]
@@ -136,15 +136,7 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
         if o.eps > 0.0:
             # halve the band as the endemic pair's ladder does, until
             # V - eps*phi stays in the positive cone
-            eps = o.eps
-            for halvings in itertools.count():
-                try:
-                    edges = band_edges(lr.orbit, lr.zeta_result.eigenfunction, eps)
-                    break
-                except EpsilonTooLarge:
-                    if halvings == _MAX_HALVINGS:
-                        raise
-                    eps *= 0.5
+            eps, *edges = shrink_band(lr.orbit, lr.zeta_result.eigenfunction, o.eps)
             le = lambda_V_eps(c, (cfg.bc1, cfg.bc2), g, *edges,
                               o.eigen_tol, o.max_eigen_iters)
             items += [("eps", eps), ("lambda_V_eps", le.value),

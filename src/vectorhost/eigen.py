@@ -47,6 +47,9 @@ DEFAULT_EIGEN_TOL = 1e-10
 DEFAULT_MAX_ITERS = 10000
 # coupling entries below this are treated as cooperativity violations
 _COOP_SLACK = -1e-12
+# levels per fancy-indexed add into the band array: its temporaries stay
+# a fraction of one coefficient lattice
+_FILL_LEVELS = 64
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -128,19 +131,45 @@ class _PreparedEigen:
     Unknowns are interleaved by physical node, then component (key
     node_id*ncomp + comp, node ids from Grid.node_ids), so the
     generator A has half-bandwidth kb = ncomp.  All m levels of A live in
-    one LAPACK band array; I - dt/2 A is factored per level with gbtrf.
-    period_map takes and returns the stacked (component-block) layout.
+    one LAPACK band array, and the factors are built from it in place: lu
+    starts as a copy of A scaled to -dt/2 A + I and is factored per level
+    with gbtrf, and mplus is A itself scaled to dt/2 A + I, so no scaled
+    copy of A is ever held beside them.  period_map takes and returns the
+    stacked (component-block) layout.
     """
 
     def __init__(self, sys: LinearPeriodicSystem):
         if sys.source is not None:
             raise InputError("eigen solves take homogeneous systems (no source)")
         g = sys.grid
-        self.ts = ts = g.level_times()
-        m, ncomp = len(ts), len(sys.comps)
+        self.ts = g.level_times()
         self.sizes = [g.n_unknowns(c.bc) for c in sys.comps]
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
-        self.total = N = int(self.offsets[-1])
+        self.total = int(self.offsets[-1])
+        self.kb = kb = len(sys.comps)
+        m, N = len(self.ts), self.total
+        A = self._generator(sys)     # its coefficient lattices die with the call
+        half = g.dt / 2.0
+        # gbtrf keeps its fill-in in the first kb rows of lu; -dt/2 A + I
+        # goes below them, (-h)*a being -(h*a) bit for bit
+        self.lu = np.zeros((m, N, 3 * kb + 1)).transpose(0, 2, 1)
+        band = self.lu[:, kb:]
+        band[...] = A
+        band *= -half
+        self.lu[:, 2 * kb] += 1.0
+        A *= half
+        A[:, kb] += 1.0
+        self.mplus = A
+        self.piv = np.empty((m, N), dtype=np.int32)
+        for j in range(m):
+            _, self.piv[j], info = dgbtrf(self.lu[j], kb, kb, overwrite_ab=1)
+            self._check(info, "gbtrf", j)
+
+    def _generator(self, sys: LinearPeriodicSystem) -> np.ndarray:
+        """The generator A at every level as one LAPACK band array; sets
+        the node interleaving (perm, unperm)."""
+        g, ts, kb, N = sys.grid, self.ts, self.kb, self.total
+        m = len(ts)
         diffusion = [assemble_diffusion(g, c.d, c.bc, ts) for c in sys.comps]
         coup = [[None if f is None else g.lattice(f, comp.bc)
                  for f in row] for comp, row in zip(sys.comps, sys.coupling)]
@@ -153,17 +182,17 @@ class _PreparedEigen:
             raise InputError(f"system not cooperative: coupling[{i}][{jc}] reaches "
                              f"{np.min(coup[i][jc][j]):.3g} at t={ts[j]:.6g}")
 
-        key = np.concatenate([g.node_ids(c.bc) * ncomp + i
+        key = np.concatenate([g.node_ids(c.bc) * kb + i
                               for i, c in enumerate(sys.comps)])
         self.perm = np.argsort(key)          # stacked index at each band position
         self.unperm = np.argsort(self.perm)  # band position of each stacked index
-        self.kb = kb = ncomp
         # level slices of a transposed (m, N, rows) array are Fortran-ordered
         A = np.zeros((m, N, 2 * kb + 1)).transpose(0, 2, 1)
 
         def put(rows, cols, data):           # A[i, j] lives at A[kb + i - j, j]
             r, c = self.unperm[rows], self.unperm[cols]
-            A[:, kb + r - c, c] += data
+            for j in range(0, m, _FILL_LEVELS):
+                A[j:j + _FILL_LEVELS, kb + r - c, c] += data[j:j + _FILL_LEVELS]
 
         for i, comp in enumerate(sys.comps):
             o = self.offsets[i]
@@ -176,17 +205,7 @@ class _PreparedEigen:
                 if w is not None:
                     r, c_, d_ = _layout_map(g, comp.bc, sys.comps[jc].bc, w)
                     put(o + r, self.offsets[jc] + c_, d_)
-
-        half = g.dt / 2.0
-        self.mplus = half * A
-        self.mplus[:, kb] += 1.0
-        self.lu = np.zeros((m, N, 3 * kb + 1)).transpose(0, 2, 1)
-        self.lu[:, kb:] = -half * A
-        self.lu[:, 2 * kb] += 1.0
-        self.piv = np.empty((m, N), dtype=np.int32)
-        for j in range(m):
-            _, self.piv[j], info = dgbtrf(self.lu[j], kb, kb, overwrite_ab=1)
-            self._check(info, "gbtrf", j)
+        return A
 
     def _check(self, info: int, routine: str, j: int) -> None:
         if info != 0:
@@ -196,16 +215,18 @@ class _PreparedEigen:
     def period_map(self, u: np.ndarray, store: bool = False):
         """One period from stacked u; with store, all m+1 levels as rows."""
         m, N, kb = len(self.ts), self.total, self.kb
+        if store:
+            levels = np.empty((m + 1, N))
+            levels[0] = u
         u = u[self.perm]
-        levels = [u]
         for k in range(m):
             j = (k + 1) % m
             y = dgbmv(N, N, kb, kb, 1.0, self.mplus[k], u)
             u, info = dgbtrs(self.lu[j], kb, kb, y, self.piv[j], overwrite_b=1)
             self._check(info, "gbtrs", j)
             if store:
-                levels.append(u)
-        return np.stack(levels)[:, self.unperm] if store else u[self.unperm]
+                np.take(u, self.unperm, out=levels[k + 1])
+        return levels if store else u[self.unperm]
 
     def split(self, u: np.ndarray) -> tuple:
         return tuple(u[..., self.offsets[i]:self.offsets[i + 1]]
@@ -278,9 +299,12 @@ def principal_eigenvalue(system: LinearPeriodicSystem,
     value = -np.log(r) / g.T
     # reconstruct phi(x,t) = exp(value*t) u(x,t) over one final sweep
     ts = np.arange(g.steps_per_period + 1) * g.dt
-    phi = np.exp(value * ts)[:, None] * P.period_map(u, store=True)
-    phi /= np.max(np.abs(phi))
-    orbit = PeriodicOrbit(tuple(np.ascontiguousarray(s) for s in P.split(phi)),
+    phi = P.period_map(u, store=True)
+    phi *= np.exp(value * ts)[:, None]
+    phi /= max(phi.max(), -phi.min())    # max |phi|, without an |phi| array
+    parts = P.split(phi)
+    del P                  # the factors go before the component copies are made
+    orbit = PeriodicOrbit(tuple(np.ascontiguousarray(s) for s in parts),
                           float(np.max(np.abs(phi[-1] - phi[0]))))
 
     interior_min = min(float(np.min(g.interior(s, comp.bc)))

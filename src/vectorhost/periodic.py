@@ -41,7 +41,8 @@ from .stepper import (DEFAULT_BLOWUP_CAP, ComponentSpec, LinearPeriodicSystem,
 
 __all__ = [
     "SolverOptions", "LogisticOrbitResult", "EndemicPairResult",
-    "band_edges", "solve_logistic_orbit", "solve_Hbar", "solve_endemic_pair",
+    "band_edges", "shrink_band", "solve_logistic_orbit", "solve_Hbar",
+    "solve_endemic_pair",
 ]
 
 AGREEMENT_FACTOR = 10.0   # two-seed limits of the same orbit
@@ -140,6 +141,19 @@ def band_edges(V: PeriodicOrbit, phi: PeriodicOrbit, eps: float) -> tuple:
             "the band leaves the positive cone")
     return tuple(PeriodicOrbit((s,), float(np.max(np.abs(s[-1] - s[0]))))
                  for s in (upper, lower))
+
+
+def shrink_band(V: PeriodicOrbit, phi: PeriodicOrbit, eps: float) -> tuple:
+    """(e, upper, lower): the first width e = eps * 2**-k, k <= _MAX_HALVINGS,
+    whose band band_edges accepts, and its two edge orbits; the last
+    EpsilonTooLarge if every width leaves the positive cone."""
+    for k in range(_MAX_HALVINGS + 1):
+        try:
+            return (eps, *band_edges(V, phi, eps))
+        except EpsilonTooLarge:
+            if k == _MAX_HALVINGS:
+                raise
+            eps *= 0.5
 
 
 def _iterate_to_fixed_point(model, prepared, u: tuple, tol: float,

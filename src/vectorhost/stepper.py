@@ -15,16 +15,16 @@ gttrf), and scales by dt once the lattices a step multiplies by dt first
 (dt*w)*x, so no bit moves; it keeps each lattice as a list of per-level
 rows, which a step indexes faster than a 2-D array.  Each step of "full"
 and "logistic" builds the diagonals of the state-dependent vector matrix
-once and solves on them directly.  _run is the one stepping loop.  It
-calls advance(u, k0, k1), one loop per model kind, from each kept level to
-the next; step k reads the lattices at level k mod m (the same map every
-period), every nonlinear step is checked against the blow-up cap, and kept
-levels go into stacked (n_kept, n_c) arrays, the layout of
-PeriodicOrbit.samples.  _solve is the one tridiagonal kernel.  Every
-implicit matrix reaches it as the (dl, d, du) that _implicit forms from
-assemble_diffusion's diagonals: a one-shot matrix goes to LAPACK gtsv, a
-stored one as gttrf's own factor to gttrs, which computes bit for bit
-what gtsv does.
+once and solves on them directly; "full" solves its two vector columns in
+one call.  _run is the one stepping loop.  It calls advance(u, k0, k1),
+one loop per model kind, from each kept level to the next; step k reads
+the lattices at level k mod m (the same map every period), every
+nonlinear step is checked against the blow-up cap, and kept levels go
+into stacked (n_kept, n_c) arrays, the layout of PeriodicOrbit.samples.
+_solve is the one tridiagonal kernel.  Every implicit matrix reaches it
+as the (dl, d, du) that _implicit forms from assemble_diffusion's
+diagonals: a one-shot matrix goes to LAPACK gtsv, a stored one as gttrf's
+own factor to gttrs, which computes bit for bit what gtsv does.
 
 Structural properties the rest of the package leans on:
 
@@ -183,7 +183,8 @@ def _factored(D: DiffusionMatrix, dt: float, decay=0.0) -> list:
 
 
 def _solve(lu, rhs: np.ndarray) -> np.ndarray:
-    """Solve with a tridiagonal matrix; rhs is overwritten.
+    """Solve with a tridiagonal matrix; rhs, one column (n,) or a
+    Fortran-ordered (n, k) of k columns, is overwritten.
 
     lu is either a level (dl, d, du) of _implicit for a matrix used once,
     solved by LAPACK gtsv on copies of it, or gttrf's factor (dl, d, du,
@@ -319,10 +320,13 @@ class _PreparedModel:
                 Vsum = Vu + Vi
                 trans = sigma2[j0] * Vu * map_between(Hi, bc1, bc2)
                 A = dl[j1], d[j1] + dt * (mu1[j1] + mu2[j1] * Vsum), du[j1]
-                Vsum_n = _solve(A, Vsum + dt_beta[j0] * Vsum)
-                Vi_n = _solve(A, Vi + dt * trans)
+                # Vsum and Vi share A: one solve on the two columns of x
+                x = np.empty((len(Vsum), 2), order="F")
+                np.add(Vsum, dt_beta[j0] * Vsum, out=x[:, 0])
+                np.add(Vi, dt * trans, out=x[:, 1])
+                x = _solve(A, x)
                 Hi = _solve(lu_h[j1], Hi + dt_s1hu[j0] * map_between(Vi, bc2, bc1))
-                Vu, Vi = Vsum_n - Vi_n, Vi_n
+                Vu, Vi = x[:, 0] - x[:, 1], x[:, 1]
                 if not ddot(Hi, Hi) + ddot(Vu, Vu) + ddot(Vi, Vi) < cap2:
                     _raise_past_cap((Hi, Vu, Vi), cap)
             return (Hi, Vu, Vi)

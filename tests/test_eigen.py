@@ -9,6 +9,7 @@ Closed forms used as oracles (constant coefficients, Neumann):
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from vectorhost import (BoundarySpec, ComponentSpec, InputError,
                         apply_period_map, band_edges, build_grid, gamma_rho,
                         lambda_V, lambda_V_eps, parse_expression,
                         principal_eigenvalue, solve_logistic_orbit, zeta)
+from vectorhost import eigen
 from vectorhost.coeffs import field_values
 from vectorhost.grid import assemble_diffusion, map_between
 from conftest import make_constants
@@ -247,6 +249,65 @@ def test_period_map_matches_dense_reference(flavors):
     got = np.concatenate(apply_period_map(sys_, comps))
     want = dense_period_map(sys_, np.concatenate(comps))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def traced_peak(fn):
+    """fn() and the peak of Python-tracked memory it held above its start."""
+    running = tracemalloc.is_tracing()
+    if not running:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not running:
+            tracemalloc.stop()
+
+
+def memory_system(kind):
+    """The 2x2 invasion system or zeta's scalar system at 63/256, seasonal
+    and space-dependent so that every lattice is a full array."""
+    g = build_grid(0.0, 1.0, 63, 1.0, 256)
+    c = make_constants(beta="2 + sin(2*pi*t)", d2="0.5*(1 + x*x)",
+                       H_u="5*(1 + 0.5*cos(pi*x))")
+    if kind == "zeta":
+        L = g.lattice
+        return LinearPeriodicSystem(
+            grid=g, comps=(ComponentSpec(d=c.d2, bc=NEUMANN2),),
+            coupling=((L(c.beta, NEUMANN2) - L(c.mu1, NEUMANN2),),))
+    m = g.steps_per_period
+    V = 1.0 + 0.2 * np.sin(2 * np.pi * np.arange(m) / m)[:, None] * g.nodes_for(NEUMANN2)
+    return eigen._invasion_system(c, (BoundarySpec.robin(1, 0.5, 1.5), NEUMANN2), g, V, V)
+
+
+def factor_bytes(P):
+    return P.mplus.nbytes + P.lu.nbytes + P.piv.nbytes
+
+
+@pytest.mark.parametrize("kind", ["invasion", "zeta"])
+def test_eigen_setup_peak_is_its_factors(kind):
+    # the band array becomes the right-hand factor in place and lu is built
+    # from it in place, so the setup holds no scaled copies beside them
+    sys_ = memory_system(kind)
+    P, peak = traced_peak(lambda: eigen._PreparedEigen(sys_))
+    lattice = sys_.grid.steps_per_period * max(P.sizes) * 8
+    assert peak <= factor_bytes(P) + lattice
+
+
+@pytest.mark.parametrize("kind", ["invasion", "zeta"])
+def test_eigenfunction_sweep_adds_at_most_two_level_arrays(kind):
+    # the stored sweep fills one (m+1, N) array in place; splitting it into
+    # components copies it once more
+    sys_ = memory_system(kind)
+    P = eigen._PreparedEigen(sys_)
+    held, lattice = factor_bytes(P), sys_.grid.steps_per_period * max(P.sizes) * 8
+    levels = (sys_.grid.steps_per_period + 1) * P.total * 8
+    del P
+    res, peak = traced_peak(lambda: principal_eigenvalue(sys_))
+    assert peak <= held + 2 * levels + lattice
+    assert res.eigenfunction.samples[0].flags.c_contiguous
 
 
 def test_large_multiplier_converges_within_its_ulp():

@@ -18,8 +18,8 @@ from vectorhost import (BlowupError, BoundarySpec, EpsilonTooLarge,
                         InputError, InternalError,
                         NoConvergence, NonlinearModel, NonUniqueOrbit,
                         PeriodicOrbit, RegimeError, SolverOptions, build_grid,
-                        band_edges, periodic, prepare, solve_Hbar,
-                        solve_endemic_pair, solve_logistic_orbit)
+                        band_edges, periodic, prepare, shrink_band,
+                        solve_Hbar, solve_endemic_pair, solve_logistic_orbit)
 from conftest import make_constants
 
 NEUMANN1 = BoundarySpec.neumann(1)
@@ -163,6 +163,19 @@ def test_band_edges_are_the_shifted_orbit_bit_for_bit(grid):
     with pytest.raises(EpsilonTooLarge, match=r"^V - \|eps\|\*phi reaches -0\.845 "
                        r"\(eps=2\); the band leaves the positive cone$"):
         band_edges(V, phi, 2.0)
+
+
+def test_shrink_band_halves_to_the_first_width_band_edges_accepts(grid):
+    V, phi = flat_orbit(1.0, grid, NEUMANN2), flat_orbit(0.8, grid, NEUMANN2)
+    # V - eps*phi > 0 needs eps < 1.25: 5 -> 2.5 -> 1.25 -> 0.625
+    e, upper, lower = shrink_band(V, phi, 5.0)
+    assert e == 0.625
+    assert all(a.samples[0].tobytes() == b.samples[0].tobytes()
+               for a, b in zip((upper, lower), band_edges(V, phi, 0.625)))
+    assert shrink_band(V, phi, 0.0) == (0.0, V, V)
+    # a V that touches zero refuses every width, with band_edges' message
+    with pytest.raises(EpsilonTooLarge, match=r"\(eps=8\.67362e-19\)"):
+        shrink_band(flat_orbit(0.0, grid, NEUMANN2), phi, 1.0)
 
 
 def test_band_edges_reject_phi_off_V_lattice(grid):

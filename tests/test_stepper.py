@@ -513,23 +513,70 @@ def test_stepping_loops_match_the_step_formulas_bit_for_bit(bcs):
             assert np.array_equal(s, np.array([levels[k - k0][comp] for k in traj.steps]))
 
 
+def _full_step_two_solves(P, u, k):
+    """The "full" step on the prepared model P's own lattices, with V_sum
+    and V_i solved by two separate _solve calls on the one vector matrix."""
+    model = P.model
+    bc1, bc2 = model.bc1, model.bc2
+    m, dt = model.grid.steps_per_period, np.array(model.grid.dt)
+    j0, j1 = k % m, (k + 1) % m
+    dl, d, du = P.diags2
+    Hi, Vu, Vi = u
+    Vsum = Vu + Vi
+    trans = P.sigma2[j0] * Vu * map_between(Hi, bc1, bc2)
+    A = dl[j1], d[j1] + dt * (P.mu1[j1] + P.mu2[j1] * Vsum), du[j1]
+    Vsum_n = stepper._solve(A, Vsum + P.dt_beta[j0] * Vsum)
+    Vi_n = stepper._solve(A, Vi + dt * trans)
+    Hi_n = stepper._solve(P.lu_h[j1], Hi + P.dt_s1hu[j0] * map_between(Vi, bc2, bc1))
+    return Hi_n, Vsum_n - Vi_n, Vi_n
+
+
+@pytest.mark.parametrize("bcs", [NEUMANN,
+                                 (BoundarySpec.dirichlet(1), BoundarySpec.neumann(2)),
+                                 (BoundarySpec.robin(1, 0.5, 1.5), BoundarySpec.dirichlet(2))],
+                         ids=["neumann", "dirichlet-host", "robin-host-dirichlet-vector"])
+def test_full_step_one_solve_matches_two_solves_bit_for_bit(bcs):
+    bc1, bc2 = bcs
+    g = build_grid(0.0, 1.0, 15, 1.0, 40)
+    c = make_constants(beta="3 + sin(2*pi*t)", d2="0.5*(1 + x*x)", sigma1="0.7 + 0.2*x",
+                       H_u="5*(1 + 0.5*cos(pi*x))", mu2="1 + 0.3*cos(2*pi*t)")
+    model = NonlinearModel(kind="full", c=c, bc1=bc1, bc2=bc2, grid=g)
+    x1, x2 = g.nodes_for(bc1), g.nodes_for(bc2)
+    u0 = (1.0 + 0.5 * np.cos(np.pi * x1), 1.5 + 0.3 * x2, 0.2 + 0.1 * np.sin(np.pi * x2))
+    P, m = prepare(model), g.steps_per_period
+    u, boundaries = u0, []
+    for k in range(3 * m):
+        u = _full_step_two_solves(P, u, k)
+        if (k + 1) % m == 0:
+            boundaries.append(u)
+    traj = integrate_trajectory(model, u0, 3, sample_stride=m)
+    assert traj.steps.tolist() == [0, m, 2 * m, 3 * m]
+    for comp, s in enumerate(traj.samples):
+        for row, ref in zip(s[1:], boundaries):
+            assert row.tobytes() == ref[comp].tobytes()
+
+
 def test_one_period_map_makes_the_solves_the_benchmark_counts(monkeypatch):
-    # the benchmark counts solves per step from the model kind: 1 logistic,
-    # 2 truncated, 3 full, one per component of a linear system
+    # the benchmark counts solved columns per step from the model kind:
+    # 1 logistic, 2 truncated, 3 full, one per component of a linear
+    # system; "full" solves its two vector columns in one call
     g, cases = _systems(NEUMANN)
-    real, solves = stepper._solve, [0]
+    real, calls, columns = stepper._solve, [0], [0]
 
     def counted(lu, rhs):
-        solves[0] += 1
+        calls[0] += 1
+        columns[0] += 1 if rhs.ndim == 1 else rhs.shape[1]
         return real(lu, rhs)
 
     monkeypatch.setattr(stepper, "_solve", counted)
     for system, u0 in cases:
         per_step = (len(system.comps) if isinstance(system, LinearPeriodicSystem)
                     else {"logistic": 1, "truncated": 2, "full": 3}[system.kind])
-        solves[0] = 0
+        calls[0] = columns[0] = 0
         integrate_over_period(system, u0)
-        assert solves[0] == per_step * g.steps_per_period
+        assert columns[0] == per_step * g.steps_per_period
+        full = isinstance(system, NonlinearModel) and system.kind == "full"
+        assert calls[0] == (per_step - full) * g.steps_per_period
 
 
 # ──────────────────────────────── the tridiagonal kernel ──
