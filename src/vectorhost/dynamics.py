@@ -22,7 +22,7 @@ from .coeffs import CoefficientSet, Expression, field_values
 from .eigen import EigenResult, PeriodicOrbit, lambda_V
 from .errors import InputError
 from .grid import BoundarySpec, Grid
-from .periodic import (EndemicPairResult, LogisticOrbitResult, SolverOptions,
+from .periodic import (EndemicPairResult, LogisticOrbitResult, SolverOptions, band_edges,
                        band_sign, solve_endemic_pair, solve_logistic_orbit)
 from .stepper import (NonlinearModel, Trajectory, check_trajectory,
                       integrate_trajectory)
@@ -129,8 +129,7 @@ def classify_regime(c: CoefficientSet, bcs, grid: Grid,
     else:
         regime, kind = DISEASE_FREE, "(0, V, 0)"
         attractor = PeriodicOrbit(
-            (np.zeros((m + 1, n1)), lr.orbit.samples[0], np.zeros((m + 1, n2))),
-            lr.orbit.residual)
+            (np.zeros((m + 1, n1)), lr.orbit.samples[0], np.zeros((m + 1, n2))))
     return RegimeReport(regime=regime, attractor=attractor, attractor_kind=kind,
                         band=o.band, logistic=lr, lambda_V_result=lam, pair=pair)
 
@@ -138,7 +137,7 @@ def classify_regime(c: CoefficientSet, bcs, grid: Grid,
 def _endemic_attractor(pair: EndemicPairResult) -> PeriodicOrbit:
     """(H_i, V - V_i, V_i) from the pair's upper limit and carrying orbit."""
     (H, Vi), V = pair.orbit.samples, pair.logistic.orbit
-    return PeriodicOrbit((H, V.samples[0] - Vi, Vi), max(V.residual, pair.orbit.residual))
+    return PeriodicOrbit((H, V.samples[0] - Vi, Vi))
 
 
 # ──────────────────────────────────────────────────────── verification ──
@@ -250,6 +249,7 @@ def sandwich_check(V: PeriodicOrbit, phi: PeriodicOrbit, eps: float,
     """Smallest period N after which the total vector stays inside
     [V - eps*phi, V + eps*phi] at every stored sample; NOT_REACHED when
     the band is never entered for good (or the carrying orbit is zero).
+    The edges come from band_edges (EpsilonTooLarge outside the positive cone).
     """
     if eps <= 0.0:
         raise InputError("the sandwich band needs eps > 0")
@@ -259,9 +259,8 @@ def sandwich_check(V: PeriodicOrbit, phi: PeriodicOrbit, eps: float,
     if V.sup_norm() > 0.0:
         slack = 1e-12 * max(1.0, V.sup_norm() + eps * phi.sup_norm())
         k = trajectory.steps % m
+        hi, lo = (edge.level(0, k) for edge in band_edges(V, phi, eps))
         W = trajectory.samples[1] + trajectory.samples[2]
-        lo = V.level(0, k) - eps * phi.level(0, k)
-        hi = V.level(0, k) + eps * phi.level(0, k)
         bad = (np.min(W - lo, axis=1) < -slack) | (np.max(W - hi, axis=1) > slack)
         # the period after the last sample outside the band
         N = int(trajectory.steps[bad][-1]) // m + 1 if bad.any() else 0

@@ -59,13 +59,17 @@ _FILL_LEVELS = 64
 
 @dataclass(frozen=True)
 class PeriodicOrbit:
-    """One period of a (possibly multi-component) field: its samples and its
-    residual.  samples[c] has shape (m+1, n_c); rows 0..m-1, lattice(c), are
-    the m solver levels (row k at t = k * grid.dt), and row m only witnesses
-    the residual.  Level access wraps periodically (k mod m)."""
+    """One period of a (possibly multi-component) field.  samples[c] has
+    shape (m+1, n_c); rows 0..m-1, lattice(c), are the m solver levels (row
+    k at t = k * grid.dt), and row m only witnesses the residual, derived
+    from the samples.  Level access wraps periodically (k mod m)."""
 
     samples: tuple
-    residual: float = 0.0
+
+    @property
+    def residual(self) -> float:
+        """max over components of |row m - row 0|: how far from periodic."""
+        return max(float(np.max(np.abs(s[-1] - s[0]))) for s in self.samples)
 
     @property
     def ncomp(self) -> int:
@@ -99,14 +103,17 @@ class EigenResult:
 
     value = -ln(multiplier)/T; eigenfunction is sup-normalised over the
     whole period (max sample = 1) and periodic up to its residual in sup
-    norm.  r_history records the multiplier estimates per power iteration.
+    norm.  r_history holds one multiplier estimate per power iteration.
     """
 
     value: float
     multiplier: float
     eigenfunction: PeriodicOrbit
-    iterations: int
     r_history: tuple = ()
+
+    @property
+    def iterations(self) -> int:
+        return len(self.r_history)
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -304,8 +311,7 @@ def principal_eigenvalue(system: LinearPeriodicSystem,
     phi /= max(phi.max(), -phi.min())    # max |phi|, without an |phi| array
     parts = P.split(phi)
     del P                  # the factors go before the component copies are made
-    orbit = PeriodicOrbit(tuple(np.ascontiguousarray(s) for s in parts),
-                          float(np.max(np.abs(phi[-1] - phi[0]))))
+    orbit = PeriodicOrbit(tuple(np.ascontiguousarray(s) for s in parts))
 
     interior_min = min(float(np.min(g.interior(s, comp.bc)))
                        for s, comp in zip(orbit.samples, system.comps))
@@ -322,7 +328,7 @@ def principal_eigenvalue(system: LinearPeriodicSystem,
             "the cooperative system is reducible", ReducibleSystemWarning)
 
     return EigenResult(value=float(value), multiplier=r, eigenfunction=orbit,
-                       iterations=iterations, r_history=tuple(r_history))
+                       r_history=tuple(r_history))
 
 
 # ═══════════════════════════════════════════════════════════════════════════

@@ -20,11 +20,13 @@ result keeps the upper limit as one (H_i, V_i) orbit and the logistic
 result it was built on.
 
 Both orbits share one two-sided construction: _growing_seed finds the
-lower seed and _limits iterates both sequences to their limits.
+lower seed, _iterate_to_fixed_point carries each sequence to its limit,
+and _halvings is the one halving sequence of every seed and band width.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +60,7 @@ _SUPERSOLUTION_BUMP = 1e-6
 class SolverOptions:
     """Numerical knobs shared by the classification pipeline.
 
-    eps is the first rung of the endemic pair's band ladder; None starts
-    it at 0.1 * min(V) / max(phi)."""
+    eps is the first rung of the endemic pair's band ladder."""
 
     eigen_tol: float = DEFAULT_EIGEN_TOL
     max_eigen_iters: int = DEFAULT_MAX_ITERS
@@ -67,7 +68,7 @@ class SolverOptions:
     max_periods: int = 500
     band: float = 1e-3
     blowup_cap: float = DEFAULT_BLOWUP_CAP
-    eps: float | None = 0.0
+    eps: float = 0.0
     n_periods: int = 40
     sample_stride: int = 8
     target: float = 1e-3
@@ -139,21 +140,30 @@ def band_edges(V: PeriodicOrbit, phi: PeriodicOrbit, eps: float) -> tuple:
         raise EpsilonTooLarge(
             f"V - |eps|*phi reaches {margin:.3g} (eps={eps:g}); "
             "the band leaves the positive cone")
-    return tuple(PeriodicOrbit((s,), float(np.max(np.abs(s[-1] - s[0]))))
-                 for s in (upper, lower))
+    return PeriodicOrbit((upper,)), PeriodicOrbit((lower,))
+
+
+def _halvings(x: float, n: int = _MAX_HALVINGS + 1):
+    """x * 2**-k for k = 0 .. n-1, each exact (the bits of halving x k times)."""
+    for k in range(n):
+        yield math.ldexp(x, -k)
+
+
+def _sup_gap(u: tuple, v: tuple) -> float:
+    """Sup distance between two states (tuples of component arrays)."""
+    return max(float(np.max(np.abs(a - b))) for a, b in zip(u, v))
 
 
 def shrink_band(V: PeriodicOrbit, phi: PeriodicOrbit, eps: float) -> tuple:
     """(e, upper, lower): the first width e = eps * 2**-k, k <= _MAX_HALVINGS,
     whose band band_edges accepts, and its two edge orbits; the last
     EpsilonTooLarge if every width leaves the positive cone."""
-    for k in range(_MAX_HALVINGS + 1):
+    for e in _halvings(eps):
         try:
-            return (eps, *band_edges(V, phi, eps))
-        except EpsilonTooLarge:
-            if k == _MAX_HALVINGS:
-                raise
-            eps *= 0.5
+            return (e, *band_edges(V, phi, e))
+        except EpsilonTooLarge as err:
+            refusal = err
+    raise refusal
 
 
 def _iterate_to_fixed_point(model, prepared, u: tuple, tol: float,
@@ -167,7 +177,7 @@ def _iterate_to_fixed_point(model, prepared, u: tuple, tol: float,
         history.append(u)
     for n in range(1, max_periods + 1):
         nxt = integrate_over_period(model, u, prepared=prepared)
-        delta = max(float(np.max(np.abs(a - b))) for a, b in zip(nxt, u))
+        delta = _sup_gap(nxt, u)
         u = nxt
         if history is not None:
             history.append(u)
@@ -179,35 +189,15 @@ def _iterate_to_fixed_point(model, prepared, u: tuple, tol: float,
 
 
 def _growing_seed(model, P, profile, dl: float, floor):
-    """First period image of dl*profile, dl halved up to _MAX_HALVINGS
-    times, that falls below its seed by at most floor(seed component) in
-    every component; None if no such image exists."""
-    for _ in range(_MAX_HALVINGS):
-        seed = tuple(dl * p for p in profile)
+    """First period image of d*profile, d = dl * 2**-k for k < _MAX_HALVINGS,
+    that falls below its seed by at most floor(seed component) in every
+    component; None if no such image exists."""
+    for d in _halvings(dl, _MAX_HALVINGS):
+        seed = tuple(d * p for p in profile)
         nxt = integrate_over_period(model, seed, prepared=P)
         if all(float(np.min(a - b)) >= -floor(b) for a, b in zip(nxt, seed)):
             return nxt
-        dl *= 0.5
     return None
-
-
-def _limits(model, P, upper: tuple, lower: tuple, tol: float,
-            max_periods: int, labels, histories=(None, None)):
-    """Iterate the upper and the lower sequence to their limits; returns
-    both limits, their sup gap and the period count of each."""
-    up, n_up = _iterate_to_fixed_point(model, P, upper, tol, max_periods,
-                                       labels[0], histories[0])
-    low, n_low = _iterate_to_fixed_point(model, P, lower, tol, max_periods,
-                                         labels[1], histories[1])
-    gap = max(float(np.max(np.abs(a - b))) for a, b in zip(up, low))
-    return up, low, gap, n_up, n_low
-
-
-def _store_orbit(model, prepared, state: tuple) -> PeriodicOrbit:
-    """One stored sweep from a converged boundary state."""
-    samples = integrate_over_period(model, state, prepared=prepared, store=True)
-    residual = max(float(np.max(np.abs(s[-1] - s[0]))) for s in samples)
-    return PeriodicOrbit(samples, residual)
 
 
 # ─────────────────────────────────────────────── the vector total orbit ──
@@ -252,17 +242,19 @@ def solve_logistic_orbit(c: CoefficientSet, bc2: BoundarySpec, grid: Grid,
     if low is None:
         raise NoConvergence(
             "no growing lower seed found for the vector orbit", _MAX_HALVINGS)
-    up, _, agreement, n_up, n_low = _limits(
-        model, P, (np.full(n2, K),), low, o.orbit_tol, o.max_periods,
-        ("vector orbit (upper seed)", "vector orbit (lower seed)"))
+    up, n_up = _iterate_to_fixed_point(model, P, (np.full(n2, K),), o.orbit_tol,
+                                       o.max_periods, "vector orbit (upper seed)")
+    low, n_low = _iterate_to_fixed_point(model, P, low, o.orbit_tol,
+                                         o.max_periods, "vector orbit (lower seed)")
+    agreement = _sup_gap(up, low)
     if agreement > AGREEMENT_FACTOR * o.orbit_tol:
         raise NonUniqueOrbit(
             f"upper and lower vector-orbit limits differ by {agreement:.3g} "
             f"(allowed {AGREEMENT_FACTOR * o.orbit_tol:g}); the orbit is not certified unique")
 
-    return LogisticOrbitResult(orbit=_store_orbit(model, P, up), zeta_result=rz,
-                               converged_in=max(n_up, n_low + 1),
-                               agreement_gap=agreement)
+    orbit = PeriodicOrbit(integrate_over_period(model, up, prepared=P, store=True))
+    return LogisticOrbitResult(orbit=orbit, zeta_result=rz,
+                               converged_in=max(n_up, n_low + 1), agreement_gap=agreement)
 
 
 # ───────────────────────────────────────────────────── the host profile ──
@@ -293,7 +285,7 @@ def solve_Hbar(c: CoefficientSet, bcs, grid: Grid, V: PeriodicOrbit,
     P = prepare(sys)
     u, _ = _iterate_to_fixed_point(sys, P, (np.zeros(grid.n_unknowns(bc1)),),
                                    o.orbit_tol, o.max_periods, "host profile")
-    return _store_orbit(sys, P, u)
+    return PeriodicOrbit(integrate_over_period(sys, u, prepared=P, store=True))
 
 
 # ─────────────────────────────────────────────────── the endemic pair ──
@@ -351,9 +343,8 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
 
     With eps == 0 the upper and lower limits bracket the endemic orbit
     itself; with eps > 0 they bracket the band-shifted envelope used by
-    the sandwich argument.  eps = o.eps is the initial rung of the halving
-    ladder; eps = None starts at 0.1 * min(V) / max(phi), V being the
-    carrying orbit.  The logistic result (carrying orbit and zeta), the
+    the sandwich argument.  eps = o.eps >= 0 is the initial rung of the
+    halving ladder.  The logistic result (carrying orbit and zeta), the
     invasion eigenvalue and the eps = 0 host profile (solve_Hbar on that
     carrying orbit) may be passed to reuse earlier work; whatever is
     missing is computed here.
@@ -368,7 +359,7 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
     """
     bc1, bc2 = bcs
     eps, tol, band = o.eps, o.orbit_tol, o.band
-    if eps is not None and eps < 0.0:
+    if eps < 0.0:
         raise InputError("eps must be nonnegative (the band is applied as +/-)")
     if logistic is None:
         logistic = solve_logistic_orbit(c, bc2, grid, o)
@@ -381,27 +372,21 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
                   "lambda(V)", "invasion exponent")
 
     phi = rz.eigenfunction
-    if eps is None:
-        eps = 0.1 * float(np.min(V.lattice())) / phi.sup_norm()
     slack = 10.0 * tol
 
     def floor(b):  # per-component slack, relative to the seed's scale
         return slack * max(1.0, float(np.max(np.abs(b))))
 
-    e = eps
-    for _ in range(_MAX_HALVINGS + 1):
+    for e in _halvings(eps):
         try:
             upper, lower = band_edges(V, phi, e)
         except EpsilonTooLarge:
-            e *= 0.5
             continue
         if e != 0.0 and not _band_admissible(c, grid, bc2, V, phi, e, rz.value):
-            e *= 0.5
             continue
         le = lamV if e == 0.0 else lambda_V_eps(c, bcs, grid, upper, lower,
                                                 o.eigen_tol, o.max_eigen_iters)
         if band_sign(le.value, band) >= 0:   # a shifted rung: lamV passed the gate
-            e *= 0.5
             continue
 
         Hbar = hbar if e == 0.0 and hbar is not None else solve_Hbar(c, bcs, grid, upper, o)
@@ -415,7 +400,6 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
             if e == 0.0:
                 raise InternalError("upper seed failed to decrease with no band "
                                     "to shrink" + _infection_step_hint(c, bcs, grid, Hbar))
-            e *= 0.5
             continue
 
         profile = tuple(le.eigenfunction.level(i, 0) for i in range(2))
@@ -427,7 +411,6 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
             if e == 0.0:
                 raise NoConvergence(
                     "no growing lower seed found for the endemic pair", _MAX_HALVINGS)
-            e *= 0.5
             continue
         break
     else:  # every rung was rejected
@@ -437,17 +420,18 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
 
     upper_history: list = [up_seed]
     lower_history: list = []
-    up, low, gap, n_up, n_low = _limits(
-        model, P, up1, low1, tol, o.max_periods,
-        ("endemic pair (upper)", "endemic pair (lower)"),
-        (upper_history, lower_history))
+    up, n_up = _iterate_to_fixed_point(model, P, up1, tol, o.max_periods,
+                                       "endemic pair (upper)", upper_history)
+    low, n_low = _iterate_to_fixed_point(model, P, low1, tol, o.max_periods,
+                                         "endemic pair (lower)", lower_history)
+    gap = _sup_gap(up, low)
     if gap > GAP_FACTOR * tol:
         raise GapError(
             f"endemic upper/lower limits remain {gap:.3g} apart "
             f"(allowed {GAP_FACTOR * tol:g}); orbit not certified")
 
-    orbit = _store_orbit(model, P, up)
-    lower_residual = _store_orbit(model, P, low).residual
+    orbit = PeriodicOrbit(integrate_over_period(model, up, prepared=P, store=True))
+    lower_residual = _sup_gap(integrate_over_period(model, low, prepared=P), low)
 
     envelope = upper.samples[0]
     overshoot = float(np.max(orbit.samples[1] - envelope))

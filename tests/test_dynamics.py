@@ -5,8 +5,8 @@ import pytest
 
 from vectorhost import dynamics
 from vectorhost import (DISEASE_FREE, ENDEMIC, EXTINCTION, INDETERMINATE,
-                        BoundarySpec, DomainError, InputError, NonlinearModel,
-                        SolverOptions, build_grid, build_initial_state,
+                        BoundarySpec, DomainError, EpsilonTooLarge, InputError,
+                        NonlinearModel, SolverOptions, build_grid, build_initial_state,
                         classify_regime, integrate_over_period,
                         integrate_trajectory, lambda_V, parse_expression,
                         sandwich_check, solve_logistic_orbit, verify_trichotomy,
@@ -308,6 +308,15 @@ def test_sandwich_not_reached_without_carrying_orbit(extinction_c, neumann_bcs,
     rep = sandwich_check(V, phi, 0.05, traj)
     assert rep.status == "NOT_REACHED"
     assert rep.entered_at is None
+
+
+def test_sandwich_refuses_a_band_outside_the_positive_cone(endemic_report,
+                                                           endemic_traj):
+    # V = 1 and max phi = 1, so V - 5*phi reaches -4
+    V = endemic_report.logistic.orbit
+    phi = endemic_report.logistic.zeta_result.eigenfunction
+    with pytest.raises(EpsilonTooLarge, match="the band leaves the positive cone"):
+        sandwich_check(V, phi, 5.0, endemic_traj)
 
 
 def test_sandwich_needs_positive_eps(endemic_report, endemic_traj):

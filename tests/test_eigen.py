@@ -142,6 +142,16 @@ def test_gamma_rho_guards_against_nonpositive_value(grid):
         gamma_rho(make_constants(rho="-0.5"), NEUMANN1, grid)
 
 
+def test_orbit_residual_is_the_largest_row_gap_over_components():
+    # rows m and 0 differ by 0.25 in the host component, 0.5 in the vector one
+    host, vector = np.zeros((5, 3)), np.ones((5, 4))
+    host[-1, 1] = 0.25
+    vector[-1, 2] = 0.5
+    vector[2, 0] = 9.0     # an inner row moves no residual
+    assert PeriodicOrbit((host, vector)).residual == 0.5
+    assert PeriodicOrbit((host,)).residual == 0.25
+
+
 def test_period_map_residual_directly(grid):
     # independent application of the period map to the returned phi(., 0)
     sys_ = LinearPeriodicSystem(

@@ -209,8 +209,8 @@ def test_endemic_pair_with_band(grid):
 
 
 def test_endemic_pair_auto_band(grid):
-    # default ladder start is a tenth of the orbit floor
-    pair = solve_endemic_pair(make_constants(), BCS, grid, SolverOptions(eps=None))
+    # a ladder start of a tenth of the orbit floor (V = 1, max phi = 1)
+    pair = solve_endemic_pair(make_constants(), BCS, grid, SolverOptions(eps=0.1))
     assert pair.eps_used == pytest.approx(0.1, abs=1e-6)
     assert np.max(np.abs(pair.orbit.samples[0] - 3.6)) < 1e-6
     assert np.max(np.abs(pair.orbit.samples[1] - 0.72)) < 1e-6
