@@ -258,23 +258,75 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+def _sweep_row(cfg: RunConfig, value: float) -> tuple:
+    """One sweep row, (value, zeta, lambda_V, regime): ERROR when the
+    substituted coefficients break the hypothesis or a solve fails."""
+    bcs = (cfg.bc1, cfg.bc2)
+    try:
+        c = substituted_coeffs(cfg, value)
+        if not validate_hypothesis_H(c, bcs, cfg.grid, cfg.run.t_offset).passed:
+            return (value, "", "", "ERROR")
+        rep = classify_regime(c, bcs, cfg.grid, cfg.solver)
+        lam = "" if rep.lambda_V is None else _FMT % rep.lambda_V
+        return (value, _FMT % rep.zeta, lam, rep.regime)
+    except VectorHostError:
+        return (value, "", "", "ERROR")
+
+
+def _recorded_row(cfg: RunConfig, value: float) -> tuple:
+    """_sweep_row in a worker process, with the warnings it raised as
+    (message, category, filename, lineno) for the parent to emit."""
+    with warnings.catch_warnings(record=True) as caught:
+        row = _sweep_row(cfg, value)
+    return row, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _emit(message, category, filename: str, lineno: int) -> None:
+    """Emit a worker's warning as warnings.warn would have here: through
+    this process's filters and the raising module's once-per-line registry."""
+    module = next((m for m in list(sys.modules.values())
+                   if getattr(m, "__file__", None) == filename), None)
+    registry = vars(module).setdefault("__warningregistry__", {}) if module else None
+    warnings.warn_explicit(message, category, filename, lineno,
+                           module=getattr(module, "__name__", None), registry=registry)
+
+
+def _sweep_rows(cfg: RunConfig) -> list:
+    """Every row of the sweep, in input order.
+
+    The rows are independent and their stepping loops hold the GIL, so with
+    at least two rows and two usable CPUs (on Linux) they run in forked
+    worker processes, one per CPU: fork hands each worker the imported
+    modules, which spawn would import again.  Fork is safe here because the program starts no
+    thread and the executor forks its workers before its own manager
+    thread starts.  Workers record their rows' warnings and this process
+    emits them in row order, so each prints once, as in-process.
+    """
+    values = cfg.sweep.values
+    cpus = len(os.sched_getaffinity(0)) if sys.platform.startswith("linux") else 1
+    workers = min(len(values), cpus)
+    if workers < 2:
+        return [_sweep_row(cfg, value) for value in values]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    sys.stdout.flush()    # a forked worker flushes the buffers it inherits as it exits
+    sys.stderr.flush()
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    rows = []
+    try:
+        for row, caught in pool.map(_recorded_row, itertools.repeat(cfg), values):
+            for w in caught:
+                _emit(*w)
+            rows.append(row)
+    finally:
+        pool.shutdown(cancel_futures=True)   # joins every worker, on any exit path
+    return rows
+
+
 def cmd_sweep(cfg: RunConfig, args) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep subcommand needs a [sweep] section")
-    bcs = (cfg.bc1, cfg.bc2)
-
-    def run_row(value: float):
-        try:
-            c = substituted_coeffs(cfg, value)
-            if not validate_hypothesis_H(c, bcs, cfg.grid, cfg.run.t_offset).passed:
-                return (value, "", "", "ERROR")
-            rep = classify_regime(c, bcs, cfg.grid, cfg.solver)
-            lam = "" if rep.lambda_V is None else _FMT % rep.lambda_V
-            return (value, _FMT % rep.zeta, lam, rep.regime)
-        except VectorHostError:
-            return (value, "", "", "ERROR")
-
-    rows = [run_row(value) for value in cfg.sweep.values]
+    rows = _sweep_rows(cfg)
     _write_csv(os.path.join(args.out, "sweep.csv"),
                ["value", "zeta", "lambda_V", "regime"],
                [[_FMT % v, z, l, r] for v, z, l, r in rows])

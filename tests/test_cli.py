@@ -1,7 +1,8 @@
-"""Config loading and the command line front end, run in process (one
-warning-format check runs the module as a subprocess)."""
+"""Config loading and the command line front end, run in process (the
+warning-format checks and the dying-worker check run in a subprocess)."""
 
 import csv
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import vectorhost
-from vectorhost import (BoundarySpec, ConfigError, DomainError, build_grid,
+from vectorhost import (BoundarySpec, ConfigError, DomainError, build_grid, cli,
                         evaluate, load_config, map_between)
 from vectorhost.cli import _node_csv, main
 
@@ -493,20 +494,28 @@ def test_verify_with_a_band_measures_against_the_orbit(tmp_path, capsys):
     assert conv[0] == conv[1]
 
 
-def test_cli_warning_is_one_line_without_source_location(tmp_path):
-    # a Dirichlet host at 23 nodes and 64 steps makes gamma_rho warn; stderr
-    # must read the same from any checkout, so no file name or source line
-    path = tmp_path / "readme.ini"
-    path.write_text(README)
+def run_module(*argv, timeout=300):
+    """`python ARGV` in a fresh interpreter that imports this package, so
+    warnings reach the real stderr."""
     src = os.path.dirname(os.path.dirname(vectorhost.__file__))
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    p = subprocess.run(
-        [sys.executable, "-m", "vectorhost", "eigen", "--config", str(path),
-         "--out", str(tmp_path / "o"), "--override", "grid.nx=23",
-         "--override", "grid.steps_per_period=64",
-         "--override", "bc1.flavor=dirichlet"],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=env, timeout=timeout)
+
+
+# the 23/64 Dirichlet host, where gamma_rho warns from one source line
+WARNING_GRID = ("--override", "grid.nx=23", "--override", "grid.steps_per_period=64",
+                "--override", "bc1.flavor=dirichlet")
+
+
+def test_cli_warning_is_one_line_without_source_location(tmp_path):
+    # stderr must read the same from any checkout, so no file name or
+    # source line
+    path = tmp_path / "readme.ini"
+    path.write_text(README)
+    p = run_module("-m", "vectorhost", "eigen", "--config", str(path),
+                   "--out", str(tmp_path / "o"), *WARNING_GRID)
     assert p.returncode == 0, p.stderr
     assert ".py:" not in p.stderr
     lines = p.stderr.splitlines()
@@ -515,37 +524,105 @@ def test_cli_warning_is_one_line_without_source_location(tmp_path):
         "ReducibleSystemWarning: period-map eigenfunction changes sign")
 
 
-def test_sweep_crossing_order_and_errors(tmp_path, capsys):
-    path = write_config(tmp_path, """
-[sweep]
-parameter = H_u
-template = value
-values = 0.5 1 5
-""")
-    out = str(tmp_path / "o")
-    assert main(["sweep", "--config", path, "--out", out]) == 0
-    lines = open(os.path.join(out, "sweep.csv")).read().splitlines()
+def test_sweep_warning_prints_once_across_worker_processes(tmp_path):
+    # every row's gamma_rho raises the same warning; in-process the
+    # once-per-line registry prints it once, and so must the rows that run
+    # in worker processes (on a host with two or more usable CPUs)
+    path = tmp_path / "readme.ini"
+    path.write_text(README)
+    p = run_module("-m", "vectorhost", "sweep", "--config", str(path),
+                   "--out", str(tmp_path / "o"), *WARNING_GRID,
+                   "--override", "sweep.parameter=H_u",
+                   "--override", "sweep.template=value",
+                   "--override", "sweep.values=20 50 100 200")
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.splitlines() == ["H_u<-20: DISEASE_FREE", "H_u<-50: ENDEMIC",
+                                     "H_u<-100: ENDEMIC", "H_u<-200: ENDEMIC"]
+    lines = p.stderr.splitlines()
+    assert len(lines) == 1, p.stderr
+    assert lines[0].startswith(
+        "ReducibleSystemWarning: period-map eigenfunction changes sign")
+
+
+def sweep_run(monkeypatch, capsys, cpus, path, out, *overrides):
+    """main's sweep with `cpus` usable CPUs (one runs the rows in-process,
+    more in worker processes): exit code, stdout, stderr and both files."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    argv = ["sweep", "--config", path, "--out", str(out)]
+    for o in overrides:
+        argv += ["--override", o]
+    rc = main(argv)
+    std = capsys.readouterr()
+    files = [(out / name).read_text() for name in ("sweep.csv", "sweep_report.txt")]
+    return rc, std.out, std.err, files
+
+
+def test_sweep_crossing_order_and_errors(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "readme.ini"
+    path.write_text(README + "\n[sweep]\nparameter = H_u\ntemplate = value\n"
+                    "values = 0.5 1 2 5\n")
+    cases = [(), ("sweep.values=-1 5",), ("sweep.values=-1",)]
+    runs = {cpus: [sweep_run(monkeypatch, capsys, cpus, str(path),
+                             tmp_path / f"c{cpus}-{k}", *case)
+                   for k, case in enumerate(cases)]
+            for cpus in (2, 1)}
+    # worker processes and the in-process loop write the same bytes
+    assert runs[2] == runs[1]
+    (rc, stdout, _, (table, report)), mixed, allbad = runs[2]
+
+    assert rc == 0
+    lines = table.splitlines()
     assert lines[0] == "value,zeta,lambda_V,regime"
     regimes = [line.split(",")[3] for line in lines[1:]]
-    assert regimes == ["DISEASE_FREE", "DISEASE_FREE", "ENDEMIC"]
+    assert regimes == ["DISEASE_FREE", "DISEASE_FREE", "INDETERMINATE", "ENDEMIC"]
     values = [float(line.split(",")[0]) for line in lines[1:]]
-    assert values == [0.5, 1.0, 5.0]        # input order, not completion order
-    rep = read_report(os.path.join(out, "sweep_report.txt"))
-    assert rep["rows"] == "3" and rep["succeeded"] == "3"
+    assert values == [0.5, 1.0, 2.0, 5.0]        # input order, not completion order
+    assert stdout.splitlines() == [f"H_u<-{v:g}: {r}" for v, r in zip(values, regimes)]
+    rep = dict(line.split("=") for line in report.splitlines())
+    assert rep["rows"] == "4" and rep["succeeded"] == "4"
 
     # a bad row is reported in place and does not abort the sweep
-    out2 = str(tmp_path / "mixed")
-    assert main(["sweep", "--config", path, "--out", out2,
-                 "--override", "sweep.values=-1 5"]) == 0
-    lines = open(os.path.join(out2, "sweep.csv")).read().splitlines()
-    assert [line.split(",")[3] for line in lines[1:]] == ["ERROR", "ENDEMIC"]
+    assert mixed[0] == 0
+    assert [line.split(",")[3] for line in mixed[3][0].splitlines()[1:]] == \
+        ["ERROR", "ENDEMIC"]
 
     # all rows failing is a numerical failure
-    out3 = str(tmp_path / "allbad")
-    assert main(["sweep", "--config", path, "--out", out3,
-                 "--override", "sweep.values=-1"]) == 2
+    assert allbad[0] == 2
 
     # sweep without a [sweep] section is a config error
     assert main(["sweep", "--config", write_config(tmp_path, name="plain.ini"),
                  "--out", str(tmp_path / "o4")]) == 1
     capsys.readouterr()
+
+
+def test_sweep_workers_end_with_the_sweep(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    path = write_config(tmp_path, "\n[sweep]\nparameter = H_u\ntemplate = value\n"
+                                  "values = 0.5 5\n")
+    argv = ["sweep", "--config", path, "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    assert multiprocessing.active_children() == []
+    assert main(argv + ["--override", "sweep.values=-1 -2"]) == 2   # every row ERROR
+    assert multiprocessing.active_children() == []
+
+    def fail(*args):
+        raise RuntimeError("row failed")
+
+    monkeypatch.setattr(cli, "classify_regime", fail)   # the forked workers inherit it
+    with pytest.raises(RuntimeError, match="row failed"):
+        main(argv)
+    assert multiprocessing.active_children() == []
+    capsys.readouterr()
+
+    # a worker that dies breaks the pool instead of hanging it
+    code = ("import multiprocessing, os, sys\n"
+            "from vectorhost import cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "cli.classify_regime = lambda *args: os._exit(1)\n"
+            "try:\n"
+            "    cli.main(sys.argv[1:])\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, len(multiprocessing.active_children()))\n")
+    p = run_module("-c", code, *argv, timeout=120)
+    assert p.stdout == "BrokenProcessPool 0\n", p.stderr
