@@ -14,7 +14,6 @@ vector population enter the +/- eps*phi band around the carrying orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from statistics import median
 
 import numpy as np
 
@@ -189,6 +188,12 @@ def _period_errors(traj: Trajectory, attractor: PeriodicOrbit,
     return errors.tolist()
 
 
+def _median(values) -> float:
+    """statistics.median to the bit: the middle value, or (a + b) / 2 of the middle two."""
+    s, h = sorted(values), len(values) // 2
+    return s[h] if len(s) % 2 else (s[h - 1] + s[h]) / 2
+
+
 def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid, initial=None,
                       o: SolverOptions = SolverOptions(),
                       report: RegimeReport | None = None) -> ConvergenceReport:
@@ -235,7 +240,7 @@ def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid, initial=None,
     errors = _period_errors(traj, attractor, n_periods)
     ratios = [errors[n + 1] / errors[n]
               for n in range(n_periods - 1) if errors[n] > _TINY_ERROR]
-    med = float(median(ratios)) if ratios else 0.0
+    med = float(_median(ratios)) if ratios else 0.0
     final = errors[-1]
     verdict = "PASS" if (final <= target and med < 1.0) else "FAIL"
     return ConvergenceReport(

@@ -27,9 +27,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgbmv
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
+from ._lapack import dgbmv, dgbtrf, dgbtrs
 from .coeffs import CoefficientSet
 from .coeffs import field_values  # noqa: F401  (name the benchmark tracer wraps here)
 from .errors import (InputError, InternalError, NoConvergence,

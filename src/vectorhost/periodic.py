@@ -39,7 +39,7 @@ from .errors import (EpsilonTooLarge, GapError, InputError, InternalError,
                      NoConvergence, NonUniqueOrbit, RegimeError)
 from .grid import BoundarySpec, Grid, map_between
 from .stepper import (DEFAULT_BLOWUP_CAP, ComponentSpec, LinearPeriodicSystem,
-                      NonlinearModel, integrate_over_period, prepare)
+                      NonlinearModel, infection_step_hint, integrate_over_period, prepare)
 
 __all__ = [
     "SolverOptions", "LogisticOrbitResult", "EndemicPairResult",
@@ -319,21 +319,6 @@ def _band_admissible(c: CoefficientSet, grid: Grid, bc2: BoundarySpec,
     return bool(np.all(lhs < beta * V.lattice()))
 
 
-def _infection_step_hint(c: CoefficientSet, bcs, grid: Grid,
-                         Hbar: PeriodicOrbit) -> str:
-    """Why an upper seed can fail to decrease: the explicit infection term
-    Z + dt*sigma2*Hbar*(V - Z) is monotone in Z only while dt*sigma2*Hbar
-    stays below 1.  When its maximum does not, the text names it and the
-    smallest steps_per_period that brings it below 1; otherwise it is empty."""
-    bc1, bc2 = bcs
-    top = float(np.max(grid.lattice(c.sigma2, bc2) * map_between(Hbar.lattice(), bc1, bc2)))
-    if grid.dt * top < 1.0:
-        return ""
-    return (f"; max dt*sigma2*Hbar = {grid.dt * top:.4g} >= 1 makes the explicit "
-            f"infection step non-monotone (steps_per_period >= {int(grid.T * top) + 1} "
-            "brings it below 1)")
-
-
 def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
                        o: SolverOptions = SolverOptions(),
                        logistic: LogisticOrbitResult | None = None,
@@ -398,8 +383,9 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
         up1 = integrate_over_period(model, up_seed, prepared=P)
         if not all(float(np.max(a - b)) <= floor(b) for a, b in zip(up1, up_seed)):
             if e == 0.0:
-                raise InternalError("upper seed failed to decrease with no band "
-                                    "to shrink" + _infection_step_hint(c, bcs, grid, Hbar))
+                raise InternalError("upper seed failed to decrease with no band to shrink"
+                                    + infection_step_hint(grid, grid.lattice(c.sigma2, bc2),
+                                                          Hbar.lattice(), bcs, "Hbar"))
             continue
 
         profile = tuple(le.eigenfunction.level(i, 0) for i in range(2))

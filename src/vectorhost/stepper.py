@@ -52,9 +52,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import ddot
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
+from ._lapack import ddot, dgtsv, dgttrf, dgttrs
 from .coeffs import CoefficientSet
 from .coeffs import field_values  # noqa: F401  (name the benchmark tracer wraps here)
 from .errors import BlowupError, DomainError, InputError, SolveError
@@ -200,8 +199,20 @@ def _solve(lu, rhs: np.ndarray) -> np.ndarray:
     return dgttrs(*lu, rhs, "N", 1)[0]
 
 
-def _raise_past_cap(arrays, cap: float) -> None:
-    """BlowupError for the first array with an entry past cap (or non-finite).
+def infection_step_hint(grid: Grid, sigma2, H: np.ndarray, bcs, name: str) -> str:
+    """'; max dt*sigma2*<name> = ...', with the smallest steps_per_period that
+    keeps the explicit infection step Z + dt*sigma2*H*(V - Z) monotone in Z, for
+    the host field H on bcs[0]'s layout; empty while max dt*sigma2*H < 1."""
+    top = float(np.max(sigma2 * map_between(H, *bcs)))
+    if not 1.0 <= grid.dt * top < np.inf:   # NaN and inf name no step count
+        return ""
+    return (f"; max dt*sigma2*{name} = {grid.dt * top:.4g} >= 1 makes the explicit "
+            f"infection step non-monotone (steps_per_period >= {int(grid.T * top) + 1} "
+            "brings it below 1)")
+
+
+def _raise_past_cap(arrays, cap: float, hint: str = "") -> None:
+    """BlowupError, ending in hint, for the first array with an entry past cap (or non-finite).
 
     advance() calls this only when its sum of squares (BLAS ddot) is not
     below cap*cap.  Every partial sum of nonnegative terms, in any order and
@@ -213,8 +224,8 @@ def _raise_past_cap(arrays, cap: float) -> None:
     for a in arrays:
         peak = np.max(np.abs(a))
         if not peak <= cap:  # NaN fails too
-            raise BlowupError(f"state exceeded blow-up cap {cap:g}" if np.isfinite(peak)
-                              else "state became non-finite (NaN or inf)")
+            raise BlowupError((f"state exceeded blow-up cap {cap:g}" if np.isfinite(peak)
+                               else "state became non-finite (NaN or inf)") + hint)
 
 
 class _PreparedLinear:
@@ -291,8 +302,17 @@ class _PreparedModel:
             lower = L(model.lower.lattice(), bc2)
             self.lu_z = _factored(D2, dt, mu1 + mu2 * np.roll(lower, 1, axis=0))
 
+    def _hint(self, u: tuple, k: int) -> str:
+        """infection_step_hint on u at step k; none if u's host is past the cap (unchecked u0)."""
+        model = self.model
+        if not np.max(np.abs(u[0])) <= model.cap:
+            return ""
+        return infection_step_hint(model.grid, self.sigma2[k % model.grid.steps_per_period],
+                                   u[0], (model.bc1, model.bc2), "H_i")
+
     def advance(self, u: tuple, k0: int, k1: int) -> tuple:
-        """Component arrays at step k0 -> step k1; BlowupError at the first step past the cap."""
+        """Component arrays at step k0 -> step k1; BlowupError at the first step past the cap,
+        with _hint on u, the last state known to be within it."""
         model = self.model
         m, cap = model.grid.steps_per_period, model.cap
         cap2 = cap * cap if cap >= 0.0 else -1.0   # a negative cap fails every state
@@ -328,7 +348,7 @@ class _PreparedModel:
                 Hi = _solve(lu_h[j1], Hi + dt_s1hu[j0] * map_between(Vi, bc2, bc1))
                 Vu, Vi = x[:, 0] - x[:, 1], x[:, 1]
                 if not ddot(Hi, Hi) + ddot(Vu, Vu) + ddot(Vi, Vi) < cap2:
-                    _raise_past_cap((Hi, Vu, Vi), cap)
+                    _raise_past_cap((Hi, Vu, Vi), cap, self._hint(u, k0))
             return (Hi, Vu, Vi)
 
         Hi, Z = u                   # truncated
@@ -340,7 +360,7 @@ class _PreparedModel:
             Z_n = _solve(lu_z[j1], Z + dt * trans)
             Hi, Z = _solve(lu_h[j1], Hi + dt_s1hu[j0] * map_between(Z, bc2, bc1)), Z_n
             if not ddot(Hi, Hi) + ddot(Z, Z) < cap2:
-                _raise_past_cap((Hi, Z), cap)
+                _raise_past_cap((Hi, Z), cap, self._hint(u, k0))
         return (Hi, Z)
 
 

@@ -415,6 +415,20 @@ def test_blowup_cap_reaches_the_orbit_solvers(tmp_path, capsys, command):
         "numerical failure: state exceeded blow-up cap 0.5\n"
 
 
+def test_simulate_blowup_names_the_explicit_infection_step(tmp_path, capsys):
+    # README at H_u = 300: the trajectory loses positivity and passes the
+    # cap; the error names max dt*sigma2*H_i on the last state within it
+    path = tmp_path / "readme.ini"
+    path.write_text(README)
+    code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o"),
+                 "--override", "coefficients.H_u=300"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: state exceeded blow-up cap 1e+12; max dt*sigma2*H_i = 1.969 "
+        ">= 1 makes the explicit infection step non-monotone (steps_per_period >= 253 "
+        "brings it below 1)\n")
+
+
 def test_simulate_is_deterministic(tmp_path, capsys):
     path = write_config(tmp_path, "[run]\nn_periods = 6\nsample_stride = 16\n")
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")

@@ -1,5 +1,7 @@
 """Regime classification, trichotomy verification, and the band check."""
 
+import statistics
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,14 @@ def test_verify_endemic_passes(endemic_c, neumann_bcs, grid31, endemic_report):
     assert cr.final_error <= 1e-3
     assert cr.median_ratio < 1.0
     assert len(cr.errors) == 40
+
+
+@pytest.mark.parametrize("values", [
+    [0.3], [0.7, 0.1], [0.9, 0.1, 0.3], [0.1, 0.2, 0.7, 0.3], [1e300, 1.7e308, 0.5, 1.7e308],
+    list(np.random.default_rng(1).random(7)), list(np.random.default_rng(2).random(8))])
+def test_median_ratio_matches_statistics_median(values):
+    assert dynamics._median(values) == statistics.median(values)
+    assert type(dynamics._median(values)) is type(statistics.median(values))
 
 
 def test_verify_measures_a_band_envelope_report_against_the_orbit(
