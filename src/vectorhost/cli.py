@@ -26,6 +26,7 @@ import warnings
 
 import numpy as np
 
+from ._workers import emitted, fork_context, recorded, usable_cpus
 from .coeffs import validate_hypothesis_H
 from .config import RunConfig, load_config, substituted_coeffs
 from .dynamics import (INDETERMINATE, build_initial_state, classify_regime,
@@ -274,53 +275,31 @@ def _sweep_row(cfg: RunConfig, value: float) -> tuple:
 
 
 def _recorded_row(cfg: RunConfig, value: float) -> tuple:
-    """_sweep_row in a worker process, with the warnings it raised as
-    (message, category, filename, lineno) for the parent to emit."""
-    with warnings.catch_warnings(record=True) as caught:
-        row = _sweep_row(cfg, value)
-    return row, [(w.message, w.category, w.filename, w.lineno) for w in caught]
-
-
-def _emit(message, category, filename: str, lineno: int) -> None:
-    """Emit a worker's warning as warnings.warn would have here: through
-    this process's filters and the raising module's once-per-line registry."""
-    module = next((m for m in list(sys.modules.values())
-                   if getattr(m, "__file__", None) == filename), None)
-    registry = vars(module).setdefault("__warningregistry__", {}) if module else None
-    warnings.warn_explicit(message, category, filename, lineno,
-                           module=getattr(module, "__name__", None), registry=registry)
+    """_sweep_row in a worker process, recorded for the parent to emit.
+    The worker looks _sweep_row up itself, so a wrapped one runs there."""
+    return recorded(_sweep_row, cfg, value)
 
 
 def _sweep_rows(cfg: RunConfig) -> list:
     """Every row of the sweep, in input order.
 
-    The rows are independent and their stepping loops hold the GIL, so with
-    at least two rows and two usable CPUs (on Linux) they run in forked
-    worker processes, one per CPU: fork hands each worker the imported
-    modules, which spawn would import again.  Fork is safe here because the program starts no
-    thread and the executor forks its workers before its own manager
-    thread starts.  Workers record their rows' warnings and this process
-    emits them in row order, so each prints once, as in-process.
+    The rows are independent, so with at least two rows and two usable
+    CPUs they run in forked worker processes, one per CPU (see _workers;
+    the executor forks its workers before its own manager thread starts).
+    Workers record their rows' warnings and this process emits them in row
+    order, so each prints once, as in-process.
     """
     values = cfg.sweep.values
-    cpus = len(os.sched_getaffinity(0)) if sys.platform.startswith("linux") else 1
-    workers = min(len(values), cpus)
+    workers = min(len(values), usable_cpus())
     if workers < 2:
         return [_sweep_row(cfg, value) for value in values]
-    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    sys.stdout.flush()    # a forked worker flushes the buffers it inherits as it exits
-    sys.stderr.flush()
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    rows = []
+    pool = ProcessPoolExecutor(workers, mp_context=fork_context())
     try:
-        for row, caught in pool.map(_recorded_row, itertools.repeat(cfg), values):
-            for w in caught:
-                _emit(*w)
-            rows.append(row)
+        return [emitted(*row)
+                for row in pool.map(_recorded_row, itertools.repeat(cfg), values)]
     finally:
         pool.shutdown(cancel_futures=True)   # joins every worker, on any exit path
-    return rows
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:

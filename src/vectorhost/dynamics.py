@@ -7,8 +7,10 @@ INDETERMINATE when an eigenvalue sits inside the decision band and the
 sign cannot be trusted at solver resolution.
 
 verify_trichotomy integrates the full model and measures per-period sup
-distances to the classified attractor; sandwich_check watches the total
-vector population enter the +/- eps*phi band around the carrying orbit.
+distances to the classified attractor, integrating in a worker process
+while it classifies when two CPUs are usable; sandwich_check watches the
+total vector population enter the +/- eps*phi band around the carrying
+orbit.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._workers import Worker, emitted, recorded, usable_cpus
 from .coeffs import CoefficientSet, Expression, field_values
 from .eigen import EigenResult, PeriodicOrbit, lambda_V
 from .errors import InputError
@@ -194,6 +197,75 @@ def _median(values) -> float:
     return s[h] if len(s) % 2 else (s[h - 1] + s[h]) / 2
 
 
+def _trajectory_inputs(c: CoefficientSet, bcs, grid: Grid, initial,
+                       o: SolverOptions) -> tuple:
+    """The full model and its checked state at t = 0, as (model, u0)."""
+    bc1, bc2 = bcs
+    u0 = build_initial_state(grid, bc1, bc2,
+                             (1.0, 0.5, 0.1) if initial is None else initial)
+    _check_positive_interior(u0, grid, bcs)
+    model = NonlinearModel(kind="full", c=c, bc1=bc1, bc2=bc2, grid=grid,
+                           cap=o.blowup_cap)
+    return model, u0
+
+
+def _trajectory_worker(conn, model: NonlinearModel, u0: tuple, n_periods: int,
+                       stride: int) -> None:
+    """verify's trajectory in a worker process: integrate, say so, and
+    measure the period errors against the attractor the parent sends once
+    it has classified.  Sends recorded()'s pair, at once if the trajectory
+    raises; the trajectory itself never leaves the worker."""
+    def period_errors():
+        traj = integrate_trajectory(model, u0, n_periods, stride)
+        conn.send(None)   # ready for the attractor
+        return _period_errors(traj, conn.recv(), n_periods)
+    conn.send(recorded(period_errors))
+
+
+def _start_trajectory(c: CoefficientSet, bcs, grid: Grid, initial,
+                      o: SolverOptions) -> Worker | None:
+    """A worker running _trajectory_worker, or None when the fork rule
+    says no or the state at t = 0 fails its checks (the in-process path
+    raises that error after classifying, where it always has)."""
+    if usable_cpus() < 2:
+        return None
+    try:
+        model, u0 = _trajectory_inputs(c, bcs, grid, initial, o)
+    except Exception:
+        return None
+    return Worker(_trajectory_worker, model, u0, o.n_periods, o.sample_stride)
+
+
+def _worker_errors(worker: Worker, attractor: PeriodicOrbit) -> list:
+    """The worker's period errors, its warnings emitted here first; what
+    its trajectory raised is raised here."""
+    try:
+        reply = worker.conn.recv()
+        if reply is None:
+            worker.conn.send(attractor)
+            reply = worker.conn.recv()
+    except (EOFError, OSError):   # the worker died
+        reply = None
+    worker.process.join()   # it has sent all it will
+    if reply is None:
+        raise RuntimeError("the trajectory worker exited with code "
+                           f"{worker.process.exitcode} and no result")
+    return emitted(*reply)
+
+
+def _trajectory_errors(c: CoefficientSet, bcs, grid: Grid, initial,
+                       o: SolverOptions, report: RegimeReport) -> list:
+    """The period errors of a trajectory integrated in this process."""
+    model, u0 = _trajectory_inputs(c, bcs, grid, initial, o)
+    attractor = report.attractor
+    if report.regime == ENDEMIC and report.pair.eps_used != 0.0:
+        pair = solve_endemic_pair(c, bcs, grid, replace(o, eps=0.0),
+                                  report.logistic, report.lambda_V_result)
+        attractor = _endemic_attractor(pair)
+    traj = integrate_trajectory(model, u0, o.n_periods, o.sample_stride)
+    return _period_errors(traj, attractor, o.n_periods)
+
+
 def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid, initial=None,
                       o: SolverOptions = SolverOptions(),
                       report: RegimeReport | None = None) -> ConvergenceReport:
@@ -211,33 +283,31 @@ def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid, initial=None,
     tuple passes through), default (1.0, 0.5, 0.1); it must be strictly
     positive at interior nodes.  The options' n_periods and sample_stride
     pass check_trajectory before anything is solved.
+    The trajectory does not depend on the regime, so when verify
+    classifies and the fork rule of _workers allows, a worker process
+    integrates it while this one classifies; errors are raised in the
+    in-process order either way, and an INDETERMINATE regime ends the
+    worker without waiting for it.
     """
     n_periods, target = o.n_periods, o.target
     check_trajectory(grid, n_periods, o.sample_stride)
-    if report is None:
-        report = classify_regime(c, bcs, grid, replace(o, eps=0.0))
-    if report.regime == INDETERMINATE:
-        return ConvergenceReport(
-            regime=INDETERMINATE, errors=(), ratios=(), final_error=float("nan"),
-            median_ratio=float("nan"), verdict=INDETERMINATE,
-            n_periods=n_periods, target=target, regime_report=report)
+    worker = None if report is not None else _start_trajectory(c, bcs, grid, initial, o)
+    try:
+        if report is None:
+            report = classify_regime(c, bcs, grid, replace(o, eps=0.0))
+        if report.regime == INDETERMINATE:
+            return ConvergenceReport(
+                regime=INDETERMINATE, errors=(), ratios=(), final_error=float("nan"),
+                median_ratio=float("nan"), verdict=INDETERMINATE,
+                n_periods=n_periods, target=target, regime_report=report)
+        if worker is None:
+            errors = _trajectory_errors(c, bcs, grid, initial, o, report)
+        else:
+            errors = _worker_errors(worker, report.attractor)
+    finally:
+        if worker is not None:
+            worker.stop()
 
-    bc1, bc2 = bcs
-    u0 = build_initial_state(grid, bc1, bc2,
-                             (1.0, 0.5, 0.1) if initial is None else initial)
-    _check_positive_interior(u0, grid, bcs)
-
-    attractor = report.attractor
-    if report.regime == ENDEMIC and report.pair.eps_used != 0.0:
-        pair = solve_endemic_pair(c, bcs, grid, replace(o, eps=0.0),
-                                  report.logistic, report.lambda_V_result)
-        attractor = _endemic_attractor(pair)
-
-    model = NonlinearModel(kind="full", c=c, bc1=bc1, bc2=bc2, grid=grid,
-                           cap=o.blowup_cap)
-    traj = integrate_trajectory(model, u0, n_periods, o.sample_stride)
-
-    errors = _period_errors(traj, attractor, n_periods)
     ratios = [errors[n + 1] / errors[n]
               for n in range(n_periods - 1) if errors[n] > _TINY_ERROR]
     med = float(_median(ratios)) if ratios else 0.0

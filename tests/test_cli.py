@@ -558,17 +558,23 @@ def test_sweep_warning_prints_once_across_worker_processes(tmp_path):
         "ReducibleSystemWarning: period-map eigenfunction changes sign")
 
 
-def sweep_run(monkeypatch, capsys, cpus, path, out, *overrides):
-    """main's sweep with `cpus` usable CPUs (one runs the rows in-process,
-    more in worker processes): exit code, stdout, stderr and both files."""
+def cpus_run(monkeypatch, capsys, cpus, command, path, out, *overrides):
+    """main's `command` with `cpus` usable CPUs (one runs everything
+    in-process, more fork worker processes): exit code, stdout, stderr and
+    every output file's text by name, line endings as written; no worker
+    outlives the run."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
-    argv = ["sweep", "--config", path, "--out", str(out)]
+    argv = [command, "--config", path, "--out", str(out)]
     for o in overrides:
         argv += ["--override", o]
     rc = main(argv)
     std = capsys.readouterr()
-    files = [(out / name).read_text() for name in ("sweep.csv", "sweep_report.txt")]
+    files = {}
+    for name in sorted(os.listdir(out)):
+        with open(out / name, newline="") as f:
+            files[name] = f.read()
+    assert multiprocessing.active_children() == []
     return rc, std.out, std.err, files
 
 
@@ -577,13 +583,14 @@ def test_sweep_crossing_order_and_errors(tmp_path, capsys, monkeypatch):
     path.write_text(README + "\n[sweep]\nparameter = H_u\ntemplate = value\n"
                     "values = 0.5 1 2 5\n")
     cases = [(), ("sweep.values=-1 5",), ("sweep.values=-1",)]
-    runs = {cpus: [sweep_run(monkeypatch, capsys, cpus, str(path),
-                             tmp_path / f"c{cpus}-{k}", *case)
+    runs = {cpus: [cpus_run(monkeypatch, capsys, cpus, "sweep", str(path),
+                            tmp_path / f"c{cpus}-{k}", *case)
                    for k, case in enumerate(cases)]
             for cpus in (2, 1)}
     # worker processes and the in-process loop write the same bytes
     assert runs[2] == runs[1]
-    (rc, stdout, _, (table, report)), mixed, allbad = runs[2]
+    (rc, stdout, _, files), mixed, allbad = runs[2]
+    table, report = files["sweep.csv"], files["sweep_report.txt"]
 
     assert rc == 0
     lines = table.splitlines()
@@ -598,7 +605,7 @@ def test_sweep_crossing_order_and_errors(tmp_path, capsys, monkeypatch):
 
     # a bad row is reported in place and does not abort the sweep
     assert mixed[0] == 0
-    assert [line.split(",")[3] for line in mixed[3][0].splitlines()[1:]] == \
+    assert [line.split(",")[3] for line in mixed[3]["sweep.csv"].splitlines()[1:]] == \
         ["ERROR", "ENDEMIC"]
 
     # all rows failing is a numerical failure
@@ -640,3 +647,71 @@ def test_sweep_workers_end_with_the_sweep(tmp_path, capsys, monkeypatch):
             "    print(type(exc).__name__, len(multiprocessing.active_children()))\n")
     p = run_module("-c", code, *argv, timeout=120)
     assert p.stdout == "BrokenProcessPool 0\n", p.stderr
+
+
+def test_importing_the_cli_imports_no_multiprocessing():
+    # multiprocessing is imported only when a worker process starts
+    p = run_module("-c", "import sys, vectorhost.cli\n"
+                         "print('multiprocessing' in sys.modules)\n")
+    assert p.stdout == "False\n", p.stderr
+
+
+@pytest.mark.parametrize("config", [
+    README,
+    BASE,                                                  # endemic
+    BASE.replace("H_u = 5\n", "H_u = 1\n"),                # disease-free
+    BASE.replace("beta = 2\n", "beta = 1\n").replace("mu1 = 1\n", "mu1 = 2\n"),  # extinction
+])
+def test_verify_writes_the_same_bytes_with_a_trajectory_worker(tmp_path, capsys,
+                                                               monkeypatch, config):
+    path = tmp_path / "run.ini"
+    path.write_text(config)
+    runs = {cpus: cpus_run(monkeypatch, capsys, cpus, "verify", str(path),
+                           tmp_path / f"c{cpus}")
+            for cpus in (2, 1)}
+    assert runs[2] == runs[1]
+    rc, stdout, _, files = runs[2]
+    assert rc == 0 and "verdict=PASS" in stdout
+    assert sorted(files) == ["convergence.csv", "verify_report.txt"]
+
+
+def test_trajectory_worker_warning_prints_once_in_place(tmp_path):
+    # a warning the trajectory raises prints once on the real stderr, after
+    # classify's, on both paths; one it repeats from classify's source
+    # line is swallowed by the once-per-line registry on both
+    (tmp_path / "warner.py").write_text(
+        "import warnings\n"
+        "from vectorhost import dynamics\n"
+        "classify, trajectory = dynamics.classify_regime, dynamics.integrate_trajectory\n"
+        "def warn(text):\n"
+        "    warnings.warn(text)\n"
+        "def warned_classify(*args, **kwargs):\n"
+        "    warn('from classify')\n"
+        "    return classify(*args, **kwargs)\n"
+        "def warned_trajectory(*args, **kwargs):\n"
+        "    warn('from classify')\n"
+        "    warn('from the trajectory')\n"
+        "    return trajectory(*args, **kwargs)\n"
+        "dynamics.classify_regime = warned_classify\n"
+        "dynamics.integrate_trajectory = warned_trajectory\n")
+    path = tmp_path / "readme.ini"
+    path.write_text(README)
+    code = ("import os, runpy, sys\n"
+            "cpus = int(sys.argv.pop(1))\n"
+            "os.sched_getaffinity = lambda pid: set(range(cpus))\n"
+            "sys.path.insert(0, sys.argv.pop(1))\n"
+            "import warner\n"
+            "print('verify:')   # buffered, as stdout is a pipe\n"
+            "runpy.run_module('vectorhost', run_name='__main__')\n")
+    runs = {}
+    for cpus in (2, 1):
+        p = run_module("-c", code, str(cpus), str(tmp_path), "verify", "--config",
+                       str(path), "--out", str(tmp_path / f"o{cpus}"))
+        runs[cpus] = (p.returncode, p.stdout, p.stderr)
+    assert runs[2] == runs[1]
+    rc, stdout, stderr = runs[2]
+    assert rc == 0, stderr
+    # the worker inherits no unflushed buffer to write out again as it exits
+    assert stdout.startswith("verify:\nregime=ENDEMIC verdict=PASS"), stdout
+    assert stderr.splitlines() == ["UserWarning: from classify",
+                                   "UserWarning: from the trajectory"]

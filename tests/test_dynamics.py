@@ -1,14 +1,19 @@
 """Regime classification, trichotomy verification, and the band check."""
 
+import multiprocessing
+import os
+import signal
 import statistics
+import time
 
 import numpy as np
 import pytest
 
-from vectorhost import dynamics
+from vectorhost import _workers, dynamics
 from vectorhost import (DISEASE_FREE, ENDEMIC, EXTINCTION, INDETERMINATE,
-                        BoundarySpec, DomainError, EpsilonTooLarge, InputError,
-                        NonlinearModel, SolverOptions, build_grid, build_initial_state,
+                        BlowupError, BoundarySpec, DomainError, EpsilonTooLarge, InputError,
+                        NoConvergence, NonlinearModel, SolverOptions, build_grid,
+                        build_initial_state,
                         classify_regime, integrate_over_period,
                         integrate_trajectory, lambda_V, parse_expression,
                         sandwich_check, solve_logistic_orbit, verify_trichotomy,
@@ -253,6 +258,123 @@ def test_verify_indeterminate_passthrough(neumann_bcs, grid31):
     assert cr.verdict == INDETERMINATE
     assert cr.errors == ()
     assert np.isnan(cr.final_error)
+
+
+# ─────────────────────────────────────────── the trajectory worker ──
+
+
+def on_cpus(monkeypatch, cpus):
+    """Make `cpus` CPUs usable: one keeps verify's trajectory in-process,
+    two or more move it to a worker process (on Linux)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+
+
+def spy_workers(monkeypatch):
+    """The trajectory workers verify starts from here on."""
+    started = []
+
+    class Spied(_workers.Worker):
+        def __init__(self, *args):
+            super().__init__(*args)
+            started.append(self)
+
+    monkeypatch.setattr(dynamics, "Worker", Spied)
+    return started
+
+
+def test_verify_runs_a_wrapped_trajectory_in_the_worker(monkeypatch, endemic_c,
+                                                        neumann_bcs, grid31):
+    # a closure cannot be pickled; the forked worker inherits it, as it
+    # does a benchmark tracer's wrapper, and its calls stay in the worker
+    real, calls = dynamics.integrate_trajectory, []
+
+    def wrapped(*args, **kwargs):
+        calls.append(os.getpid())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate_trajectory", wrapped)
+    o = SolverOptions(n_periods=4)
+    runs = {}
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        runs[cpus] = verify_trichotomy(endemic_c, neumann_bcs, grid31, o=o)
+        assert multiprocessing.active_children() == []
+    assert calls == [os.getpid()]   # the two-CPU call ran in the worker
+    assert runs[2].errors == runs[1].errors and len(runs[2].errors) == 4
+    assert runs[2].verdict == runs[1].verdict
+
+
+def test_verify_raises_in_the_same_order_on_both_paths(monkeypatch, endemic_c,
+                                                       neumann_bcs, grid31):
+    def blowup(*args, **kwargs):
+        raise BlowupError("state exceeded blow-up cap 9")
+
+    def no_convergence(*args, **kwargs):
+        raise NoConvergence("logistic orbit: no fixed point in 3 periods", 3)
+
+    o = SolverOptions(n_periods=2)
+    monkeypatch.setattr(dynamics, "integrate_trajectory", blowup)
+    started = spy_workers(monkeypatch)
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        with pytest.raises(BlowupError, match=r"^state exceeded blow-up cap 9$"):
+            verify_trichotomy(endemic_c, neumann_bcs, grid31, o=o)
+        assert multiprocessing.active_children() == []
+    assert len(started) == 1
+    # a classify error takes precedence over the worker's blow-up
+    monkeypatch.setattr(dynamics, "classify_regime", no_convergence)
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        with pytest.raises(NoConvergence, match=r"^logistic orbit: no fixed"):
+            verify_trichotomy(endemic_c, neumann_bcs, grid31, o=o)
+        assert multiprocessing.active_children() == []
+    assert len(started) == 2
+
+
+def test_verify_checks_the_initial_state_after_classifying(monkeypatch, endemic_c,
+                                                           neumann_bcs, grid31):
+    # a state that fails its checks starts no worker, and is refused only
+    # once the regime is known, as in-process
+    on_cpus(monkeypatch, 2)
+    started, classified = spy_workers(monkeypatch), []
+    real_classify = dynamics.classify_regime
+
+    def recorded_classify(*args, **kwargs):
+        classified.append(True)
+        raise NoConvergence("classified first")
+
+    monkeypatch.setattr(dynamics, "classify_regime", recorded_classify)
+    with pytest.raises(NoConvergence, match="classified first"):
+        verify_trichotomy(endemic_c, neumann_bcs, grid31, initial=(1.0, 0.0, 0.1))
+    assert classified == [True]
+    monkeypatch.setattr(dynamics, "classify_regime", real_classify)
+    with pytest.raises(InputError, match="initial component 1 must be strictly positive"):
+        verify_trichotomy(endemic_c, neumann_bcs, grid31, initial=(1.0, 0.0, 0.1))
+    assert started == [] and multiprocessing.active_children() == []
+
+
+def test_indeterminate_verify_does_not_wait_for_the_worker(monkeypatch, neumann_bcs,
+                                                           grid31):
+    on_cpus(monkeypatch, 2)
+    started = spy_workers(monkeypatch)
+    monkeypatch.setattr(dynamics, "integrate_trajectory",
+                        lambda *args, **kwargs: time.sleep(60))
+    t0 = time.perf_counter()
+    cr = verify_trichotomy(make_constants(H_u="2"), neumann_bcs, grid31)
+    assert time.perf_counter() - t0 < 30
+    assert cr.verdict == INDETERMINATE and cr.errors == ()
+    assert [w.process.exitcode for w in started] == [-signal.SIGTERM]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_fails_verify(monkeypatch, endemic_c, neumann_bcs, grid31):
+    on_cpus(monkeypatch, 2)
+    monkeypatch.setattr(dynamics, "integrate_trajectory",
+                        lambda *args, **kwargs: os._exit(3))
+    with pytest.raises(RuntimeError, match="exited with code 3 and no result"):
+        verify_trichotomy(endemic_c, neumann_bcs, grid31, o=SolverOptions(n_periods=2))
+    assert multiprocessing.active_children() == []
 
 
 def test_extinction_total_vector_is_nonincreasing(extinction_c, neumann_bcs,
