@@ -26,7 +26,7 @@ import warnings
 
 import numpy as np
 
-from ._workers import emitted, fork_context, recorded, usable_cpus
+from ._workers import Worker, emitted, recorded, usable_cpus
 from .coeffs import validate_hypothesis_H
 from .config import RunConfig, load_config, substituted_coeffs
 from .dynamics import (INDETERMINATE, build_initial_state, classify_regime,
@@ -274,32 +274,34 @@ def _sweep_row(cfg: RunConfig, value: float) -> tuple:
         return (value, "", "", "ERROR")
 
 
-def _recorded_row(cfg: RunConfig, value: float) -> tuple:
-    """_sweep_row in a worker process, recorded for the parent to emit.
-    The worker looks _sweep_row up itself, so a wrapped one runs there."""
-    return recorded(_sweep_row, cfg, value)
+def _recorded_rows(ask, cfg: RunConfig, values) -> list:
+    """A worker's rows, each recorded for the parent to emit.  The worker
+    looks _sweep_row up itself, so a wrapped one runs there."""
+    return [recorded(_sweep_row, cfg, value) for value in values]
 
 
 def _sweep_rows(cfg: RunConfig) -> list:
     """Every row of the sweep, in input order.
 
     The rows are independent, so with at least two rows and two usable
-    CPUs they run in forked worker processes, one per CPU (see _workers;
-    the executor forks its workers before its own manager thread starts).
-    Workers record their rows' warnings and this process emits them in row
-    order, so each prints once, as in-process.
+    CPUs, k = min(rows, CPUs) forked workers run them (see _workers),
+    worker i the rows values[i::k].  Each row's warnings are recorded in
+    its worker and emitted here in row order, so each prints once, as
+    in-process.
     """
     values = cfg.sweep.values
-    workers = min(len(values), usable_cpus())
-    if workers < 2:
+    k = min(len(values), usable_cpus())
+    if k < 2:
         return [_sweep_row(cfg, value) for value in values]
-    from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(workers, mp_context=fork_context())
+    workers = []
     try:
-        return [emitted(*row)
-                for row in pool.map(_recorded_row, itertools.repeat(cfg), values)]
+        for i in range(k):
+            workers.append(Worker(_recorded_rows, cfg, values[i::k]))
+        parts = [worker.result() for worker in workers]
     finally:
-        pool.shutdown(cancel_futures=True)   # joins every worker, on any exit path
+        for worker in workers:   # reaps every worker, on any exit path
+            worker.stop()
+    return [emitted(*parts[i % k][i // k]) for i in range(len(values))]
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
@@ -355,8 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--override", action="append", default=[],
                        metavar="SECTION.KEY=VALUE",
                        help="replace a config value (repeatable)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for randomized property runs")
         p.add_argument("--strict", action="store_true",
                        help="exit 4 when the regime is INDETERMINATE")
     return parser
@@ -381,8 +381,6 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise ConfigError(f"cannot create output directory {args.out}: "
                                   f"{exc.strerror}") from None
-            if args.seed is not None:
-                np.random.seed(args.seed % 2**32)
             # the standing hypothesis gates every solve; validate reports it
             # itself and sweep checks each substituted row
             if args.command not in ("validate", "sweep"):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._workers import Worker, emitted, recorded, usable_cpus
+from ._workers import Worker, usable_cpus
 from .coeffs import CoefficientSet, Expression, field_values
 from .eigen import EigenResult, PeriodicOrbit, lambda_V
 from .errors import InputError
@@ -209,61 +209,14 @@ def _trajectory_inputs(c: CoefficientSet, bcs, grid: Grid, initial,
     return model, u0
 
 
-def _trajectory_worker(conn, model: NonlinearModel, u0: tuple, n_periods: int,
-                       stride: int) -> None:
-    """verify's trajectory in a worker process: integrate, say so, and
-    measure the period errors against the attractor the parent sends once
-    it has classified.  Sends recorded()'s pair, at once if the trajectory
-    raises; the trajectory itself never leaves the worker."""
-    def period_errors():
-        traj = integrate_trajectory(model, u0, n_periods, stride)
-        conn.send(None)   # ready for the attractor
-        return _period_errors(traj, conn.recv(), n_periods)
-    conn.send(recorded(period_errors))
-
-
-def _start_trajectory(c: CoefficientSet, bcs, grid: Grid, initial,
-                      o: SolverOptions) -> Worker | None:
-    """A worker running _trajectory_worker, or None when the fork rule
-    says no or the state at t = 0 fails its checks (the in-process path
-    raises that error after classifying, where it always has)."""
-    if usable_cpus() < 2:
-        return None
-    try:
-        model, u0 = _trajectory_inputs(c, bcs, grid, initial, o)
-    except Exception:
-        return None
-    return Worker(_trajectory_worker, model, u0, o.n_periods, o.sample_stride)
-
-
-def _worker_errors(worker: Worker, attractor: PeriodicOrbit) -> list:
-    """The worker's period errors, its warnings emitted here first; what
-    its trajectory raised is raised here."""
-    try:
-        reply = worker.conn.recv()
-        if reply is None:
-            worker.conn.send(attractor)
-            reply = worker.conn.recv()
-    except (EOFError, OSError):   # the worker died
-        reply = None
-    worker.process.join()   # it has sent all it will
-    if reply is None:
-        raise RuntimeError("the trajectory worker exited with code "
-                           f"{worker.process.exitcode} and no result")
-    return emitted(*reply)
-
-
-def _trajectory_errors(c: CoefficientSet, bcs, grid: Grid, initial,
-                       o: SolverOptions, report: RegimeReport) -> list:
-    """The period errors of a trajectory integrated in this process."""
-    model, u0 = _trajectory_inputs(c, bcs, grid, initial, o)
-    attractor = report.attractor
-    if report.regime == ENDEMIC and report.pair.eps_used != 0.0:
-        pair = solve_endemic_pair(c, bcs, grid, replace(o, eps=0.0),
-                                  report.logistic, report.lambda_V_result)
-        attractor = _endemic_attractor(pair)
-    traj = integrate_trajectory(model, u0, o.n_periods, o.sample_stride)
-    return _period_errors(traj, attractor, o.n_periods)
+def _measured(ask, model: NonlinearModel, u0: tuple, n_periods: int,
+              stride: int) -> list:
+    """The period errors of the trajectory from u0 against the attractor
+    ask() returns once the trajectory is integrated; in a Worker, ask()
+    waits for the attractor the parent sends once it has classified, and
+    the trajectory itself never leaves the worker."""
+    traj = integrate_trajectory(model, u0, n_periods, stride)
+    return _period_errors(traj, ask(), n_periods)
 
 
 def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid, initial=None,
@@ -283,15 +236,22 @@ def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid, initial=None,
     tuple passes through), default (1.0, 0.5, 0.1); it must be strictly
     positive at interior nodes.  The options' n_periods and sample_stride
     pass check_trajectory before anything is solved.
-    The trajectory does not depend on the regime, so when verify
-    classifies and the fork rule of _workers allows, a worker process
-    integrates it while this one classifies; errors are raised in the
-    in-process order either way, and an INDETERMINATE regime ends the
-    worker without waiting for it.
+    The trajectory does not depend on the regime, so when the fork rule
+    of _workers allows, a worker process integrates it while this one
+    classifies or rebuilds the attractor; errors are raised in the
+    in-process order either way (an initial state that fails its checks
+    starts no worker and is refused once the regime is known), and an
+    INDETERMINATE regime ends the worker without waiting for it.
     """
     n_periods, target = o.n_periods, o.target
     check_trajectory(grid, n_periods, o.sample_stride)
-    worker = None if report is not None else _start_trajectory(c, bcs, grid, initial, o)
+    try:
+        inputs = _trajectory_inputs(c, bcs, grid, initial, o)
+    except Exception as exc:   # raised once the regime is known
+        inputs = exc
+    worker = None
+    if usable_cpus() >= 2 and not isinstance(inputs, Exception):
+        worker = Worker(_measured, *inputs, n_periods, o.sample_stride)
     try:
         if report is None:
             report = classify_regime(c, bcs, grid, replace(o, eps=0.0))
@@ -300,10 +260,17 @@ def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid, initial=None,
                 regime=INDETERMINATE, errors=(), ratios=(), final_error=float("nan"),
                 median_ratio=float("nan"), verdict=INDETERMINATE,
                 n_periods=n_periods, target=target, regime_report=report)
+        if isinstance(inputs, Exception):
+            raise inputs
+        attractor = report.attractor
+        if report.regime == ENDEMIC and report.pair.eps_used != 0.0:
+            pair = solve_endemic_pair(c, bcs, grid, replace(o, eps=0.0),
+                                      report.logistic, report.lambda_V_result)
+            attractor = _endemic_attractor(pair)
         if worker is None:
-            errors = _trajectory_errors(c, bcs, grid, initial, o, report)
+            errors = _measured(lambda: attractor, *inputs, n_periods, o.sample_stride)
         else:
-            errors = _worker_errors(worker, report.attractor)
+            errors = worker.result(attractor)
     finally:
         if worker is not None:
             worker.stop()

@@ -263,8 +263,7 @@ def test_criterion_10_cli_determinism_and_exit_codes(tmp_path):
 
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
-        p = run_cli(["simulate", "--config", str(path), "--out", str(out),
-                     "--seed", "11"])
+        p = run_cli(["simulate", "--config", str(path), "--out", str(out)])
         assert p.returncode == 0, p.stderr
     assert (out_a / "trajectory.csv").read_bytes() \
         == (out_b / "trajectory.csv").read_bytes()

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -432,10 +433,8 @@ def test_simulate_blowup_names_the_explicit_infection_step(tmp_path, capsys):
 def test_simulate_is_deterministic(tmp_path, capsys):
     path = write_config(tmp_path, "[run]\nn_periods = 6\nsample_stride = 16\n")
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
-    assert main(["simulate", "--config", path, "--out", out_a,
-                 "--seed", "7"]) == 0
-    assert main(["simulate", "--config", path, "--out", out_b,
-                 "--seed", "7"]) == 0
+    assert main(["simulate", "--config", path, "--out", out_a]) == 0
+    assert main(["simulate", "--config", path, "--out", out_b]) == 0
     data_a = open(os.path.join(out_a, "trajectory.csv"), "rb").read()
     data_b = open(os.path.join(out_b, "trajectory.csv"), "rb").read()
     assert data_a == data_b
@@ -636,7 +635,7 @@ def test_sweep_workers_end_with_the_sweep(tmp_path, capsys, monkeypatch):
     assert multiprocessing.active_children() == []
     capsys.readouterr()
 
-    # a worker that dies breaks the pool instead of hanging it
+    # a worker that dies fails the sweep instead of hanging it
     code = ("import multiprocessing, os, sys\n"
             "from vectorhost import cli\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
@@ -644,16 +643,51 @@ def test_sweep_workers_end_with_the_sweep(tmp_path, capsys, monkeypatch):
             "try:\n"
             "    cli.main(sys.argv[1:])\n"
             "except Exception as exc:\n"
-            "    print(type(exc).__name__, len(multiprocessing.active_children()))\n")
+            "    print(type(exc).__name__, len(multiprocessing.active_children()))\n"
+            "    print(exc)\n")
     p = run_module("-c", code, *argv, timeout=120)
-    assert p.stdout == "BrokenProcessPool 0\n", p.stderr
+    kind, message = p.stdout.splitlines()
+    assert kind == "RuntimeError 0", p.stderr
+    assert "exited with code 1 and no result" in message
 
 
-def test_importing_the_cli_imports_no_multiprocessing():
-    # multiprocessing is imported only when a worker process starts
-    p = run_module("-c", "import sys, vectorhost.cli\n"
-                         "print('multiprocessing' in sys.modules)\n")
-    assert p.stdout == "False\n", p.stderr
+def test_a_crashing_row_prints_its_warnings_first(tmp_path, capsys, monkeypatch):
+    # a row that warns and then raises an error that is no VectorHostError:
+    # its warning prints once, in row order, and the error reaches main's caller
+    path = write_config(tmp_path, "\n[sweep]\nparameter = H_u\ntemplate = value\n"
+                                  "values = 0.5 5\n")
+    real = cli.classify_regime
+
+    def crash(c, *args):
+        warnings.warn("row warned")
+        if evaluate(c.H_u, 0.0, 0.0) == 5.0:
+            raise RuntimeError("row failed")
+        return real(c, *args)
+
+    monkeypatch.setattr(cli, "classify_regime", crash)   # the forked workers inherit it
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        with pytest.raises(RuntimeError, match="^row failed$"):
+            main(["sweep", "--config", path, "--out", str(tmp_path / f"o{cpus}")])
+        assert capsys.readouterr().err == "UserWarning: row warned\n"
+        assert multiprocessing.active_children() == []
+
+
+def test_importing_the_cli_imports_no_multiprocessing(tmp_path):
+    # multiprocessing is imported only when a worker process starts, and
+    # a sweep's workers need no concurrent.futures
+    path = write_config(tmp_path, "\n[sweep]\nparameter = H_u\ntemplate = value\n"
+                                  "values = 0.5 5\n")
+    p = run_module("-c", "import os, sys, vectorhost.cli\n"
+                         "print('multiprocessing' in sys.modules)\n"
+                         "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                         "assert vectorhost.cli.main(sys.argv[1:]) == 0\n"
+                         "print('multiprocessing' in sys.modules,"
+                         " 'concurrent.futures' in sys.modules)\n",
+                   "sweep", "--config", path, "--out", str(tmp_path / "o"))
+    assert p.stdout.splitlines() == ["False", "H_u<-0.5: DISEASE_FREE",
+                                     "H_u<-5: ENDEMIC", "True False"], p.stderr
 
 
 @pytest.mark.parametrize("config", [

@@ -182,16 +182,23 @@ def test_median_ratio_matches_statistics_median(values):
 
 
 def test_verify_measures_a_band_envelope_report_against_the_orbit(
-        endemic_c, neumann_bcs, grid31, endemic_report, endemic_banded_report):
+        monkeypatch, endemic_c, neumann_bcs, grid31, endemic_report,
+        endemic_banded_report):
     # the eps = 0.05 report carries the envelope, which runs do not reach;
-    # verify rebuilds the eps = 0 orbit and measures the same errors
-    cr = verify_trichotomy(endemic_c, neumann_bcs, grid31,
-                           initial=(1.0, 0.5, 0.1), report=endemic_banded_report)
-    ref = verify_trichotomy(endemic_c, neumann_bcs, grid31,
-                            initial=(1.0, 0.5, 0.1), report=endemic_report)
-    assert cr.verdict == "PASS"
-    assert cr.errors == ref.errors
-    assert cr.regime_report is endemic_banded_report
+    # verify rebuilds the eps = 0 orbit and measures the same errors, also
+    # with the trajectory in a worker while it rebuilds
+    started = spy_workers(monkeypatch)
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        cr = verify_trichotomy(endemic_c, neumann_bcs, grid31,
+                               initial=(1.0, 0.5, 0.1), report=endemic_banded_report)
+        ref = verify_trichotomy(endemic_c, neumann_bcs, grid31,
+                                initial=(1.0, 0.5, 0.1), report=endemic_report)
+        assert cr.verdict == "PASS"
+        assert cr.errors == ref.errors
+        assert cr.regime_report is endemic_banded_report
+        assert multiprocessing.active_children() == []
+    assert len(started) == 2   # both two-CPU calls forked
 
 
 def test_verify_at_positive_eps_solves_one_endemic_pair(endemic_c, neumann_bcs,
