@@ -11,8 +11,7 @@ from .coeffs import (COEFFICIENT_FIELDS, CoefficientSet, Expression,
                      ValidationReport, Violation, evaluate, field_lattice,
                      field_values, parse_expression, to_source,
                      validate_hypothesis_H)
-from .config import (RunConfig, RunSettings, SweepSettings, load_config,
-                     substituted_coeffs)
+from .config import RunConfig, SweepSettings, load_config, substituted_coeffs
 from .dynamics import (DISEASE_FREE, ENDEMIC, EXTINCTION, INDETERMINATE,
                        ConvergenceReport, RegimeReport, SandwichReport,
                        SolverOptions, build_initial_state, classify_regime,
@@ -42,8 +41,7 @@ __all__ = [
     "Violation", "evaluate", "field_lattice", "field_values",
     "parse_expression", "to_source", "validate_hypothesis_H",
     # configuration
-    "RunConfig", "RunSettings", "SweepSettings", "load_config",
-    "substituted_coeffs",
+    "RunConfig", "SweepSettings", "load_config", "substituted_coeffs",
     # dynamics and classification
     "DISEASE_FREE", "ENDEMIC", "EXTINCTION", "INDETERMINATE",
     "ConvergenceReport", "RegimeReport", "SandwichReport", "SolverOptions",

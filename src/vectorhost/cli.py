@@ -100,8 +100,7 @@ def _report_violations(rep, stream) -> None:
 
 
 def cmd_validate(cfg: RunConfig, args) -> int:
-    rep = validate_hypothesis_H(cfg.coeffs, (cfg.bc1, cfg.bc2), cfg.grid,
-                                cfg.run.t_offset)
+    rep = validate_hypothesis_H(cfg.coeffs, (cfg.bc1, cfg.bc2), cfg.grid)
     items = [("status", "PASS" if rep.passed else "FAIL"),
              ("violations", len(rep.violations))]
     for i, v in enumerate(rep.violations, 1):
@@ -198,7 +197,7 @@ def cmd_periodic(cfg: RunConfig, args) -> int:
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
     o = cfg.solver
-    u0 = build_initial_state(cfg.grid, cfg.bc1, cfg.bc2, cfg.run.initial)
+    u0 = build_initial_state(cfg.grid, cfg.bc1, cfg.bc2, cfg.initial)
     model = NonlinearModel(kind="full", c=cfg.coeffs, bc1=cfg.bc1,
                            bc2=cfg.bc2, grid=cfg.grid, cap=o.blowup_cap)
     traj = integrate_trajectory(model, u0, o.n_periods, o.sample_stride)
@@ -240,7 +239,7 @@ def cmd_classify(cfg: RunConfig, args) -> int:
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
-    u0 = build_initial_state(cfg.grid, cfg.bc1, cfg.bc2, cfg.run.initial)
+    u0 = build_initial_state(cfg.grid, cfg.bc1, cfg.bc2, cfg.initial)
     cr = verify_trichotomy(cfg.coeffs, (cfg.bc1, cfg.bc2), cfg.grid,
                            initial=u0, o=cfg.solver)
     items = _classify_items(cr.regime_report)
@@ -265,7 +264,7 @@ def _sweep_row(cfg: RunConfig, value: float) -> tuple:
     bcs = (cfg.bc1, cfg.bc2)
     try:
         c = substituted_coeffs(cfg, value)
-        if not validate_hypothesis_H(c, bcs, cfg.grid, cfg.run.t_offset).passed:
+        if not validate_hypothesis_H(c, bcs, cfg.grid).passed:
             return (value, "", "", "ERROR")
         rep = classify_regime(c, bcs, cfg.grid, cfg.solver)
         lam = "" if rep.lambda_V is None else _FMT % rep.lambda_V
@@ -384,8 +383,7 @@ def main(argv=None) -> int:
             # the standing hypothesis gates every solve; validate reports it
             # itself and sweep checks each substituted row
             if args.command not in ("validate", "sweep"):
-                rep = validate_hypothesis_H(cfg.coeffs, (cfg.bc1, cfg.bc2), cfg.grid,
-                                            cfg.run.t_offset)
+                rep = validate_hypothesis_H(cfg.coeffs, (cfg.bc1, cfg.bc2), cfg.grid)
                 if not rep.passed:
                     _report_violations(rep, sys.stderr)
                     return EXIT_HYPOTHESIS

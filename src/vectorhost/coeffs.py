@@ -447,23 +447,22 @@ class ValidationReport:
         return "\n".join(v.describe() for v in self.violations)
 
 
-def validate_hypothesis_H(c: CoefficientSet, bcs, grid,
-                          t_offset: float = 0.0) -> ValidationReport:
+def validate_hypothesis_H(c: CoefficientSet, bcs, grid) -> ValidationReport:
     """Check the standing hypothesis on a space-time lattice.
 
     Samples every field of c, then every Expression weight of a Robin
     operator in bcs (named robin_b<group>_left/right, in the order of bcs),
-    on the grid's full node set crossed with the solver time levels over
-    [0, 2T] (shifted by t_offset, a diagnostic knob).  Numeric weights are
-    checked when their BoundarySpec is built.  Checks, per field in that
-    order: T-periodicity (relative 1e-10), nonnegativity, and strict
-    positivity of rho/sigma2/mu1/d1/d2; then nontriviality of sigma1*H_u.
+    on the grid's full node set crossed with the solver time levels of two
+    periods, [0, 2T].  Numeric weights are checked when their BoundarySpec
+    is built.  Checks, per field in that order: T-periodicity (relative
+    1e-10), nonnegativity, and strict positivity of rho/sigma2/mu1/d1/d2;
+    then nontriviality of sigma1*H_u.
 
     Returns a report listing violations; never raises on a failed check.
     """
     xs = grid.full_nodes()
     m = grid.steps_per_period
-    ts = t_offset + np.arange(2 * m + 1) * grid.dt
+    ts = np.arange(2 * m + 1) * grid.dt
     violations: list[Violation] = []
 
     def worst(mask: np.ndarray, vals: np.ndarray):

@@ -14,29 +14,31 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import functools
 import math
-import os
 from dataclasses import dataclass
 
 from .coeffs import COEFFICIENT_FIELDS, CoefficientSet, parse_expression
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, ParseError
 from .grid import BoundarySpec, Grid, build_grid
 from .periodic import SolverOptions
 from .stepper import check_trajectory
 
-__all__ = ["RunSettings", "SweepSettings", "RunConfig", "load_config",
-           "substituted_coeffs"]
+__all__ = ["SweepSettings", "RunConfig", "load_config", "substituted_coeffs"]
 
 
-def _finite(raw, positive=False):
+def _finite(raw, sign=None):
+    """A finite float; sign "positive" or "nonnegative" also bounds it."""
     v = float(raw)
-    if not (0 < v < math.inf if positive else math.isfinite(v)):  # NaN fails too
-        raise ConfigError(f"must be {'positive' if positive and v <= 0 else 'finite'}, got {v}")
+    if not math.isfinite(v):  # NaN fails too
+        raise ConfigError(f"must be finite, got {v}")
+    if sign and (v < 0 or v == 0 and sign == "positive"):
+        raise ConfigError(f"must be {sign}, got {v}")
     return v
 
 
-def _positive(raw):
-    return _finite(raw, positive=True)
+_positive = functools.partial(_finite, sign="positive")
+_nonnegative = functools.partial(_finite, sign="nonnegative")
 
 
 def _count(raw):
@@ -44,6 +46,25 @@ def _count(raw):
     if v < 1:
         raise ConfigError(f"must be a positive count, got {v}")
     return v
+
+
+def _parameter(raw: str) -> str:
+    if raw not in COEFFICIENT_FIELDS:
+        raise ConfigError(f"{raw!r} is not a coefficient field "
+                          f"(choose from {', '.join(COEFFICIENT_FIELDS)})")
+    return raw
+
+
+def _template(raw: str) -> str:
+    parse_expression(raw, {"value": 0.0})  # syntax check up front
+    return raw
+
+
+def _values(raw: str) -> tuple:
+    values = tuple(_finite(p) for p in raw.replace(",", " ").split())
+    if not values:
+        raise ConfigError("value list is empty")
+    return values
 
 
 # SolverOptions field -> (section, converter), in the order keys are read;
@@ -55,11 +76,15 @@ _OPTIONS = {
     "max_eigen_iters": ("solver", _count),
     "max_periods": ("solver", _count),
     "blowup_cap": ("solver", _positive),
-    "eps": ("solver", float),
+    "eps": ("solver", _nonnegative),
     "n_periods": ("run", _count),
     "sample_stride": ("run", _count),
     "target": ("run", _positive),
 }
+# [run] initial data, one expression per component (H_i, V_u, V_i) at t = 0
+_DEFAULT_INITIAL = {"initial_H_i": "1.0", "initial_V_u": "0.5", "initial_V_i": "0.1"}
+# SweepSettings field -> converter, in the order keys are read
+_SWEEP = {"parameter": _parameter, "template": _template, "values": _values}
 _SCHEMA = {
     "domain": {"x_left", "x_right", "T"},
     "grid": {"nx", "steps_per_period"},
@@ -68,20 +93,9 @@ _SCHEMA = {
     "coefficients": set(COEFFICIENT_FIELDS),
     "solver": {key for key, (sec, _) in _OPTIONS.items() if sec == "solver"},
     "run": {key for key, (sec, _) in _OPTIONS.items() if sec == "run"}
-           | {"t_offset", "initial_H_i", "initial_V_u", "initial_V_i"},
-    "sweep": {"parameter", "template", "values"},
+           | set(_DEFAULT_INITIAL),
+    "sweep": set(_SWEEP),
 }
-_DEFAULT_INITIAL = {"initial_H_i": "1.0", "initial_V_u": "0.5",
-                    "initial_V_i": "0.1"}
-
-
-@dataclass(frozen=True)
-class RunSettings:
-    """Trajectory initial data (expressions at t = 0) and the validation
-    time offset."""
-
-    initial: tuple
-    t_offset: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -103,7 +117,7 @@ class RunConfig:
     bc2: BoundarySpec
     coeffs: CoefficientSet
     solver: SolverOptions
-    run: RunSettings
+    initial: tuple      # trajectory initial data, Expressions at t = 0
     sweep: SweepSettings | None
 
 
@@ -114,16 +128,20 @@ def _fail(section: str, key: str, detail: str):
     raise ConfigError(f"[{section}] {key}: {detail}")
 
 
-def _get(parser, section, key, convert, default=None, required=False):
-    if not parser.has_option(section, key):
-        if required:
-            _fail(section, key, "required key missing")
-        return default
-    raw = parser.get(section, key)
+def _get(parser, section, key, convert, default=None):
+    """The one reader of a config value: convert(raw), where an absent key
+    reads default, and a key without one is required.  Every failure names
+    [section] key; a ParseError keeps its class and offset."""
+    raw = parser.get(section, key, fallback=default)
+    if raw is None:
+        _fail(section, key, "required key missing")
     try:
         return convert(raw)
-    except ConfigError as exc:  # a range check: name the key
-        raise ConfigError(f"{key} {exc}") from None
+    except ParseError as exc:   # the same error, its message led by the key
+        exc.args = (f"[{section}] {key}: {exc}",)
+        raise
+    except ConfigError as exc:  # a range check
+        _fail(section, key, str(exc))
     except Exception as exc:
         _fail(section, key, f"cannot read {raw!r} ({exc})")
 
@@ -159,57 +177,59 @@ def _check_schema(parser: configparser.ConfigParser) -> None:
 def _boundary(parser, section: str, group: int) -> BoundarySpec:
     """The group's boundary operator; a robin flavor carries its weights as
     parsed expressions, which both the solver and validation read."""
-    flavor = parser.get(section, "flavor", fallback="neumann").strip().lower()
+    flavor = _get(parser, section, "flavor", str.lower, "neumann")
     if flavor == "dirichlet":
         return BoundarySpec.dirichlet(group)
     if flavor == "neumann":
         return BoundarySpec.neumann(group)
     if flavor != "robin":
         _fail(section, "flavor", f"expected dirichlet, neumann, or robin, got {flavor!r}")
-    b_left, b_right = (parse_expression(parser.get(section, key, fallback="0"))
+    b_left, b_right = (_get(parser, section, key, parse_expression, "0")
                        for key in ("b_left", "b_right"))
     return BoundarySpec.robin(group, b_left, b_right)
 
 
 def load_config(path: str, overrides=()) -> RunConfig:
-    """Read, override, and interpret a config file.
+    """Read, override, and interpret a UTF-8 config file.
 
-    Raises ConfigError for structural problems and lets expression
-    ParseErrors surface as themselves (both map to the same exit code).
+    Every value is read through _get, so each failure names its
+    [section] key.  Raises ConfigError for a file that is missing or
+    cannot be read or parsed, and for structural problems and bad values;
+    a bad expression raises ParseError, its message opening with the key
+    (both map to the same exit code).
     """
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # coefficient names are case-sensitive (H_u)
     try:
-        parser.read(path)
+        with open(path, encoding="utf-8") as f:
+            parser.read_file(f)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:   # a directory, not UTF-8, ...
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read {path}: {reason}") from None
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     _apply_overrides(parser, overrides)
     _check_schema(parser)
 
     grid = build_grid(
-        x_left=_get(parser, "domain", "x_left", float, required=True),
-        x_right=_get(parser, "domain", "x_right", float, required=True),
-        nx=_get(parser, "grid", "nx", _count, required=True),
-        T=_get(parser, "domain", "T", _positive, required=True),
-        steps_per_period=_get(parser, "grid", "steps_per_period", _count,
-                              required=True))
+        x_left=_get(parser, "domain", "x_left", float),
+        x_right=_get(parser, "domain", "x_right", float),
+        nx=_get(parser, "grid", "nx", _count),
+        T=_get(parser, "domain", "T", _positive),
+        steps_per_period=_get(parser, "grid", "steps_per_period", _count))
 
     bc1 = _boundary(parser, "bc1", 1)
     bc2 = _boundary(parser, "bc2", 2)
 
-    fields = {name: _get(parser, "coefficients", name, str, required=True)
-              for name in COEFFICIENT_FIELDS}
     coeffs = CoefficientSet(T=grid.T, **{
-        name: parse_expression(src) for name, src in fields.items()})
+        name: _get(parser, "coefficients", name, parse_expression)
+        for name in COEFFICIENT_FIELDS})
 
     solver = SolverOptions(**{
         name: _get(parser, section, name, convert, getattr(SolverOptions, name))
         for name, (section, convert) in _OPTIONS.items()})
-    if not 0 <= solver.eps < math.inf:  # NaN fails too
-        raise ConfigError("[solver] eps: must be "
-                          + ("nonnegative" if solver.eps < 0 else "finite"))
     # a stride the config sets is checked here, as a setting; the default
     # one only by the subcommands that keep a trajectory
     if parser.has_option("run", "sample_stride"):
@@ -218,33 +238,16 @@ def load_config(path: str, overrides=()) -> RunConfig:
         except DomainError as exc:
             raise ConfigError(str(exc)) from None
 
-    initial = tuple(
-        parse_expression(_get(parser, "run", key, str, _DEFAULT_INITIAL[key]))
-        for key in ("initial_H_i", "initial_V_u", "initial_V_i"))
-    run = RunSettings(initial=initial,
-                      t_offset=_get(parser, "run", "t_offset", _finite, 0.0))
+    initial = tuple(_get(parser, "run", key, parse_expression, default)
+                    for key, default in _DEFAULT_INITIAL.items())
 
     sweep = None
     if parser.has_section("sweep"):
-        parameter = _get(parser, "sweep", "parameter", str, required=True).strip()
-        if parameter not in COEFFICIENT_FIELDS:
-            _fail("sweep", "parameter",
-                  f"{parameter!r} is not a coefficient field "
-                  f"(choose from {', '.join(COEFFICIENT_FIELDS)})")
-        template = _get(parser, "sweep", "template", str, required=True)
-        parse_expression(template, {"value": 0.0})  # syntax check up front
-        raw = _get(parser, "sweep", "values", str, required=True)
-        parts = [p for chunk in raw.split(",") for p in chunk.split()]
-        try:
-            values = tuple(_finite(p) for p in parts)
-        except (ValueError, ConfigError) as exc:
-            _fail("sweep", "values", str(exc))
-        if not values:
-            _fail("sweep", "values", "value list is empty")
-        sweep = SweepSettings(parameter=parameter, template=template, values=values)
+        sweep = SweepSettings(**{key: _get(parser, "sweep", key, convert)
+                                 for key, convert in _SWEEP.items()})
 
     return RunConfig(grid=grid, bc1=bc1, bc2=bc2, coeffs=coeffs, solver=solver,
-                     run=run, sweep=sweep)
+                     initial=initial, sweep=sweep)
 
 
 def substituted_coeffs(cfg: RunConfig, value: float) -> CoefficientSet:

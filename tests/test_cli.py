@@ -1,9 +1,11 @@
 """Config loading and the command line front end, run in process (the
 warning-format checks and the dying-worker check run in a subprocess)."""
 
+import configparser
 import csv
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,9 +14,10 @@ import numpy as np
 import pytest
 
 import vectorhost
-from vectorhost import (BoundarySpec, ConfigError, DomainError, build_grid, cli,
-                        evaluate, load_config, map_between)
+from vectorhost import (BoundarySpec, ConfigError, DomainError, ParseError,
+                        build_grid, cli, evaluate, load_config, map_between)
 from vectorhost.cli import _node_csv, main
+from vectorhost.config import _SCHEMA
 
 BASE = """\
 [domain]
@@ -71,7 +74,7 @@ def test_minimal_config_gets_defaults(tmp_path):
     assert cfg.solver.eps == 0.0
     assert cfg.solver.n_periods == 40
     assert cfg.sweep is None
-    got = [evaluate(e, 0.3, 0.0) for e in cfg.run.initial]
+    got = [evaluate(e, 0.3, 0.0) for e in cfg.initial]
     assert got == [1.0, 0.5, 0.1]
 
 
@@ -92,7 +95,6 @@ eps = 0.05
 [run]
 n_periods = 12
 sample_stride = 16
-t_offset = 0.25
 initial_V_i = 0.2 + 0.1*x
 
 [sweep]
@@ -108,8 +110,7 @@ values = 0.5 1, 2,5
     assert evaluate(cfg.bc2.b_right, 1.0, 0.0) == 1.0
     assert cfg.solver.eps == 0.05
     assert cfg.solver.n_periods == 12
-    assert cfg.run.t_offset == 0.25
-    assert evaluate(cfg.run.initial[2], 1.0, 0.0) == pytest.approx(0.3)
+    assert evaluate(cfg.initial[2], 1.0, 0.0) == pytest.approx(0.3)
     assert cfg.sweep.parameter == "H_u"
     assert cfg.sweep.values == (0.5, 1.0, 2.0, 5.0)
 
@@ -150,7 +151,7 @@ def test_config_rejections(tmp_path, extra):
 @pytest.mark.parametrize("override, error", [
     ("domain.x_left=-inf", DomainError),
     ("domain.x_right=inf", DomainError),
-    ("run.t_offset=inf", ConfigError),
+    ("run.target=inf", ConfigError),
 ])
 def test_non_finite_domain_values_exit_one(tmp_path, capsys, override, error):
     path = write_config(tmp_path)
@@ -188,8 +189,80 @@ def test_over_deep_expressions_are_config_errors(tmp_path, capsys):
                      "--out", str(tmp_path / "o"),
                      "--override", f"coefficients.rho={expr}"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: expression nests deeper than 150 levels")
+        assert err.startswith("config error: [coefficients] rho: "
+                              "expression nests deeper than 150 levels")
         assert err.count("\n") == 1
+
+
+def test_t_offset_is_an_unknown_key(tmp_path, capsys):
+    # the hypothesis check samples the solver levels; nothing shifts them
+    in_file = write_config(tmp_path, "\n[run]\nt_offset = 0.25\n", "file.ini")
+    for path, extra in ((in_file, []),
+                        (write_config(tmp_path), ["--override", "run.t_offset=0.25"])):
+        assert main(["validate", "--config", path, "--out", str(tmp_path / "o")] + extra) == 1
+        assert capsys.readouterr().err == \
+            "config error: unknown key 't_offset' in section [run]\n"
+    assert not (tmp_path / "o").exists()
+
+
+SWEEP = "\n[sweep]\nparameter = H_u\ntemplate = value\nvalues = 5\n"
+
+
+@pytest.mark.parametrize("override, message", [
+    ("coefficients.d2=0.5 +", "[coefficients] d2: expected a value, found 'end of input' (offset 5)"),
+    ("bc1.b_left=2 * (x", "[bc1] b_left: expected ')', found 'end of input' (offset 6)"),
+    ("run.initial_V_u=0.5 + y", "[run] initial_V_u: unknown name 'y' (offset 6)"),
+    ("sweep.template=2 * vlue", "[sweep] template: unknown name 'vlue' (offset 4)"),
+], ids=["d2", "b_left", "initial_V_u", "template"])
+def test_bad_expression_names_its_key(tmp_path, capsys, override, message):
+    path = write_config(tmp_path, "\n[bc1]\nflavor = robin\n" + SWEEP)
+    with pytest.raises(ParseError) as err:     # library callers get ParseError
+        load_config(path, [override])
+    assert str(err.value) == message
+    assert err.value.offset == int(message.rsplit(" ", 1)[1][:-1])
+    assert main(["classify", "--config", path, "--out", str(tmp_path / "o"),
+                 "--override", override]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_unreadable_config_file_names_it(tmp_path, capsys):
+    folder = tmp_path / "folder.ini"
+    folder.mkdir()
+    latin = tmp_path / "latin.ini"
+    latin.write_bytes(BASE.replace("H_u = 5", "H_u = 5 ; \u00e9").encode("latin-1"))
+    lines = {folder: f"config error: cannot read {folder}: Is a directory\n",
+             latin: f"config error: cannot read {latin}: 'utf-8' codec can't decode "
+                    f"byte 0xe9 in position {BASE.index('H_u = 5') + 10}: "
+                    "invalid continuation byte\n"}
+    for path, line in lines.items():
+        with pytest.raises(ConfigError, match=f"^cannot read {path}: "):
+            load_config(str(path))
+        assert main(["validate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr() == ("", line)
+        p = run_module("-m", "vectorhost", "validate", "--config", str(path),
+                       "--out", str(tmp_path / "o"))
+        assert (p.returncode, p.stdout, p.stderr) == (1, "", line)
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_config_block_names_the_schema():
+    # the README's INI example plus its comment on the optional sections
+    # name every section and key the loader accepts, and no other
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    block = open(readme).read().split("```ini\n", 1)[1].split("```", 1)[0]
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    parser.read_string(block)
+    named = {section: set(parser[section]) for section in parser.sections()}
+    comment = block.split("; optional sections and their keys:\n", 1)[1]
+    for line in comment.splitlines():
+        heads, keys = re.match(r";\s*((?:\[\w+\][\s/]*)*)(.*)", line).groups()
+        sections = re.findall(r"\w+", heads) or sections   # a line without heads continues
+        for section in sections:
+            named.setdefault(section, set()).update(
+                piece.split()[0] for piece in keys.split(",") if piece.strip())
+    assert named == _SCHEMA
 
 
 def test_config_bad_number_and_missing_file(tmp_path):

@@ -88,17 +88,13 @@ def test_periodicity_enforced(grid, neumann_bcs):
     # period-T forcing is fine even though it varies
     ok = validate_hypothesis_H(make_constants(beta="2 + sin(2*pi*t)"), neumann_bcs, grid)
     assert ok.passed
-
-
-def test_t_offset_shifts_the_sampling_window(grid, neumann_bcs):
-    c = make_constants(beta="2 - t")
-    # over [0, 2] the ramp stays nonnegative, so only periodicity trips
-    rep0 = validate_hypothesis_H(c, neumann_bcs, grid, t_offset=0.0)
-    assert violated_fields(rep0) == {"beta"}
-    assert len(rep0.violations) == 1
-    # shifted far out the ramp is negative as well
-    rep10 = validate_hypothesis_H(c, neumann_bcs, grid, t_offset=10.0)
-    assert len(rep10.violations) == 2
+    # the check samples [0, 2T] (T = 1): a ramp that reaches zero at t = 2
+    # trips only periodicity, one that goes negative before it both checks
+    rep = validate_hypothesis_H(make_constants(beta="2 - t"), neumann_bcs, grid)
+    assert [v.condition.split(" (")[0] for v in rep.violations] == ["not T-periodic"]
+    rep = validate_hypothesis_H(make_constants(beta="1.99 - t"), neumann_bcs, grid)
+    assert [v.condition.split(" (")[0] for v in rep.violations] == \
+        ["not T-periodic", "must be nonnegative"]
 
 
 def test_violation_describe_names_field_and_location(grid, neumann_bcs):
