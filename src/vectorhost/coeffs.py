@@ -77,12 +77,6 @@ NONNEG_SLACK = -1e-12
 class Expression:
     """Base class for parsed coefficient expressions."""
 
-    def eval(self, x, t: float):
-        return evaluate(self, x, t)
-
-    def __str__(self) -> str:
-        return to_source(self)
-
 
 @dataclass(frozen=True)
 class Num(Expression):
@@ -316,9 +310,8 @@ def field_values(e, x: np.ndarray, t: float) -> np.ndarray:
 def field_lattice(f, x: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Values of a field at nodes x and times ts, shaped (len(ts), len(x)).
 
-    f may be an Expression (evaluated in one broadcast call), a number, a
-    callable (x, t) -> values (called once per time), or an array that
-    already has the lattice shape.
+    f may be an Expression (evaluated in one broadcast call), a number, or
+    an array that already has the lattice shape.
 
     Raises:
         InputError: for an array of the wrong shape or an unusable field.
@@ -334,8 +327,6 @@ def field_lattice(f, x: np.ndarray, ts: np.ndarray) -> np.ndarray:
         v = f
     elif np.isscalar(f):
         v = float(f)
-    elif callable(f):
-        v = [np.broadcast_to(f(x, float(t)), x.shape) for t in ts]
     else:
         raise InputError(f"not a usable field: {f!r}")
     return np.broadcast_to(np.asarray(v, dtype=float), shape).copy()
@@ -440,11 +431,6 @@ class Violation:
 class ValidationReport:
     passed: bool
     violations: list = dataclass_field(default_factory=list)
-
-    def describe(self) -> str:
-        if self.passed:
-            return "hypothesis checks passed"
-        return "\n".join(v.describe() for v in self.violations)
 
 
 def validate_hypothesis_H(c: CoefficientSet, bcs, grid) -> ValidationReport:

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .coeffs import COEFFICIENT_FIELDS, CoefficientSet, parse_expression
+from .dynamics import DEFAULT_INITIAL
 from .errors import ConfigError, DomainError, ParseError
 from .grid import BoundarySpec, Grid, build_grid
 from .periodic import SolverOptions
@@ -82,7 +83,8 @@ _OPTIONS = {
     "target": ("run", _positive),
 }
 # [run] initial data, one expression per component (H_i, V_u, V_i) at t = 0
-_DEFAULT_INITIAL = {"initial_H_i": "1.0", "initial_V_u": "0.5", "initial_V_i": "0.1"}
+_DEFAULT_INITIAL = {f"initial_{name}": repr(value)
+                    for name, value in zip(("H_i", "V_u", "V_i"), DEFAULT_INITIAL)}
 # SweepSettings field -> converter, in the order keys are read
 _SWEEP = {"parameter": _parameter, "template": _template, "values": _values}
 _SCHEMA = {

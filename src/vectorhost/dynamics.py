@@ -42,6 +42,7 @@ ENDEMIC = "ENDEMIC"
 INDETERMINATE = "INDETERMINATE"
 
 _TINY_ERROR = 1e-12   # distances below this carry no ratio information
+DEFAULT_INITIAL = (1.0, 0.5, 0.1)   # (H_i, V_u, V_i) at t = 0 when none is given
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,7 @@ class RegimeReport:
     a three-component orbit (host infected, vector uninfected, vector
     infected) or None for INDETERMINATE; with eps > 0 in the options the
     endemic attractor is the band envelope, not the orbit itself
-    (verify_trichotomy classifies at eps = 0, or rebuilds the orbit from a
-    passed-in envelope report, and measures against it).
+    (verify_trichotomy classifies at eps = 0 and measures against the orbit).
     """
 
     regime: str
@@ -124,7 +124,8 @@ def classify_regime(c: CoefficientSet, bcs, grid: Grid,
         regime, kind = INDETERMINATE, f"undecided ({name} inside the band)"
     elif side < 0:   # lambda(V) below the band
         pair = solve_endemic_pair(c, bcs, grid, o, logistic=lr, lam=lam)
-        regime, kind, attractor = ENDEMIC, "(H_i, V - V_i, V_i)", _endemic_attractor(pair)
+        (H, Vi), V = pair.orbit.samples, lr.orbit.samples[0]   # upper limit, carrying orbit
+        regime, kind, attractor = ENDEMIC, "(H_i, V - V_i, V_i)", PeriodicOrbit((H, V - Vi, Vi))
     elif lam is None:
         regime, kind = EXTINCTION, "(0, 0, 0)"
         attractor = PeriodicOrbit.zeros([n1, n2, n2], m)
@@ -134,12 +135,6 @@ def classify_regime(c: CoefficientSet, bcs, grid: Grid,
             (np.zeros((m + 1, n1)), lr.orbit.samples[0], np.zeros((m + 1, n2))))
     return RegimeReport(regime=regime, attractor=attractor, attractor_kind=kind,
                         band=o.band, logistic=lr, lambda_V_result=lam, pair=pair)
-
-
-def _endemic_attractor(pair: EndemicPairResult) -> PeriodicOrbit:
-    """(H_i, V - V_i, V_i) from the pair's upper limit and carrying orbit."""
-    (H, Vi), V = pair.orbit.samples, pair.logistic.orbit
-    return PeriodicOrbit((H, V.samples[0] - Vi, Vi))
 
 
 # ──────────────────────────────────────────────────────── verification ──
@@ -201,8 +196,7 @@ def _trajectory_inputs(c: CoefficientSet, bcs, grid: Grid, initial,
                        o: SolverOptions) -> tuple:
     """The full model and its checked state at t = 0, as (model, u0)."""
     bc1, bc2 = bcs
-    u0 = build_initial_state(grid, bc1, bc2,
-                             (1.0, 0.5, 0.1) if initial is None else initial)
+    u0 = build_initial_state(grid, bc1, bc2, DEFAULT_INITIAL if initial is None else initial)
     _check_positive_interior(u0, grid, bcs)
     model = NonlinearModel(kind="full", c=c, bc1=bc1, bc2=bc2, grid=grid,
                            cap=o.blowup_cap)
@@ -220,28 +214,25 @@ def _measured(ask, model: NonlinearModel, u0: tuple, n_periods: int,
 
 
 def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid, initial=None,
-                      o: SolverOptions = SolverOptions(),
-                      report: RegimeReport | None = None) -> ConvergenceReport:
+                      o: SolverOptions = SolverOptions()) -> ConvergenceReport:
     """Integrate the full model and measure convergence to the attractor.
 
     errors[n] is the sup distance over all components, nodes, and stored
     levels of period n, for the options' n_periods; the verdict is PASS
     when the final error is at or below o.target and the median
     period-to-period ratio is below one.
-    Without a report the regime is classified at eps = 0, so one endemic
-    pair is solved and its orbit is the attractor.  A report passed in
-    that was built with eps > 0 carries the band envelope, so the eps = 0
-    orbit is rebuilt from its carrying orbit and lambda(V) and measured
-    against instead.  initial is read by build_initial_state (a state
-    tuple passes through), default (1.0, 0.5, 0.1); it must be strictly
-    positive at interior nodes.  The options' n_periods and sample_stride
-    pass check_trajectory before anything is solved.
+    The regime is classified at eps = 0 whatever the options' eps, so one
+    endemic pair is solved and its orbit is the attractor.  initial is
+    read by build_initial_state (a state tuple passes through), default
+    DEFAULT_INITIAL; it must be strictly positive at interior nodes.  The
+    options' n_periods and sample_stride pass check_trajectory before
+    anything is solved.
     The trajectory does not depend on the regime, so when the fork rule
     of _workers allows, a worker process integrates it while this one
-    classifies or rebuilds the attractor; errors are raised in the
-    in-process order either way (an initial state that fails its checks
-    starts no worker and is refused once the regime is known), and an
-    INDETERMINATE regime ends the worker without waiting for it.
+    classifies; errors are raised in the in-process order either way (an
+    initial state that fails its checks starts no worker and is refused
+    once the regime is known), and an INDETERMINATE regime ends the worker
+    without waiting for it.
     """
     n_periods, target = o.n_periods, o.target
     check_trajectory(grid, n_periods, o.sample_stride)
@@ -253,8 +244,7 @@ def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid, initial=None,
     if usable_cpus() >= 2 and not isinstance(inputs, Exception):
         worker = Worker(_measured, *inputs, n_periods, o.sample_stride)
     try:
-        if report is None:
-            report = classify_regime(c, bcs, grid, replace(o, eps=0.0))
+        report = classify_regime(c, bcs, grid, replace(o, eps=0.0))
         if report.regime == INDETERMINATE:
             return ConvergenceReport(
                 regime=INDETERMINATE, errors=(), ratios=(), final_error=float("nan"),
@@ -262,15 +252,10 @@ def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid, initial=None,
                 n_periods=n_periods, target=target, regime_report=report)
         if isinstance(inputs, Exception):
             raise inputs
-        attractor = report.attractor
-        if report.regime == ENDEMIC and report.pair.eps_used != 0.0:
-            pair = solve_endemic_pair(c, bcs, grid, replace(o, eps=0.0),
-                                      report.logistic, report.lambda_V_result)
-            attractor = _endemic_attractor(pair)
         if worker is None:
-            errors = _measured(lambda: attractor, *inputs, n_periods, o.sample_stride)
+            errors = _measured(lambda: report.attractor, *inputs, n_periods, o.sample_stride)
         else:
-            errors = worker.result(attractor)
+            errors = worker.result(report.attractor)
     finally:
         if worker is not None:
             worker.stop()

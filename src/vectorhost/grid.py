@@ -172,12 +172,6 @@ class DiffusionMatrix:
     def n(self) -> int:
         return self.diag.shape[-1]
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        out[:-1] += self.upper * v[1:]
-        out[1:] += self.lower * v[:-1]
-        return out
-
     def to_dense(self) -> np.ndarray:
         return (np.diag(self.diag) + np.diag(self.upper, 1)
                 + np.diag(self.lower, -1))
@@ -188,7 +182,7 @@ def assemble_diffusion(grid: Grid, d, bc: BoundarySpec, t) -> DiffusionMatrix:
 
     Args:
         grid: the mesh.
-        d: diffusion field (Expression, float, or callable of (x, t)).
+        d: diffusion field (Expression or float).
         bc: boundary flavor; Robin weights are evaluated at time t.
         t: assembly time, or a 1-D array of times for a stacked result.
 

@@ -1,8 +1,8 @@
 """Time stepping: first-order IMEX schemes for the model and its variants.
 
 A state is a tuple of component arrays, one (n_c,) array per component on
-its node layout; the period map and the trajectory take one and start it
-at global step `step` (0 unless given), time step * dt.
+its node layout; the period map and the trajectory take one at t = 0,
+global step 0.
 
 One step advances every component by one backward-Euler solve of its own
 tridiagonal implicit matrix (diffusion assembled at t+dt plus the linear
@@ -71,7 +71,7 @@ DEFAULT_BLOWUP_CAP = 1e12
 class ComponentSpec:
     """Diffusion field and boundary flavor of one scalar component."""
 
-    d: object           # Expression | float | callable
+    d: object           # Expression | float
     bc: BoundarySpec
 
 
@@ -82,9 +82,8 @@ class LinearPeriodicSystem:
     coupling[i][j] is the coefficient field multiplying component j in
     equation i (None for zero); off-diagonal entries must be nonnegative.
     source, if present, is one field per component.  A field is anything
-    coeffs.field_lattice reads: an Expression, a number, a callable (x, t),
-    or an array of shape (m, n_i) over the solver levels and the nodes of
-    component i.
+    coeffs.field_lattice reads: an Expression, a number, or an array of
+    shape (m, n_i) over the solver levels and the nodes of component i.
     """
 
     grid: Grid
@@ -392,18 +391,16 @@ def _check_state(system, u: tuple) -> None:
                 f"component {i} has shape {u[i].shape}, expected ({want},)")
 
 
-def _run(system, u0: tuple, step: int, nsteps: int, stride: int, prepared):
-    """nsteps steps from u0 at global step `step`, keeping u0, the last step
-    and every step whose index is a multiple of stride as rows of one
-    (n_kept, n_c) array per component; returns the kept step indices and
-    those arrays."""
+def _run(system, u0: tuple, nsteps: int, stride: int, prepared):
+    """nsteps steps from u0 at step 0, keeping u0, the last step and every
+    step whose index is a multiple of stride as rows of one (n_kept, n_c)
+    array per component; returns the kept step indices and those arrays."""
     _check_state(system, u0)
     P = prepared if prepared is not None else prepare(system)
-    k1 = step + nsteps
-    steps = np.arange(step, k1 + 1)
-    steps = steps[(steps == step) | (steps == k1) | (steps % stride == 0)]
+    steps = np.arange(nsteps + 1)
+    steps = steps[(steps == nsteps) | (steps % stride == 0)]
     samples = tuple(np.empty((len(steps), len(c))) for c in u0)
-    u, done = u0, step
+    u, done = u0, 0
     for row, kept in enumerate(steps.tolist()):
         u, done = P.advance(u, done, kept), kept
         for s, c in zip(samples, u):
@@ -411,17 +408,16 @@ def _run(system, u0: tuple, step: int, nsteps: int, stride: int, prepared):
     return steps, samples
 
 
-def integrate_over_period(system, u0: tuple, prepared=None,
-                          store: bool = False, step: int = 0):
+def integrate_over_period(system, u0: tuple, prepared=None, store: bool = False):
     """Apply the period map once: steps_per_period IMEX steps from the
-    component arrays u0 at global step `step`.
+    component arrays u0 at t = 0.
 
     With store=True returns every level stacked, one (m+1, n_c) array per
-    component with row j at step + j; otherwise the final state, a tuple
-    of component arrays.
+    component with row j at step j; otherwise the final state, a tuple of
+    component arrays.
     """
     m = system.grid.steps_per_period
-    _, samples = _run(system, u0, step, m, 1 if store else m, prepared)
+    _, samples = _run(system, u0, m, 1 if store else m, prepared)
     if store:
         return samples
     return tuple(s[-1] for s in samples)
@@ -439,14 +435,14 @@ def check_trajectory(grid: Grid, n_periods: int, sample_stride: int) -> None:
 
 
 def integrate_trajectory(model, u0: tuple, n_periods: int,
-                         sample_stride: int = 1, step: int = 0) -> Trajectory:
-    """Integrate n_periods periods from the component arrays u0 at global
-    step `step`, keeping every sample_stride-th step.
+                         sample_stride: int = 1) -> Trajectory:
+    """Integrate n_periods periods from the component arrays u0 at t = 0,
+    keeping every sample_stride-th step.
 
     The arguments must pass check_trajectory.  Raises BlowupError at the
     first step at which any component passes the model's cap.
     """
     check_trajectory(model.grid, n_periods, sample_stride)
     m = model.grid.steps_per_period
-    steps, samples = _run(model, u0, step, n_periods * m, sample_stride, None)
+    steps, samples = _run(model, u0, n_periods * m, sample_stride, None)
     return Trajectory(model.grid, steps, samples)

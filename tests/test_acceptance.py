@@ -37,17 +37,20 @@ def scalar_system(net_growth, d, bc, grid):
 
 def invasion_system(c, bcs, grid, V):
     # the linearisation about (Hbar, V, 0): host removal rho with source
-    # sigma1*H_u, vector infection sigma2*V with decay mu1 + mu2*V
-    Vf = lambda x, t: V.level(0, round(t / grid.dt))
-    s1hu = lambda x, t: field_values(c.sigma1, x, t) * field_values(c.H_u, x, t)
-    f21 = lambda x, t: field_values(c.sigma2, x, t) * Vf(x, t)
-    f22 = lambda x, t: -(field_values(c.mu1, x, t)
-                         + field_values(c.mu2, x, t) * Vf(x, t))
-    neg_rho = lambda x, t: -field_values(c.rho, x, t)
+    # sigma1*H_u, vector infection sigma2*V with decay mu1 + mu2*V, each
+    # coupling an (m, n) array over the solver levels of its row's layout
+    ts = grid.level_times()
+
+    def lat(f, bc):
+        return np.stack([field_values(f, grid.nodes_for(bc), t) for t in ts])
+
+    bc1, bc2 = bcs
+    Vl = np.stack([V.level(0, k) for k in range(len(ts))])
     return LinearPeriodicSystem(
         grid=grid,
-        comps=(ComponentSpec(d=c.d1, bc=bcs[0]), ComponentSpec(d=c.d2, bc=bcs[1])),
-        coupling=((neg_rho, s1hu), (f21, f22)))
+        comps=(ComponentSpec(d=c.d1, bc=bc1), ComponentSpec(d=c.d2, bc=bc2)),
+        coupling=((-lat(c.rho, bc1), lat(c.sigma1, bc1) * lat(c.H_u, bc1)),
+                  (lat(c.sigma2, bc2) * Vl, -(lat(c.mu1, bc2) + lat(c.mu2, bc2) * Vl))))
 
 
 def period_map_residual(system, res):
@@ -208,8 +211,7 @@ def test_criterion_07_trichotomy_long_runs_reach_their_attractors(
         worst = max(float(np.max(np.abs(s[-1] - val)))
                     for s, val in zip(traj.samples, expected))
         assert worst <= 1e-3, report.regime
-        cr = verify_trichotomy(c, neumann_bcs, grid31,
-                               initial=(1.0, 0.5, 0.1), report=report)
+        cr = verify_trichotomy(c, neumann_bcs, grid31, initial=(1.0, 0.5, 0.1))
         assert cr.verdict == "PASS", report.regime
         assert cr.median_ratio < 1.0, report.regime
 

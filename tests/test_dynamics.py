@@ -137,36 +137,29 @@ def test_verify_reads_a_state_tuple_and_values_alike(neumann_bcs, grid31):
     # a built state passes through build_initial_state unchanged, so both
     # forms of initial take one path and give the same errors
     c = make_constants(beta="2 + sin(2*pi*t)", d2="0.5")
-    report = classify_regime(c, neumann_bcs, grid31)
     built = build_initial_state(grid31, *neumann_bcs, (1.0, 0.5, 0.1))
-    from_state = verify_trichotomy(c, neumann_bcs, grid31, initial=built, report=report)
-    from_values = verify_trichotomy(c, neumann_bcs, grid31, initial=(1.0, 0.5, 0.1),
-                                    report=report)
+    from_state = verify_trichotomy(c, neumann_bcs, grid31, initial=built)
+    from_values = verify_trichotomy(c, neumann_bcs, grid31, initial=(1.0, 0.5, 0.1))
     assert from_state.errors == from_values.errors
 
 
-def test_verify_rejects_nonpositive_initial_interior(endemic_c, neumann_bcs,
-                                                     grid31, endemic_report):
+def test_verify_rejects_nonpositive_initial_interior(endemic_c, neumann_bcs, grid31):
     with pytest.raises(InputError):
         verify_trichotomy(endemic_c, neumann_bcs, grid31,
-                          initial=(1.0, 0.0, 0.1), o=SolverOptions(n_periods=2),
-                          report=endemic_report)
+                          initial=(1.0, 0.0, 0.1), o=SolverOptions(n_periods=2))
 
 
-def test_verify_rejects_nan_initial_data(endemic_c, neumann_bcs, grid31,
-                                        endemic_report):
+def test_verify_rejects_nan_initial_data(endemic_c, neumann_bcs, grid31):
     with pytest.raises(InputError):
         verify_trichotomy(endemic_c, neumann_bcs, grid31,
-                          initial=(np.nan, 0.5, 0.1), o=SolverOptions(n_periods=2),
-                          report=endemic_report)
+                          initial=(np.nan, 0.5, 0.1), o=SolverOptions(n_periods=2))
 
 
 # ──────────────────────────────────────────────────────── verification ──
 
 
-def test_verify_endemic_passes(endemic_c, neumann_bcs, grid31, endemic_report):
-    cr = verify_trichotomy(endemic_c, neumann_bcs, grid31,
-                           initial=(1.0, 0.5, 0.1), report=endemic_report)
+def test_verify_endemic_passes(endemic_c, neumann_bcs, grid31):
+    cr = verify_trichotomy(endemic_c, neumann_bcs, grid31, initial=(1.0, 0.5, 0.1))
     assert cr.verdict == "PASS"
     assert cr.final_error <= 1e-3
     assert cr.median_ratio < 1.0
@@ -179,26 +172,6 @@ def test_verify_endemic_passes(endemic_c, neumann_bcs, grid31, endemic_report):
 def test_median_ratio_matches_statistics_median(values):
     assert dynamics._median(values) == statistics.median(values)
     assert type(dynamics._median(values)) is type(statistics.median(values))
-
-
-def test_verify_measures_a_band_envelope_report_against_the_orbit(
-        monkeypatch, endemic_c, neumann_bcs, grid31, endemic_report,
-        endemic_banded_report):
-    # the eps = 0.05 report carries the envelope, which runs do not reach;
-    # verify rebuilds the eps = 0 orbit and measures the same errors, also
-    # with the trajectory in a worker while it rebuilds
-    started = spy_workers(monkeypatch)
-    for cpus in (1, 2):
-        on_cpus(monkeypatch, cpus)
-        cr = verify_trichotomy(endemic_c, neumann_bcs, grid31,
-                               initial=(1.0, 0.5, 0.1), report=endemic_banded_report)
-        ref = verify_trichotomy(endemic_c, neumann_bcs, grid31,
-                                initial=(1.0, 0.5, 0.1), report=endemic_report)
-        assert cr.verdict == "PASS"
-        assert cr.errors == ref.errors
-        assert cr.regime_report is endemic_banded_report
-        assert multiprocessing.active_children() == []
-    assert len(started) == 2   # both two-CPU calls forked
 
 
 def test_verify_at_positive_eps_solves_one_endemic_pair(endemic_c, neumann_bcs,
@@ -241,20 +214,14 @@ def test_verify_refuses_a_bad_stride_before_classifying(monkeypatch, endemic_c,
     assert calls == []
 
 
-def test_verify_disease_free_passes(disease_free_c, neumann_bcs, grid31,
-                                    disease_free_report):
-    cr = verify_trichotomy(disease_free_c, neumann_bcs, grid31,
-                           initial=(1.0, 1.0, 1.0),
-                           report=disease_free_report)
+def test_verify_disease_free_passes(disease_free_c, neumann_bcs, grid31):
+    cr = verify_trichotomy(disease_free_c, neumann_bcs, grid31, initial=(1.0, 1.0, 1.0))
     assert cr.verdict == "PASS"
     assert cr.final_error <= 1e-3
 
 
-def test_verify_extinction_passes(extinction_c, neumann_bcs, grid31,
-                                  extinction_report):
-    cr = verify_trichotomy(extinction_c, neumann_bcs, grid31,
-                           initial=(1.0, 0.5, 0.5),
-                           report=extinction_report)
+def test_verify_extinction_passes(extinction_c, neumann_bcs, grid31):
+    cr = verify_trichotomy(extinction_c, neumann_bcs, grid31, initial=(1.0, 0.5, 0.5))
     assert cr.verdict == "PASS"
     assert cr.final_error <= 1e-3
     assert cr.median_ratio < 1.0

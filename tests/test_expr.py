@@ -142,10 +142,14 @@ def test_field_lattice_matches_per_level_values():
         if not isinstance(f, float):  # one broadcast call, bit for bit
             scalar_t = [np.broadcast_to(evaluate(f, xs, float(t)), xs.shape) for t in ts]
             assert np.array_equal(per_level, np.stack(scalar_t))
-    fn = lambda x, t: 1.0 + x * math.cos(t)
-    assert np.array_equal(field_lattice(fn, xs, ts),
-                          np.stack([fn(xs, float(t)) for t in ts]))
     arr = np.ones((16, 9))
     assert np.array_equal(field_lattice(arr, xs, ts), arr)
     with pytest.raises(InputError):
         field_lattice(np.ones((15, 9)), xs, ts)
+
+
+def test_field_lattice_refuses_a_callable():
+    # a field is an Expression, a number or a lattice-shaped array
+    xs, ts = np.linspace(0.0, 1.0, 9), np.arange(16) / 16.0
+    with pytest.raises(InputError, match="not a usable field"):
+        field_lattice(lambda x, t: x, xs, ts)

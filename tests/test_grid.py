@@ -98,7 +98,7 @@ def test_neumann_diffusion_conserves_mass():
     # interior rows always conserve; endpoint rows conserve for b = 0
     assert np.max(np.abs(dense.sum(axis=1))) < 1e-10
     # constants are annihilated
-    assert np.max(np.abs(D.apply(np.ones(D.n)))) < 1e-10
+    assert np.max(np.abs(dense @ np.ones(D.n))) < 1e-10
 
 
 def test_dirichlet_principal_eigenvalue_matches_sine():

@@ -242,7 +242,7 @@ def test_trajectory_and_period_maps_share_one_loop():
     rows = {int(k): r for r, k in enumerate(traj.steps)}
     u = u0
     for n in range(1, 4):
-        u = integrate_over_period(model, u, step=(n - 1) * m)
+        u = integrate_over_period(model, u)
         for s, comp in zip(traj.samples, u):
             assert np.array_equal(s[rows[n * m]], comp)
 
@@ -252,12 +252,6 @@ def test_trajectory_and_period_maps_share_one_loop():
         assert s.shape == (m + 1, len(first))
         assert np.array_equal(s[0], first)
         assert np.array_equal(s[m], last)
-
-    # a period map may start between period boundaries
-    mid = tuple(s[rows[16]] for s in traj.samples)
-    end = integrate_over_period(model, mid, step=16)
-    for s, comp in zip(traj.samples, end):
-        assert np.array_equal(s[rows[16 + m]], comp)
 
 
 def test_state_shape_checks(grid, endemic_c):
@@ -495,22 +489,22 @@ def _systems(bcs):
                          ids=["neumann-neumann", "dirichlet-robin"])
 def test_stepping_loops_match_the_step_formulas_bit_for_bit(bcs):
     g, cases = _systems(bcs)
-    m, k0 = g.steps_per_period, 5        # start off the period boundary
+    m = g.steps_per_period
     for system, u0 in cases:
         ref = ReferenceSteps(system)
         levels, u = [u0], u0
-        for k in range(k0, k0 + 2 * m):
+        for k in range(2 * m):
             u = ref.step(u, k)
             levels.append(u)
-        stored = integrate_over_period(system, u0, store=True, step=k0)
+        stored = integrate_over_period(system, u0, store=True)
         for comp, s in enumerate(stored):
             assert np.array_equal(s, np.array([lv[comp] for lv in levels[:m + 1]]))
-        once = integrate_over_period(system, u0, step=k0)
+        once = integrate_over_period(system, u0)
         assert all(np.array_equal(a, b) for a, b in zip(once, levels[m]))
-        traj = integrate_trajectory(system, u0, 2, sample_stride=8, step=k0)
-        assert traj.steps.tolist() == [k0, *range(8, k0 + 2 * m, 8), k0 + 2 * m]
+        traj = integrate_trajectory(system, u0, 2, sample_stride=8)
+        assert traj.steps.tolist() == list(range(0, 2 * m + 1, 8))
         for comp, s in enumerate(traj.samples):
-            assert np.array_equal(s, np.array([levels[k - k0][comp] for k in traj.steps]))
+            assert np.array_equal(s, np.array([levels[k][comp] for k in traj.steps]))
 
 
 def _full_step_two_solves(P, u, k):
