@@ -1,7 +1,7 @@
-"""The LAPACK and BLAS kernels the solvers call, without scipy.linalg's costly package
-__init__.  This relies on scipy's private extension modules scipy/linalg/_flapack and
-_fblas, loaded by file path under their own names; the fallback through scipy.linalg
-covers a scipy that renames them.  Either way these are scipy.linalg.lapack's and .blas's."""
+"""The LAPACK and BLAS kernels the solvers call, scipy.linalg.lapack's and .blas's, without
+scipy.linalg's costly package __init__: scipy's private extension modules _flapack and _fblas,
+loaded by file path from <scipy>/linalg/<name><suffix> under their own names, or through
+scipy.linalg when that file is not found or cannot be loaded (renamed modules break both paths)."""
 
 import importlib.machinery
 import importlib.util

@@ -239,9 +239,8 @@ def cmd_classify(cfg: RunConfig, args) -> int:
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
-    u0 = build_initial_state(cfg.grid, cfg.bc1, cfg.bc2, cfg.initial)
     cr = verify_trichotomy(cfg.coeffs, (cfg.bc1, cfg.bc2), cfg.grid,
-                           initial=u0, o=cfg.solver)
+                           initial=cfg.initial, o=cfg.solver)
     items = _classify_items(cr.regime_report)
     items += [("verdict", cr.verdict),
               ("final_error", cr.final_error),

@@ -192,17 +192,6 @@ def _median(values) -> float:
     return s[h] if len(s) % 2 else (s[h - 1] + s[h]) / 2
 
 
-def _trajectory_inputs(c: CoefficientSet, bcs, grid: Grid, initial,
-                       o: SolverOptions) -> tuple:
-    """The full model and its checked state at t = 0, as (model, u0)."""
-    bc1, bc2 = bcs
-    u0 = build_initial_state(grid, bc1, bc2, DEFAULT_INITIAL if initial is None else initial)
-    _check_positive_interior(u0, grid, bcs)
-    model = NonlinearModel(kind="full", c=c, bc1=bc1, bc2=bc2, grid=grid,
-                           cap=o.blowup_cap)
-    return model, u0
-
-
 def _measured(ask, model: NonlinearModel, u0: tuple, n_periods: int,
               stride: int) -> list:
     """The period errors of the trajectory from u0 against the attractor
@@ -219,30 +208,30 @@ def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid, initial=None,
 
     errors[n] is the sup distance over all components, nodes, and stored
     levels of period n, for the options' n_periods; the verdict is PASS
-    when the final error is at or below o.target and the median
-    period-to-period ratio is below one.
+    when the final error is at or below o.target and the median ratio
+    errors[n+1]/errors[n], over the n with errors[n] > max(_TINY_ERROR,
+    o.orbit_tol), is below one: the orbit solvers stop once successive
+    periods agree within orbit_tol, so a smaller distance measures the
+    attractor's own error, not whether the trajectory still converges.
     The regime is classified at eps = 0 whatever the options' eps, so one
     endemic pair is solved and its orbit is the attractor.  initial is
     read by build_initial_state (a state tuple passes through), default
-    DEFAULT_INITIAL; it must be strictly positive at interior nodes.  The
-    options' n_periods and sample_stride pass check_trajectory before
-    anything is solved.
+    DEFAULT_INITIAL; it must be strictly positive at interior nodes.
+    Every input (n_periods and sample_stride through check_trajectory,
+    then the initial state) is checked before anything is solved.
     The trajectory does not depend on the regime, so when the fork rule
     of _workers allows, a worker process integrates it while this one
-    classifies; errors are raised in the in-process order either way (an
-    initial state that fails its checks starts no worker and is refused
-    once the regime is known), and an INDETERMINATE regime ends the worker
-    without waiting for it.
+    classifies; a classify error comes before a trajectory error either
+    way, and an INDETERMINATE regime ends the worker without waiting.
     """
     n_periods, target = o.n_periods, o.target
     check_trajectory(grid, n_periods, o.sample_stride)
-    try:
-        inputs = _trajectory_inputs(c, bcs, grid, initial, o)
-    except Exception as exc:   # raised once the regime is known
-        inputs = exc
-    worker = None
-    if usable_cpus() >= 2 and not isinstance(inputs, Exception):
-        worker = Worker(_measured, *inputs, n_periods, o.sample_stride)
+    u0 = build_initial_state(grid, *bcs, DEFAULT_INITIAL if initial is None else initial)
+    _check_positive_interior(u0, grid, bcs)
+    model = NonlinearModel(kind="full", c=c, bc1=bcs[0], bc2=bcs[1], grid=grid,
+                           cap=o.blowup_cap)
+    run = (model, u0, n_periods, o.sample_stride)
+    worker = Worker(_measured, *run) if usable_cpus() >= 2 else None
     try:
         report = classify_regime(c, bcs, grid, replace(o, eps=0.0))
         if report.regime == INDETERMINATE:
@@ -250,18 +239,16 @@ def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid, initial=None,
                 regime=INDETERMINATE, errors=(), ratios=(), final_error=float("nan"),
                 median_ratio=float("nan"), verdict=INDETERMINATE,
                 n_periods=n_periods, target=target, regime_report=report)
-        if isinstance(inputs, Exception):
-            raise inputs
         if worker is None:
-            errors = _measured(lambda: report.attractor, *inputs, n_periods, o.sample_stride)
+            errors = _measured(lambda: report.attractor, *run)
         else:
             errors = worker.result(report.attractor)
     finally:
         if worker is not None:
             worker.stop()
 
-    ratios = [errors[n + 1] / errors[n]
-              for n in range(n_periods - 1) if errors[n] > _TINY_ERROR]
+    floor = max(_TINY_ERROR, o.orbit_tol)
+    ratios = [errors[n + 1] / errors[n] for n in range(n_periods - 1) if errors[n] > floor]
     med = float(_median(ratios)) if ratios else 0.0
     final = errors[-1]
     verdict = "PASS" if (final <= target and med < 1.0) else "FAIL"

@@ -267,14 +267,14 @@ def solve_Hbar(c: CoefficientSet, bcs, grid: Grid, V: PeriodicOrbit,
     (the carrying orbit, or the upper edge of a band around it) is on the
     vector layout of bcs[1].
 
-    The host decay rate is evaluated first as a contraction guard
-    (InternalError from gamma_rho if it fails to be positive); the affine
-    period map is then iterated from zero.
+    V's layout is checked first, then the host decay rate is evaluated as a
+    contraction guard (InternalError from gamma_rho if it fails to be
+    positive); the affine period map is then iterated from zero.
     """
     bc1, bc2 = bcs
-    gamma_rho(c, bc1, grid, o.eigen_tol, o.max_eigen_iters)
     if V.ncomp != 1 or V.samples[0].shape != (grid.steps_per_period + 1, grid.n_unknowns(bc2)):
         raise InputError("V must be a scalar orbit on this grid's lattice")
+    gamma_rho(c, bc1, grid, o.eigen_tol, o.max_eigen_iters)
     src = (grid.lattice(c.sigma1, bc1) * grid.lattice(c.H_u, bc1)
            * map_between(V.lattice(), bc2, bc1))
     sys = LinearPeriodicSystem(

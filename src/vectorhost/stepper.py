@@ -392,13 +392,12 @@ def _check_state(system, u: tuple) -> None:
 
 
 def _run(system, u0: tuple, nsteps: int, stride: int, prepared):
-    """nsteps steps from u0 at step 0, keeping u0, the last step and every
-    step whose index is a multiple of stride as rows of one (n_kept, n_c)
-    array per component; returns the kept step indices and those arrays."""
+    """nsteps steps from u0 at step 0, keeping every step whose index is a multiple of
+    stride as rows of one (n_kept, n_c) array per component; returns the kept step indices
+    and those arrays.  stride divides nsteps (both callers see to it), so the last is kept."""
     _check_state(system, u0)
     P = prepared if prepared is not None else prepare(system)
-    steps = np.arange(nsteps + 1)
-    steps = steps[(steps == nsteps) | (steps % stride == 0)]
+    steps = np.arange(0, nsteps + 1, stride)
     samples = tuple(np.empty((len(steps), len(c))) for c in u0)
     u, done = u0, 0
     for row, kept in enumerate(steps.tolist()):

@@ -143,18 +143,6 @@ def test_verify_reads_a_state_tuple_and_values_alike(neumann_bcs, grid31):
     assert from_state.errors == from_values.errors
 
 
-def test_verify_rejects_nonpositive_initial_interior(endemic_c, neumann_bcs, grid31):
-    with pytest.raises(InputError):
-        verify_trichotomy(endemic_c, neumann_bcs, grid31,
-                          initial=(1.0, 0.0, 0.1), o=SolverOptions(n_periods=2))
-
-
-def test_verify_rejects_nan_initial_data(endemic_c, neumann_bcs, grid31):
-    with pytest.raises(InputError):
-        verify_trichotomy(endemic_c, neumann_bcs, grid31,
-                          initial=(np.nan, 0.5, 0.1), o=SolverOptions(n_periods=2))
-
-
 # ──────────────────────────────────────────────────────── verification ──
 
 
@@ -191,27 +179,50 @@ def test_verify_at_positive_eps_solves_one_endemic_pair(endemic_c, neumann_bcs,
     assert cr.regime == ENDEMIC and cr.regime_report.pair.eps_used == 0.0
 
 
-def test_verify_refuses_a_non_positive_n_periods_before_classifying(
-        monkeypatch, endemic_c, neumann_bcs, grid31):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("classified before checking n_periods")
+def refused_before_classifying(monkeypatch, error, match, *args, **kwargs):
+    """verify_trichotomy(*args, **kwargs) raises error on one CPU and on
+    two, and neither classifies nor starts a trajectory worker."""
+    def unreachable(*a, **k):
+        raise AssertionError("classified before checking every input")
 
     monkeypatch.setattr(dynamics, "classify_regime", unreachable)
+    started = spy_workers(monkeypatch)
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        with pytest.raises(error, match=match):
+            verify_trichotomy(*args, **kwargs)
+    assert started == [] and multiprocessing.active_children() == []
+
+
+def test_verify_refuses_a_non_positive_n_periods_before_classifying(
+        monkeypatch, endemic_c, neumann_bcs, grid31):
     for n in (0, -2):
-        with pytest.raises(DomainError, match=f"n_periods must be a positive count, got {n}$"):
-            verify_trichotomy(endemic_c, neumann_bcs, grid31, o=SolverOptions(n_periods=n))
+        refused_before_classifying(
+            monkeypatch, DomainError, f"n_periods must be a positive count, got {n}$",
+            endemic_c, neumann_bcs, grid31, o=SolverOptions(n_periods=n))
 
 
 def test_verify_refuses_a_bad_stride_before_classifying(monkeypatch, endemic_c,
                                                        neumann_bcs):
     # the default stride, 8, does not divide 100 steps per period
-    calls = []
-    monkeypatch.setattr(dynamics, "classify_regime",
-                        lambda *args, **kwargs: calls.append(args))
     g = build_grid(0.0, 1.0, 15, 1.0, 100)
-    with pytest.raises(DomainError, match=r"sample_stride must divide steps_per_period \(8 vs 100\)"):
-        verify_trichotomy(endemic_c, neumann_bcs, g)
-    assert calls == []
+    refused_before_classifying(
+        monkeypatch, DomainError, r"sample_stride must divide steps_per_period \(8 vs 100\)",
+        endemic_c, neumann_bcs, g)
+
+
+def test_verify_rejects_nonpositive_initial_interior(monkeypatch, endemic_c,
+                                                     neumann_bcs, grid31):
+    refused_before_classifying(
+        monkeypatch, InputError,
+        r"^initial component 1 must be strictly positive at interior nodes \(min 0\)$",
+        endemic_c, neumann_bcs, grid31, initial=(1.0, 0.0, 0.1))
+
+
+def test_verify_rejects_nan_initial_data(monkeypatch, endemic_c, neumann_bcs, grid31):
+    refused_before_classifying(
+        monkeypatch, InputError, r"^initial component 0 must be strictly positive",
+        endemic_c, neumann_bcs, grid31, initial=(np.nan, 0.5, 0.1))
 
 
 def test_verify_disease_free_passes(disease_free_c, neumann_bcs, grid31):
@@ -227,11 +238,27 @@ def test_verify_extinction_passes(extinction_c, neumann_bcs, grid31):
     assert cr.median_ratio < 1.0
 
 
+def test_verify_takes_ratios_only_above_the_orbit_tolerance(grid31):
+    # the errors fall from 5.95 to 3.5e-11 in five periods, then sit at the
+    # attractor's own accuracy, 2.6e-12, whose ratios of about one would
+    # outvote the converging ones
+    c = make_constants(beta="12 + sin(2*pi*t)", d2="0.5")
+    bcs = (BoundarySpec.dirichlet(1), BoundarySpec.dirichlet(2))
+    cr = verify_trichotomy(c, bcs, grid31)
+    assert cr.regime == DISEASE_FREE and cr.verdict == "PASS"
+    assert max(cr.errors[5:]) < SolverOptions().orbit_tol < min(cr.errors[:5])
+    assert len(cr.ratios) == 5 and cr.median_ratio < 0.01
+
+
 def test_verify_indeterminate_passthrough(neumann_bcs, grid31):
-    cr = verify_trichotomy(make_constants(H_u="2"), neumann_bcs, grid31)
+    c = make_constants(H_u="2")
+    cr = verify_trichotomy(c, neumann_bcs, grid31)
     assert cr.verdict == INDETERMINATE
     assert cr.errors == ()
     assert np.isnan(cr.final_error)
+    # a bad initial state is refused whatever the regime
+    with pytest.raises(InputError, match="initial component 1 must be strictly positive"):
+        verify_trichotomy(c, neumann_bcs, grid31, initial=(1.0, 0.0, 0.1))
 
 
 # ─────────────────────────────────────────── the trajectory worker ──
@@ -304,28 +331,6 @@ def test_verify_raises_in_the_same_order_on_both_paths(monkeypatch, endemic_c,
             verify_trichotomy(endemic_c, neumann_bcs, grid31, o=o)
         assert multiprocessing.active_children() == []
     assert len(started) == 2
-
-
-def test_verify_checks_the_initial_state_after_classifying(monkeypatch, endemic_c,
-                                                           neumann_bcs, grid31):
-    # a state that fails its checks starts no worker, and is refused only
-    # once the regime is known, as in-process
-    on_cpus(monkeypatch, 2)
-    started, classified = spy_workers(monkeypatch), []
-    real_classify = dynamics.classify_regime
-
-    def recorded_classify(*args, **kwargs):
-        classified.append(True)
-        raise NoConvergence("classified first")
-
-    monkeypatch.setattr(dynamics, "classify_regime", recorded_classify)
-    with pytest.raises(NoConvergence, match="classified first"):
-        verify_trichotomy(endemic_c, neumann_bcs, grid31, initial=(1.0, 0.0, 0.1))
-    assert classified == [True]
-    monkeypatch.setattr(dynamics, "classify_regime", real_classify)
-    with pytest.raises(InputError, match="initial component 1 must be strictly positive"):
-        verify_trichotomy(endemic_c, neumann_bcs, grid31, initial=(1.0, 0.0, 0.1))
-    assert started == [] and multiprocessing.active_children() == []
 
 
 def test_indeterminate_verify_does_not_wait_for_the_worker(monkeypatch, neumann_bcs,

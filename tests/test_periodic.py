@@ -135,8 +135,13 @@ def test_hbar_guard_reads_the_eigen_options(grid):
                    o=SolverOptions(max_eigen_iters=1))
 
 
-def test_hbar_rejects_V_off_the_vector_layout(grid):
-    # V on the Dirichlet (interior) width cannot be the Robin vector orbit
+def test_hbar_rejects_V_off_the_vector_layout(grid, monkeypatch):
+    # V on the Dirichlet (interior) width cannot be the Robin vector orbit,
+    # and is refused before the gamma_rho guard is solved
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved gamma_rho before checking V")
+
+    monkeypatch.setattr(periodic, "gamma_rho", unreachable)
     narrow = flat_orbit(1.0, grid, BoundarySpec.dirichlet(2))
     with pytest.raises(InputError, match="lattice"):
         solve_Hbar(make_constants(), BCS, grid, narrow)
