@@ -16,8 +16,10 @@ Precedence: ^  >  unary -  >  * /  >  + -.  Python's '**' is rejected.
 An expression may nest at most MAX_DEPTH levels: a longer chain of
 operators or deeper brackets is a ParseError.
 
-FUNCTIONS and _BINARY give each operator its numpy ufunc, and each binary
-operator its precedence; the parser, evaluator and printer all read them.
+A tree has one node type, Expression(op, args).  FUNCTIONS and _BINARY give
+each operator its numpy ufunc, and each binary operator its precedence; the
+parser and printer read them, and the evaluator reads _UFUNCS, which joins
+them with unary minus.
 Evaluation is pure and numpy-vectorised over x and t.  Every solver reads
 its coefficients through field_lattice, which evaluates a field once on the
 whole node x time-level lattice of a setup.  Hypothesis checks sample every
@@ -38,8 +40,7 @@ import numpy as np
 from .errors import EvalError, InputError, ParseError
 
 __all__ = [
-    "Expression", "Num", "Var", "Neg", "Bin", "Call",
-    "parse_expression", "evaluate", "to_source", "field_values", "field_lattice",
+    "Expression", "parse_expression", "evaluate", "to_source", "field_values", "field_lattice",
     "CoefficientSet", "Violation", "ValidationReport", "validate_hypothesis_H",
 ]
 
@@ -58,7 +59,7 @@ _BINARY = {"+": (_LEVEL_SUM, np.add), "-": (_LEVEL_SUM, np.subtract),
 VARIABLES = ("x", "t")
 
 # The deepest an expression may nest.  The parser spends at most five Python
-# frames per nested group, _ev one and to_source two per tree level, so all
+# frames per nested group, _ev and to_source two per tree level, so all
 # three stay well inside Python's default recursion limit of 1000.
 MAX_DEPTH = 150
 _TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
@@ -74,36 +75,17 @@ NONNEG_SLACK = -1e-12
 # ═══════════════════════════════════════════════════════════════════════════
 
 
+@dataclass(frozen=True)
 class Expression:
-    """Base class for parsed coefficient expressions."""
+    """One node of a parsed expression: op is "num" (args (value,)), "x", "t",
+    "neg", a _BINARY operator or a FUNCTIONS name, and args its operands."""
+
+    op: str
+    args: tuple = ()
 
 
-@dataclass(frozen=True)
-class Num(Expression):
-    value: float
-
-
-@dataclass(frozen=True)
-class Var(Expression):
-    name: str  # "x" or "t"
-
-
-@dataclass(frozen=True)
-class Neg(Expression):
-    operand: Expression
-
-
-@dataclass(frozen=True)
-class Bin(Expression):
-    op: str  # one of + - * / ^
-    left: Expression
-    right: Expression
-
-
-@dataclass(frozen=True)
-class Call(Expression):
-    fn: str
-    args: tuple
+# every op with operands -> its numpy ufunc; the evaluator reads only this
+_UFUNCS = {"neg": np.negative, **{op: f for op, (_, f) in _BINARY.items()}, **FUNCTIONS}
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -175,7 +157,7 @@ class _Parser:
         e, op = None, None
         while True:
             right = self.binary(level + 1) if level < _LEVEL_TERM else self.unary()
-            e = right if op is None else Bin(op, e, right)
+            e = right if op is None else Expression(op, (e, right))
             kind, op, _ = self.peek()
             if kind != "op" or op not in _BINARY or _BINARY[op][0] != level:
                 return e
@@ -188,7 +170,7 @@ class _Parser:
             raise ParseError(_TOO_DEEP, pos)
         if kind == "op" and text == "-":
             self.advance()
-            e = Neg(self.unary())
+            e = Expression("neg", (self.unary(),))
         else:
             e = self.power()
         self.depth -= 1
@@ -200,18 +182,18 @@ class _Parser:
         if kind == "op" and text == "^":
             self.advance()
             # right-associative; exponent may be unary-negated
-            return Bin("^", base, self.unary())
+            return Expression("^", (base, self.unary()))
         return base
 
     def atom(self) -> Expression:
         kind, text, pos = self.advance()
         if kind == "number":
-            return Num(float(text))
+            return Expression("num", (float(text),))
         if kind == "ident":
             if text in VARIABLES:
-                return Var(text)
+                return Expression(text)
             if text == "pi":
-                return Num(math.pi)
+                return Expression("num", (math.pi,))
             if text in FUNCTIONS:
                 self.expect_op("(")
                 args = [self.binary()]
@@ -223,9 +205,9 @@ class _Parser:
                 if len(args) != arity:
                     raise ParseError(
                         f"{text} takes {arity} argument(s), got {len(args)}", pos)
-                return Call(text, tuple(args))
+                return Expression(text, tuple(args))
             if text in self.constants:
-                return Num(float(self.constants[text]))
+                return Expression("num", (float(self.constants[text]),))
             raise ParseError(f"unknown name {text!r}", pos)
         if kind == "op" and text == "(":
             e = self.binary()
@@ -258,9 +240,8 @@ def _height(e: Expression) -> int:
     while todo:
         e, level = todo.pop()
         height = max(height, level)
-        kids = (e.operand,) if isinstance(e, Neg) else (e.left, e.right) \
-            if isinstance(e, Bin) else e.args if isinstance(e, Call) else ()
-        todo += [(k, level + 1) for k in kids]
+        if e.op != "num":
+            todo += [(k, level + 1) for k in e.args]
     return height
 
 
@@ -270,20 +251,14 @@ def _height(e: Expression) -> int:
 
 
 def _ev(e: Expression, x, t: float):
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return x if e.name == "x" else t
-    if isinstance(e, Neg):
-        return -_ev(e.operand, x, t)
-    if isinstance(e, Bin):
-        a, b = _ev(e.left, x, t), _ev(e.right, x, t)
-        if e.op == "/" and np.any(np.asarray(b) == 0):
-            raise EvalError(f"division by zero in {to_source(e)!r}")
-        return _BINARY[e.op][1](a, b)
-    if isinstance(e, Call):
-        return FUNCTIONS[e.fn](*[_ev(a, x, t) for a in e.args])
-    raise TypeError(f"not an Expression: {e!r}")
+    if e.op == "num":
+        return e.args[0]
+    if e.op in VARIABLES:
+        return x if e.op == "x" else t
+    vals = [_ev(a, x, t) for a in e.args]
+    if e.op == "/" and np.any(np.asarray(vals[1]) == 0):
+        raise EvalError(f"division by zero in {to_source(e)!r}")
+    return _UFUNCS[e.op](*vals)
 
 
 def evaluate(e: Expression, x, t: float):
@@ -311,7 +286,9 @@ def field_lattice(f, x: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Values of a field at nodes x and times ts, shaped (len(ts), len(x)).
 
     f may be an Expression (evaluated in one broadcast call), a number, or
-    an array that already has the lattice shape.
+    an array that already has the lattice shape.  The lattice is a read-only
+    view that shares memory with its source: a number or an expression in x
+    or t alone is stored once, and a float array comes back uncopied.
 
     Raises:
         InputError: for an array of the wrong shape or an unusable field.
@@ -329,13 +306,13 @@ def field_lattice(f, x: np.ndarray, ts: np.ndarray) -> np.ndarray:
         v = float(f)
     else:
         raise InputError(f"not a usable field: {f!r}")
-    return np.broadcast_to(np.asarray(v, dtype=float), shape).copy()
+    return np.broadcast_to(np.asarray(v, dtype=float), shape)
 
 
 def _level(e: Expression) -> int:
-    if isinstance(e, Bin):
+    if e.op in _BINARY:
         return _BINARY[e.op][0]
-    return _LEVEL_UNARY if isinstance(e, Neg) else _LEVEL_ATOM
+    return _LEVEL_UNARY if e.op == "neg" else _LEVEL_ATOM
 
 
 def _wrap(e: Expression, minimum: int) -> str:
@@ -345,20 +322,21 @@ def _wrap(e: Expression, minimum: int) -> str:
 
 def to_source(e: Expression) -> str:
     """Render the AST back to grammar text; reparsing gives an equal AST."""
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        return "-" + _wrap(e.operand, _LEVEL_UNARY)
-    if isinstance(e, Call):
-        return e.fn + "(" + ", ".join(to_source(a) for a in e.args) + ")"
-    if e.op == "^":
+    op, args = e.op, e.args
+    if op == "num":
+        return repr(args[0])
+    if op in VARIABLES:
+        return op
+    if op == "neg":
+        return "-" + _wrap(args[0], _LEVEL_UNARY)
+    if op in FUNCTIONS:
+        return op + "(" + ", ".join(to_source(a) for a in args) + ")"
+    if op == "^":
         # right-associative, binds tighter than unary minus
-        return f"{_wrap(e.left, _LEVEL_ATOM)}^{_wrap(e.right, _LEVEL_UNARY)}"
+        return f"{_wrap(args[0], _LEVEL_ATOM)}^{_wrap(args[1], _LEVEL_UNARY)}"
     # left-associative: a same-level right operand keeps its brackets, a+(b+c)
-    level = _BINARY[e.op][0]
-    return f"{_wrap(e.left, level)} {e.op} {_wrap(e.right, level + 1)}"
+    level = _BINARY[op][0]
+    return f"{_wrap(args[0], level)} {op} {_wrap(args[1], level + 1)}"
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -395,15 +373,13 @@ class CoefficientSet:
     H_u: Expression
 
     @classmethod
-    def from_strings(cls, T: float = 1.0,
-                     constants: Mapping[str, float] | None = None,
-                     **fields: str) -> "CoefficientSet":
+    def from_strings(cls, T: float = 1.0, **fields: str) -> "CoefficientSet":
         """Build from expression strings, e.g. rho="1", beta="2+sin(2*pi*t)"."""
         parsed = {}
         for name in _FIELD_STRICT:
             if name not in fields:
                 raise KeyError(f"missing coefficient {name!r}")
-            parsed[name] = parse_expression(fields[name], constants)
+            parsed[name] = parse_expression(fields[name])
         extra = set(fields) - set(_FIELD_STRICT)
         if extra:
             raise KeyError(f"unknown coefficient(s): {sorted(extra)}")

@@ -154,7 +154,7 @@ def build_initial_state(grid: Grid, bc1: BoundarySpec, bc2: BoundarySpec,
     for bc, v in zip((bc1, bc2, bc2), values):
         nodes = grid.nodes_for(bc)
         if isinstance(v, Expression):
-            arr = np.asarray(field_values(v, nodes, 0.0), dtype=float)
+            arr = np.array(field_values(v, nodes, 0.0), dtype=float)
         else:
             arr = np.asarray(v, dtype=float)
             if arr.ndim == 0:

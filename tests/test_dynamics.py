@@ -124,6 +124,7 @@ def test_build_initial_state_accepts_mixed_values(grid31, neumann_bcs):
     assert u[1][0] == pytest.approx(1.5)
     assert u[2][5] == 0.25
     assert xs.shape == u[0].shape
+    assert all(comp.flags.writeable for comp in u)
 
 
 def test_build_initial_state_rejects_bad_shapes(grid31, neumann_bcs):

@@ -7,7 +7,7 @@ import pytest
 
 from vectorhost import EvalError, InputError, ParseError, evaluate, \
     field_lattice, field_values, parse_expression, to_source
-from vectorhost.coeffs import FUNCTIONS, MAX_DEPTH
+from vectorhost.coeffs import _UFUNCS, FUNCTIONS, MAX_DEPTH
 
 
 def ev(src, x=0.0, t=0.0, constants=None):
@@ -45,7 +45,8 @@ def test_functions():
 
 
 def test_operators_match_numpy_bit_for_bit():
-    # each table entry evaluates exactly as the numpy call it names
+    # each table entry evaluates exactly as the numpy call it names, and
+    # every op a tree can hold appears in some case
     x = np.linspace(-1.0, 3.0, 41)
     t = 1.5 + np.cos(7.0 * x)          # positive: a divisor and an exponent
     cases = {"sin(x)": np.sin(x), "cos(x)": np.cos(x), "exp(x)": np.exp(x),
@@ -53,10 +54,21 @@ def test_operators_match_numpy_bit_for_bit():
              "min(x, t)": np.minimum(x, t),
              "pow(x + 1.5, t)": np.power(x + 1.5, t),
              "x + t": x + t, "x - t": x - t, "x * t": x * t, "x / t": x / t,
-             "(x + 1.5)^t": np.power(x + 1.5, t), "-x": -x}
+             "(x + 1.5)^t": np.power(x + 1.5, t), "-x": -x,
+             "max(0.3, abs(x - 0.5)) + exp(-x^2)/2":
+                 np.maximum(0.3, np.abs(x - 0.5)) + np.exp(-np.power(x, 2.0)) / 2.0}
     assert set(FUNCTIONS) == {"sin", "cos", "exp", "abs", "max", "min", "pow"}
+    ops = set()
     for src, want in cases.items():
-        assert np.array_equal(evaluate(parse_expression(src), x, t), want), src
+        e = parse_expression(src)
+        assert np.array_equal(evaluate(e, x, t), want), src
+        assert parse_expression(to_source(e)) == e, src
+        todo = [e]
+        while todo:
+            node = todo.pop()
+            ops.add(node.op)
+            todo += node.args if node.op != "num" else ()
+    assert ops == set(_UFUNCS) | {"num", "x", "t"}
 
 
 def test_vectorized_over_x():
@@ -114,7 +126,8 @@ def test_eval_errors():
 
 def test_to_source_round_trip():
     for src in ("1 + 2*x", "-(x + t)", "sin(2*pi*t)", "2^3^2",
-                "max(x, t)/(1 + x)", "-x^2", "0.1 + (0.2 + 0.3)", "x*(t*3)"):
+                "max(x, t)/(1 + x)", "-x^2", "0.1 + (0.2 + 0.3)", "x*(t*3)",
+                "-(-x)^2 - -t/(1 + x)"):
         e = parse_expression(src)
         again = parse_expression(to_source(e))
         assert again == e, src
@@ -146,6 +159,16 @@ def test_field_lattice_matches_per_level_values():
     assert np.array_equal(field_lattice(arr, xs, ts), arr)
     with pytest.raises(InputError):
         field_lattice(np.ones((15, 9)), xs, ts)
+
+
+def test_field_lattice_is_a_read_only_view():
+    # a number is stored once, and a lattice-shaped array comes back uncopied
+    xs, ts = np.linspace(0.0, 1.0, 9), np.arange(16) / 16.0
+    const = field_lattice(2.5, xs, ts)
+    assert not const.flags.writeable and not const.flags.owndata
+    arr = np.ones((16, 9))
+    view = field_lattice(arr, xs, ts)
+    assert not view.flags.writeable and np.shares_memory(view, arr)
 
 
 def test_field_lattice_refuses_a_callable():
