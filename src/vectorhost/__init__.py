@@ -13,11 +13,10 @@ from .coeffs import (COEFFICIENT_FIELDS, CoefficientSet, Expression,
                      validate_hypothesis_H)
 from .config import RunConfig, SweepSettings, load_config, substituted_coeffs
 from .dynamics import (DISEASE_FREE, ENDEMIC, EXTINCTION, INDETERMINATE,
-                       ConvergenceReport, RegimeReport, SandwichReport,
-                       SolverOptions, build_initial_state, classify_regime,
-                       sandwich_check, verify_trichotomy)
-from .eigen import (EigenResult, PeriodicOrbit, apply_period_map, gamma_rho,
-                    lambda_V, lambda_V_eps, principal_eigenvalue, zeta)
+                       ConvergenceReport, RegimeReport, build_initial_state,
+                       classify_regime, sandwich_check, verify_trichotomy)
+from .eigen import (EigenResult, PeriodicOrbit, SolverOptions, apply_period_map,
+                    gamma_rho, lambda_V, lambda_V_eps, principal_eigenvalue, zeta)
 from .errors import (BlowupError, CoefficientError, ConfigError, DomainError,
                      EpsilonTooLarge, EvalError, GapError, InputError,
                      InternalError, NoConvergence, NonUniqueOrbit, ParseError,
@@ -44,12 +43,11 @@ __all__ = [
     "RunConfig", "SweepSettings", "load_config", "substituted_coeffs",
     # dynamics and classification
     "DISEASE_FREE", "ENDEMIC", "EXTINCTION", "INDETERMINATE",
-    "ConvergenceReport", "RegimeReport", "SandwichReport", "SolverOptions",
-    "build_initial_state", "classify_regime", "sandwich_check",
-    "verify_trichotomy",
-    # eigenvalues
-    "EigenResult", "PeriodicOrbit", "apply_period_map", "gamma_rho",
-    "lambda_V", "lambda_V_eps", "principal_eigenvalue", "zeta",
+    "ConvergenceReport", "RegimeReport", "build_initial_state",
+    "classify_regime", "sandwich_check", "verify_trichotomy",
+    # eigenvalues and solver options
+    "EigenResult", "PeriodicOrbit", "SolverOptions", "apply_period_map",
+    "gamma_rho", "lambda_V", "lambda_V_eps", "principal_eigenvalue", "zeta",
     # errors
     "BlowupError", "CoefficientError", "ConfigError", "DomainError",
     "EpsilonTooLarge", "EvalError", "GapError", "InputError", "InternalError",

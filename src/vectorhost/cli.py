@@ -117,7 +117,7 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
     o = cfg.solver
     c, g = cfg.coeffs, cfg.grid
     lr = solve_logistic_orbit(c, cfg.bc2, g, o)
-    gr = gamma_rho(c, cfg.bc1, g, o.eigen_tol, o.max_eigen_iters)
+    gr = gamma_rho(c, cfg.bc1, g, o)
     items = [("zeta", lr.zeta),
              ("zeta_iterations", lr.zeta_result.iterations),
              ("zeta_residual", lr.zeta_result.eigenfunction.residual),
@@ -127,8 +127,7 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
     histories = [("zeta", lr.zeta_result.r_history),
                  ("gamma_rho", gr.r_history)]
     if lr.orbit.sup_norm() > 0.0:
-        lam = lambda_V(c, (cfg.bc1, cfg.bc2), g, lr.orbit,
-                       o.eigen_tol, o.max_eigen_iters)
+        lam = lambda_V(c, (cfg.bc1, cfg.bc2), g, lr.orbit, o)
         items += [("lambda_V", lam.value),
                   ("lambda_V_iterations", lam.iterations),
                   ("lambda_V_residual", lam.eigenfunction.residual)]
@@ -137,8 +136,7 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
             # halve the band as the endemic pair's ladder does, until
             # V - eps*phi stays in the positive cone
             eps, *edges = shrink_band(lr.orbit, lr.zeta_result.eigenfunction, o.eps)
-            le = lambda_V_eps(c, (cfg.bc1, cfg.bc2), g, *edges,
-                              o.eigen_tol, o.max_eigen_iters)
+            le = lambda_V_eps(c, (cfg.bc1, cfg.bc2), g, *edges, o)
             items += [("eps", eps), ("lambda_V_eps", le.value),
                       ("lambda_V_eps_iterations", le.iterations)]
             histories.append(("lambda_V_eps", le.r_history))
@@ -215,18 +213,18 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _classify_items(rep) -> list:
+def _classify_items(rep, o) -> list:
     return [("regime", rep.regime),
             ("zeta", rep.zeta),
             ("lambda_V", "" if rep.lambda_V is None else rep.lambda_V),
-            ("band", rep.band),
+            ("band", o.band),
             ("attractor", rep.attractor_kind)]
 
 
 def cmd_classify(cfg: RunConfig, args) -> int:
     rep = classify_regime(cfg.coeffs, (cfg.bc1, cfg.bc2), cfg.grid, cfg.solver)
     _write_report(os.path.join(args.out, "classify_report.txt"),
-                  _classify_items(rep))
+                  _classify_items(rep, cfg.solver))
     if rep.attractor is not None:
         _node_csv(os.path.join(args.out, "attractor.csv"), cfg.grid,
                   list(zip(("H_i", "V_u", "V_i"), rep.attractor.samples,
@@ -239,14 +237,15 @@ def cmd_classify(cfg: RunConfig, args) -> int:
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
+    o = cfg.solver
     cr = verify_trichotomy(cfg.coeffs, (cfg.bc1, cfg.bc2), cfg.grid,
-                           initial=cfg.initial, o=cfg.solver)
-    items = _classify_items(cr.regime_report)
+                           initial=cfg.initial, o=o)
+    items = _classify_items(cr.regime_report, o)
     items += [("verdict", cr.verdict),
               ("final_error", cr.final_error),
               ("median_ratio", cr.median_ratio),
-              ("n_periods", cr.n_periods),
-              ("target", cr.target)]
+              ("n_periods", o.n_periods),
+              ("target", o.target)]
     _write_report(os.path.join(args.out, "verify_report.txt"), items)
     _write_csv(os.path.join(args.out, "convergence.csv"), ["n", "e_n"],
                [[str(n), _FMT % e] for n, e in enumerate(cr.errors)])

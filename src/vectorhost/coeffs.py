@@ -354,14 +354,13 @@ COEFFICIENT_FIELDS = tuple(_FIELD_STRICT)
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """All coefficient fields of the model plus the period T.
+    """All coefficient fields of the model.
 
-    The Robin endpoint weights belong to the boundary operators
-    (grid.BoundarySpec), which both the solvers and validate_hypothesis_H
-    read.
+    The period is the grid's (Grid.T), and the Robin endpoint weights
+    belong to the boundary operators (grid.BoundarySpec), which both the
+    solvers and validate_hypothesis_H read.
     """
 
-    T: float
     rho: Expression
     sigma1: Expression
     sigma2: Expression
@@ -373,7 +372,7 @@ class CoefficientSet:
     H_u: Expression
 
     @classmethod
-    def from_strings(cls, T: float = 1.0, **fields: str) -> "CoefficientSet":
+    def from_strings(cls, **fields: str) -> "CoefficientSet":
         """Build from expression strings, e.g. rho="1", beta="2+sin(2*pi*t)"."""
         parsed = {}
         for name in _FIELD_STRICT:
@@ -383,7 +382,7 @@ class CoefficientSet:
         extra = set(fields) - set(_FIELD_STRICT)
         if extra:
             raise KeyError(f"unknown coefficient(s): {sorted(extra)}")
-        return cls(T=float(T), **parsed)
+        return cls(**parsed)
 
     def named_fields(self) -> dict:
         """Coefficient fields keyed by name."""

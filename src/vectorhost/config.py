@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 from .coeffs import COEFFICIENT_FIELDS, CoefficientSet, parse_expression
 from .dynamics import DEFAULT_INITIAL
+from .eigen import SolverOptions
 from .errors import ConfigError, DomainError, ParseError
 from .grid import BoundarySpec, Grid, build_grid
-from .periodic import SolverOptions
 from .stepper import check_trajectory
 
 __all__ = ["SweepSettings", "RunConfig", "load_config", "substituted_coeffs"]
@@ -225,7 +225,7 @@ def load_config(path: str, overrides=()) -> RunConfig:
     bc1 = _boundary(parser, "bc1", 1)
     bc2 = _boundary(parser, "bc2", 2)
 
-    coeffs = CoefficientSet(T=grid.T, **{
+    coeffs = CoefficientSet(**{
         name: _get(parser, "coefficients", name, parse_expression)
         for name in COEFFICIENT_FIELDS})
 

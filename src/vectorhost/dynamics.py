@@ -8,9 +8,9 @@ sign cannot be trusted at solver resolution.
 
 verify_trichotomy integrates the full model and measures per-period sup
 distances to the classified attractor, integrating in a worker process
-while it classifies when two CPUs are usable; sandwich_check watches the
-total vector population enter the +/- eps*phi band around the carrying
-orbit.
+while it classifies when two CPUs are usable; sandwich_check returns the
+period N from which the total vector population stays in the +/- eps*phi
+band around the carrying orbit, or None if it never enters for good.
 """
 
 from __future__ import annotations
@@ -21,16 +21,16 @@ import numpy as np
 
 from ._workers import Worker, usable_cpus
 from .coeffs import CoefficientSet, Expression, field_values
-from .eigen import EigenResult, PeriodicOrbit, lambda_V
+from .eigen import EigenResult, PeriodicOrbit, SolverOptions, lambda_V
 from .errors import InputError
 from .grid import BoundarySpec, Grid
-from .periodic import (EndemicPairResult, LogisticOrbitResult, SolverOptions, band_edges,
-                       band_sign, solve_endemic_pair, solve_logistic_orbit)
+from .periodic import (EndemicPairResult, LogisticOrbitResult, band_edges, band_sign,
+                       solve_endemic_pair, solve_logistic_orbit)
 from .stepper import (NonlinearModel, Trajectory, check_trajectory,
                       integrate_trajectory)
 
 __all__ = [
-    "SolverOptions", "RegimeReport", "ConvergenceReport", "SandwichReport",
+    "RegimeReport", "ConvergenceReport",
     "classify_regime", "verify_trichotomy", "sandwich_check",
     "build_initial_state",
     "EXTINCTION", "DISEASE_FREE", "ENDEMIC", "INDETERMINATE",
@@ -60,7 +60,6 @@ class RegimeReport:
     regime: str
     attractor: PeriodicOrbit | None
     attractor_kind: str
-    band: float
     logistic: LogisticOrbitResult
     lambda_V_result: EigenResult | None = None
     pair: EndemicPairResult | None = None
@@ -84,19 +83,7 @@ class ConvergenceReport:
     final_error: float
     median_ratio: float
     verdict: str
-    n_periods: int
-    target: float
     regime_report: RegimeReport
-
-
-@dataclass(frozen=True)
-class SandwichReport:
-    """First period after which the total vector stays in the band."""
-
-    eps: float
-    entered_at: int | None
-    status: str
-    n_periods: int
 
 
 # ─────────────────────────────────────────────────────── classification ──
@@ -117,7 +104,7 @@ def classify_regime(c: CoefficientSet, bcs, grid: Grid,
     lr = solve_logistic_orbit(c, bc2, grid, o)
     lam = pair = attractor = None
     if band_sign(lr.zeta, o.band) < 0:
-        lam = lambda_V(c, bcs, grid, lr.orbit, o.eigen_tol, o.max_eigen_iters)
+        lam = lambda_V(c, bcs, grid, lr.orbit, o)
     name, value = ("zeta", lr.zeta) if lam is None else ("lambda(V)", lam.value)
     side = band_sign(value, o.band)
     if side == 0:
@@ -134,7 +121,7 @@ def classify_regime(c: CoefficientSet, bcs, grid: Grid,
         attractor = PeriodicOrbit(
             (np.zeros((m + 1, n1)), lr.orbit.samples[0], np.zeros((m + 1, n2))))
     return RegimeReport(regime=regime, attractor=attractor, attractor_kind=kind,
-                        band=o.band, logistic=lr, lambda_V_result=lam, pair=pair)
+                        logistic=lr, lambda_V_result=lam, pair=pair)
 
 
 # ──────────────────────────────────────────────────────── verification ──
@@ -237,8 +224,7 @@ def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid, initial=None,
         if report.regime == INDETERMINATE:
             return ConvergenceReport(
                 regime=INDETERMINATE, errors=(), ratios=(), final_error=float("nan"),
-                median_ratio=float("nan"), verdict=INDETERMINATE,
-                n_periods=n_periods, target=target, regime_report=report)
+                median_ratio=float("nan"), verdict=INDETERMINATE, regime_report=report)
         if worker is None:
             errors = _measured(lambda: report.attractor, *run)
         else:
@@ -254,18 +240,17 @@ def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid, initial=None,
     verdict = "PASS" if (final <= target and med < 1.0) else "FAIL"
     return ConvergenceReport(
         regime=report.regime, errors=tuple(errors), ratios=tuple(ratios),
-        final_error=final, median_ratio=med, verdict=verdict,
-        n_periods=n_periods, target=target, regime_report=report)
+        final_error=final, median_ratio=med, verdict=verdict, regime_report=report)
 
 
 def sandwich_check(V: PeriodicOrbit, phi: PeriodicOrbit, eps: float,
-                   trajectory: Trajectory) -> SandwichReport:
+                   trajectory: Trajectory) -> int | None:
     """Smallest period N after which the total vector stays inside
-    [V - eps*phi, V + eps*phi] at every stored sample; NOT_REACHED when
-    the band is never entered for good (or the carrying orbit is zero).
-    The edges come from band_edges (EpsilonTooLarge outside the positive cone).
+    [V - eps*phi, V + eps*phi] at every stored sample; None when the band
+    is never entered for good (or the carrying orbit is zero).  The edges
+    come from band_edges (EpsilonTooLarge outside the positive cone).
     """
-    if eps <= 0.0:
+    if not eps > 0.0:  # written so that NaN fails too
         raise InputError("the sandwich band needs eps > 0")
     m = trajectory.grid.steps_per_period
     n_total = trajectory.n_periods
@@ -278,8 +263,4 @@ def sandwich_check(V: PeriodicOrbit, phi: PeriodicOrbit, eps: float,
         bad = (np.min(W - lo, axis=1) < -slack) | (np.max(W - hi, axis=1) > slack)
         # the period after the last sample outside the band
         N = int(trajectory.steps[bad][-1]) // m + 1 if bad.any() else 0
-    if N > n_total:
-        return SandwichReport(eps=eps, entered_at=None, status="NOT_REACHED",
-                              n_periods=n_total)
-    return SandwichReport(eps=eps, entered_at=N, status="ENTERED",
-                          n_periods=n_total)
+    return None if N > n_total else N

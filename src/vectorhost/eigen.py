@@ -34,21 +34,36 @@ from .coeffs import field_values  # noqa: F401  (name the benchmark tracer wraps
 from .errors import (InputError, InternalError, NoConvergence,
                      ReducibleSystemWarning, SolveError)
 from .grid import BoundarySpec, Grid, assemble_diffusion
-from .stepper import ComponentSpec, LinearPeriodicSystem
+from .stepper import DEFAULT_BLOWUP_CAP, ComponentSpec, LinearPeriodicSystem
 
 __all__ = [
     "PeriodicOrbit", "EigenResult", "principal_eigenvalue", "apply_period_map",
-    "zeta", "gamma_rho", "lambda_V", "lambda_V_eps",
-    "DEFAULT_EIGEN_TOL", "DEFAULT_MAX_ITERS",
+    "zeta", "gamma_rho", "lambda_V", "lambda_V_eps", "SolverOptions",
 ]
 
-DEFAULT_EIGEN_TOL = 1e-10
-DEFAULT_MAX_ITERS = 10000
 # coupling entries below this are treated as cooperativity violations
 _COOP_SLACK = -1e-12
 # levels per fancy-indexed add into the band array: its temporaries stay
 # a fraction of one coefficient lattice
 _FILL_LEVELS = 64
+
+
+@dataclass(frozen=True)
+class SolverOptions:
+    """Numerical knobs shared by the classification pipeline.
+
+    eps is the first rung of the endemic pair's band ladder."""
+
+    eigen_tol: float = 1e-10
+    max_eigen_iters: int = 10000
+    orbit_tol: float = 1e-9
+    max_periods: int = 500
+    band: float = 1e-3
+    blowup_cap: float = DEFAULT_BLOWUP_CAP
+    eps: float = 0.0
+    n_periods: int = 40
+    sample_stride: int = 8
+    target: float = 1e-3
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -251,14 +266,14 @@ def apply_period_map(system: LinearPeriodicSystem, components) -> tuple:
 
 
 def principal_eigenvalue(system: LinearPeriodicSystem,
-                         tol: float = DEFAULT_EIGEN_TOL,
-                         max_iters: int = DEFAULT_MAX_ITERS) -> EigenResult:
+                         o: SolverOptions = SolverOptions()) -> EigenResult:
     """Dominant eigenpair of the period map of a cooperative linear system.
 
     Power iteration from a positive constant vector; the multiplier is the
     ratio at the normalisation (sup) node, converged when successive
     estimates differ by <= max(tol, 4 ulp of the estimate) and the
-    normalised iterate direction moves by <= tol in sup norm.
+    normalised iterate direction moves by <= tol in sup norm, with
+    tol = o.eigen_tol and at most o.max_eigen_iters iterations.
 
     Raises:
         NoConvergence: budget exhausted before both criteria held.
@@ -269,6 +284,7 @@ def principal_eigenvalue(system: LinearPeriodicSystem,
             the Crank-Nicolson map's stiffest mode outgrows the principal
             one (too few steps_per_period for the diffusion and h).
     """
+    tol, max_iters = o.eigen_tol, o.max_eigen_iters
     P = _PreparedEigen(system)
     g = system.grid
     u = np.ones(P.total)
@@ -336,25 +352,25 @@ def principal_eigenvalue(system: LinearPeriodicSystem,
 
 
 def zeta(c: CoefficientSet, bc2: BoundarySpec, grid: Grid,
-         tol: float = DEFAULT_EIGEN_TOL, max_iters: int = DEFAULT_MAX_ITERS) -> EigenResult:
+         o: SolverOptions = SolverOptions()) -> EigenResult:
     """Vector growth threshold: principal eigenvalue of the scalar problem
     with net growth beta - mu1 under the vector boundary operator."""
     sys = LinearPeriodicSystem(
         grid=grid,
         comps=(ComponentSpec(d=c.d2, bc=bc2),),
         coupling=((grid.lattice(c.beta, bc2) - grid.lattice(c.mu1, bc2),),))
-    return principal_eigenvalue(sys, tol, max_iters)
+    return principal_eigenvalue(sys, o)
 
 
 def gamma_rho(c: CoefficientSet, bc1: BoundarySpec, grid: Grid,
-              tol: float = DEFAULT_EIGEN_TOL, max_iters: int = DEFAULT_MAX_ITERS) -> EigenResult:
+              o: SolverOptions = SolverOptions()) -> EigenResult:
     """Host decay rate: principal eigenvalue of the host operator with
     removal rho.  Positive whenever rho > 0; InternalError otherwise."""
     sys = LinearPeriodicSystem(
         grid=grid,
         comps=(ComponentSpec(d=c.d1, bc=bc1),),
         coupling=((-grid.lattice(c.rho, bc1),),))
-    res = principal_eigenvalue(sys, tol, max_iters)
+    res = principal_eigenvalue(sys, o)
     if res.value <= 0:
         raise InternalError(
             f"host decay rate should be positive, got {res.value:.6g}; "
@@ -389,16 +405,15 @@ def _invasion_system(c: CoefficientSet, bcs, grid: Grid, coupling,
 
 
 def lambda_V(c: CoefficientSet, bcs, grid: Grid, V: PeriodicOrbit,
-             tol: float = DEFAULT_EIGEN_TOL, max_iters: int = DEFAULT_MAX_ITERS) -> EigenResult:
+             o: SolverOptions = SolverOptions()) -> EigenResult:
     """Invasion exponent of the disease-free state carrying vector orbit V:
     lambda_V_eps with both edges V.  Negative values mean the infection
     invades."""
-    return lambda_V_eps(c, bcs, grid, V, V, tol, max_iters)
+    return lambda_V_eps(c, bcs, grid, V, V, o)
 
 
 def lambda_V_eps(c: CoefficientSet, bcs, grid: Grid, upper: PeriodicOrbit,
-                 lower: PeriodicOrbit, tol: float = DEFAULT_EIGEN_TOL,
-                 max_iters: int = DEFAULT_MAX_ITERS) -> EigenResult:
+                 lower: PeriodicOrbit, o: SolverOptions = SolverOptions()) -> EigenResult:
     """Band-shifted invasion exponent: principal eigenvalue of the
     two-component linearisation (host removal rho with source sigma1*H_u;
     vector infection sigma2*upper with decay mu1 + mu2*lower), upper and
@@ -406,4 +421,4 @@ def lambda_V_eps(c: CoefficientSet, bcs, grid: Grid, upper: PeriodicOrbit,
     for orbit in (upper, lower):
         _check_orbit_for_linearisation(orbit, grid)
     sys = _invasion_system(c, bcs, grid, upper.lattice(), lower.lattice())
-    return principal_eigenvalue(sys, tol, max_iters)
+    return principal_eigenvalue(sys, o)

@@ -33,16 +33,16 @@ import numpy as np
 
 from .coeffs import CoefficientSet, field_lattice
 from .coeffs import field_values  # noqa: F401  (name the benchmark tracer wraps here)
-from .eigen import (DEFAULT_EIGEN_TOL, DEFAULT_MAX_ITERS, EigenResult,
-                    PeriodicOrbit, gamma_rho, lambda_V, lambda_V_eps, zeta)
+from .eigen import (EigenResult, PeriodicOrbit, SolverOptions, gamma_rho,
+                    lambda_V, lambda_V_eps, zeta)
 from .errors import (EpsilonTooLarge, GapError, InputError, InternalError,
                      NoConvergence, NonUniqueOrbit, RegimeError)
 from .grid import BoundarySpec, Grid, map_between
-from .stepper import (DEFAULT_BLOWUP_CAP, ComponentSpec, LinearPeriodicSystem,
-                      NonlinearModel, infection_step_hint, integrate_over_period, prepare)
+from .stepper import (ComponentSpec, LinearPeriodicSystem, NonlinearModel,
+                      infection_step_hint, integrate_over_period, prepare)
 
 __all__ = [
-    "SolverOptions", "LogisticOrbitResult", "EndemicPairResult",
+    "LogisticOrbitResult", "EndemicPairResult",
     "band_edges", "shrink_band", "solve_logistic_orbit", "solve_Hbar",
     "solve_endemic_pair",
 ]
@@ -54,24 +54,6 @@ _MAX_HALVINGS = 60
 # discrete supersolution, so the recorded upper sequence decreases
 # monotonically at roundoff slack
 _SUPERSOLUTION_BUMP = 1e-6
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Numerical knobs shared by the classification pipeline.
-
-    eps is the first rung of the endemic pair's band ladder."""
-
-    eigen_tol: float = DEFAULT_EIGEN_TOL
-    max_eigen_iters: int = DEFAULT_MAX_ITERS
-    orbit_tol: float = 1e-9
-    max_periods: int = 500
-    band: float = 1e-3
-    blowup_cap: float = DEFAULT_BLOWUP_CAP
-    eps: float = 0.0
-    n_periods: int = 40
-    sample_stride: int = 8
-    target: float = 1e-3
 
 
 @dataclass(frozen=True)
@@ -110,7 +92,6 @@ class EndemicPairResult:
     gap: float
     converged_in: int
     lambda_V_result: EigenResult
-    lambda_V_eps_result: EigenResult
     upper_history: tuple
     lower_history: tuple
 
@@ -136,7 +117,7 @@ def band_edges(V: PeriodicOrbit, phi: PeriodicOrbit, eps: float) -> tuple:
     shift = eps * phi.samples[0]
     upper, lower = V.samples[0] + shift, V.samples[0] - shift
     margin = float(np.min(lower if eps > 0.0 else upper))
-    if margin <= 0.0:
+    if not margin > 0.0:  # written so that NaN fails too
         raise EpsilonTooLarge(
             f"V - |eps|*phi reaches {margin:.3g} (eps={eps:g}); "
             "the band leaves the positive cone")
@@ -219,7 +200,7 @@ def solve_logistic_orbit(c: CoefficientSet, bc2: BoundarySpec, grid: Grid,
             lower seed was found).
         NonUniqueOrbit: the two limits disagree beyond 10*tol.
     """
-    rz = zeta(c, bc2, grid, o.eigen_tol, o.max_eigen_iters)
+    rz = zeta(c, bc2, grid, o)
     g = grid
     n2 = g.n_unknowns(bc2)
     if band_sign(rz.value, o.band) >= 0:
@@ -274,7 +255,7 @@ def solve_Hbar(c: CoefficientSet, bcs, grid: Grid, V: PeriodicOrbit,
     bc1, bc2 = bcs
     if V.ncomp != 1 or V.samples[0].shape != (grid.steps_per_period + 1, grid.n_unknowns(bc2)):
         raise InputError("V must be a scalar orbit on this grid's lattice")
-    gamma_rho(c, bc1, grid, o.eigen_tol, o.max_eigen_iters)
+    gamma_rho(c, bc1, grid, o)
     src = (grid.lattice(c.sigma1, bc1) * grid.lattice(c.H_u, bc1)
            * map_between(V.lattice(), bc2, bc1))
     sys = LinearPeriodicSystem(
@@ -344,15 +325,14 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
     """
     bc1, bc2 = bcs
     eps, tol, band = o.eps, o.orbit_tol, o.band
-    if eps < 0.0:
+    if not eps >= 0.0:  # written so that NaN fails too
         raise InputError("eps must be nonnegative (the band is applied as +/-)")
     if logistic is None:
         logistic = solve_logistic_orbit(c, bc2, grid, o)
     rz, V = logistic.zeta_result, logistic.orbit
     _endemic_gate(rz.value, band, "the vector population dies out", "zeta",
                   "growth threshold")
-    lamV = lam if lam is not None else lambda_V(c, (bc1, bc2), grid, V,
-                                                o.eigen_tol, o.max_eigen_iters)
+    lamV = lam if lam is not None else lambda_V(c, (bc1, bc2), grid, V, o)
     _endemic_gate(lamV.value, band, "the disease-free state resists invasion",
                   "lambda(V)", "invasion exponent")
 
@@ -369,8 +349,7 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
             continue
         if e != 0.0 and not _band_admissible(c, grid, bc2, V, phi, e, rz.value):
             continue
-        le = lamV if e == 0.0 else lambda_V_eps(c, bcs, grid, upper, lower,
-                                                o.eigen_tol, o.max_eigen_iters)
+        le = lamV if e == 0.0 else lambda_V_eps(c, bcs, grid, upper, lower, o)
         if band_sign(le.value, band) >= 0:   # a shifted rung: lamV passed the gate
             continue
 
@@ -427,6 +406,5 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
 
     return EndemicPairResult(
         orbit=orbit, logistic=logistic, eps_used=e, lower_residual=lower_residual,
-        gap=gap, converged_in=max(n_up + 1, n_low + 1),
-        lambda_V_result=lamV, lambda_V_eps_result=le,
+        gap=gap, converged_in=max(n_up + 1, n_low + 1), lambda_V_result=lamV,
         upper_history=tuple(upper_history), lower_history=tuple(lower_history))

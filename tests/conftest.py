@@ -12,12 +12,12 @@ from vectorhost import (BoundarySpec, CoefficientSet, SolverOptions,
                         build_grid, classify_regime)
 
 
-def make_constants(T=1.0, **overrides):
+def make_constants(**overrides):
     """Constant endemic baseline; pass expression strings to change fields."""
     fields = {"rho": "1", "sigma1": "1", "sigma2": "1", "beta": "2",
               "mu1": "1", "mu2": "1", "d1": "1", "d2": "1", "H_u": "5"}
     fields.update(overrides)
-    return CoefficientSet.from_strings(T=T, **fields)
+    return CoefficientSet.from_strings(**fields)
 
 
 @pytest.fixture(scope="session")

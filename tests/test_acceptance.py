@@ -219,9 +219,8 @@ def test_criterion_07_trichotomy_long_runs_reach_their_attractors(
 def test_criterion_08_band_entry_within_25_periods(endemic_report, endemic_traj40):
     V = endemic_report.logistic.orbit
     phi = endemic_report.logistic.zeta_result.eigenfunction
-    rep = sandwich_check(V, phi, 0.05, endemic_traj40)
-    assert rep.status == "ENTERED"
-    assert rep.entered_at <= 25
+    N = sandwich_check(V, phi, 0.05, endemic_traj40)
+    assert N is not None and N <= 25
 
 
 def test_criterion_09_stepper_positivity_comparison_reduction():

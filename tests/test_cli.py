@@ -245,12 +245,25 @@ def test_unreadable_config_file_names_it(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+README_MD = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "README.md")
+
+
+def test_readme_library_quick_start_prints_its_comment(capsys):
+    # the python block under "Library quick start", run as it is written,
+    # prints the line its closing comment gives
+    section = open(README_MD).read().split("## Library quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = block.rstrip().rsplit("\n", 1)[1]
+    assert expected.startswith("# ENDEMIC ")
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == expected[2:] + "\n"
+
+
 def test_readme_config_block_names_the_schema():
     # the README's INI example plus its comment on the optional sections
     # name every section and key the loader accepts, and no other
-    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "README.md")
-    block = open(readme).read().split("```ini\n", 1)[1].split("```", 1)[0]
+    block = open(README_MD).read().split("```ini\n", 1)[1].split("```", 1)[0]
     parser = configparser.ConfigParser()
     parser.optionxform = str
     parser.read_string(block)

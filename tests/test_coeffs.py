@@ -19,7 +19,6 @@ def violated_fields(report):
 
 
 def test_from_strings_parses_every_field(endemic_c):
-    assert endemic_c.T == 1.0
     assert evaluate(endemic_c.rho, 0.3, 0.1) == 1.0
     assert evaluate(endemic_c.H_u, 0.3, 0.1) == 5.0
     nf = endemic_c.named_fields()
@@ -32,6 +31,9 @@ def test_from_strings_rejects_missing_and_unknown_fields():
         CoefficientSet.from_strings(T=1.0, rho="1")
     with pytest.raises(KeyError):
         make_constants(nu="3")
+    # the period is the grid's, so T is an unknown coefficient too
+    with pytest.raises(KeyError, match="unknown coefficient"):
+        make_constants(T=1.0)
 
 
 def test_robin_weights_become_named_fields(endemic_c, grid):

@@ -18,6 +18,7 @@ import pytest
 from vectorhost import (BoundarySpec, ComponentSpec, InputError,
                         InternalError, LinearPeriodicSystem, NoConvergence,
                         PeriodicOrbit, ReducibleSystemWarning, SolveError,
+                        SolverOptions,
                         apply_period_map, band_edges, build_grid, gamma_rho,
                         lambda_V, lambda_V_eps, parse_expression,
                         principal_eigenvalue, solve_logistic_orbit, zeta)
@@ -158,7 +159,8 @@ def test_period_map_residual_directly(grid):
         grid=grid,
         comps=(ComponentSpec(d=1.0, bc=NEUMANN2),),
         coupling=((parse_expression("1 - 2*x + sin(2*pi*t)"),),))
-    r = principal_eigenvalue(sys_, tol=1e-12, max_iters=5000)
+    r = principal_eigenvalue(sys_, SolverOptions(eigen_tol=1e-12,
+                                                 max_eigen_iters=5000))
     phi0 = r.eigenfunction.level(0, 0)
     (mapped,) = apply_period_map(sys_, (phi0,))
     assert np.max(np.abs(mapped - r.multiplier * phi0)) <= 1e-10
@@ -330,9 +332,17 @@ def test_large_multiplier_converges_within_its_ulp():
 
 
 def test_no_convergence_raises(grid):
-    with pytest.raises(NoConvergence):
-        zeta(make_constants(beta="2 + sin(2*pi*t)"), NEUMANN2, grid,
-             max_iters=1)
+    # one power iteration cannot converge; each named eigenvalue reads the
+    # budget from the options it is passed
+    c, o = make_constants(beta="2 + sin(2*pi*t)"), SolverOptions(max_eigen_iters=1)
+    V = flat_orbit(1.0, grid, NEUMANN2)
+    solves = [lambda: zeta(c, NEUMANN2, grid, o),
+              lambda: gamma_rho(c, NEUMANN1, grid, o),
+              lambda: lambda_V(c, (NEUMANN1, NEUMANN2), grid, V, o),
+              lambda: lambda_V_eps(c, (NEUMANN1, NEUMANN2), grid, V, V, o)]
+    for solve in solves:
+        with pytest.raises(NoConvergence):
+            solve()
 
 
 def test_reducible_system_warns(grid):

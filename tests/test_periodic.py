@@ -168,6 +168,9 @@ def test_band_edges_are_the_shifted_orbit_bit_for_bit(grid):
     with pytest.raises(EpsilonTooLarge, match=r"^V - \|eps\|\*phi reaches -0\.845 "
                        r"\(eps=2\); the band leaves the positive cone$"):
         band_edges(V, phi, 2.0)
+    # a NaN width gives NaN edges, which are not in the positive cone either
+    with pytest.raises(EpsilonTooLarge, match=r"^V - \|eps\|\*phi reaches nan \(eps=nan\)"):
+        band_edges(V, phi, float("nan"))
 
 
 def test_shrink_band_halves_to_the_first_width_band_edges_accepts(grid):
@@ -258,6 +261,16 @@ def test_pair_refused_outside_endemic_regime(grid):
         with pytest.raises(RegimeError, match=message) as err:
             solve_endemic_pair(make_constants(**fields), BCS, grid)
         assert err.value.indeterminate == indeterminate, fields
+
+
+def test_pair_refuses_a_negative_or_nan_eps_before_any_solve(grid, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the band width was checked")
+
+    monkeypatch.setattr(periodic, "solve_logistic_orbit", no_solve)
+    for eps in (-0.1, float("nan")):
+        with pytest.raises(InputError, match="^eps must be nonnegative"):
+            solve_endemic_pair(make_constants(), BCS, grid, SolverOptions(eps=eps))
 
 
 def test_pair_reuses_precomputed_logistic(grid):
