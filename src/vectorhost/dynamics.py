@@ -129,16 +129,17 @@ def classify_regime(c: CoefficientSet, bcs, grid: Grid,
 
 def build_initial_state(grid: Grid, bc1: BoundarySpec, bc2: BoundarySpec,
                         values) -> tuple:
-    """The state at t = 0, a tuple of three component arrays, from three
-    per-component values.
+    """The state at t = 0, a tuple of three component arrays, from three values.
 
     Each entry may be a scalar, an array on the component's node layout
-    (passed through as it is), or an Expression evaluated there at t = 0.
+    (passed through as it is), or an Expression evaluated there at t = 0;
+    InputError names a component with an infinite entry (NaN is left to
+    verify's positivity check and the stepper's blow-up check).
     """
     if len(values) != 3:
         raise InputError("expected three initial components (H_i, V_u, V_i)")
     comps = []
-    for bc, v in zip((bc1, bc2, bc2), values):
+    for i, (bc, v) in enumerate(zip((bc1, bc2, bc2), values)):
         nodes = grid.nodes_for(bc)
         if isinstance(v, Expression):
             arr = np.array(field_values(v, nodes, 0.0), dtype=float)
@@ -149,6 +150,8 @@ def build_initial_state(grid: Grid, bc1: BoundarySpec, bc2: BoundarySpec,
         if arr.shape != nodes.shape:
             raise InputError(
                 f"initial component has shape {arr.shape}, layout needs {nodes.shape}")
+        if np.isinf(arr).any():
+            raise InputError(f"initial component {i} must be finite, has an infinite entry")
         comps.append(arr)
     return tuple(comps)
 

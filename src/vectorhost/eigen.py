@@ -52,7 +52,9 @@ _FILL_LEVELS = 64
 class SolverOptions:
     """Numerical knobs shared by the classification pipeline.
 
-    eps is the first rung of the endemic pair's band ladder."""
+    eps is the first rung of the endemic pair's band ladder.  InputError,
+    naming the field, unless eps >= 0 and every other option but n_periods
+    and sample_stride (check_trajectory's) is positive; NaN fails both."""
 
     eigen_tol: float = 1e-10
     max_eigen_iters: int = 10000
@@ -64,6 +66,14 @@ class SolverOptions:
     n_periods: int = 40
     sample_stride: int = 8
     target: float = 1e-3
+
+    def __post_init__(self):
+        for name in ("eigen_tol", "max_eigen_iters", "orbit_tol", "max_periods",
+                     "band", "blowup_cap", "target"):
+            if not getattr(self, name) > 0:  # written so that NaN fails too
+                raise InputError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.eps >= 0.0:
+            raise InputError("eps must be nonnegative (the band is applied as +/-)")
 
 
 # ═══════════════════════════════════════════════════════════════════════════

@@ -90,7 +90,7 @@ def build_grid(x_left: float, x_right: float, nx: int, T: float,
 
     Raises:
         DomainError: if x_left >= x_right, an endpoint is not finite,
-            nx < 3, T <= 0, or steps_per_period < 8.
+            nx < 3, T is not finite and positive, or steps_per_period < 8.
     """
     if not x_left < x_right:
         raise DomainError(f"need x_left < x_right, got ({x_left}, {x_right})")
@@ -98,8 +98,8 @@ def build_grid(x_left: float, x_right: float, nx: int, T: float,
         raise DomainError(f"need finite x_left and x_right, got ({x_left}, {x_right})")
     if nx < 3:
         raise DomainError(f"need nx >= 3, got {nx}")
-    if not T > 0:
-        raise DomainError(f"need T > 0, got {T}")
+    if not 0 < T < np.inf:
+        raise DomainError(f"need finite T > 0, got {T}")
     if steps_per_period < 8:
         raise DomainError(f"need steps_per_period >= 8, got {steps_per_period}")
     return Grid(float(x_left), float(x_right), int(nx), float(T), int(steps_per_period))

@@ -325,8 +325,6 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
     """
     bc1, bc2 = bcs
     eps, tol, band = o.eps, o.orbit_tol, o.band
-    if not eps >= 0.0:  # written so that NaN fails too
-        raise InputError("eps must be nonnegative (the band is applied as +/-)")
     if logistic is None:
         logistic = solve_logistic_orbit(c, bc2, grid, o)
     rz, V = logistic.zeta_result, logistic.orbit

@@ -11,7 +11,7 @@ explicitly at time t.  prepare() reads every coefficient once, through
 Grid.lattice on a component's layout at the m solver levels of [0, T),
 factors every state-independent implicit matrix there once (LAPACK
 gttrf), and scales by dt once the lattices a step multiplies by dt first
-(beta, sigma1*H_u, linear couplings and sources): dt*w*x evaluates as
+(beta, sigma1*H_u, the host profile's source): dt*w*x evaluates as
 (dt*w)*x, so no bit moves; it keeps each lattice as a list of per-level
 rows, which a step indexes faster than a 2-D array.  Each step of "full"
 and "logistic" builds the diagonals of the state-dependent vector matrix
@@ -44,7 +44,7 @@ Model selectors: "full" (host + two vector components), "logistic" (the
 scalar total-vector equation), "truncated" (the two-component reduced
 system driven by the two edge orbits of a band around the carrying orbit,
 periodic.band_edges; the edges swapped give the auxiliary comparison
-variant).
+variant).  A LinearPeriodicSystem steps as the host profile's affine step.
 """
 
 from __future__ import annotations
@@ -84,6 +84,8 @@ class LinearPeriodicSystem:
     source, if present, is one field per component.  A field is anything
     coeffs.field_lattice reads: an Expression, a number, or an array of
     shape (m, n_i) over the solver levels and the nodes of component i.
+    The stepper takes one component with a source (the host profile of
+    periodic.solve_Hbar), eigen homogeneous systems of any size.
     """
 
     grid: Grid
@@ -95,8 +97,6 @@ class LinearPeriodicSystem:
         n = len(self.comps)
         if len(self.coupling) != n or any(len(row) != n for row in self.coupling):
             raise InputError(f"coupling must be {n}x{n}")
-        if self.source is not None and len(self.source) != n:
-            raise InputError("source length must match component count")
 
 
 @dataclass
@@ -228,42 +228,26 @@ def _raise_past_cap(arrays, cap: float, hint: str = "") -> None:
 
 
 class _PreparedLinear:
-    """Implicit matrices and dt-scaled coupling/source lattices for one
-    system, each a list of per-level rows."""
+    """The host profile's affine step: one component, decay -coupling[0][0]
+    on the factored implicit diagonal, the dt-scaled source explicit."""
 
     def __init__(self, sys: LinearPeriodicSystem):
-        g = sys.grid
-        ts = g.level_times()
-        self.sys = sys
-        self.dt_coupling = [[None if f is None or j == i else list(g.dt * g.lattice(f, comp.bc))
-                             for j, f in enumerate(row)]
-                            for i, (comp, row) in enumerate(zip(sys.comps, sys.coupling))]
-        self.dt_src = [None] * len(sys.comps) if sys.source is None else \
-            [list(g.dt * g.lattice(f, comp.bc)) for comp, f in zip(sys.comps, sys.source)]
-        self.lu = []        # [i][j] factor of component i's implicit matrix at level j
-        for i, comp in enumerate(sys.comps):
-            decay = sys.coupling[i][i]
-            D = assemble_diffusion(g, comp.d, comp.bc, ts)
-            self.lu.append(_factored(D, g.dt, 0.0 if decay is None
-                                     else -g.lattice(decay, comp.bc)))
+        if len(sys.comps) != 1 or len(sys.source or ()) != 1:
+            raise InputError("the stepper takes a linear system of one component "
+                             "with one source (the host profile's affine step)")
+        g, (comp,), ((decay,),), (src,) = sys.grid, sys.comps, sys.coupling, sys.source
+        self.m = g.steps_per_period
+        self.dt_src = list(g.dt * g.lattice(src, comp.bc))
+        self.lu = _factored(assemble_diffusion(g, comp.d, comp.bc, g.level_times()), g.dt,
+                            0.0 if decay is None else -g.lattice(decay, comp.bc))
 
     def advance(self, u: tuple, k0: int, k1: int) -> tuple:
-        """Component arrays at step k0 -> component arrays at step k1."""
-        m = self.sys.grid.steps_per_period
-        bcs = [comp.bc for comp in self.sys.comps]
+        """The host profile at step k0 -> at step k1."""
+        m, lu, dt_src = self.m, self.lu, self.dt_src
+        (H,) = u
         for k in range(k0, k1):
-            j0, j1 = k % m, (k + 1) % m
-            new = []
-            for i, bc in enumerate(bcs):
-                rhs = u[i].copy()
-                for jc, w in enumerate(self.dt_coupling[i]):
-                    if w is not None:
-                        rhs += w[j0] * map_between(u[jc], bcs[jc], bc)
-                if self.dt_src[i] is not None:
-                    rhs += self.dt_src[i][j0]
-                new.append(_solve(self.lu[i][j1], rhs))
-            u = tuple(new)
-        return u
+            H = _solve(lu[(k + 1) % m], H + dt_src[k % m])
+        return (H,)
 
 
 class _PreparedModel:

@@ -17,9 +17,8 @@ from vectorhost import (BoundarySpec, ComponentSpec, LinearPeriodicSystem,
                         gamma_rho, integrate_trajectory, lambda_V,
                         parse_expression, sandwich_check,
                         solve_logistic_orbit, verify_trichotomy, zeta)
-from conftest import make_constants
+from conftest import make_constants, order_preservation_margin
 from test_cli import BASE
-from test_stepper import check_comparison_principle
 
 NEU1 = BoundarySpec.neumann(1)
 NEU2 = BoundarySpec.neumann(2)
@@ -236,7 +235,8 @@ def test_criterion_09_stepper_positivity_comparison_reduction():
         lowest = min(lowest, min(float(np.min(s)) for s in traj.samples))
     assert lowest >= -1e-12
 
-    assert check_comparison_principle(20, seed=1234, grid=g) >= -1e-12
+    for bcs in ((NEU1, NEU2), (BoundarySpec.dirichlet(1), BoundarySpec.robin(2, 0.5, 1.5))):
+        assert order_preservation_margin(bcs, seed=1234) >= -1e-12
 
     c2 = make_constants(beta="2 + sin(2*pi*t)")
     full = NonlinearModel(kind="full", c=c2, bc1=NEU1, bc2=NEU2, grid=g)

@@ -226,6 +226,14 @@ def test_verify_rejects_nan_initial_data(monkeypatch, endemic_c, neumann_bcs, gr
         endemic_c, neumann_bcs, grid31, initial=(np.nan, 0.5, 0.1))
 
 
+def test_verify_refuses_an_infinite_initial_value(monkeypatch, endemic_c, neumann_bcs,
+                                                  grid31):
+    # inf passes the interior positivity check, so build_initial_state refuses it
+    refused_before_classifying(
+        monkeypatch, InputError, r"^initial component 0 must be finite",
+        endemic_c, neumann_bcs, grid31, initial=(np.inf, 0.5, 0.1))
+
+
 def test_verify_disease_free_passes(disease_free_c, neumann_bcs, grid31):
     cr = verify_trichotomy(disease_free_c, neumann_bcs, grid31, initial=(1.0, 1.0, 1.0))
     assert cr.verdict == "PASS"

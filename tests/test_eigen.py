@@ -48,6 +48,17 @@ def grid():
     return build_grid(0.0, 1.0, 15, 1.0, 128)
 
 
+@pytest.mark.parametrize("field, value", [
+    (f, v) for f in ("eigen_tol", "max_eigen_iters", "orbit_tol", "max_periods", "band",
+                     "blowup_cap", "target") for v in (math.nan, 0)]
+    + [("eps", math.nan), ("eps", -1.0)])
+def test_solver_options_refuse_out_of_range_values(field, value):
+    # NaN fails every "> 0" as well: each would otherwise run on, to a
+    # budget or a misleading error, before anything names the option
+    with pytest.raises(InputError, match=f"^{field} must be"):
+        SolverOptions(**{field: value})
+
+
 def test_constant_zeta_and_gamma(grid):
     c = make_constants(beta="1", mu1="2")
     r = zeta(c, NEUMANN2, grid)

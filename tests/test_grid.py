@@ -24,6 +24,13 @@ def test_build_grid_validates_inputs():
         build_grid(0.0, 1.0, 31, 1.0, 4)
 
 
+def test_build_grid_refuses_a_non_finite_period():
+    # dt would be inf or NaN, and the first solve would blame a coefficient
+    for T in (math.inf, math.nan):
+        with pytest.raises(DomainError, match=f"need finite T > 0, got {T}"):
+            build_grid(0.0, 1.0, 7, T, 16)
+
+
 def test_grid_geometry():
     g = build_grid(0.0, 2.0, 7, 0.5, 16)
     assert g.h == pytest.approx(0.25)

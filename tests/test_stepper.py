@@ -2,9 +2,9 @@
 
 The implicit side (diffusion and diagonal decay) produces an M-matrix, so
 the step is order preserving and sign preserving by construction; these
-tests pin that down along with the first-order accuracy in dt and the
-exact agreement between the total vector of the full model and the
-logistic scalar model.
+tests pin that down on the maps the orbit solvers iterate, along with the
+first-order accuracy in dt and the exact agreement between the total
+vector of the full model and the logistic scalar model.
 """
 
 import warnings
@@ -20,56 +20,10 @@ from vectorhost import (BlowupError, BoundarySpec, ComponentSpec, DomainError,
                         integrate_trajectory, map_between, parse_expression,
                         prepare, solve_logistic_orbit, stepper, zeta)
 from vectorhost.grid import DiffusionMatrix
-from conftest import make_constants
+from conftest import make_constants, order_preservation_margin
 
 NEUMANN = (BoundarySpec.neumann(1), BoundarySpec.neumann(2))
-
-
-def random_cooperative_system(rng, grid, ncomp=2):
-    """Cooperative linear system with random coefficients.
-
-    Off-diagonal coupling is nonnegative; diagonals may have either sign;
-    diffusion varies in space, coupling in space and time.
-    """
-    flavors = [BoundarySpec.dirichlet, BoundarySpec.neumann]
-    comps = []
-    for i in range(ncomp):
-        a, b = rng.uniform(0.2, 2.0, size=2)
-        d = parse_expression(f"{a:.6f} + {b:.6f}*x*x")
-        comps.append(ComponentSpec(d=d, bc=flavors[rng.integers(2)](1 + (i % 2))))
-    coupling = []
-    for i in range(ncomp):
-        row = []
-        for j in range(ncomp):
-            lo = -1.5 if i == j else 0.0  # off-diagonals must stay >= 0
-            c0 = rng.uniform(lo, 1.5)
-            c1 = rng.uniform(0.0, 0.5)
-            row.append(parse_expression(
-                f"{c0:.6f} + {c1:.6f}*(1 + sin(2*pi*t))*x" if c0 >= 0 else
-                f"{c0:.6f} + {c1:.6f}*x"))
-        coupling.append(tuple(row))
-    return LinearPeriodicSystem(grid=grid, comps=tuple(comps),
-                                coupling=tuple(coupling))
-
-
-def check_comparison_principle(n_systems, seed, grid):
-    """Shared with the acceptance gate: ordered states stay ordered."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_systems):
-        sys_ = random_cooperative_system(rng, grid)
-        los, his = [], []
-        for comp in sys_.comps:
-            n = grid.n_unknowns(comp.bc)
-            lo = rng.uniform(0.0, 1.0, size=n)
-            los.append(lo)
-            his.append(lo + rng.uniform(0.0, 1.0, size=n))
-        ulo = integrate_over_period(sys_, tuple(los))
-        uhi = integrate_over_period(sys_, tuple(his))
-        gap = min(float(np.min(b - a))
-                  for a, b in zip(ulo, uhi))
-        worst = min(worst, gap)
-    return worst
+DIRICHLET_ROBIN = (BoundarySpec.dirichlet(1), BoundarySpec.robin(2, 0.5, 1.5))
 
 
 @pytest.fixture(scope="module")
@@ -100,9 +54,28 @@ def test_positivity_from_random_nonnegative_data(grid):
         assert lowest >= -1e-12
 
 
-def test_comparison_principle_on_random_cooperative_systems(grid):
-    worst = check_comparison_principle(20, seed=1234, grid=grid)
-    assert worst >= -1e-12
+@pytest.mark.parametrize("bcs", [NEUMANN, DIRICHLET_ROBIN],
+                         ids=["neumann-neumann", "dirichlet-robin"])
+def test_period_maps_are_monotone_and_sublinear(bcs):
+    assert order_preservation_margin(bcs, seed=1234) >= -1e-12
+
+
+def test_linear_systems_step_only_as_the_host_profile(grid):
+    # the stepper takes one component with a source; eigen takes the rest
+    d, decay, src = 1.0, parse_expression("-1"), parse_expression("2")
+    two = LinearPeriodicSystem(
+        grid=grid, comps=(ComponentSpec(d=d, bc=NEUMANN[0]), ComponentSpec(d=d, bc=NEUMANN[1])),
+        coupling=((decay, None), (None, decay)), source=(src, src))
+    sourceless = LinearPeriodicSystem(
+        grid=grid, comps=(ComponentSpec(d=d, bc=NEUMANN[0]),), coupling=((decay,),))
+    two_sources = LinearPeriodicSystem(
+        grid=grid, comps=(ComponentSpec(d=d, bc=NEUMANN[0]),), coupling=((decay,),),
+        source=(src, src))
+    for system in (two, sourceless, two_sources):
+        with pytest.raises(InputError, match="one component with one source"):
+            prepare(system)
+        with pytest.raises(InputError, match="one component with one source"):
+            integrate_over_period(system, tuple(np.ones(33) for _ in system.comps))
 
 
 def test_total_vector_reduces_to_logistic_exactly(grid):
@@ -392,12 +365,10 @@ class ReferenceSteps:
             ab[..., 2, :-1] = -g.dt * D.lower
             return ab
 
-        if isinstance(system, LinearPeriodicSystem):
-            self.w = [[None if f is None else g.lattice(f, comp.bc) for f in row]
-                      for comp, row in zip(system.comps, system.coupling)]
-            self.src = [g.lattice(f, comp.bc) for comp, f in zip(system.comps, system.source)]
-            self.ab = [banded(comp.d, comp.bc, -self.w[i][i])
-                       for i, comp in enumerate(system.comps)]
+        if isinstance(system, LinearPeriodicSystem):    # the host profile
+            (comp,), ((decay,),), (src,) = system.comps, system.coupling, system.source
+            self.src = g.lattice(src, comp.bc)
+            self.ab = banded(comp.d, comp.bc, -g.lattice(decay, comp.bc))
             return
         c, bc1, bc2 = system.c, system.bc1, system.bc2
         self.ab2 = banded(c.d2, bc2)
@@ -423,15 +394,7 @@ class ReferenceSteps:
         s, dt, solve = self.system, self.dt, self.solve
         j0, j1 = k % self.m, (k + 1) % self.m
         if isinstance(s, LinearPeriodicSystem):
-            new = []
-            for i, comp in enumerate(s.comps):
-                rhs = u[i].copy()
-                for jc, w in enumerate(self.w[i]):
-                    if w is not None and jc != i:
-                        rhs += dt * w[j0] * map_between(u[jc], s.comps[jc].bc, comp.bc)
-                rhs += dt * self.src[i][j0]
-                new.append(solve(self.ab[i][j1], rhs))
-            return tuple(new)
+            return (solve(self.ab[j1], u[0] + dt * self.src[j0]),)
         if s.kind == "logistic":
             (V,) = u
             return (solve(self.vector_matrix(j1, V), V + dt * self.beta[j0] * V),)
@@ -464,12 +427,13 @@ def _systems(bcs):
     upper, lower = band_edges(V, zeta(c, bc2, g).eigenfunction, 0.05)
     h0 = np.linspace(0.5, 1.5, g.n_unknowns(bc1))
     v0 = V.level(0, 0)
-    linear = LinearPeriodicSystem(
-        grid=g, comps=(ComponentSpec(d=parse_expression("1 + x"), bc=bc1),
-                       ComponentSpec(d=0.5, bc=bc2)),
-        coupling=((parse_expression("-1 - 0.5*sin(2*pi*t)"), parse_expression("0.7*x")),
-                  (parse_expression("0.4 + 0.2*cos(2*pi*t)"), parse_expression("-2"))),
-        source=(parse_expression("1 + sin(2*pi*t)*x"), parse_expression("0.5")))
+    # the host profile's system, its source as periodic.solve_Hbar builds it
+    # on a band's upper edge, its removal rate seasonal
+    host = LinearPeriodicSystem(
+        grid=g, comps=(ComponentSpec(d=c.d1, bc=bc1),),
+        coupling=((parse_expression("-1 - 0.5*sin(2*pi*t)"),),),
+        source=(g.lattice(c.sigma1, bc1) * g.lattice(c.H_u, bc1)
+                * map_between(upper.lattice(), bc2, bc1),))
 
     def model(kind, **kw):
         return NonlinearModel(kind=kind, c=c, bc1=bc1, bc2=bc2, grid=g, **kw)
@@ -480,12 +444,11 @@ def _systems(bcs):
         (model("truncated", upper=V, lower=V), (h0, 0.3 * v0)),
         (model("truncated", upper=upper, lower=lower), (h0, 0.3 * v0)),
         (model("truncated", upper=lower, lower=upper), (h0, 0.3 * v0)),
-        (linear, (h0, v0)),
+        (host, (h0,)),
     ]
 
 
-@pytest.mark.parametrize("bcs", [NEUMANN, (BoundarySpec.dirichlet(1),
-                                           BoundarySpec.robin(2, 0.5, 1.5))],
+@pytest.mark.parametrize("bcs", [NEUMANN, DIRICHLET_ROBIN],
                          ids=["neumann-neumann", "dirichlet-robin"])
 def test_stepping_loops_match_the_step_formulas_bit_for_bit(bcs):
     g, cases = _systems(bcs)
@@ -553,7 +516,8 @@ def test_full_step_one_solve_matches_two_solves_bit_for_bit(bcs):
 def test_one_period_map_makes_the_solves_the_benchmark_counts(monkeypatch):
     # the benchmark counts solved columns per step from the model kind:
     # 1 logistic, 2 truncated, 3 full, one per component of a linear
-    # system; "full" solves its two vector columns in one call
+    # system (the host profile has one); "full" solves its two vector
+    # columns in one call
     g, cases = _systems(NEUMANN)
     real, calls, columns = stepper._solve, [0], [0]
 
