@@ -14,19 +14,18 @@ from .coeffs import (COEFFICIENT_FIELDS, CoefficientSet, Expression,
 from .config import RunConfig, SweepSettings, load_config, substituted_coeffs
 from .dynamics import (DISEASE_FREE, ENDEMIC, EXTINCTION, INDETERMINATE,
                        ConvergenceReport, RegimeReport, build_initial_state,
-                       classify_regime, sandwich_check, verify_trichotomy)
+                       classify_regime, verify_trichotomy)
 from .eigen import (EigenResult, PeriodicOrbit, SolverOptions, apply_period_map,
-                    gamma_rho, lambda_V, lambda_V_eps, principal_eigenvalue, zeta)
+                    gamma_rho, lambda_V, principal_eigenvalue, zeta)
 from .errors import (BlowupError, CoefficientError, ConfigError, DomainError,
-                     EpsilonTooLarge, EvalError, GapError, InputError,
+                     EvalError, GapError, InputError,
                      InternalError, NoConvergence, NonUniqueOrbit, ParseError,
                      RegimeError, ReducibleSystemWarning, SolveError,
                      VectorHostError)
 from .grid import (BoundarySpec, Grid, assemble_diffusion, build_grid,
                    map_between)
-from .periodic import (EndemicPairResult, LogisticOrbitResult, band_edges,
-                       shrink_band, solve_Hbar, solve_endemic_pair,
-                       solve_logistic_orbit)
+from .periodic import (EndemicPairResult, LogisticOrbitResult, solve_Hbar,
+                       solve_endemic_pair, solve_logistic_orbit)
 from .stepper import (ComponentSpec, LinearPeriodicSystem, NonlinearModel,
                       Trajectory, integrate_over_period, integrate_trajectory,
                       prepare)
@@ -44,19 +43,19 @@ __all__ = [
     # dynamics and classification
     "DISEASE_FREE", "ENDEMIC", "EXTINCTION", "INDETERMINATE",
     "ConvergenceReport", "RegimeReport", "build_initial_state",
-    "classify_regime", "sandwich_check", "verify_trichotomy",
+    "classify_regime", "verify_trichotomy",
     # eigenvalues and solver options
     "EigenResult", "PeriodicOrbit", "SolverOptions", "apply_period_map",
-    "gamma_rho", "lambda_V", "lambda_V_eps", "principal_eigenvalue", "zeta",
+    "gamma_rho", "lambda_V", "principal_eigenvalue", "zeta",
     # errors
     "BlowupError", "CoefficientError", "ConfigError", "DomainError",
-    "EpsilonTooLarge", "EvalError", "GapError", "InputError", "InternalError",
+    "EvalError", "GapError", "InputError", "InternalError",
     "NoConvergence", "NonUniqueOrbit", "ParseError", "RegimeError",
     "ReducibleSystemWarning", "SolveError", "VectorHostError",
     # mesh and boundary operators
     "BoundarySpec", "Grid", "assemble_diffusion", "build_grid", "map_between",
     # periodic orbits
-    "EndemicPairResult", "LogisticOrbitResult", "band_edges", "shrink_band",
+    "EndemicPairResult", "LogisticOrbitResult",
     "solve_Hbar", "solve_endemic_pair", "solve_logistic_orbit",
     # time stepping
     "ComponentSpec", "LinearPeriodicSystem", "NonlinearModel", "Trajectory",

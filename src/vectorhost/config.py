@@ -28,18 +28,17 @@ from .stepper import check_trajectory
 __all__ = ["SweepSettings", "RunConfig", "load_config", "substituted_coeffs"]
 
 
-def _finite(raw, sign=None):
-    """A finite float; sign "positive" or "nonnegative" also bounds it."""
+def _finite(raw, positive=False):
+    """A finite float, and with positive set a float above zero."""
     v = float(raw)
     if not math.isfinite(v):  # NaN fails too
         raise ConfigError(f"must be finite, got {v}")
-    if sign and (v < 0 or v == 0 and sign == "positive"):
-        raise ConfigError(f"must be {sign}, got {v}")
+    if positive and v <= 0:
+        raise ConfigError(f"must be positive, got {v}")
     return v
 
 
-_positive = functools.partial(_finite, sign="positive")
-_nonnegative = functools.partial(_finite, sign="nonnegative")
+_positive = functools.partial(_finite, positive=True)
 
 
 def _count(raw):
@@ -77,7 +76,6 @@ _OPTIONS = {
     "max_eigen_iters": ("solver", _count),
     "max_periods": ("solver", _count),
     "blowup_cap": ("solver", _positive),
-    "eps": ("solver", _nonnegative),
     "n_periods": ("run", _count),
     "sample_stride": ("run", _count),
     "target": ("run", _positive),

@@ -8,14 +8,12 @@ sign cannot be trusted at solver resolution.
 
 verify_trichotomy integrates the full model and measures per-period sup
 distances to the classified attractor, integrating in a worker process
-while it classifies when two CPUs are usable; sandwich_check returns the
-period N from which the total vector population stays in the +/- eps*phi
-band around the carrying orbit, or None if it never enters for good.
+while it classifies when two CPUs are usable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,15 +22,14 @@ from .coeffs import CoefficientSet, Expression, field_values
 from .eigen import EigenResult, PeriodicOrbit, SolverOptions, lambda_V
 from .errors import InputError
 from .grid import BoundarySpec, Grid
-from .periodic import (EndemicPairResult, LogisticOrbitResult, band_edges, band_sign,
+from .periodic import (EndemicPairResult, LogisticOrbitResult, band_sign,
                        solve_endemic_pair, solve_logistic_orbit)
 from .stepper import (NonlinearModel, Trajectory, check_trajectory,
                       integrate_trajectory)
 
 __all__ = [
     "RegimeReport", "ConvergenceReport",
-    "classify_regime", "verify_trichotomy", "sandwich_check",
-    "build_initial_state",
+    "classify_regime", "verify_trichotomy", "build_initial_state",
     "EXTINCTION", "DISEASE_FREE", "ENDEMIC", "INDETERMINATE",
 ]
 
@@ -52,9 +49,7 @@ class RegimeReport:
     zeta and lambda_V read logistic and lambda_V_result; lambda_V is None
     whenever the carrying orbit is zero (no state to invade).  attractor is
     a three-component orbit (host infected, vector uninfected, vector
-    infected) or None for INDETERMINATE; with eps > 0 in the options the
-    endemic attractor is the band envelope, not the orbit itself
-    (verify_trichotomy classifies at eps = 0 and measures against the orbit).
+    infected) or None for INDETERMINATE.
     """
 
     regime: str
@@ -96,7 +91,7 @@ def classify_regime(c: CoefficientSet, bcs, grid: Grid,
     lambda(V) is solved only when zeta <= -band, and the one threshold
     that decides is read through band_sign: inside +/- band the report
     says INDETERMINATE and carries no attractor.  Endemic attractors come
-    from the two-sided pair construction (eps taken from the options).
+    from the two-sided pair construction.
     """
     bc1, bc2 = bcs
     m = grid.steps_per_period
@@ -133,8 +128,7 @@ def build_initial_state(grid: Grid, bc1: BoundarySpec, bc2: BoundarySpec,
 
     Each entry may be a scalar, an array on the component's node layout
     (passed through as it is), or an Expression evaluated there at t = 0;
-    InputError names a component with an infinite entry (NaN is left to
-    verify's positivity check and the stepper's blow-up check).
+    InputError names a component with a NaN or infinite entry.
     """
     if len(values) != 3:
         raise InputError("expected three initial components (H_i, V_u, V_i)")
@@ -150,8 +144,8 @@ def build_initial_state(grid: Grid, bc1: BoundarySpec, bc2: BoundarySpec,
         if arr.shape != nodes.shape:
             raise InputError(
                 f"initial component has shape {arr.shape}, layout needs {nodes.shape}")
-        if np.isinf(arr).any():
-            raise InputError(f"initial component {i} must be finite, has an infinite entry")
+        if not np.isfinite(arr).all():
+            raise InputError(f"initial component {i} must be finite, has a NaN or infinite entry")
         comps.append(arr)
     return tuple(comps)
 
@@ -203,10 +197,9 @@ def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid, initial=None,
     o.orbit_tol), is below one: the orbit solvers stop once successive
     periods agree within orbit_tol, so a smaller distance measures the
     attractor's own error, not whether the trajectory still converges.
-    The regime is classified at eps = 0 whatever the options' eps, so one
-    endemic pair is solved and its orbit is the attractor.  initial is
-    read by build_initial_state (a state tuple passes through), default
-    DEFAULT_INITIAL; it must be strictly positive at interior nodes.
+    initial is read by build_initial_state (a state tuple passes
+    through), default DEFAULT_INITIAL; it must be strictly positive at
+    interior nodes.
     Every input (n_periods and sample_stride through check_trajectory,
     then the initial state) is checked before anything is solved.
     The trajectory does not depend on the regime, so when the fork rule
@@ -223,7 +216,7 @@ def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid, initial=None,
     run = (model, u0, n_periods, o.sample_stride)
     worker = Worker(_measured, *run) if usable_cpus() >= 2 else None
     try:
-        report = classify_regime(c, bcs, grid, replace(o, eps=0.0))
+        report = classify_regime(c, bcs, grid, o)
         if report.regime == INDETERMINATE:
             return ConvergenceReport(
                 regime=INDETERMINATE, errors=(), ratios=(), final_error=float("nan"),
@@ -245,25 +238,3 @@ def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid, initial=None,
         regime=report.regime, errors=tuple(errors), ratios=tuple(ratios),
         final_error=final, median_ratio=med, verdict=verdict, regime_report=report)
 
-
-def sandwich_check(V: PeriodicOrbit, phi: PeriodicOrbit, eps: float,
-                   trajectory: Trajectory) -> int | None:
-    """Smallest period N after which the total vector stays inside
-    [V - eps*phi, V + eps*phi] at every stored sample; None when the band
-    is never entered for good (or the carrying orbit is zero).  The edges
-    come from band_edges (EpsilonTooLarge outside the positive cone).
-    """
-    if not eps > 0.0:  # written so that NaN fails too
-        raise InputError("the sandwich band needs eps > 0")
-    m = trajectory.grid.steps_per_period
-    n_total = trajectory.n_periods
-    N = n_total + 1  # not entered
-    if V.sup_norm() > 0.0:
-        slack = 1e-12 * max(1.0, V.sup_norm() + eps * phi.sup_norm())
-        k = trajectory.steps % m
-        hi, lo = (edge.level(0, k) for edge in band_edges(V, phi, eps))
-        W = trajectory.samples[1] + trajectory.samples[2]
-        bad = (np.min(W - lo, axis=1) < -slack) | (np.max(W - hi, axis=1) > slack)
-        # the period after the last sample outside the band
-        N = int(trajectory.steps[bad][-1]) // m + 1 if bad.any() else 0
-    return None if N > n_total else N

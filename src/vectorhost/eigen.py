@@ -16,9 +16,7 @@ first-order IMEX for its positivity and ordering guarantees.  Eigenpairs
 returned here satisfy apply_period_map(system, phi0) ~ r * phi0.
 
 Named eigenvalues: zeta (vector growth threshold), gamma_rho (host decay
-rate), lambda_V (invasion exponent of the disease-free orbit), and
-lambda_V_eps (its band-shifted perturbation, read from the two edge
-orbits that periodic.band_edges forms).
+rate), and lambda_V (invasion exponent of the disease-free orbit).
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from .stepper import DEFAULT_BLOWUP_CAP, ComponentSpec, LinearPeriodicSystem
 
 __all__ = [
     "PeriodicOrbit", "EigenResult", "principal_eigenvalue", "apply_period_map",
-    "zeta", "gamma_rho", "lambda_V", "lambda_V_eps", "SolverOptions",
+    "zeta", "gamma_rho", "lambda_V", "SolverOptions",
 ]
 
 # coupling entries below this are treated as cooperativity violations
@@ -52,9 +50,8 @@ _FILL_LEVELS = 64
 class SolverOptions:
     """Numerical knobs shared by the classification pipeline.
 
-    eps is the first rung of the endemic pair's band ladder.  InputError,
-    naming the field, unless eps >= 0 and every other option but n_periods
-    and sample_stride (check_trajectory's) is positive; NaN fails both."""
+    InputError, naming the field, unless every option but n_periods and
+    sample_stride (check_trajectory's) is positive; NaN fails too."""
 
     eigen_tol: float = 1e-10
     max_eigen_iters: int = 10000
@@ -62,7 +59,6 @@ class SolverOptions:
     max_periods: int = 500
     band: float = 1e-3
     blowup_cap: float = DEFAULT_BLOWUP_CAP
-    eps: float = 0.0
     n_periods: int = 40
     sample_stride: int = 8
     target: float = 1e-3
@@ -72,8 +68,6 @@ class SolverOptions:
                      "band", "blowup_cap", "target"):
             if not getattr(self, name) > 0:  # written so that NaN fails too
                 raise InputError(f"{name} must be positive, got {getattr(self, name)}")
-        if not self.eps >= 0.0:
-            raise InputError("eps must be nonnegative (the band is applied as +/-)")
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -400,35 +394,24 @@ def _check_orbit_for_linearisation(V: PeriodicOrbit, grid: Grid) -> None:
         raise InputError(f"orbit has negative entries (min {V.min_value():.3g})")
 
 
-def _invasion_system(c: CoefficientSet, bcs, grid: Grid, coupling,
-                     decay) -> LinearPeriodicSystem:
-    """The 2x2 linearisation; coupling and decay are orbit lattices of
-    shape (m, n2) on the vector layout."""
+def _invasion_system(c: CoefficientSet, bcs, grid: Grid, V) -> LinearPeriodicSystem:
+    """The 2x2 linearisation about the orbit lattice V, of shape (m, n2) on
+    the vector layout, which is both the infection coupling and the decay."""
     bc1, bc2 = bcs
     L = grid.lattice
+    V = L(V, bc2)
     return LinearPeriodicSystem(
         grid=grid,
         comps=(ComponentSpec(d=c.d1, bc=bc1), ComponentSpec(d=c.d2, bc=bc2)),
         coupling=((-L(c.rho, bc1), L(c.sigma1, bc1) * L(c.H_u, bc1)),
-                  (L(c.sigma2, bc2) * L(coupling, bc2),
-                   -(L(c.mu1, bc2) + L(c.mu2, bc2) * L(decay, bc2)))))
+                  (L(c.sigma2, bc2) * V, -(L(c.mu1, bc2) + L(c.mu2, bc2) * V))))
 
 
 def lambda_V(c: CoefficientSet, bcs, grid: Grid, V: PeriodicOrbit,
              o: SolverOptions = SolverOptions()) -> EigenResult:
     """Invasion exponent of the disease-free state carrying vector orbit V:
-    lambda_V_eps with both edges V.  Negative values mean the infection
-    invades."""
-    return lambda_V_eps(c, bcs, grid, V, V, o)
-
-
-def lambda_V_eps(c: CoefficientSet, bcs, grid: Grid, upper: PeriodicOrbit,
-                 lower: PeriodicOrbit, o: SolverOptions = SolverOptions()) -> EigenResult:
-    """Band-shifted invasion exponent: principal eigenvalue of the
-    two-component linearisation (host removal rho with source sigma1*H_u;
-    vector infection sigma2*upper with decay mu1 + mu2*lower), upper and
-    lower being the edges of a band around the carrying orbit."""
-    for orbit in (upper, lower):
-        _check_orbit_for_linearisation(orbit, grid)
-    sys = _invasion_system(c, bcs, grid, upper.lattice(), lower.lattice())
-    return principal_eigenvalue(sys, o)
+    principal eigenvalue of the two-component linearisation (host removal
+    rho with source sigma1*H_u; vector infection sigma2*V with decay
+    mu1 + mu2*V).  Negative values mean the infection invades."""
+    _check_orbit_for_linearisation(V, grid)
+    return principal_eigenvalue(_invasion_system(c, bcs, grid, V.lattice()), o)

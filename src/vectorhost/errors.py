@@ -93,10 +93,6 @@ class RegimeError(VectorHostError):
         self.indeterminate = indeterminate
 
 
-class EpsilonTooLarge(VectorHostError):
-    """Perturbation size breaks the required positivity margin."""
-
-
 class ReducibleSystemWarning(UserWarning):
     """Principal eigenfunction has interior zeros: the cooperative system
     is reducible and the Perron structure is degenerate."""

@@ -9,19 +9,15 @@ solve_Hbar iterates the affine host equation driven by one vector orbit;
 the host decay rate makes the period map a contraction.
 
 solve_endemic_pair runs the classical two-sided scheme on the truncated
-infection system: an upper seed built from the host profile and the upper
-band edge, a lower seed proportional to the invasion eigenfunction, both
-iterated until they meet.  One gate refuses it unless zeta and then
-lambda(V) lie below the decision band.  The band width eps is halved until
-admissible (band_edges, the one home of the edges V +/- eps*phi, keeps
-them positive; then the quadratic band inequality, a strictly negative
-shifted invasion exponent and certified first-step monotonicity).  Its
-result keeps the upper limit as one (H_i, V_i) orbit and the logistic
-result it was built on.
+infection system: an upper seed built from the host profile and the
+carrying orbit, a lower seed proportional to the invasion eigenfunction,
+both iterated until they meet.  One gate refuses it unless zeta and then
+lambda(V) lie below the decision band.  Its result keeps the upper limit
+as one (H_i, V_i) orbit and the logistic result it was built on.
 
 Both orbits share one two-sided construction: _growing_seed finds the
-lower seed, _iterate_to_fixed_point carries each sequence to its limit,
-and _halvings is the one halving sequence of every seed and band width.
+lower seed, halving it along _halvings, and _iterate_to_fixed_point
+carries each sequence to its limit.
 """
 
 from __future__ import annotations
@@ -34,17 +30,17 @@ import numpy as np
 from .coeffs import CoefficientSet, field_lattice
 from .coeffs import field_values  # noqa: F401  (name the benchmark tracer wraps here)
 from .eigen import (EigenResult, PeriodicOrbit, SolverOptions, gamma_rho,
-                    lambda_V, lambda_V_eps, zeta)
-from .errors import (EpsilonTooLarge, GapError, InputError, InternalError,
-                     NoConvergence, NonUniqueOrbit, RegimeError)
+                    lambda_V, zeta)
+from .eigen import lambda_V as lambda_V_eps  # noqa: F401  (name the benchmark tracer wraps here)
+from .errors import (GapError, InputError, InternalError, NoConvergence,
+                     NonUniqueOrbit, RegimeError)
 from .grid import BoundarySpec, Grid, map_between
 from .stepper import (ComponentSpec, LinearPeriodicSystem, NonlinearModel,
                       infection_step_hint, integrate_over_period, prepare)
 
 __all__ = [
     "LogisticOrbitResult", "EndemicPairResult",
-    "band_edges", "shrink_band", "solve_logistic_orbit", "solve_Hbar",
-    "solve_endemic_pair",
+    "solve_logistic_orbit", "solve_Hbar", "solve_endemic_pair",
 ]
 
 AGREEMENT_FACTOR = 10.0   # two-seed limits of the same orbit
@@ -77,17 +73,15 @@ class LogisticOrbitResult:
 class EndemicPairResult:
     """Upper/lower limits of the truncated infection system.
 
-    orbit is the upper limit, components (H_i, V_i): the endemic orbit
-    when eps_used == 0, an upper envelope otherwise.  logistic is the
-    carrying orbit and zeta the pair was built on; the lower limit is not
-    kept, only its residual.  gap is the final sup distance between the
-    two limits; the histories hold the period boundary snapshots (tuples
-    of component arrays) of each sequence.
+    orbit is the upper limit, components (H_i, V_i): the endemic orbit.
+    logistic is the carrying orbit and zeta the pair was built on; the
+    lower limit is not kept, only its residual.  gap is the final sup
+    distance between the two limits; the histories hold the period
+    boundary snapshots (tuples of component arrays) of each sequence.
     """
 
     orbit: PeriodicOrbit
     logistic: LogisticOrbitResult
-    eps_used: float
     lower_residual: float
     gap: float
     converged_in: int
@@ -105,26 +99,7 @@ def band_sign(value: float, band: float) -> int:
     return 1 if value >= band else -1 if value <= -band else 0
 
 
-def band_edges(V: PeriodicOrbit, phi: PeriodicOrbit, eps: float) -> tuple:
-    """The edge orbits (V + eps*phi, V - eps*phi) of the band around V; at
-    eps = 0 both are V itself.  InputError unless phi is a scalar orbit on
-    V's lattice; EpsilonTooLarge if V - |eps|*phi is not positive on every
-    sample."""
-    if phi.ncomp != 1 or phi.samples[0].shape != V.samples[0].shape:
-        raise InputError("phi must be a scalar orbit on V's lattice")
-    if eps == 0.0:
-        return V, V
-    shift = eps * phi.samples[0]
-    upper, lower = V.samples[0] + shift, V.samples[0] - shift
-    margin = float(np.min(lower if eps > 0.0 else upper))
-    if not margin > 0.0:  # written so that NaN fails too
-        raise EpsilonTooLarge(
-            f"V - |eps|*phi reaches {margin:.3g} (eps={eps:g}); "
-            "the band leaves the positive cone")
-    return PeriodicOrbit((upper,)), PeriodicOrbit((lower,))
-
-
-def _halvings(x: float, n: int = _MAX_HALVINGS + 1):
+def _halvings(x: float, n: int):
     """x * 2**-k for k = 0 .. n-1, each exact (the bits of halving x k times)."""
     for k in range(n):
         yield math.ldexp(x, -k)
@@ -133,18 +108,6 @@ def _halvings(x: float, n: int = _MAX_HALVINGS + 1):
 def _sup_gap(u: tuple, v: tuple) -> float:
     """Sup distance between two states (tuples of component arrays)."""
     return max(float(np.max(np.abs(a - b))) for a, b in zip(u, v))
-
-
-def shrink_band(V: PeriodicOrbit, phi: PeriodicOrbit, eps: float) -> tuple:
-    """(e, upper, lower): the first width e = eps * 2**-k, k <= _MAX_HALVINGS,
-    whose band band_edges accepts, and its two edge orbits; the last
-    EpsilonTooLarge if every width leaves the positive cone."""
-    for e in _halvings(eps):
-        try:
-            return (e, *band_edges(V, phi, e))
-        except EpsilonTooLarge as err:
-            refusal = err
-    raise refusal
 
 
 def _iterate_to_fixed_point(model, prepared, u: tuple, tol: float,
@@ -245,8 +208,7 @@ def solve_Hbar(c: CoefficientSet, bcs, grid: Grid, V: PeriodicOrbit,
                o: SolverOptions = SolverOptions()) -> PeriodicOrbit:
     """Periodic host profile: the unique orbit with removal rho and source
     sigma1 * H_u * V, on the host layout of bcs[0]; the driving orbit V
-    (the carrying orbit, or the upper edge of a band around it) is on the
-    vector layout of bcs[1].
+    (the carrying orbit) is on the vector layout of bcs[1].
 
     V's layout is checked first, then the host decay rate is evaluated as a
     contraction guard (InternalError from gamma_rho if it fails to be
@@ -289,42 +251,29 @@ def _endemic_gate(value: float, band: float, absent: str, name: str,
             indeterminate=True)
 
 
-def _band_admissible(c: CoefficientSet, grid: Grid, bc2: BoundarySpec,
-                     V: PeriodicOrbit, phi: PeriodicOrbit,
-                     eps: float, zeta_value: float) -> bool:
-    """The band shift satisfies the pointwise quadratic inequality
-    (eps*phi)^2 * mu2 - eps*phi*|beta + zeta| < beta*V on the lattice."""
-    ephi = eps * phi.lattice()
-    beta = grid.lattice(c.beta, bc2)
-    lhs = ephi ** 2 * grid.lattice(c.mu2, bc2) - ephi * np.abs(beta + zeta_value)
-    return bool(np.all(lhs < beta * V.lattice()))
-
-
 def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
                        o: SolverOptions = SolverOptions(),
                        logistic: LogisticOrbitResult | None = None,
                        lam: EigenResult | None = None,
                        hbar: PeriodicOrbit | None = None) -> EndemicPairResult:
-    """Two-sided construction of the endemic state of the truncated system.
+    """Two-sided construction of the endemic orbit of the truncated system.
 
-    With eps == 0 the upper and lower limits bracket the endemic orbit
-    itself; with eps > 0 they bracket the band-shifted envelope used by
-    the sandwich argument.  eps = o.eps >= 0 is the initial rung of the
-    halving ladder.  The logistic result (carrying orbit and zeta), the
-    invasion eigenvalue and the eps = 0 host profile (solve_Hbar on that
-    carrying orbit) may be passed to reuse earlier work; whatever is
-    missing is computed here.
+    The upper and lower limits bracket the endemic orbit itself.  The
+    logistic result (carrying orbit and zeta), the invasion eigenvalue and
+    the host profile (solve_Hbar on that carrying orbit) may be passed to
+    reuse earlier work; whatever is missing is computed here.
 
     Raises:
         RegimeError: zeta or the invasion exponent does not place the
-            problem in the endemic regime, or no admissible band width
-            exists.
+            problem in the endemic regime.
+        InternalError: the upper seed fails to decrease, or the
+            infected-vector orbit exceeds the carrying orbit.
         NoConvergence: a monotone sequence exhausted max_periods or no
             growing lower seed was found.
         GapError: the limits stay further apart than 100*tol.
     """
     bc1, bc2 = bcs
-    eps, tol, band = o.eps, o.orbit_tol, o.band
+    tol, band = o.orbit_tol, o.band
     if logistic is None:
         logistic = solve_logistic_orbit(c, bc2, grid, o)
     rz, V = logistic.zeta_result, logistic.orbit
@@ -334,52 +283,29 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
     _endemic_gate(lamV.value, band, "the disease-free state resists invasion",
                   "lambda(V)", "invasion exponent")
 
-    phi = rz.eigenfunction
     slack = 10.0 * tol
 
     def floor(b):  # per-component slack, relative to the seed's scale
         return slack * max(1.0, float(np.max(np.abs(b))))
 
-    for e in _halvings(eps):
-        try:
-            upper, lower = band_edges(V, phi, e)
-        except EpsilonTooLarge:
-            continue
-        if e != 0.0 and not _band_admissible(c, grid, bc2, V, phi, e, rz.value):
-            continue
-        le = lamV if e == 0.0 else lambda_V_eps(c, bcs, grid, upper, lower, o)
-        if band_sign(le.value, band) >= 0:   # a shifted rung: lamV passed the gate
-            continue
+    Hbar = hbar if hbar is not None else solve_Hbar(c, bcs, grid, V, o)
+    model = NonlinearModel(kind="truncated", c=c, bc1=bc1, bc2=bc2, grid=grid,
+                           V=V, cap=o.blowup_cap)
+    P = prepare(model)
 
-        Hbar = hbar if e == 0.0 and hbar is not None else solve_Hbar(c, bcs, grid, upper, o)
-        model = NonlinearModel(kind="truncated", c=c, bc1=bc1, bc2=bc2, grid=grid,
-                               upper=upper, lower=lower, cap=o.blowup_cap)
-        P = prepare(model)
+    up_seed = (Hbar.level(0, 0) * (1.0 + _SUPERSOLUTION_BUMP), V.level(0, 0))
+    up1 = integrate_over_period(model, up_seed, prepared=P)
+    if not all(float(np.max(a - b)) <= floor(b) for a, b in zip(up1, up_seed)):
+        raise InternalError("upper seed failed to decrease with no band to shrink"
+                            + infection_step_hint(grid, grid.lattice(c.sigma2, bc2),
+                                                  Hbar.lattice(), bcs, "Hbar"))
 
-        up_seed = (Hbar.level(0, 0) * (1.0 + _SUPERSOLUTION_BUMP), upper.level(0, 0))
-        up1 = integrate_over_period(model, up_seed, prepared=P)
-        if not all(float(np.max(a - b)) <= floor(b) for a, b in zip(up1, up_seed)):
-            if e == 0.0:
-                raise InternalError("upper seed failed to decrease with no band to shrink"
-                                    + infection_step_hint(grid, grid.lattice(c.sigma2, bc2),
-                                                          Hbar.lattice(), bcs, "Hbar"))
-            continue
-
-        profile = tuple(le.eigenfunction.level(i, 0) for i in range(2))
-        ratios = [float(np.min(0.5 * s[p > 1e-300] / p[p > 1e-300]))
-                  for s, p in zip(up_seed, profile)]
-        low1 = _growing_seed(model, P, profile,
-                             2.0 ** np.floor(np.log2(min(ratios))), floor)
-        if low1 is None:
-            if e == 0.0:
-                raise NoConvergence(
-                    "no growing lower seed found for the endemic pair", _MAX_HALVINGS)
-            continue
-        break
-    else:  # every rung was rejected
-        raise RegimeError(
-            f"no admissible band width found below eps = {eps:g}; "
-            "endemic construction abandoned")
+    profile = tuple(lamV.eigenfunction.level(i, 0) for i in range(2))
+    ratios = [float(np.min(0.5 * s[p > 1e-300] / p[p > 1e-300]))
+              for s, p in zip(up_seed, profile)]
+    low1 = _growing_seed(model, P, profile, 2.0 ** np.floor(np.log2(min(ratios))), floor)
+    if low1 is None:
+        raise NoConvergence("no growing lower seed found for the endemic pair", _MAX_HALVINGS)
 
     upper_history: list = [up_seed]
     lower_history: list = []
@@ -396,13 +322,12 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
     orbit = PeriodicOrbit(integrate_over_period(model, up, prepared=P, store=True))
     lower_residual = _sup_gap(integrate_over_period(model, low, prepared=P), low)
 
-    envelope = upper.samples[0]
-    overshoot = float(np.max(orbit.samples[1] - envelope))
-    if overshoot > slack * max(1.0, float(np.max(envelope))):
+    overshoot = float(np.max(orbit.samples[1] - V.samples[0]))
+    if overshoot > slack * max(1.0, float(np.max(V.samples[0]))):
         raise InternalError(
-            f"infected-vector orbit exceeds the band envelope by {overshoot:.3g}")
+            f"infected-vector orbit exceeds the carrying orbit by {overshoot:.3g}")
 
     return EndemicPairResult(
-        orbit=orbit, logistic=logistic, eps_used=e, lower_residual=lower_residual,
+        orbit=orbit, logistic=logistic, lower_residual=lower_residual,
         gap=gap, converged_in=max(n_up + 1, n_low + 1), lambda_V_result=lamV,
         upper_history=tuple(upper_history), lower_history=tuple(lower_history))

@@ -42,9 +42,8 @@ Structural properties the rest of the package leans on:
 
 Model selectors: "full" (host + two vector components), "logistic" (the
 scalar total-vector equation), "truncated" (the two-component reduced
-system driven by the two edge orbits of a band around the carrying orbit,
-periodic.band_edges; the edges swapped give the auxiliary comparison
-variant).  A LinearPeriodicSystem steps as the host profile's affine step.
+system driven by the carrying orbit).  A LinearPeriodicSystem steps as the
+host profile's affine step.
 """
 
 from __future__ import annotations
@@ -105,12 +104,10 @@ class NonlinearModel:
 
     kind "full": components (H_i, V_u, V_i).
     kind "logistic": single component V (the vector total).
-    kind "truncated": components (H_i, V_i) of the reduced system, with the
-        edge orbits upper and lower of a band around the carrying orbit V
-        (both V at zero width); coupling uses (upper - V_i)_+ and the decay
-        uses mu1 + mu2*lower, both at the start of the step, where the full
-        model reads V_u + V_i.  Swapping the two edges gives the auxiliary
-        comparison variant.
+    kind "truncated": components (H_i, V_i) of the reduced system driven
+        by the carrying orbit V; coupling uses (V - V_i)_+ and the decay
+        uses mu1 + mu2*V, both at the start of the step, where the full
+        model reads V_u + V_i.
     """
 
     kind: str
@@ -118,15 +115,14 @@ class NonlinearModel:
     bc1: BoundarySpec
     bc2: BoundarySpec
     grid: Grid
-    upper: object | None = None  # PeriodicOrbit (scalar)
-    lower: object | None = None  # PeriodicOrbit (scalar)
+    V: object | None = None  # PeriodicOrbit (scalar)
     cap: float = DEFAULT_BLOWUP_CAP
 
     def __post_init__(self):
         if self.kind not in ("full", "logistic", "truncated"):
             raise InputError(f"unknown model kind {self.kind!r}")
-        if self.kind == "truncated" and (self.upper is None or self.lower is None):
-            raise InputError("truncated model needs the band's upper and lower orbits")
+        if self.kind == "truncated" and self.V is None:
+            raise InputError("truncated model needs the carrying orbit V")
 
     def layouts(self) -> tuple:
         if self.kind == "full":
@@ -279,11 +275,11 @@ class _PreparedModel:
             self.lu_h = _factored(D1, dt, L(c.rho, bc1))
             self.dt_s1hu = list(dt * (L(c.sigma1, bc1) * L(c.H_u, bc1)))
         if model.kind == "truncated":
-            self.band = list(L(model.upper.lattice(), bc2))
+            V = L(model.V.lattice(), bc2)
+            self.V = list(V)
             # the decay reads the orbit at the step's start level, as the
-            # full model reads V_u + V_i: row j1 takes lower[j1 - 1]
-            lower = L(model.lower.lattice(), bc2)
-            self.lu_z = _factored(D2, dt, mu1 + mu2 * np.roll(lower, 1, axis=0))
+            # full model reads V_u + V_i: row j1 takes V[j1 - 1]
+            self.lu_z = _factored(D2, dt, mu1 + mu2 * np.roll(V, 1, axis=0))
 
     def _hint(self, u: tuple, k: int) -> str:
         """infection_step_hint on u at step k; none if u's host is past the cap (unchecked u0)."""
@@ -335,10 +331,10 @@ class _PreparedModel:
             return (Hi, Vu, Vi)
 
         Hi, Z = u                   # truncated
-        band, lu_z = self.band, self.lu_z
+        V, lu_z = self.V, self.lu_z
         for k in range(k0, k1):
             j0, j1 = k % m, (k + 1) % m
-            pos = np.maximum(band[j0] - Z, zero)
+            pos = np.maximum(V[j0] - Z, zero)
             trans = sigma2[j0] * pos * map_between(Hi, bc1, bc2)
             Z_n = _solve(lu_z[j1], Z + dt * trans)
             Hi, Z = _solve(lu_h[j1], Hi + dt_s1hu[j0] * map_between(Z, bc2, bc1)), Z_n

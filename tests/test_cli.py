@@ -15,7 +15,8 @@ import pytest
 
 import vectorhost
 from vectorhost import (BoundarySpec, ConfigError, DomainError, ParseError,
-                        build_grid, cli, evaluate, load_config, map_between)
+                        SolverOptions, build_grid, cli, evaluate, load_config,
+                        map_between)
 from vectorhost.cli import _node_csv, main
 from vectorhost.config import _SCHEMA
 
@@ -71,7 +72,6 @@ def test_minimal_config_gets_defaults(tmp_path):
     assert cfg.bc2.flavor == "robin" and cfg.bc2.b_right == 0.0
     assert cfg.solver.eigen_tol == 1e-10
     assert cfg.solver.band == 1e-3
-    assert cfg.solver.eps == 0.0
     assert cfg.solver.n_periods == 40
     assert cfg.sweep is None
     got = [evaluate(e, 0.3, 0.0) for e in cfg.initial]
@@ -90,7 +90,6 @@ b_right = 0.5 + 0.5*cos(2*pi*t)
 
 [solver]
 eigen_tol = 1e-9
-eps = 0.05
 
 [run]
 n_periods = 12
@@ -108,7 +107,7 @@ values = 0.5 1, 2,5
     # solver and validation read
     assert evaluate(cfg.bc2.b_left, 0.0, 0.0) == 0.5
     assert evaluate(cfg.bc2.b_right, 1.0, 0.0) == 1.0
-    assert cfg.solver.eps == 0.05
+    assert cfg.solver.eigen_tol == 1e-9
     assert cfg.solver.n_periods == 12
     assert evaluate(cfg.initial[2], 1.0, 0.0) == pytest.approx(0.3)
     assert cfg.sweep.parameter == "H_u"
@@ -130,15 +129,15 @@ def test_overrides_apply_before_validation(tmp_path):
 
 @pytest.mark.parametrize("extra", [
     "[grid2]\nnx = 5\n",                       # unknown section
-    "[solver]\neps = -0.5\n",                  # negative band width
     "[run]\nsample_stride = 7\n",              # does not divide 128
+    "[solver]\neps = -0.5\n",                  # eps is no setting: an unknown
+    "[solver]\neps = nan\n",                   # key, whatever its value
+    "[solver]\neps = inf\n",
     "[sweep]\nparameter = nu\ntemplate = value\nvalues = 1\n",
     "[sweep]\nparameter = beta\ntemplate = value\nvalues =\n",
     "[solver]\nband = nan\n",                 # non-finite numbers
     "[solver]\norbit_tol = inf\n",
     "[solver]\neigen_tol = nan\n",
-    "[solver]\neps = nan\n",
-    "[solver]\neps = inf\n",
     "[run]\ntarget = inf\n",
     "[sweep]\nparameter = H_u\ntemplate = value\nvalues = nan 5\n",
     "[sweep]\nparameter = H_u\ntemplate = value\nvalues = inf\n",
@@ -315,6 +314,23 @@ def test_config_error_exits_one(tmp_path, capsys):
     assert captured.err == f"config error: cannot create output directory {taken}: File exists\n"
 
 
+def test_eps_is_refused_by_name(tmp_path, capsys):
+    # eps is no setting: in the file or by --override it is an unknown key,
+    # refused before the output directory is made and anything is solved
+    runs = [("classify", write_config(tmp_path, "[solver]\neps = 0.05\n", "eps.ini"), ())]
+    runs += [(command, write_config(tmp_path), ("--override", "solver.eps=0.05"))
+             for command in ("classify", "verify", "eigen", "periodic")]
+    for i, (command, path, override) in enumerate(runs):
+        out = tmp_path / f"o{i}"
+        assert main([command, "--config", path, "--out", str(out), *override]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: unknown key 'eps' in section [solver]\n"
+        assert not out.exists()
+    with pytest.raises(TypeError):
+        SolverOptions(eps=0.05)
+
+
 def test_validate_pass_and_hypothesis_failure(tmp_path, capsys):
     path = write_config(tmp_path)
     out = str(tmp_path / "ok")
@@ -405,38 +421,18 @@ def test_classify_override_and_strict_indeterminate(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_eigen_halves_an_oversized_band(tmp_path, capsys):
-    # at eps = 2 the band leaves the positive cone; eigen halves it as the
-    # endemic pair does and reports the width it used
-    path = tmp_path / "readme.ini"
-    path.write_text(README)
-    outs = {}
-    for eps in ("2", "1"):
-        out = tmp_path / f"eps{eps}"
-        assert main(["eigen", "--config", str(path), "--out", str(out),
-                     "--override", f"solver.eps={eps}"]) == 0
-        outs[eps] = [(out / name).read_bytes()
-                     for name in ("eigen_report.txt", "eigen_history.csv")]
-    assert outs["2"] == outs["1"]
-    rep = read_report(str(tmp_path / "eps2" / "eigen_report.txt"))
-    assert rep["eps"] == "1"
-    assert rep["lambda_V_eps"] == "-1.9755191564402268"
-    capsys.readouterr()
-
-
 def test_eigen_reports_all_values(tmp_path, capsys):
-    path = write_config(tmp_path, "[solver]\neps = 0.05\n")
+    path = write_config(tmp_path)
     out = str(tmp_path / "o")
     assert main(["eigen", "--config", path, "--out", out]) == 0
     rep = read_report(os.path.join(out, "eigen_report.txt"))
     assert float(rep["zeta"]) == pytest.approx(-1.0, abs=1e-4)
     assert float(rep["gamma_rho"]) == pytest.approx(1.0, abs=1e-4)
     assert float(rep["lambda_V"]) == pytest.approx(-0.7912878, abs=1e-4)
-    assert "lambda_V_eps" in rep
     hist = open(os.path.join(out, "eigen_history.csv")).read().splitlines()
     assert hist[0] == "name,iteration,r_estimate"
     names = {line.split(",")[0] for line in hist[1:]}
-    assert names == {"zeta", "gamma_rho", "lambda_V", "lambda_V_eps"}
+    assert names == {"zeta", "gamma_rho", "lambda_V"}
     assert os.path.exists(os.path.join(out, "phi_zeta.csv"))
     capsys.readouterr()
 
@@ -447,7 +443,7 @@ def test_periodic_present_then_absent(tmp_path, capsys):
     assert main(["periodic", "--config", path, "--out", out]) == 0
     rep = read_report(os.path.join(out, "periodic_report.txt"))
     assert rep["endemic_status"] == "PRESENT"
-    assert float(rep["eps_used"]) == 0.0
+    assert "eps_used" not in rep
     assert float(rep["endemic_gap"]) <= 1e-7
     for name in ("V_orbit.csv", "Hbar.csv", "endemic_orbit.csv"):
         assert os.path.exists(os.path.join(out, name))
@@ -462,7 +458,7 @@ def test_periodic_present_then_absent(tmp_path, capsys):
 
 
 def test_periodic_solves_the_host_profile_once(tmp_path, capsys, monkeypatch):
-    # cmd_periodic hands its host profile to the endemic pair, so at eps = 0
+    # cmd_periodic hands its host profile to the endemic pair, so
     # one gamma_rho guard and one host iteration (23 maps, 1 stored) run
     from vectorhost import periodic
     calls = {"gamma_rho": 0, "linear": 0}
@@ -574,23 +570,6 @@ def test_verify_reaches_target(tmp_path, capsys):
     assert conv[0] == "n,e_n"
     assert len(conv) == 1 + 40
     capsys.readouterr()
-
-
-def test_verify_with_a_band_measures_against_the_orbit(tmp_path, capsys):
-    # with eps > 0 classify's attractor is the band envelope; verify still
-    # measures the README run against the endemic orbit it reaches
-    path = tmp_path / "readme.ini"
-    path.write_text(README)
-    out_0, out_eps = str(tmp_path / "e0"), str(tmp_path / "e5")
-    assert main(["verify", "--config", str(path), "--out", out_0]) == 0
-    capsys.readouterr()
-    assert main(["verify", "--config", str(path), "--out", out_eps,
-                 "--override", "solver.eps=0.05"]) == 0
-    assert capsys.readouterr().out == \
-        "regime=ENDEMIC verdict=PASS final_error=6.20155e-09\n"
-    conv = [open(os.path.join(out, "convergence.csv"), "rb").read()
-            for out in (out_0, out_eps)]
-    assert conv[0] == conv[1]
 
 
 def run_module(*argv, timeout=300):

@@ -1,4 +1,4 @@
-"""Regime classification, trichotomy verification, and the band check."""
+"""Regime classification and trichotomy verification."""
 
 import multiprocessing
 import os
@@ -11,22 +11,13 @@ import pytest
 
 from vectorhost import _workers, dynamics
 from vectorhost import (DISEASE_FREE, ENDEMIC, EXTINCTION, INDETERMINATE,
-                        BlowupError, BoundarySpec, DomainError, EpsilonTooLarge, InputError,
+                        BlowupError, BoundarySpec, DomainError, InputError,
                         NoConvergence, NonlinearModel, SolverOptions, build_grid,
                         build_initial_state,
                         classify_regime, integrate_over_period,
                         integrate_trajectory, lambda_V, parse_expression,
-                        sandwich_check, solve_logistic_orbit, verify_trichotomy,
-                        zeta)
+                        solve_logistic_orbit, verify_trichotomy, zeta)
 from conftest import make_constants
-
-
-@pytest.fixture(scope="module")
-def endemic_traj(endemic_c, neumann_bcs, grid31):
-    model = NonlinearModel(kind="full", c=endemic_c, bc1=neumann_bcs[0],
-                           bc2=neumann_bcs[1], grid=grid31)
-    u0 = build_initial_state(grid31, *neumann_bcs, (1.0, 0.5, 0.1))
-    return integrate_trajectory(model, u0, 40, sample_stride=8)
 
 
 # ─────────────────────────────────────────────────────── classification ──
@@ -78,14 +69,6 @@ def test_classify_indeterminate(neumann_bcs, grid31):
     assert r.lambda_V is None and r.lambda_V_result is None
     assert r.attractor is None
     assert r.attractor_kind == "undecided (zeta inside the band)"
-
-
-def test_classify_with_band_envelope(endemic_banded_report):
-    r = endemic_banded_report
-    assert r.regime == ENDEMIC
-    assert r.pair.eps_used == pytest.approx(0.05)
-    # the envelope attractor sits above the exact orbit
-    assert np.max(r.attractor.samples[2]) == pytest.approx(0.66, abs=1e-6)
 
 
 def _readme_model():
@@ -163,23 +146,6 @@ def test_median_ratio_matches_statistics_median(values):
     assert type(dynamics._median(values)) is type(statistics.median(values))
 
 
-def test_verify_at_positive_eps_solves_one_endemic_pair(endemic_c, neumann_bcs,
-                                                        grid31, monkeypatch):
-    # without a report verify classifies at eps = 0, so the orbit it
-    # measures against is the report's own attractor and is built once
-    real, calls = dynamics.solve_endemic_pair, []
-
-    def counted(*args, **kwargs):
-        calls.append(args[3].eps)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(dynamics, "solve_endemic_pair", counted)
-    cr = verify_trichotomy(endemic_c, neumann_bcs, grid31,
-                           o=SolverOptions(eps=0.05, n_periods=2))
-    assert calls == [0.0]
-    assert cr.regime == ENDEMIC and cr.regime_report.pair.eps_used == 0.0
-
-
 def refused_before_classifying(monkeypatch, error, match, *args, **kwargs):
     """verify_trichotomy(*args, **kwargs) raises error on one CPU and on
     two, and neither classifies nor starts a trajectory worker."""
@@ -222,16 +188,19 @@ def test_verify_rejects_nonpositive_initial_interior(monkeypatch, endemic_c,
 
 def test_verify_rejects_nan_initial_data(monkeypatch, endemic_c, neumann_bcs, grid31):
     refused_before_classifying(
-        monkeypatch, InputError, r"^initial component 0 must be strictly positive",
+        monkeypatch, InputError,
+        r"^initial component 0 must be finite, has a NaN or infinite entry$",
         endemic_c, neumann_bcs, grid31, initial=(np.nan, 0.5, 0.1))
 
 
 def test_verify_refuses_an_infinite_initial_value(monkeypatch, endemic_c, neumann_bcs,
                                                   grid31):
-    # inf passes the interior positivity check, so build_initial_state refuses it
-    refused_before_classifying(
-        monkeypatch, InputError, r"^initial component 0 must be finite",
-        endemic_c, neumann_bcs, grid31, initial=(np.inf, 0.5, 0.1))
+    # build_initial_state refuses a non-finite entry by name, before the
+    # interior positivity check (which inf would pass)
+    for bad in (np.inf, np.nan):
+        refused_before_classifying(
+            monkeypatch, InputError, r"^initial component 0 must be finite",
+            endemic_c, neumann_bcs, grid31, initial=(bad, 0.5, 0.1))
 
 
 def test_verify_disease_free_passes(disease_free_c, neumann_bcs, grid31):
@@ -382,7 +351,7 @@ def test_truncated_model_preserves_order(endemic_report, neumann_bcs, grid31,
     # states stay ordered under the period map
     V = endemic_report.logistic.orbit
     model = NonlinearModel(kind="truncated", c=endemic_c, bc1=neumann_bcs[0],
-                           bc2=neumann_bcs[1], grid=grid31, upper=V, lower=V)
+                           bc2=neumann_bcs[1], grid=grid31, V=V)
     lo = (np.full(33, 0.5), np.full(33, 0.1))
     hi = (np.full(33, 4.0), np.full(33, 0.9))
     lo1 = integrate_over_period(model, lo)
@@ -390,52 +359,3 @@ def test_truncated_model_preserves_order(endemic_report, neumann_bcs, grid31,
     for a, b in zip(lo1, hi1):
         assert float(np.min(b - a)) >= -1e-12
 
-
-# ──────────────────────────────────────────────────────────── sandwich ──
-
-
-def test_sandwich_enters_the_band(endemic_report, endemic_traj):
-    V = endemic_report.logistic.orbit
-    phi = endemic_report.logistic.zeta_result.eigenfunction
-    N = sandwich_check(V, phi, 0.05, endemic_traj)
-    assert N is not None and N <= 25
-
-
-def test_sandwich_initial_on_orbit_gives_zero(endemic_c, neumann_bcs, grid31,
-                                              endemic_report):
-    # V_u + V_i = 1 is the carrying value, so the band holds from the start
-    model = NonlinearModel(kind="full", c=endemic_c, bc1=neumann_bcs[0],
-                           bc2=neumann_bcs[1], grid=grid31)
-    u0 = build_initial_state(grid31, *neumann_bcs, (1.0, 0.5, 0.5))
-    traj = integrate_trajectory(model, u0, 5, sample_stride=8)
-    V = endemic_report.logistic.orbit
-    phi = endemic_report.logistic.zeta_result.eigenfunction
-    assert sandwich_check(V, phi, 0.05, traj) == 0
-
-
-def test_sandwich_not_reached_without_carrying_orbit(extinction_c, neumann_bcs,
-                                                     grid31, extinction_report):
-    model = NonlinearModel(kind="full", c=extinction_c, bc1=neumann_bcs[0],
-                           bc2=neumann_bcs[1], grid=grid31)
-    u0 = build_initial_state(grid31, *neumann_bcs, (1.0, 0.5, 0.5))
-    traj = integrate_trajectory(model, u0, 3, sample_stride=32)
-    V = extinction_report.logistic.orbit
-    phi = extinction_report.logistic.zeta_result.eigenfunction
-    assert sandwich_check(V, phi, 0.05, traj) is None
-
-
-def test_sandwich_refuses_a_band_outside_the_positive_cone(endemic_report,
-                                                           endemic_traj):
-    # V = 1 and max phi = 1, so V - 5*phi reaches -4
-    V = endemic_report.logistic.orbit
-    phi = endemic_report.logistic.zeta_result.eigenfunction
-    with pytest.raises(EpsilonTooLarge, match="the band leaves the positive cone"):
-        sandwich_check(V, phi, 5.0, endemic_traj)
-
-
-def test_sandwich_needs_positive_eps(endemic_report, endemic_traj):
-    V = endemic_report.logistic.orbit
-    phi = endemic_report.logistic.zeta_result.eigenfunction
-    for eps in (0.0, float("nan")):   # a NaN width names no band
-        with pytest.raises(InputError):
-            sandwich_check(V, phi, eps, endemic_traj)

@@ -19,8 +19,8 @@ from vectorhost import (BoundarySpec, ComponentSpec, InputError,
                         InternalError, LinearPeriodicSystem, NoConvergence,
                         PeriodicOrbit, ReducibleSystemWarning, SolveError,
                         SolverOptions,
-                        apply_period_map, band_edges, build_grid, gamma_rho,
-                        lambda_V, lambda_V_eps, parse_expression,
+                        apply_period_map, build_grid, gamma_rho,
+                        lambda_V, parse_expression,
                         principal_eigenvalue, solve_logistic_orbit, zeta)
 from vectorhost import eigen
 from vectorhost.coeffs import field_values
@@ -37,12 +37,6 @@ def flat_orbit(value, grid, bc):
     return PeriodicOrbit(samples)
 
 
-def two_by_two_lambda(rho, s1hu, s2V, mu1, mu2V):
-    tr = -rho - (mu1 + mu2V)
-    det = rho * (mu1 + mu2V) - s1hu * s2V
-    return -(tr + math.sqrt(tr * tr - 4.0 * det)) / 2.0
-
-
 @pytest.fixture(scope="module")
 def grid():
     return build_grid(0.0, 1.0, 15, 1.0, 128)
@@ -50,8 +44,7 @@ def grid():
 
 @pytest.mark.parametrize("field, value", [
     (f, v) for f in ("eigen_tol", "max_eigen_iters", "orbit_tol", "max_periods", "band",
-                     "blowup_cap", "target") for v in (math.nan, 0)]
-    + [("eps", math.nan), ("eps", -1.0)])
+                     "blowup_cap", "target") for v in (math.nan, 0)])
 def test_solver_options_refuse_out_of_range_values(field, value):
     # NaN fails every "> 0" as well: each would otherwise run on, to a
     # budget or a misleading error, before anything names the option
@@ -121,20 +114,6 @@ def test_lambda_V_closed_forms(grid):
     # both eigenfunctions live strictly inside the positive cone
     for r in (lam, lam_df):
         assert r.eigenfunction.min_value() > 0
-
-
-def test_lambda_V_eps_shifts_the_band(grid):
-    c = make_constants()
-    V = flat_orbit(1.0, grid, NEUMANN2)
-    phi = flat_orbit(1.0, grid, NEUMANN2)
-    le = lambda_V_eps(c, (NEUMANN1, NEUMANN2), grid, *band_edges(V, phi, 0.05))
-    assert le.value == pytest.approx(
-        two_by_two_lambda(1.0, 5.0, 1.05, 1.0, 0.95), abs=1e-4)
-    # widening the band strengthens the coupling, so lambda drops
-    l0 = lambda_V(c, (NEUMANN1, NEUMANN2), grid, V).value
-    l1 = lambda_V_eps(c, (NEUMANN1, NEUMANN2), grid, *band_edges(V, phi, 0.02)).value
-    l2 = lambda_V_eps(c, (NEUMANN1, NEUMANN2), grid, *band_edges(V, phi, 0.05)).value
-    assert l2 < l1 < l0
 
 
 def test_lambda_V_input_checks(grid):
@@ -302,7 +281,7 @@ def memory_system(kind):
             coupling=((L(c.beta, NEUMANN2) - L(c.mu1, NEUMANN2),),))
     m = g.steps_per_period
     V = 1.0 + 0.2 * np.sin(2 * np.pi * np.arange(m) / m)[:, None] * g.nodes_for(NEUMANN2)
-    return eigen._invasion_system(c, (BoundarySpec.robin(1, 0.5, 1.5), NEUMANN2), g, V, V)
+    return eigen._invasion_system(c, (BoundarySpec.robin(1, 0.5, 1.5), NEUMANN2), g, V)
 
 
 def factor_bytes(P):
@@ -349,8 +328,7 @@ def test_no_convergence_raises(grid):
     V = flat_orbit(1.0, grid, NEUMANN2)
     solves = [lambda: zeta(c, NEUMANN2, grid, o),
               lambda: gamma_rho(c, NEUMANN1, grid, o),
-              lambda: lambda_V(c, (NEUMANN1, NEUMANN2), grid, V, o),
-              lambda: lambda_V_eps(c, (NEUMANN1, NEUMANN2), grid, V, V, o)]
+              lambda: lambda_V(c, (NEUMANN1, NEUMANN2), grid, V, o)]
     for solve in solves:
         with pytest.raises(NoConvergence):
             solve()

@@ -3,9 +3,9 @@ and the endemic pair built by two-sided monotone iteration.
 
 Constant-coefficient oracles:
   - logistic orbit V = (beta - mu1)/mu2;
-  - forced profile Hbar = sigma1*H_u*(V + eps*phi)/rho;
-  - endemic pair (H, V_i) = (3 + 6*eps, 0.6 + 1.2*eps) for the baseline
-    family (solve the 2x2 algebraic system at the shifted vector level).
+  - forced profile Hbar = sigma1*H_u*V/rho;
+  - endemic pair (H, V_i) = (3, 0.6) for the baseline family (solve the
+    2x2 algebraic system at the carrying level V = 1).
 """
 
 import math
@@ -14,12 +14,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vectorhost import (BlowupError, BoundarySpec, EpsilonTooLarge,
-                        InputError, InternalError,
+from vectorhost import (BlowupError, BoundarySpec, InputError, InternalError,
                         NoConvergence, NonlinearModel, NonUniqueOrbit,
                         PeriodicOrbit, RegimeError, SolverOptions, build_grid,
-                        band_edges, periodic, prepare, shrink_band,
-                        solve_Hbar, solve_endemic_pair, solve_logistic_orbit)
+                        periodic, prepare, solve_Hbar, solve_endemic_pair,
+                        solve_logistic_orbit)
 from conftest import make_constants
 
 NEUMANN1 = BoundarySpec.neumann(1)
@@ -103,13 +102,6 @@ def test_hbar_constants(grid):
     assert np.max(np.abs(hbar.samples[0] - 5.0)) < 1e-8
 
 
-def test_hbar_with_band_shift(grid):
-    V = flat_orbit(1.0, grid, NEUMANN2)
-    phi = flat_orbit(1.0, grid, NEUMANN2)
-    hbar = solve_Hbar(make_constants(), BCS, grid, band_edges(V, phi, 0.05)[0])
-    assert np.max(np.abs(hbar.samples[0] - 5.25)) < 1e-8
-
-
 def test_hbar_zero_drive_is_zero(grid):
     V = flat_orbit(0.0, grid, NEUMANN2)
     hbar = solve_Hbar(make_constants(), BCS, grid, V)
@@ -147,53 +139,6 @@ def test_hbar_rejects_V_off_the_vector_layout(grid, monkeypatch):
         solve_Hbar(make_constants(), BCS, grid, narrow)
 
 
-# ────────────────────────────────────────────────────────────── band ──
-
-
-def test_band_edges_at_zero_width_are_the_orbit_itself(grid):
-    V, phi = flat_orbit(1.0, grid, NEUMANN2), flat_orbit(0.5, grid, NEUMANN2)
-    upper, lower = band_edges(V, phi, 0.0)
-    assert upper is V and lower is V
-
-
-def test_band_edges_are_the_shifted_orbit_bit_for_bit(grid):
-    lr = solve_logistic_orbit(make_constants(beta="2 + sin(2*pi*t)", d2="0.5"),
-                              NEUMANN2, grid)
-    V, phi = lr.orbit, lr.zeta_result.eigenfunction
-    upper, lower = band_edges(V, phi, 0.05)
-    assert np.array_equal(upper.samples[0], V.samples[0] + 0.05 * phi.samples[0])
-    assert np.array_equal(lower.samples[0], V.samples[0] - 0.05 * phi.samples[0])
-    assert upper.ncomp == lower.ncomp == 1
-    # on the README coefficients V - 2*phi leaves the positive cone
-    with pytest.raises(EpsilonTooLarge, match=r"^V - \|eps\|\*phi reaches -0\.845 "
-                       r"\(eps=2\); the band leaves the positive cone$"):
-        band_edges(V, phi, 2.0)
-    # a NaN width gives NaN edges, which are not in the positive cone either
-    with pytest.raises(EpsilonTooLarge, match=r"^V - \|eps\|\*phi reaches nan \(eps=nan\)"):
-        band_edges(V, phi, float("nan"))
-
-
-def test_shrink_band_halves_to_the_first_width_band_edges_accepts(grid):
-    V, phi = flat_orbit(1.0, grid, NEUMANN2), flat_orbit(0.8, grid, NEUMANN2)
-    # V - eps*phi > 0 needs eps < 1.25: 5 -> 2.5 -> 1.25 -> 0.625
-    e, upper, lower = shrink_band(V, phi, 5.0)
-    assert e == 0.625
-    assert all(a.samples[0].tobytes() == b.samples[0].tobytes()
-               for a, b in zip((upper, lower), band_edges(V, phi, 0.625)))
-    assert shrink_band(V, phi, 0.0) == (0.0, V, V)
-    # a V that touches zero refuses every width, with band_edges' message
-    with pytest.raises(EpsilonTooLarge, match=r"\(eps=8\.67362e-19\)"):
-        shrink_band(flat_orbit(0.0, grid, NEUMANN2), phi, 1.0)
-
-
-def test_band_edges_reject_phi_off_V_lattice(grid):
-    # a phi of the Dirichlet (interior) width cannot shift the no-flux V
-    V = flat_orbit(1.0, grid, NEUMANN2)
-    narrow = flat_orbit(1.0, grid, BoundarySpec.dirichlet(2))
-    with pytest.raises(InputError, match="^phi must be a scalar orbit on V's lattice$"):
-        band_edges(V, narrow, 0.1)
-
-
 # ─────────────────────────────────────────────────────── endemic pair ──
 
 
@@ -201,7 +146,6 @@ def test_endemic_pair_constants(grid):
     pair = solve_endemic_pair(make_constants(), BCS, grid)
     assert np.max(np.abs(pair.orbit.samples[0] - 3.0)) < 1e-6
     assert np.max(np.abs(pair.orbit.samples[1] - 0.6)) < 1e-6
-    assert pair.eps_used == 0.0
     assert pair.gap <= 1e-7
     assert pair.orbit.residual <= 1e-8
     assert pair.lower_residual <= 1e-8
@@ -209,24 +153,9 @@ def test_endemic_pair_constants(grid):
     assert float(np.max(pair.orbit.samples[1] - pair.logistic.orbit.samples[0])) < 0.0
 
 
-def test_endemic_pair_with_band(grid):
-    pair = solve_endemic_pair(make_constants(), BCS, grid, SolverOptions(eps=0.05))
-    assert pair.eps_used == pytest.approx(0.05)
-    assert np.max(np.abs(pair.orbit.samples[0] - 3.3)) < 1e-6
-    assert np.max(np.abs(pair.orbit.samples[1] - 0.66)) < 1e-6
-
-
-def test_endemic_pair_auto_band(grid):
-    # a ladder start of a tenth of the orbit floor (V = 1, max phi = 1)
-    pair = solve_endemic_pair(make_constants(), BCS, grid, SolverOptions(eps=0.1))
-    assert pair.eps_used == pytest.approx(0.1, abs=1e-6)
-    assert np.max(np.abs(pair.orbit.samples[0] - 3.6)) < 1e-6
-    assert np.max(np.abs(pair.orbit.samples[1] - 0.72)) < 1e-6
-
-
 def test_endemic_histories_are_monotone_and_ordered(grid):
     # history entries are (H, V_i) component tuples at period boundaries
-    pair = solve_endemic_pair(make_constants(), BCS, grid, SolverOptions(eps=0.05))
+    pair = solve_endemic_pair(make_constants(), BCS, grid)
     ups, los = pair.upper_history, pair.lower_history
     assert len(ups) >= 2 and len(los) >= 2
     slack = 1e-12
@@ -263,16 +192,6 @@ def test_pair_refused_outside_endemic_regime(grid):
         assert err.value.indeterminate == indeterminate, fields
 
 
-def test_pair_refuses_a_negative_or_nan_eps_before_any_solve(grid, monkeypatch):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved before the band width was checked")
-
-    monkeypatch.setattr(periodic, "solve_logistic_orbit", no_solve)
-    for eps in (-0.1, float("nan")):
-        with pytest.raises(InputError, match="^eps must be nonnegative"):
-            solve_endemic_pair(make_constants(), BCS, grid, SolverOptions(eps=eps))
-
-
 def test_pair_reuses_precomputed_logistic(grid):
     lr = solve_logistic_orbit(make_constants(), NEUMANN2, grid)
     pair = solve_endemic_pair(make_constants(), BCS, grid, logistic=lr)
@@ -281,7 +200,7 @@ def test_pair_reuses_precomputed_logistic(grid):
 
 
 def test_pair_reuses_a_passed_host_profile(grid):
-    # a profile passed in replaces the eps = 0 rung's own solve_Hbar; a
+    # a profile passed in replaces the pair's own solve_Hbar; a
     # doubled profile is still a supersolution, so the pair is unchanged
     c = make_constants()
     lr = solve_logistic_orbit(c, NEUMANN2, grid)
@@ -316,7 +235,7 @@ def test_seasonal_endemic_pair(grid):
     assert float(np.max(pair.orbit.samples[1] - pair.logistic.orbit.samples[0])) < 0.0
 
 
-# ──────────────────────────────────────────────── the band-width ladder ──
+# ───────────────────────────────────────────────── seeds and budgets ──
 
 
 def test_orbit_budget_names_the_upper_seed(grid):
@@ -325,37 +244,6 @@ def test_orbit_budget_names_the_upper_seed(grid):
         solve_logistic_orbit(make_constants(), NEUMANN2, grid,
                              SolverOptions(max_periods=3))
     assert err.value.iterations == 3
-
-
-def test_band_ladder_halves_a_width_outside_the_cone(grid):
-    # on the README coefficients V - 2*phi leaves the positive cone and
-    # V - phi does not, so the ladder stops at its second rung
-    c = make_constants(beta="2 + sin(2*pi*t)", d2="0.5")
-    pair = solve_endemic_pair(c, BCS, grid, SolverOptions(eps=2.0))
-    assert pair.eps_used == 1.0
-
-
-@pytest.mark.parametrize("name", ["lambda_V_eps", "solve_Hbar", "_growing_seed"])
-def test_band_ladder_halves_after_a_failed_rung(grid, monkeypatch, name):
-    # each later check of a rung, failed on the first rung only, sends the
-    # ladder one rung down: a shifted exponent outside the band's negative
-    # side, a host profile too low to be a supersolution, no lower seed
-    c = make_constants()
-    lr = solve_logistic_orbit(c, NEUMANN2, grid)
-    spoil = {"lambda_V_eps": lambda res: replace(res, value=1.0),
-             "solve_Hbar": lambda res: PeriodicOrbit.zeros(
-                 [grid.n_unknowns(NEUMANN1)], grid.steps_per_period),
-             "_growing_seed": lambda res: None}[name]
-    real, calls = getattr(periodic, name), []
-
-    def first_fails(*args, **kwargs):
-        calls.append(args)
-        res = real(*args, **kwargs)
-        return spoil(res) if len(calls) == 1 else res
-
-    monkeypatch.setattr(periodic, name, first_fails)
-    pair = solve_endemic_pair(c, BCS, grid, SolverOptions(eps=0.05), logistic=lr)
-    assert pair.eps_used == 0.025 and len(calls) == 2
 
 
 def test_growing_seed_halves_until_the_image_grows(grid):
@@ -373,15 +261,8 @@ def test_growing_seed_halves_until_the_image_grows(grid):
                                   lambda seed: 0.0) is None
 
 
-def test_band_ladder_without_an_admissible_rung(grid, monkeypatch):
-    monkeypatch.setattr(periodic, "_band_admissible", lambda *args: False)
-    with pytest.raises(RegimeError, match=r"^no admissible band width found "
-                       r"below eps = 0\.05; endemic construction abandoned$"):
-        solve_endemic_pair(make_constants(), BCS, grid, SolverOptions(eps=0.05))
-
-
 def test_failed_seed_at_zero_width_raises(grid, monkeypatch):
-    # with no band left to halve, a seed that fails is an error
+    # a seed that fails is an error
     c = make_constants()
     lr = solve_logistic_orbit(c, NEUMANN2, grid)
     zero = PeriodicOrbit.zeros([grid.n_unknowns(NEUMANN1)], grid.steps_per_period)

@@ -15,10 +15,10 @@ from scipy.linalg.lapack import dgtsv, dgttrf
 
 from vectorhost import (BlowupError, BoundarySpec, ComponentSpec, DomainError,
                         InputError, LinearPeriodicSystem, NonlinearModel,
-                        assemble_diffusion, band_edges, build_grid,
+                        assemble_diffusion, build_grid,
                         build_initial_state, integrate_over_period,
                         integrate_trajectory, map_between, parse_expression,
-                        prepare, solve_logistic_orbit, stepper, zeta)
+                        prepare, solve_logistic_orbit, stepper)
 from vectorhost.grid import DiffusionMatrix
 from conftest import make_constants, order_preservation_margin
 
@@ -98,7 +98,7 @@ def test_total_vector_reduces_to_logistic_exactly(grid):
 
 
 def test_truncated_period_matches_full_model_on_the_carrying_orbit():
-    # with V_u + V_i on the carrying orbit V, the truncated system (eps = 0)
+    # with V_u + V_i on the carrying orbit V, the truncated system
     # is the full model in (H_i, V_i), so one period of each must agree;
     # this pins the decay to V at the level the full model reads V_u + V_i
     g = build_grid(0.0, 1.0, 15, 1.0, 64)
@@ -108,7 +108,7 @@ def test_truncated_period_matches_full_model_on_the_carrying_orbit():
     H, Z = np.ones(g.nx + 2), 0.3 * V0
     full = NonlinearModel(kind="full", c=c, bc1=NEUMANN[0], bc2=NEUMANN[1], grid=g)
     trunc = NonlinearModel(kind="truncated", c=c, bc1=NEUMANN[0],
-                           bc2=NEUMANN[1], grid=g, upper=V, lower=V)
+                           bc2=NEUMANN[1], grid=g, V=V)
     uf = integrate_over_period(full, (H, V0 - Z, Z))
     ut = integrate_over_period(trunc, (H, Z))
     assert np.max(np.abs(uf[0] - ut[0])) <= 1e-12
@@ -143,10 +143,12 @@ def test_blowup_raises(grid):
 
 def test_nan_state_raises_blowup(grid, endemic_c):
     # a NaN fails every ordered comparison, so the cap test must be one
-    # that NaN cannot pass; the message names the state non-finite
+    # that NaN cannot pass; the message names the state non-finite (the
+    # state is a raw tuple: build_initial_state refuses a NaN by name)
     model = NonlinearModel(kind="full", c=endemic_c, bc1=NEUMANN[0],
                            bc2=NEUMANN[1], grid=grid)
-    u0 = build_initial_state(grid, *NEUMANN, (np.nan, 0.5, 0.1))
+    n1, n2 = (grid.n_unknowns(bc) for bc in NEUMANN)
+    u0 = (np.full(n1, np.nan), np.full(n2, 0.5), np.full(n2, 0.1))
     with pytest.raises(BlowupError, match="non-finite"):
         integrate_trajectory(model, u0, 2, sample_stride=8)
 
@@ -299,7 +301,7 @@ def test_cap_edge_is_exact(kind):
 
     def model(cap):
         return NonlinearModel(kind=kind, c=c, bc1=NEUMANN[0], bc2=NEUMANN[1],
-                              grid=g, upper=V, lower=V, cap=cap)
+                              grid=g, V=V, cap=cap)
 
     traj = integrate_trajectory(model(np.inf), u0, 2)
     P = max(float(np.max(np.abs(s[1:]))) for s in traj.samples)
@@ -321,7 +323,7 @@ def test_cap_pre_filter_does_not_warn_when_squares_overflow():
 
     def model(cap):
         return NonlinearModel(kind="truncated", c=c, bc1=NEUMANN[0], bc2=NEUMANN[1],
-                              grid=g, upper=V, lower=V, cap=cap)
+                              grid=g, V=V, cap=cap)
 
     free = integrate_trajectory(model(np.inf), u0, 2)
     with warnings.catch_warnings():
@@ -377,9 +379,8 @@ class ReferenceSteps:
         self.ab_h = banded(c.d1, bc1, g.lattice(c.rho, bc1))
         self.s1hu = g.lattice(c.sigma1, bc1) * g.lattice(c.H_u, bc1)
         if system.kind == "truncated":
-            self.band = g.lattice(system.upper.samples[0][:-1], bc2)
-            shift = g.lattice(system.lower.samples[0][:-1], bc2)
-            self.ab_z = banded(c.d2, bc2, self.mu1 + self.mu2 * np.roll(shift, 1, axis=0))
+            self.V = g.lattice(system.V.samples[0][:-1], bc2)
+            self.ab_z = banded(c.d2, bc2, self.mu1 + self.mu2 * np.roll(self.V, 1, axis=0))
 
     @staticmethod
     def solve(ab, rhs):
@@ -408,7 +409,7 @@ class ReferenceSteps:
             Hi_n = solve(self.ab_h[j1], Hi + dt * self.s1hu[j0] * map_between(Vi, s.bc2, s.bc1))
             return (Hi_n, Vsum_n - Vi_n, Vi_n)
         Hi, Z = u
-        pos = np.maximum(self.band[j0] - Z, 0.0)
+        pos = np.maximum(self.V[j0] - Z, 0.0)
         trans = self.sigma2[j0] * pos * map_between(Hi, s.bc1, s.bc2)
         Z_n = solve(self.ab_z[j1], Z + dt * trans)
         Hi_n = solve(self.ab_h[j1], Hi + dt * self.s1hu[j0] * map_between(Z, s.bc2, s.bc1))
@@ -424,16 +425,15 @@ def _systems(bcs):
                        H_u="5*(1 + 0.5*cos(pi*x))", mu2="1 + 0.3*cos(2*pi*t)")
     V = solve_logistic_orbit(c, bc2, g).orbit
     assert V.min_value() > 0.4       # a carrying orbit, not the zero state
-    upper, lower = band_edges(V, zeta(c, bc2, g).eigenfunction, 0.05)
     h0 = np.linspace(0.5, 1.5, g.n_unknowns(bc1))
     v0 = V.level(0, 0)
     # the host profile's system, its source as periodic.solve_Hbar builds it
-    # on a band's upper edge, its removal rate seasonal
+    # on the carrying orbit, its removal rate seasonal
     host = LinearPeriodicSystem(
         grid=g, comps=(ComponentSpec(d=c.d1, bc=bc1),),
         coupling=((parse_expression("-1 - 0.5*sin(2*pi*t)"),),),
         source=(g.lattice(c.sigma1, bc1) * g.lattice(c.H_u, bc1)
-                * map_between(upper.lattice(), bc2, bc1),))
+                * map_between(V.lattice(), bc2, bc1),))
 
     def model(kind, **kw):
         return NonlinearModel(kind=kind, c=c, bc1=bc1, bc2=bc2, grid=g, **kw)
@@ -441,9 +441,7 @@ def _systems(bcs):
     return g, [
         (model("logistic"), (0.5 * v0,)),
         (model("full"), (h0, 0.8 * v0, 0.2 * v0)),
-        (model("truncated", upper=V, lower=V), (h0, 0.3 * v0)),
-        (model("truncated", upper=upper, lower=lower), (h0, 0.3 * v0)),
-        (model("truncated", upper=lower, lower=upper), (h0, 0.3 * v0)),
+        (model("truncated", V=V), (h0, 0.3 * v0)),
         (host, (h0,)),
     ]
 
