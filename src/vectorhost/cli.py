@@ -36,7 +36,7 @@ from .eigen import lambda_V as lambda_V_eps  # noqa: F401  (name the benchmark t
 from .errors import (CoefficientError, ConfigError, DomainError, EvalError,
                      InputError, ParseError, RegimeError, VectorHostError)
 from .grid import BoundarySpec, map_between
-from .periodic import solve_Hbar, solve_endemic_pair, solve_logistic_orbit
+from .periodic import band_sign, solve_Hbar, solve_endemic_pair, solve_logistic_orbit
 from .stepper import NonlinearModel, check_trajectory, integrate_trajectory
 
 __all__ = ["main"]
@@ -126,7 +126,7 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
              ("gamma_rho_residual", gr.eigenfunction.residual)]
     histories = [("zeta", lr.zeta_result.r_history),
                  ("gamma_rho", gr.r_history)]
-    if lr.orbit.sup_norm() > 0.0:
+    if band_sign(lr.zeta, o.band) < 0:
         lam = lambda_V(c, (cfg.bc1, cfg.bc2), g, lr.orbit, o)
         items += [("lambda_V", lam.value),
                   ("lambda_V_iterations", lam.iterations),
@@ -240,9 +240,9 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     _write_report(os.path.join(args.out, "verify_report.txt"), items)
     _write_csv(os.path.join(args.out, "convergence.csv"), ["n", "e_n"],
                [[str(n), _FMT % e] for n, e in enumerate(cr.errors)])
-    print(f"regime={cr.regime} verdict={cr.verdict}"
+    print(f"regime={cr.regime_report.regime} verdict={cr.verdict}"
           f" final_error={cr.final_error:.6g}")
-    if cr.regime == INDETERMINATE and args.strict:
+    if cr.regime_report.regime == INDETERMINATE and args.strict:
         return EXIT_INDETERMINATE
     return EXIT_OK
 

@@ -70,11 +70,10 @@ class RegimeReport:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Per-period sup distances of a trajectory to the attractor."""
+    """Per-period sup distances of a trajectory to the attractor; the
+    regime is regime_report.regime."""
 
-    regime: str
     errors: tuple
-    ratios: tuple
     final_error: float
     median_ratio: float
     verdict: str
@@ -219,8 +218,8 @@ def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid, initial=None,
         report = classify_regime(c, bcs, grid, o)
         if report.regime == INDETERMINATE:
             return ConvergenceReport(
-                regime=INDETERMINATE, errors=(), ratios=(), final_error=float("nan"),
-                median_ratio=float("nan"), verdict=INDETERMINATE, regime_report=report)
+                errors=(), final_error=float("nan"), median_ratio=float("nan"),
+                verdict=INDETERMINATE, regime_report=report)
         if worker is None:
             errors = _measured(lambda: report.attractor, *run)
         else:
@@ -235,6 +234,6 @@ def verify_trichotomy(c: CoefficientSet, bcs, grid: Grid, initial=None,
     final = errors[-1]
     verdict = "PASS" if (final <= target and med < 1.0) else "FAIL"
     return ConvergenceReport(
-        regime=report.regime, errors=tuple(errors), ratios=tuple(ratios),
-        final_error=final, median_ratio=med, verdict=verdict, regime_report=report)
+        errors=tuple(errors), final_error=final, median_ratio=med, verdict=verdict,
+        regime_report=report)
 

@@ -292,33 +292,27 @@ def principal_eigenvalue(system: LinearPeriodicSystem,
     P = _PreparedEigen(system)
     g = system.grid
     u = np.ones(P.total)
-    r_prev = None
     r_history = []
-    converged = False
-    iterations = 0
-    r = np.nan
-    for iterations in range(1, max_iters + 1):
+    for _ in range(max_iters):   # SolverOptions keeps max_iters >= 1, so r is bound
         w = P.period_map(u)
         jmax = int(np.argmax(u))
         r = float(w[jmax] / u[jmax])
         r_history.append(r)
         denom = float(np.max(np.abs(w)))
         if denom == 0.0 or not np.isfinite(denom):
-            raise NoConvergence("period map annihilated the iterate", iterations)
+            raise NoConvergence("period map annihilated the iterate", len(r_history))
         s = w / denom
         if s[int(np.argmax(np.abs(s)))] < 0:
             s = -s
-        if r_prev is not None and abs(r - r_prev) <= max(tol, 4 * np.spacing(r)) and \
-                float(np.max(np.abs(s - u))) <= tol:
-            u = s
-            converged = True
-            break
+        done = (len(r_history) > 1 and abs(r - r_history[-2]) <= max(tol, 4 * np.spacing(r))
+                and float(np.max(np.abs(s - u))) <= tol)
         u = s
-        r_prev = r
-    if not converged:
+        if done:
+            break
+    else:
         raise NoConvergence(
             f"power iteration did not converge in {max_iters} iterations "
-            f"(last multiplier {r!r})", iterations)
+            f"(last multiplier {r!r})", max_iters)
     if r <= 0:
         raise InternalError(f"nonpositive multiplier {r} on a cooperative system")
 

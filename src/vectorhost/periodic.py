@@ -11,13 +11,14 @@ the host decay rate makes the period map a contraction.
 solve_endemic_pair runs the classical two-sided scheme on the truncated
 infection system: an upper seed built from the host profile and the
 carrying orbit, a lower seed proportional to the invasion eigenfunction,
-both iterated until they meet.  One gate refuses it unless zeta and then
-lambda(V) lie below the decision band.  Its result keeps the upper limit
-as one (H_i, V_i) orbit and the logistic result it was built on.
+both iterated until they meet.  It is built on the logistic result its
+caller passes; one gate refuses it unless zeta and then lambda(V) lie
+below the decision band.  Its result keeps the upper limit as one
+(H_i, V_i) orbit.
 
 Both orbits share one two-sided construction: _growing_seed finds the
-lower seed, halving it along _halvings, and _iterate_to_fixed_point
-carries each sequence to its limit.
+lower seed by halving, and _iterate_to_fixed_point carries each sequence
+to its limit.
 """
 
 from __future__ import annotations
@@ -74,14 +75,12 @@ class EndemicPairResult:
     """Upper/lower limits of the truncated infection system.
 
     orbit is the upper limit, components (H_i, V_i): the endemic orbit.
-    logistic is the carrying orbit and zeta the pair was built on; the
-    lower limit is not kept, only its residual.  gap is the final sup
+    The lower limit is not kept, only its residual.  gap is the final sup
     distance between the two limits; the histories hold the period
     boundary snapshots (tuples of component arrays) of each sequence.
     """
 
     orbit: PeriodicOrbit
-    logistic: LogisticOrbitResult
     lower_residual: float
     gap: float
     converged_in: int
@@ -97,12 +96,6 @@ def band_sign(value: float, band: float) -> int:
     """The decision-band rule of every threshold test: +1 when value >= band,
     -1 when value <= -band, 0 inside the band (NaN included)."""
     return 1 if value >= band else -1 if value <= -band else 0
-
-
-def _halvings(x: float, n: int):
-    """x * 2**-k for k = 0 .. n-1, each exact (the bits of halving x k times)."""
-    for k in range(n):
-        yield math.ldexp(x, -k)
 
 
 def _sup_gap(u: tuple, v: tuple) -> float:
@@ -133,10 +126,12 @@ def _iterate_to_fixed_point(model, prepared, u: tuple, tol: float,
 
 
 def _growing_seed(model, P, profile, dl: float, floor):
-    """First period image of d*profile, d = dl * 2**-k for k < _MAX_HALVINGS,
-    that falls below its seed by at most floor(seed component) in every
-    component; None if no such image exists."""
-    for d in _halvings(dl, _MAX_HALVINGS):
+    """First period image of d*profile, d = dl * 2**-k for k < _MAX_HALVINGS
+    (each d exact: the bits of halving dl k times), that falls below its
+    seed by at most floor(seed component) in every component; None if no
+    such image exists."""
+    for k in range(_MAX_HALVINGS):
+        d = math.ldexp(dl, -k)
         seed = tuple(d * p for p in profile)
         nxt = integrate_over_period(model, seed, prepared=P)
         if all(float(np.min(a - b)) >= -floor(b) for a, b in zip(nxt, seed)):
@@ -251,17 +246,17 @@ def _endemic_gate(value: float, band: float, absent: str, name: str,
             indeterminate=True)
 
 
-def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
-                       o: SolverOptions = SolverOptions(),
-                       logistic: LogisticOrbitResult | None = None,
+def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid, o: SolverOptions,
+                       logistic: LogisticOrbitResult,
                        lam: EigenResult | None = None,
                        hbar: PeriodicOrbit | None = None) -> EndemicPairResult:
     """Two-sided construction of the endemic orbit of the truncated system.
 
-    The upper and lower limits bracket the endemic orbit itself.  The
-    logistic result (carrying orbit and zeta), the invasion eigenvalue and
-    the host profile (solve_Hbar on that carrying orbit) may be passed to
-    reuse earlier work; whatever is missing is computed here.
+    The upper and lower limits bracket the endemic orbit itself.  The pair
+    is built on the caller's logistic result (carrying orbit and zeta); the
+    invasion eigenvalue and the host profile (solve_Hbar on that carrying
+    orbit) may be passed to reuse earlier work, and are computed here when
+    missing.
 
     Raises:
         RegimeError: zeta or the invasion exponent does not place the
@@ -274,8 +269,6 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
     """
     bc1, bc2 = bcs
     tol, band = o.orbit_tol, o.band
-    if logistic is None:
-        logistic = solve_logistic_orbit(c, bc2, grid, o)
     rz, V = logistic.zeta_result, logistic.orbit
     _endemic_gate(rz.value, band, "the vector population dies out", "zeta",
                   "growth threshold")
@@ -296,7 +289,7 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
     up_seed = (Hbar.level(0, 0) * (1.0 + _SUPERSOLUTION_BUMP), V.level(0, 0))
     up1 = integrate_over_period(model, up_seed, prepared=P)
     if not all(float(np.max(a - b)) <= floor(b) for a, b in zip(up1, up_seed)):
-        raise InternalError("upper seed failed to decrease with no band to shrink"
+        raise InternalError("upper seed failed to decrease"
                             + infection_step_hint(grid, grid.lattice(c.sigma2, bc2),
                                                   Hbar.lattice(), bcs, "Hbar"))
 
@@ -328,6 +321,6 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid,
             f"infected-vector orbit exceeds the carrying orbit by {overshoot:.3g}")
 
     return EndemicPairResult(
-        orbit=orbit, logistic=logistic, lower_residual=lower_residual,
+        orbit=orbit, lower_residual=lower_residual,
         gap=gap, converged_in=max(n_up + 1, n_low + 1), lambda_V_result=lamV,
         upper_history=tuple(upper_history), lower_history=tuple(lower_history))

@@ -146,10 +146,6 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return self.steps * self.grid.dt
 
-    @property
-    def n_periods(self) -> int:
-        return int(self.steps[-1]) // self.grid.steps_per_period
-
 
 # ═══════════════════════════════════════════════════════════════════════════
 # prepared coefficient lattices

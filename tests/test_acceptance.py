@@ -183,7 +183,7 @@ def test_criterion_06_endemic_pair_values_and_monotone_sweeps(endemic_report):
     H, Vi = pair.orbit.samples
     assert float(np.max(np.abs(H - 3.0))) <= 1e-4
     assert float(np.max(np.abs(Vi - 0.6))) <= 1e-4
-    assert np.all(Vi < pair.logistic.orbit.samples[0])
+    assert np.all(Vi < endemic_report.logistic.orbit.samples[0])
     for a, b in zip(pair.upper_history, pair.upper_history[1:]):
         for ca, cb in zip(a, b):
             assert float(np.min(ca - cb)) >= -1e-12    # uppers come down

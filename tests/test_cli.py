@@ -437,6 +437,28 @@ def test_eigen_reports_all_values(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("beta, solved", [
+    (None, True),                      # the README config: zeta = -1
+    ("1.0005 + sin(2*pi*t)", False),   # zeta inside the decision band
+    ("0.5", False),                    # zeta above it
+])
+def test_eigen_solves_lambda_V_only_below_the_band(tmp_path, capsys, beta, solved):
+    path = tmp_path / "readme.ini"
+    path.write_text(README)
+    out = str(tmp_path / "o")
+    extra = [] if beta is None else ["--override", f"coefficients.beta={beta}"]
+    assert main(["eigen", "--config", str(path), "--out", out] + extra) == 0
+    rep = read_report(os.path.join(out, "eigen_report.txt"))
+    hist = open(os.path.join(out, "eigen_history.csv")).read().splitlines()
+    names = {line.split(",")[0] for line in hist[1:]}
+    if solved:
+        assert float(rep["lambda_V"]) < 0.0 and "lambda_V" in names
+    else:
+        assert rep["lambda_V"] == "ABSENT (carrying orbit is zero)"
+        assert "lambda_V_iterations" not in rep and "lambda_V" not in names
+    capsys.readouterr()
+
+
 def test_periodic_present_then_absent(tmp_path, capsys):
     path = write_config(tmp_path)
     out = str(tmp_path / "endemic")

@@ -143,19 +143,23 @@ def test_hbar_rejects_V_off_the_vector_layout(grid, monkeypatch):
 
 
 def test_endemic_pair_constants(grid):
-    pair = solve_endemic_pair(make_constants(), BCS, grid)
+    c = make_constants()
+    lr = solve_logistic_orbit(c, NEUMANN2, grid)
+    pair = solve_endemic_pair(c, BCS, grid, SolverOptions(), lr)
     assert np.max(np.abs(pair.orbit.samples[0] - 3.0)) < 1e-6
     assert np.max(np.abs(pair.orbit.samples[1] - 0.6)) < 1e-6
     assert pair.gap <= 1e-7
     assert pair.orbit.residual <= 1e-8
     assert pair.lower_residual <= 1e-8
     # strictly below the carrying orbit
-    assert float(np.max(pair.orbit.samples[1] - pair.logistic.orbit.samples[0])) < 0.0
+    assert float(np.max(pair.orbit.samples[1] - lr.orbit.samples[0])) < 0.0
 
 
 def test_endemic_histories_are_monotone_and_ordered(grid):
     # history entries are (H, V_i) component tuples at period boundaries
-    pair = solve_endemic_pair(make_constants(), BCS, grid)
+    c = make_constants()
+    pair = solve_endemic_pair(c, BCS, grid, SolverOptions(),
+                              solve_logistic_orbit(c, NEUMANN2, grid))
     ups, los = pair.upper_history, pair.lower_history
     assert len(ups) >= 2 and len(los) >= 2
     slack = 1e-12
@@ -187,16 +191,11 @@ def test_pair_refused_outside_endemic_regime(grid):
          r"^growth threshold -0\.000500004" + unresolved),
     ]
     for fields, indeterminate, message in cases:
+        c = make_constants(**fields)
+        lr = solve_logistic_orbit(c, NEUMANN2, grid)
         with pytest.raises(RegimeError, match=message) as err:
-            solve_endemic_pair(make_constants(**fields), BCS, grid)
+            solve_endemic_pair(c, BCS, grid, SolverOptions(), lr)
         assert err.value.indeterminate == indeterminate, fields
-
-
-def test_pair_reuses_precomputed_logistic(grid):
-    lr = solve_logistic_orbit(make_constants(), NEUMANN2, grid)
-    pair = solve_endemic_pair(make_constants(), BCS, grid, logistic=lr)
-    assert pair.logistic is lr
-    assert np.max(np.abs(pair.orbit.samples[0] - 3.0)) < 1e-6
 
 
 def test_pair_reuses_a_passed_host_profile(grid):
@@ -205,12 +204,12 @@ def test_pair_reuses_a_passed_host_profile(grid):
     c = make_constants()
     lr = solve_logistic_orbit(c, NEUMANN2, grid)
     hbar = solve_Hbar(c, BCS, grid, lr.orbit)
-    ref = solve_endemic_pair(c, BCS, grid, logistic=lr)
-    pair = solve_endemic_pair(c, BCS, grid, logistic=lr, hbar=hbar)
+    ref = solve_endemic_pair(c, BCS, grid, SolverOptions(), lr)
+    pair = solve_endemic_pair(c, BCS, grid, SolverOptions(), lr, hbar=hbar)
     assert np.array_equal(pair.upper_history[0][0], ref.upper_history[0][0])
     assert np.array_equal(pair.orbit.samples[0], ref.orbit.samples[0])
     doubled = PeriodicOrbit((2.0 * hbar.samples[0],))
-    seeded = solve_endemic_pair(c, BCS, grid, logistic=lr, hbar=doubled)
+    seeded = solve_endemic_pair(c, BCS, grid, SolverOptions(), lr, hbar=doubled)
     assert np.array_equal(seeded.upper_history[0][0],
                           2.0 * ref.upper_history[0][0])
     assert np.max(np.abs(seeded.orbit.samples[0] - 3.0)) < 1e-6
@@ -224,15 +223,16 @@ def test_orbit_solvers_obey_the_blowup_cap(grid):
         solve_logistic_orbit(c, NEUMANN2, grid, SolverOptions(blowup_cap=0.5))
     lr = solve_logistic_orbit(c, NEUMANN2, grid)
     with pytest.raises(BlowupError, match="^state exceeded blow-up cap 2$"):
-        solve_endemic_pair(c, BCS, grid, SolverOptions(blowup_cap=2.0), logistic=lr)
+        solve_endemic_pair(c, BCS, grid, SolverOptions(blowup_cap=2.0), lr)
 
 
 def test_seasonal_endemic_pair(grid):
     c = make_constants(beta="2 + sin(2*pi*t)")
-    pair = solve_endemic_pair(c, BCS, grid)
+    lr = solve_logistic_orbit(c, NEUMANN2, grid)
+    pair = solve_endemic_pair(c, BCS, grid, SolverOptions(), lr)
     assert pair.gap <= 1e-7
     assert pair.orbit.min_value() > 0.0   # H_i and V_i both
-    assert float(np.max(pair.orbit.samples[1] - pair.logistic.orbit.samples[0])) < 0.0
+    assert float(np.max(pair.orbit.samples[1] - lr.orbit.samples[0])) < 0.0
 
 
 # ───────────────────────────────────────────────── seeds and budgets ──
@@ -261,26 +261,27 @@ def test_growing_seed_halves_until_the_image_grows(grid):
                                   lambda seed: 0.0) is None
 
 
-def test_failed_seed_at_zero_width_raises(grid, monkeypatch):
+def test_failed_upper_or_lower_seed_raises(grid, monkeypatch):
     # a seed that fails is an error
     c = make_constants()
     lr = solve_logistic_orbit(c, NEUMANN2, grid)
     zero = PeriodicOrbit.zeros([grid.n_unknowns(NEUMANN1)], grid.steps_per_period)
     with pytest.raises(InternalError, match="^upper seed failed to decrease") as err:
-        solve_endemic_pair(c, BCS, grid, logistic=lr, hbar=zero)
+        solve_endemic_pair(c, BCS, grid, SolverOptions(), lr, hbar=zero)
     assert "steps_per_period" not in str(err.value)   # dt*sigma2*Hbar = 0
     monkeypatch.setattr(periodic, "_growing_seed", lambda *args: None)
     with pytest.raises(NoConvergence, match="^no growing lower seed found "
                        "for the endemic pair$"):
-        solve_endemic_pair(c, BCS, grid, logistic=lr)
+        solve_endemic_pair(c, BCS, grid, SolverOptions(), lr)
 
 
 def test_failed_seed_names_the_explicit_infection_step(grid):
     # README coefficients at H_u = 300: max Hbar = 306.7, so the explicit
     # infection step dt*sigma2*Hbar reaches 2.396 at 128 steps per period
     c = make_constants(beta="2 + sin(2*pi*t)", d2="0.5", H_u="300")
+    lr = solve_logistic_orbit(c, NEUMANN2, grid)
     with pytest.raises(InternalError, match=(
-            r"^upper seed failed to decrease with no band to shrink; "
+            r"^upper seed failed to decrease; "
             r"max dt\*sigma2\*Hbar = 2\.396 >= 1 makes the explicit infection "
             r"step non-monotone \(steps_per_period >= 307 brings it below 1\)$")):
-        solve_endemic_pair(c, BCS, grid)
+        solve_endemic_pair(c, BCS, grid, SolverOptions(), lr)

@@ -193,7 +193,7 @@ def test_trajectory_sampling_and_boundaries(grid, endemic_c):
                            bc2=NEUMANN[1], grid=grid)
     u0 = build_initial_state(grid, *NEUMANN, (1.0, 0.5, 0.1))
     traj = integrate_trajectory(model, u0, 3, sample_stride=16)
-    assert traj.n_periods == 3
+    assert traj.steps[-1] == 3 * grid.steps_per_period
     assert len(traj.steps) == 3 * 64 // 16 + 1
     assert all(s.shape == (len(traj.steps), 33) for s in traj.samples)
     b2 = list(traj.steps).index(128)          # period boundary 2
