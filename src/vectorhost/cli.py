@@ -158,7 +158,7 @@ def cmd_periodic(cfg: RunConfig, args) -> int:
     items = [("zeta", lr.zeta),
              ("V_converged_in", lr.converged_in),
              ("V_fixed_point_residual", lr.orbit.residual),
-             ("V_agreement_gap", lr.agreement_gap),
+             ("V_agreement_gap", lr.gap),
              ("Hbar_sup", hbar.sup_norm())]
     indeterminate = False
     try:

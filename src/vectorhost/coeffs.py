@@ -122,7 +122,6 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     def __init__(self, src: str, constants: Mapping[str, float]):
-        self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
         self.depth = 0      # open unary() calls: every recursion passes there

@@ -196,11 +196,11 @@ class _PreparedEigen:
         g, ts, kb, N = sys.grid, self.ts, self.kb, self.total
         m = len(ts)
         diffusion = [assemble_diffusion(g, c.d, c.bc, ts) for c in sys.comps]
-        coup = [[None if f is None else g.lattice(f, comp.bc)
-                 for f in row] for comp, row in zip(sys.comps, sys.coupling)]
+        coup = [[g.lattice(f, comp.bc) for f in row]
+                for comp, row in zip(sys.comps, sys.coupling)]
         # the first negative level, then the first (row, column) at that level
         bad = [(int(np.argmax(low)), i, jc) for i, row in enumerate(coup)
-               for jc, w in enumerate(row) if w is not None and jc != i
+               for jc, w in enumerate(row) if jc != i
                for low in [np.min(w, axis=1) < _COOP_SLACK] if low.any()]
         if bad:
             j, i, jc = min(bad)
@@ -227,9 +227,8 @@ class _PreparedEigen:
             put(idx[1:], idx[:-1], D.lower)
             put(idx[:-1], idx[1:], D.upper)
             for jc, w in enumerate(coup[i]):
-                if w is not None:
-                    r, c_, d_ = _layout_map(g, comp.bc, sys.comps[jc].bc, w)
-                    put(o + r, self.offsets[jc] + c_, d_)
+                r, c_, d_ = _layout_map(g, comp.bc, sys.comps[jc].bc, w)
+                put(o + r, self.offsets[jc] + c_, d_)
         return A
 
     def _check(self, info: int, routine: str, j: int) -> None:

@@ -13,12 +13,12 @@ infection system: an upper seed built from the host profile and the
 carrying orbit, a lower seed proportional to the invasion eigenfunction,
 both iterated until they meet.  It is built on the logistic result its
 caller passes; one gate refuses it unless zeta and then lambda(V) lie
-below the decision band.  Its result keeps the upper limit as one
-(H_i, V_i) orbit.
+below the decision band.
 
 Both orbits share one two-sided construction: _growing_seed finds the
-lower seed by halving, and _iterate_to_fixed_point carries each sequence
-to its limit.
+lower seed by halving, _iterate_to_fixed_point carries each sequence to
+its limit, and a Bracket record keeps both sequences, reading the gap and
+the period count off them.
 """
 
 from __future__ import annotations
@@ -53,40 +53,48 @@ _MAX_HALVINGS = 60
 _SUPERSOLUTION_BUMP = 1e-6
 
 
-@dataclass(frozen=True)
-class LogisticOrbitResult:
-    """Carrying orbit of the vector total plus its growth diagnostics.
-
-    orbit is the upper-seed limit; agreement_gap is the sup distance to
-    the lower-seed limit (a uniqueness witness)."""
+@dataclass(frozen=True, kw_only=True)
+class Bracket:
+    """Both monotone sequences of a two-sided orbit construction: the
+    period-boundary states (component tuples) of each, empty for the zero
+    orbit, whose last entries are the two limits; orbit is the stored
+    period of the upper limit."""
 
     orbit: PeriodicOrbit
+    upper_history: tuple
+    lower_history: tuple
+
+    @property
+    def gap(self) -> float:
+        """Sup distance between the two limits (0.0 for the zero orbit)."""
+        up, low = self.upper_history, self.lower_history
+        return _sup_gap(up[-1], low[-1]) if up else 0.0
+
+    @property
+    def converged_in(self) -> int:
+        """Period maps the longer sequence took from its seed to its limit."""
+        return max(len(self.upper_history) - 1, len(self.lower_history))
+
+
+@dataclass(frozen=True, kw_only=True)
+class LogisticOrbitResult(Bracket):
+    """Carrying orbit of the vector total plus its growth threshold."""
+
     zeta_result: EigenResult
-    converged_in: int
-    agreement_gap: float
 
     @property
     def zeta(self) -> float:
         return self.zeta_result.value
 
 
-@dataclass(frozen=True)
-class EndemicPairResult:
-    """Upper/lower limits of the truncated infection system.
+@dataclass(frozen=True, kw_only=True)
+class EndemicPairResult(Bracket):
+    """Upper/lower limits of the truncated infection system: orbit, with
+    components (H_i, V_i), is the endemic orbit; lower_residual is the sup
+    gap of one more period map of the lower limit."""
 
-    orbit is the upper limit, components (H_i, V_i): the endemic orbit.
-    The lower limit is not kept, only its residual.  gap is the final sup
-    distance between the two limits; the histories hold the period
-    boundary snapshots (tuples of component arrays) of each sequence.
-    """
-
-    orbit: PeriodicOrbit
-    lower_residual: float
-    gap: float
-    converged_in: int
     lambda_V_result: EigenResult
-    upper_history: tuple
-    lower_history: tuple
+    lower_residual: float
 
 
 # ─────────────────────────────────────────────────────────────── helpers ──
@@ -103,40 +111,36 @@ def _sup_gap(u: tuple, v: tuple) -> float:
     return max(float(np.max(np.abs(a - b))) for a, b in zip(u, v))
 
 
-def _iterate_to_fixed_point(model, prepared, u: tuple, tol: float,
-                            max_periods: int, label: str,
-                            history: list | None = None):
-    """Period-map iteration until two successive boundaries agree within tol.
-
-    Every image is a fresh tuple of fresh arrays, so the history keeps them
-    as they are."""
-    if history is not None:
-        history.append(u)
-    for n in range(1, max_periods + 1):
+def _iterate_to_fixed_point(model, prepared, history: list, o: SolverOptions,
+                            label: str) -> tuple:
+    """Period-map iteration from history[-1], appending every image (a fresh
+    tuple of fresh arrays) to history, until two successive boundaries
+    agree within o.orbit_tol; returns the limit."""
+    u = history[-1]
+    for _ in range(o.max_periods):
         nxt = integrate_over_period(model, u, prepared=prepared)
         delta = _sup_gap(nxt, u)
         u = nxt
-        if history is not None:
-            history.append(u)
-        if delta <= tol:
-            return u, n
+        history.append(u)
+        if delta <= o.orbit_tol:
+            return u
     raise NoConvergence(
-        f"{label} iteration still moving after {max_periods} periods "
-        f"(last change {delta:.3g}, tol {tol:g})", max_periods)
+        f"{label} iteration still moving after {o.max_periods} periods "
+        f"(last change {delta:.3g}, tol {o.orbit_tol:g})", o.max_periods)
 
 
-def _growing_seed(model, P, profile, dl: float, floor):
+def _growing_seed(model, P, profile, dl: float, floor, what: str) -> tuple:
     """First period image of d*profile, d = dl * 2**-k for k < _MAX_HALVINGS
     (each d exact: the bits of halving dl k times), that falls below its
-    seed by at most floor(seed component) in every component; None if no
-    such image exists."""
+    seed by at most floor(seed component) in every component;
+    NoConvergence, naming the `what` being seeded, if there is none."""
     for k in range(_MAX_HALVINGS):
         d = math.ldexp(dl, -k)
         seed = tuple(d * p for p in profile)
         nxt = integrate_over_period(model, seed, prepared=P)
         if all(float(np.min(a - b)) >= -floor(b) for a, b in zip(nxt, seed)):
             return nxt
-    return None
+    raise NoConvergence(f"no growing lower seed found for the {what}", _MAX_HALVINGS)
 
 
 # ─────────────────────────────────────────────── the vector total orbit ──
@@ -164,7 +168,7 @@ def solve_logistic_orbit(c: CoefficientSet, bc2: BoundarySpec, grid: Grid,
     if band_sign(rz.value, o.band) >= 0:
         return LogisticOrbitResult(
             orbit=PeriodicOrbit.zeros([n2], g.steps_per_period),
-            zeta_result=rz, converged_in=0, agreement_gap=0.0)
+            upper_history=(), lower_history=(), zeta_result=rz)
 
     model = NonlinearModel(kind="logistic", c=c, bc1=BoundarySpec.neumann(1),
                            bc2=bc2, grid=g, cap=o.blowup_cap)
@@ -175,16 +179,12 @@ def solve_logistic_orbit(c: CoefficientSet, bc2: BoundarySpec, grid: Grid,
     mu2_lo, mu2_hi = float(np.min(mu2)), float(np.max(mu2))
     K = 1.0 + max(bmax, 0.0) / max(mu2_lo, 1e-8)
 
-    low = _growing_seed(model, P, (rz.eigenfunction.level(0, 0),),
-                        0.5 * abs(rz.value) / max(mu2_hi, 1e-8),
-                        lambda seed: 1e-12 * max(1.0, K))
-    if low is None:
-        raise NoConvergence(
-            "no growing lower seed found for the vector orbit", _MAX_HALVINGS)
-    up, n_up = _iterate_to_fixed_point(model, P, (np.full(n2, K),), o.orbit_tol,
-                                       o.max_periods, "vector orbit (upper seed)")
-    low, n_low = _iterate_to_fixed_point(model, P, low, o.orbit_tol,
-                                         o.max_periods, "vector orbit (lower seed)")
+    lower = [_growing_seed(model, P, (rz.eigenfunction.level(0, 0),),
+                           0.5 * abs(rz.value) / max(mu2_hi, 1e-8),
+                           lambda seed: 1e-12 * max(1.0, K), "vector orbit")]
+    upper = [(np.full(n2, K),)]
+    up = _iterate_to_fixed_point(model, P, upper, o, "vector orbit (upper seed)")
+    low = _iterate_to_fixed_point(model, P, lower, o, "vector orbit (lower seed)")
     agreement = _sup_gap(up, low)
     if agreement > AGREEMENT_FACTOR * o.orbit_tol:
         raise NonUniqueOrbit(
@@ -192,8 +192,8 @@ def solve_logistic_orbit(c: CoefficientSet, bc2: BoundarySpec, grid: Grid,
             f"(allowed {AGREEMENT_FACTOR * o.orbit_tol:g}); the orbit is not certified unique")
 
     orbit = PeriodicOrbit(integrate_over_period(model, up, prepared=P, store=True))
-    return LogisticOrbitResult(orbit=orbit, zeta_result=rz,
-                               converged_in=max(n_up, n_low + 1), agreement_gap=agreement)
+    return LogisticOrbitResult(orbit=orbit, upper_history=tuple(upper),
+                               lower_history=tuple(lower), zeta_result=rz)
 
 
 # ───────────────────────────────────────────────────── the host profile ──
@@ -221,8 +221,8 @@ def solve_Hbar(c: CoefficientSet, bcs, grid: Grid, V: PeriodicOrbit,
         coupling=((-grid.lattice(c.rho, bc1),),),
         source=(src,))
     P = prepare(sys)
-    u, _ = _iterate_to_fixed_point(sys, P, (np.zeros(grid.n_unknowns(bc1)),),
-                                   o.orbit_tol, o.max_periods, "host profile")
+    u = _iterate_to_fixed_point(sys, P, [(np.zeros(grid.n_unknowns(bc1)),)], o,
+                                "host profile")
     return PeriodicOrbit(integrate_over_period(sys, u, prepared=P, store=True))
 
 
@@ -296,16 +296,11 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid, o: SolverOptions,
     profile = tuple(lamV.eigenfunction.level(i, 0) for i in range(2))
     ratios = [float(np.min(0.5 * s[p > 1e-300] / p[p > 1e-300]))
               for s, p in zip(up_seed, profile)]
-    low1 = _growing_seed(model, P, profile, 2.0 ** np.floor(np.log2(min(ratios))), floor)
-    if low1 is None:
-        raise NoConvergence("no growing lower seed found for the endemic pair", _MAX_HALVINGS)
-
-    upper_history: list = [up_seed]
-    lower_history: list = []
-    up, n_up = _iterate_to_fixed_point(model, P, up1, tol, o.max_periods,
-                                       "endemic pair (upper)", upper_history)
-    low, n_low = _iterate_to_fixed_point(model, P, low1, tol, o.max_periods,
-                                         "endemic pair (lower)", lower_history)
+    lower = [_growing_seed(model, P, profile, 2.0 ** np.floor(np.log2(min(ratios))),
+                           floor, "endemic pair")]
+    upper = [up_seed, up1]
+    up = _iterate_to_fixed_point(model, P, upper, o, "endemic pair (upper)")
+    low = _iterate_to_fixed_point(model, P, lower, o, "endemic pair (lower)")
     gap = _sup_gap(up, low)
     if gap > GAP_FACTOR * tol:
         raise GapError(
@@ -321,6 +316,5 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid, o: SolverOptions,
             f"infected-vector orbit exceeds the carrying orbit by {overshoot:.3g}")
 
     return EndemicPairResult(
-        orbit=orbit, lower_residual=lower_residual,
-        gap=gap, converged_in=max(n_up + 1, n_low + 1), lambda_V_result=lamV,
-        upper_history=tuple(upper_history), lower_history=tuple(lower_history))
+        orbit=orbit, upper_history=tuple(upper), lower_history=tuple(lower),
+        lambda_V_result=lamV, lower_residual=lower_residual)

@@ -79,7 +79,7 @@ class LinearPeriodicSystem:
     """A cooperative linear system  u_t = div(d_i grad u_i) + sum_j h_ij u_j + f_i.
 
     coupling[i][j] is the coefficient field multiplying component j in
-    equation i (None for zero); off-diagonal entries must be nonnegative.
+    equation i; off-diagonal entries must be nonnegative.
     source, if present, is one field per component.  A field is anything
     coeffs.field_lattice reads: an Expression, a number, or an array of
     shape (m, n_i) over the solver levels and the nodes of component i.
@@ -231,7 +231,7 @@ class _PreparedLinear:
         self.m = g.steps_per_period
         self.dt_src = list(g.dt * g.lattice(src, comp.bc))
         self.lu = _factored(assemble_diffusion(g, comp.d, comp.bc, g.level_times()), g.dt,
-                            0.0 if decay is None else -g.lattice(decay, comp.bc))
+                            -g.lattice(decay, comp.bc))
 
     def advance(self, u: tuple, k0: int, k1: int) -> tuple:
         """The host profile at step k0 -> at step k1."""

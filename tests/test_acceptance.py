@@ -163,7 +163,7 @@ def test_criterion_05_carrying_orbit_exists_and_is_unique(
         endemic_report, extinction_report, endemic_c, neumann_bcs, grid31):
     lr = endemic_report.logistic
     assert float(np.max(np.abs(lr.orbit.samples[0] - 1.0))) <= 1e-6
-    assert lr.agreement_gap <= 1e-8           # super- and subsolution limits
+    assert lr.gap <= 1e-8           # super- and subsolution limits
     assert extinction_report.logistic.orbit.sup_norm() == 0.0
 
     # ten unrelated positive starts all land on the same orbit

@@ -178,6 +178,18 @@ def test_negative_offdiagonal_coupling_rejected(grid):
         principal_eigenvalue(sys_)
 
 
+def test_a_none_coupling_entry_is_no_usable_field(grid):
+    # every coupling entry is a field: None does not stand for zero
+    sys_ = LinearPeriodicSystem(
+        grid=grid,
+        comps=(ComponentSpec(d=1.0, bc=NEUMANN1),
+               ComponentSpec(d=1.0, bc=NEUMANN2)),
+        coupling=((parse_expression("-1"), None),
+                  (parse_expression("1"), parse_expression("-1"))))
+    with pytest.raises(InputError, match="^not a usable field: None$"):
+        principal_eigenvalue(sys_)
+
+
 def test_cooperativity_message_names_coupling_and_first_level(grid):
     sys_ = LinearPeriodicSystem(
         grid=grid,

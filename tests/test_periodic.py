@@ -43,7 +43,7 @@ def test_constants_orbit_hits_carrying_capacity(grid):
     lr = solve_logistic_orbit(make_constants(), NEUMANN2, grid)
     assert np.max(np.abs(lr.orbit.samples[0] - 1.0)) < 1e-6
     assert lr.zeta == pytest.approx(-1.0, abs=1e-4)
-    assert lr.agreement_gap <= 1e-8
+    assert lr.gap <= 1e-8
     assert lr.orbit.residual <= 1e-9
     assert lr.converged_in > 0
 
@@ -52,6 +52,9 @@ def test_supercritical_mortality_gives_zero_orbit(grid):
     lr = solve_logistic_orbit(make_constants(beta="1", mu1="2"), NEUMANN2, grid)
     assert lr.orbit.sup_norm() == 0.0
     assert lr.zeta == pytest.approx(1.0, abs=1e-4)
+    # the zero orbit is built by no iteration: both histories are empty
+    assert lr.upper_history == lr.lower_history == ()
+    assert lr.gap == 0.0 and lr.converged_in == 0
 
 
 def test_seasonal_orbit_is_positive_and_periodic(grid):
@@ -156,22 +159,28 @@ def test_endemic_pair_constants(grid):
 
 
 def test_endemic_histories_are_monotone_and_ordered(grid):
-    # history entries are (H, V_i) component tuples at period boundaries
+    # history entries are component tuples at period boundaries: (V,) for
+    # the carrying orbit, (H, V_i) for the endemic pair
     c = make_constants()
-    pair = solve_endemic_pair(c, BCS, grid, SolverOptions(),
-                              solve_logistic_orbit(c, NEUMANN2, grid))
-    ups, los = pair.upper_history, pair.lower_history
-    assert len(ups) >= 2 and len(los) >= 2
+    lr = solve_logistic_orbit(c, NEUMANN2, grid)
+    pair = solve_endemic_pair(c, BCS, grid, SolverOptions(), lr)
     slack = 1e-12
-    for a, b in zip(ups, ups[1:]):   # upper comes down
-        for ca, cb in zip(a, b):
-            assert float(np.max(cb - ca)) <= slack
-    for a, b in zip(los, los[1:]):   # lower climbs
-        for ca, cb in zip(a, b):
-            assert float(np.min(cb - ca)) >= -slack
-    for lo in los:                   # every lower sits under the last upper
-        for cl, cu in zip(lo, ups[-1]):
-            assert float(np.max(cl - cu)) <= slack
+    for rec in (lr, pair):
+        ups, los = rec.upper_history, rec.lower_history
+        assert len(ups) >= 2 and len(los) >= 2
+        for a, b in zip(ups, ups[1:]):   # upper comes down
+            for ca, cb in zip(a, b):
+                assert float(np.max(cb - ca)) <= slack
+        for a, b in zip(los, los[1:]):   # lower climbs
+            for ca, cb in zip(a, b):
+                assert float(np.min(cb - ca)) >= -slack
+        for lo in los:                   # every lower sits under the last upper
+            for cl, cu in zip(lo, ups[-1]):
+                assert float(np.max(cl - cu)) <= slack
+        # the gap and the period count are read off the two sequences
+        assert rec.gap == max(float(np.max(np.abs(u - l)))
+                              for u, l in zip(ups[-1], los[-1]))
+        assert rec.converged_in == max(len(ups) - 1, len(los))
 
 
 def test_pair_refused_outside_endemic_regime(grid):
@@ -253,12 +262,15 @@ def test_growing_seed_halves_until_the_image_grows(grid):
     model = NonlinearModel(kind="logistic", c=make_constants(), bc1=NEUMANN1,
                            bc2=NEUMANN2, grid=grid)
     image = periodic._growing_seed(model, prepare(model), ones, 4.0,
-                                   lambda seed: 1e-12)
+                                   lambda seed: 1e-12, "vector orbit")
     assert np.max(np.abs(image[0] - 1.0)) <= 1e-12
     # under supercritical mortality every seed shrinks
     dying = replace(model, c=make_constants(beta="1", mu1="2"))
-    assert periodic._growing_seed(dying, prepare(dying), ones, 1.0,
-                                  lambda seed: 0.0) is None
+    with pytest.raises(NoConvergence, match="^no growing lower seed found "
+                       "for the vector orbit$") as err:
+        periodic._growing_seed(dying, prepare(dying), ones, 1.0,
+                               lambda seed: 0.0, "vector orbit")
+    assert err.value.iterations == periodic._MAX_HALVINGS
 
 
 def test_failed_upper_or_lower_seed_raises(grid, monkeypatch):
@@ -269,7 +281,7 @@ def test_failed_upper_or_lower_seed_raises(grid, monkeypatch):
     with pytest.raises(InternalError, match="^upper seed failed to decrease") as err:
         solve_endemic_pair(c, BCS, grid, SolverOptions(), lr, hbar=zero)
     assert "steps_per_period" not in str(err.value)   # dt*sigma2*Hbar = 0
-    monkeypatch.setattr(periodic, "_growing_seed", lambda *args: None)
+    monkeypatch.setattr(periodic, "_MAX_HALVINGS", 0)
     with pytest.raises(NoConvergence, match="^no growing lower seed found "
                        "for the endemic pair$"):
         solve_endemic_pair(c, BCS, grid, SolverOptions(), lr)

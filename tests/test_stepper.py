@@ -76,6 +76,12 @@ def test_linear_systems_step_only_as_the_host_profile(grid):
             prepare(system)
         with pytest.raises(InputError, match="one component with one source"):
             integrate_over_period(system, tuple(np.ones(33) for _ in system.comps))
+    # the host profile's decay is a field: None does not stand for zero
+    no_decay = LinearPeriodicSystem(
+        grid=grid, comps=(ComponentSpec(d=d, bc=NEUMANN[0]),), coupling=((None,),),
+        source=(src,))
+    with pytest.raises(InputError, match="^not a usable field: None$"):
+        prepare(no_decay)
 
 
 def test_total_vector_reduces_to_logistic_exactly(grid):
