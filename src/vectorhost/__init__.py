@@ -18,10 +18,9 @@ from .dynamics import (DISEASE_FREE, ENDEMIC, EXTINCTION, INDETERMINATE,
 from .eigen import (EigenResult, PeriodicOrbit, SolverOptions, apply_period_map,
                     gamma_rho, lambda_V, principal_eigenvalue, zeta)
 from .errors import (BlowupError, CoefficientError, ConfigError, DomainError,
-                     EvalError, GapError, InputError,
-                     InternalError, NoConvergence, NonUniqueOrbit, ParseError,
-                     RegimeError, ReducibleSystemWarning, SolveError,
-                     VectorHostError)
+                     EvalError, GapError, InputError, InternalError,
+                     NoConvergence, NonUniqueOrbit, ParseError,
+                     ReducibleSystemWarning, SolveError, VectorHostError)
 from .grid import (BoundarySpec, Grid, assemble_diffusion, build_grid,
                    map_between)
 from .periodic import (EndemicPairResult, LogisticOrbitResult, solve_Hbar,
@@ -50,7 +49,7 @@ __all__ = [
     # errors
     "BlowupError", "CoefficientError", "ConfigError", "DomainError",
     "EvalError", "GapError", "InputError", "InternalError",
-    "NoConvergence", "NonUniqueOrbit", "ParseError", "RegimeError",
+    "NoConvergence", "NonUniqueOrbit", "ParseError",
     "ReducibleSystemWarning", "SolveError", "VectorHostError",
     # mesh and boundary operators
     "BoundarySpec", "Grid", "assemble_diffusion", "build_grid", "map_between",

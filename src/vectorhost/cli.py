@@ -29,14 +29,15 @@ import numpy as np
 from ._workers import Worker, emitted, recorded, usable_cpus
 from .coeffs import validate_hypothesis_H
 from .config import RunConfig, load_config, substituted_coeffs
-from .dynamics import (INDETERMINATE, build_initial_state, classify_regime,
-                       verify_trichotomy)
+from .dynamics import build_initial_state, classify_regime, verify_trichotomy
 from .eigen import gamma_rho, lambda_V
 from .eigen import lambda_V as lambda_V_eps  # noqa: F401  (name the benchmark tracer wraps here)
 from .errors import (CoefficientError, ConfigError, DomainError, EvalError,
-                     InputError, ParseError, RegimeError, VectorHostError)
+                     InputError, ParseError, VectorHostError)
 from .grid import BoundarySpec, map_between
-from .periodic import band_sign, solve_Hbar, solve_endemic_pair, solve_logistic_orbit
+from .periodic import (DISEASE_FREE, ENDEMIC, EXTINCTION, INDETERMINATE,
+                       band_sign, decide, solve_Hbar, solve_endemic_pair,
+                       solve_logistic_orbit)
 from .stepper import NonlinearModel, check_trajectory, integrate_trajectory
 
 __all__ = ["main"]
@@ -145,6 +146,12 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+# how periodic's endemic_detail opens: the regime named above the band, the threshold inside it
+_ABSENT = {EXTINCTION: "the vector population dies out",
+           DISEASE_FREE: "the disease-free state resists invasion"}
+_INSIDE = {"zeta": "growth threshold", "lambda(V)": "invasion exponent"}
+
+
 def cmd_periodic(cfg: RunConfig, args) -> int:
     o = cfg.solver
     c, g = cfg.coeffs, cfg.grid
@@ -160,26 +167,30 @@ def cmd_periodic(cfg: RunConfig, args) -> int:
              ("V_fixed_point_residual", lr.orbit.residual),
              ("V_agreement_gap", lr.gap),
              ("Hbar_sup", hbar.sup_norm())]
-    indeterminate = False
-    try:
-        pair = solve_endemic_pair(c, bcs, g, o, logistic=lr, hbar=hbar)
-    except RegimeError as exc:
-        items += [("endemic_status",
-                   "INDETERMINATE" if exc.indeterminate else "ABSENT"),
-                  ("endemic_detail", str(exc))]
-        indeterminate = exc.indeterminate
-    else:
+    lam = lambda_V(c, bcs, g, lr.orbit, o) if band_sign(lr.zeta, o.band) < 0 else None
+    regime, name, value = decide(lr.zeta, None if lam is None else lam.value, o.band)
+    if regime == ENDEMIC:
+        pair = solve_endemic_pair(c, bcs, g, o, lr, lam, hbar=hbar)
         items += [("endemic_status", "PRESENT"),
-                  ("lambda_V", pair.lambda_V_result.value),
+                  ("lambda_V", lam.value),
                   ("endemic_gap", pair.gap),
                   ("endemic_converged_in", pair.converged_in),
                   ("endemic_upper_residual", pair.orbit.residual),
                   ("endemic_lower_residual", pair.lower_residual)]
         _node_csv(os.path.join(args.out, "endemic_orbit.csv"), g,
                   list(zip(("H_i", "V_i"), pair.orbit.samples, bcs)))
+    elif regime == INDETERMINATE:
+        items += [("endemic_status", "INDETERMINATE"),
+                  ("endemic_detail", f"{_INSIDE[name]} {value:.6g} lies inside the "
+                   f"decision band (+/-{o.band:g}); endemic state unresolved "
+                   "at this resolution")]
+    else:
+        items += [("endemic_status", "ABSENT"),
+                  ("endemic_detail", f"{_ABSENT[regime]} ({name} = {value:.6g} "
+                   f">= {o.band:g}); endemic orbit absent")]
     _write_report(os.path.join(args.out, "periodic_report.txt"), items)
-    print(f"zeta={lr.zeta:.6g} endemic={dict(items).get('endemic_status')}")
-    if indeterminate and args.strict:
+    print(f"zeta={lr.zeta:.6g} endemic={dict(items)['endemic_status']}")
+    if regime == INDETERMINATE and args.strict:
         return EXIT_INDETERMINATE
     return EXIT_OK
 

@@ -163,6 +163,8 @@ def _apply_overrides(parser: configparser.ConfigParser, overrides) -> None:
 
 
 def _check_schema(parser: configparser.ConfigParser) -> None:
+    if parser.defaults():   # configparser would copy each key into every section
+        raise ConfigError("unknown section [DEFAULT]")
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")

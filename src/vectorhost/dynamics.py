@@ -22,8 +22,9 @@ from .coeffs import CoefficientSet, Expression, field_values
 from .eigen import EigenResult, PeriodicOrbit, SolverOptions, lambda_V
 from .errors import InputError
 from .grid import BoundarySpec, Grid
-from .periodic import (EndemicPairResult, LogisticOrbitResult, band_sign,
-                       solve_endemic_pair, solve_logistic_orbit)
+from .periodic import (DISEASE_FREE, ENDEMIC, EXTINCTION, INDETERMINATE,
+                       EndemicPairResult, LogisticOrbitResult, band_sign,
+                       decide, solve_endemic_pair, solve_logistic_orbit)
 from .stepper import (NonlinearModel, Trajectory, check_trajectory,
                       integrate_trajectory)
 
@@ -32,11 +33,6 @@ __all__ = [
     "classify_regime", "verify_trichotomy", "build_initial_state",
     "EXTINCTION", "DISEASE_FREE", "ENDEMIC", "INDETERMINATE",
 ]
-
-EXTINCTION = "EXTINCTION"
-DISEASE_FREE = "DISEASE_FREE"
-ENDEMIC = "ENDEMIC"
-INDETERMINATE = "INDETERMINATE"
 
 _TINY_ERROR = 1e-12   # distances below this carry no ratio information
 DEFAULT_INITIAL = (1.0, 0.5, 0.1)   # (H_i, V_u, V_i) at t = 0 when none is given
@@ -87,10 +83,9 @@ def classify_regime(c: CoefficientSet, bcs, grid: Grid,
                     o: SolverOptions = SolverOptions()) -> RegimeReport:
     """Name the long-time regime from the signs of zeta and lambda(V).
 
-    lambda(V) is solved only when zeta <= -band, and the one threshold
-    that decides is read through band_sign: inside +/- band the report
-    says INDETERMINATE and carries no attractor.  Endemic attractors come
-    from the two-sided pair construction.
+    lambda(V) is solved only when zeta <= -band, and periodic.decide names
+    the regime: INDETERMINATE carries no attractor, and endemic attractors
+    come from the two-sided pair construction.
     """
     bc1, bc2 = bcs
     m = grid.steps_per_period
@@ -99,19 +94,17 @@ def classify_regime(c: CoefficientSet, bcs, grid: Grid,
     lam = pair = attractor = None
     if band_sign(lr.zeta, o.band) < 0:
         lam = lambda_V(c, bcs, grid, lr.orbit, o)
-    name, value = ("zeta", lr.zeta) if lam is None else ("lambda(V)", lam.value)
-    side = band_sign(value, o.band)
-    if side == 0:
-        regime, kind = INDETERMINATE, f"undecided ({name} inside the band)"
-    elif side < 0:   # lambda(V) below the band
-        pair = solve_endemic_pair(c, bcs, grid, o, logistic=lr, lam=lam)
+    regime, name, _ = decide(lr.zeta, None if lam is None else lam.value, o.band)
+    if regime == INDETERMINATE:
+        kind = f"undecided ({name} inside the band)"
+    elif regime == ENDEMIC:
+        pair = solve_endemic_pair(c, bcs, grid, o, lr, lam)
         (H, Vi), V = pair.orbit.samples, lr.orbit.samples[0]   # upper limit, carrying orbit
-        regime, kind, attractor = ENDEMIC, "(H_i, V - V_i, V_i)", PeriodicOrbit((H, V - Vi, Vi))
-    elif lam is None:
-        regime, kind = EXTINCTION, "(0, 0, 0)"
-        attractor = PeriodicOrbit.zeros([n1, n2, n2], m)
+        kind, attractor = "(H_i, V - V_i, V_i)", PeriodicOrbit((H, V - Vi, Vi))
+    elif regime == EXTINCTION:
+        kind, attractor = "(0, 0, 0)", PeriodicOrbit.zeros([n1, n2, n2], m)
     else:
-        regime, kind = DISEASE_FREE, "(0, V, 0)"
+        kind = "(0, V, 0)"
         attractor = PeriodicOrbit(
             (np.zeros((m + 1, n1)), lr.orbit.samples[0], np.zeros((m + 1, n2))))
     return RegimeReport(regime=regime, attractor=attractor, attractor_kind=kind,

@@ -315,7 +315,7 @@ def principal_eigenvalue(system: LinearPeriodicSystem,
     if r <= 0:
         raise InternalError(f"nonpositive multiplier {r} on a cooperative system")
 
-    value = -np.log(r) / g.T
+    value = -np.log(r) / g.T + 0.0   # + 0.0: a unit multiplier gives +0, not -0
     # reconstruct phi(x,t) = exp(value*t) u(x,t) over one final sweep
     ts = np.arange(g.steps_per_period + 1) * g.dt
     phi = P.period_map(u, store=True)

@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the package.
 
-Grouped by the stage that raises them: input/setup errors, numerical
-failures, and regime/admissibility failures. The CLI maps these onto its
-exit-code contract (see cli.py).
+Grouped by the stage that raises them: input/setup errors, and numerical
+failures with the one warning. The CLI maps these onto its exit-code
+contract (see cli.py).
 """
 
 from __future__ import annotations
@@ -76,21 +76,6 @@ class GapError(VectorHostError):
 
 class InternalError(VectorHostError):
     """An invariant the theory guarantees failed numerically."""
-
-
-# ── regime / admissibility ─────────────────────────────────────────────────
-
-
-class RegimeError(VectorHostError):
-    """Requested object does not exist in the detected regime.
-
-    indeterminate is True when the decision fell inside the sign band, so
-    the absence is a resolution limit rather than a definite verdict.
-    """
-
-    def __init__(self, message: str, indeterminate: bool = False):
-        super().__init__(message)
-        self.indeterminate = indeterminate
 
 
 class ReducibleSystemWarning(UserWarning):

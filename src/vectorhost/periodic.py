@@ -11,9 +11,9 @@ the host decay rate makes the period map a contraction.
 solve_endemic_pair runs the classical two-sided scheme on the truncated
 infection system: an upper seed built from the host profile and the
 carrying orbit, a lower seed proportional to the invasion eigenfunction,
-both iterated until they meet.  It is built on the logistic result its
-caller passes; one gate refuses it unless zeta and then lambda(V) lie
-below the decision band.
+both iterated until they meet.  It is built on the logistic result and
+the lambda(V) solve its caller passes, and refused unless decide, the one
+regime rule, names the ENDEMIC regime.
 
 Both orbits share one two-sided construction: _growing_seed finds the
 lower seed by halving, _iterate_to_fixed_point carries each sequence to
@@ -30,19 +30,25 @@ import numpy as np
 
 from .coeffs import CoefficientSet, field_lattice
 from .coeffs import field_values  # noqa: F401  (name the benchmark tracer wraps here)
-from .eigen import (EigenResult, PeriodicOrbit, SolverOptions, gamma_rho,
-                    lambda_V, zeta)
+from .eigen import EigenResult, PeriodicOrbit, SolverOptions, gamma_rho, zeta
+from .eigen import lambda_V  # noqa: F401  (name the benchmark tracer wraps here)
 from .eigen import lambda_V as lambda_V_eps  # noqa: F401  (name the benchmark tracer wraps here)
 from .errors import (GapError, InputError, InternalError, NoConvergence,
-                     NonUniqueOrbit, RegimeError)
+                     NonUniqueOrbit)
 from .grid import BoundarySpec, Grid, map_between
 from .stepper import (ComponentSpec, LinearPeriodicSystem, NonlinearModel,
                       infection_step_hint, integrate_over_period, prepare)
 
 __all__ = [
-    "LogisticOrbitResult", "EndemicPairResult",
+    "LogisticOrbitResult", "EndemicPairResult", "band_sign", "decide",
     "solve_logistic_orbit", "solve_Hbar", "solve_endemic_pair",
+    "EXTINCTION", "DISEASE_FREE", "ENDEMIC", "INDETERMINATE",
 ]
+
+EXTINCTION = "EXTINCTION"
+DISEASE_FREE = "DISEASE_FREE"
+ENDEMIC = "ENDEMIC"
+INDETERMINATE = "INDETERMINATE"
 
 AGREEMENT_FACTOR = 10.0   # two-seed limits of the same orbit
 GAP_FACTOR = 100.0        # endemic upper/lower gap certifying uniqueness
@@ -93,7 +99,6 @@ class EndemicPairResult(Bracket):
     components (H_i, V_i), is the endemic orbit; lower_residual is the sup
     gap of one more period map of the lower limit."""
 
-    lambda_V_result: EigenResult
     lower_residual: float
 
 
@@ -104,6 +109,20 @@ def band_sign(value: float, band: float) -> int:
     """The decision-band rule of every threshold test: +1 when value >= band,
     -1 when value <= -band, 0 inside the band (NaN included)."""
     return 1 if value >= band else -1 if value <= -band else 0
+
+
+def decide(zeta: float, lam: float | None, band: float) -> tuple:
+    """The regime rule, (regime, name, value) of the deciding threshold: zeta
+    unless it lies at or below -band, then lambda(V), lam (read only then).
+    At or above band that is EXTINCTION (zeta) or DISEASE_FREE (lambda(V)),
+    at or below -band ENDEMIC, inside the band (NaN too) INDETERMINATE."""
+    if band_sign(zeta, band) >= 0:
+        name, value, above = "zeta", zeta, EXTINCTION
+    else:
+        name, value, above = "lambda(V)", lam, DISEASE_FREE
+    side = band_sign(value, band)
+    regime = above if side > 0 else ENDEMIC if side < 0 else INDETERMINATE
+    return regime, name, value
 
 
 def _sup_gap(u: tuple, v: tuple) -> float:
@@ -229,38 +248,19 @@ def solve_Hbar(c: CoefficientSet, bcs, grid: Grid, V: PeriodicOrbit,
 # ─────────────────────────────────────────────────── the endemic pair ──
 
 
-def _endemic_gate(value: float, band: float, absent: str, name: str,
-                  inside: str) -> None:
-    """RegimeError unless value <= -band.  At or above band the endemic
-    orbit is absent: the message opens with `absent` and calls the value
-    `name`.  Inside the band the state is unresolved (indeterminate): the
-    message opens with `inside`."""
-    side = band_sign(value, band)
-    if side > 0:
-        raise RegimeError(f"{absent} ({name} = {value:.6g} >= {band:g}); "
-                          "endemic orbit absent")
-    if side == 0:
-        raise RegimeError(
-            f"{inside} {value:.6g} lies inside the decision band "
-            f"(+/-{band:g}); endemic state unresolved at this resolution",
-            indeterminate=True)
-
-
 def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid, o: SolverOptions,
-                       logistic: LogisticOrbitResult,
-                       lam: EigenResult | None = None,
+                       logistic: LogisticOrbitResult, lam: EigenResult,
                        hbar: PeriodicOrbit | None = None) -> EndemicPairResult:
     """Two-sided construction of the endemic orbit of the truncated system.
 
     The upper and lower limits bracket the endemic orbit itself.  The pair
-    is built on the caller's logistic result (carrying orbit and zeta); the
-    invasion eigenvalue and the host profile (solve_Hbar on that carrying
-    orbit) may be passed to reuse earlier work, and are computed here when
-    missing.
+    is built on the caller's logistic result (carrying orbit and zeta) and
+    its lambda(V) solve on that carrying orbit; the host profile
+    (solve_Hbar on the same orbit) may be passed to reuse earlier work, and
+    is computed here when missing.
 
     Raises:
-        RegimeError: zeta or the invasion exponent does not place the
-            problem in the endemic regime.
+        InputError: decide does not name the ENDEMIC regime.
         InternalError: the upper seed fails to decrease, or the
             infected-vector orbit exceeds the carrying orbit.
         NoConvergence: a monotone sequence exhausted max_periods or no
@@ -268,13 +268,11 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid, o: SolverOptions,
         GapError: the limits stay further apart than 100*tol.
     """
     bc1, bc2 = bcs
-    tol, band = o.orbit_tol, o.band
-    rz, V = logistic.zeta_result, logistic.orbit
-    _endemic_gate(rz.value, band, "the vector population dies out", "zeta",
-                  "growth threshold")
-    lamV = lam if lam is not None else lambda_V(c, (bc1, bc2), grid, V, o)
-    _endemic_gate(lamV.value, band, "the disease-free state resists invasion",
-                  "lambda(V)", "invasion exponent")
+    tol, V = o.orbit_tol, logistic.orbit
+    regime, name, value = decide(logistic.zeta, lam.value, o.band)
+    if regime != ENDEMIC:
+        raise InputError("the endemic pair needs the ENDEMIC regime; "
+                         f"{name} = {value:.6g} gives {regime}")
 
     slack = 10.0 * tol
 
@@ -293,7 +291,7 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid, o: SolverOptions,
                             + infection_step_hint(grid, grid.lattice(c.sigma2, bc2),
                                                   Hbar.lattice(), bcs, "Hbar"))
 
-    profile = tuple(lamV.eigenfunction.level(i, 0) for i in range(2))
+    profile = tuple(lam.eigenfunction.level(i, 0) for i in range(2))
     ratios = [float(np.min(0.5 * s[p > 1e-300] / p[p > 1e-300]))
               for s, p in zip(up_seed, profile)]
     lower = [_growing_seed(model, P, profile, 2.0 ** np.floor(np.log2(min(ratios))),
@@ -317,4 +315,4 @@ def solve_endemic_pair(c: CoefficientSet, bcs, grid: Grid, o: SolverOptions,
 
     return EndemicPairResult(
         orbit=orbit, upper_history=tuple(upper), lower_history=tuple(lower),
-        lambda_V_result=lamV, lower_residual=lower_residual)
+        lower_residual=lower_residual)

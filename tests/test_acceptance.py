@@ -153,8 +153,6 @@ def test_criterion_04_eigen_residual_bounds(eigen_suite, endemic_report,
         embedded = [rep.logistic.zeta_result]
         if rep.lambda_V_result is not None:
             embedded.append(rep.lambda_V_result)
-        if rep.pair is not None:
-            embedded.append(rep.pair.lambda_V_result)
         for res in embedded:
             assert res.eigenfunction.residual <= 1e-8
 

@@ -141,10 +141,20 @@ def test_overrides_apply_before_validation(tmp_path):
     "[run]\ntarget = inf\n",
     "[sweep]\nparameter = H_u\ntemplate = value\nvalues = nan 5\n",
     "[sweep]\nparameter = H_u\ntemplate = value\nvalues = inf\n",
+    "[DEFAULT]\nband = 0.01\n",               # copied into every section
 ])
 def test_config_rejections(tmp_path, extra):
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, extra))
+
+
+def test_default_section_keys_are_refused_as_the_section(tmp_path, capsys):
+    # configparser copies [DEFAULT] keys into every section, so the key
+    # would be reported under [domain]; an empty [DEFAULT] header is harmless
+    path = write_config(tmp_path, "[DEFAULT]\nband = 0.01\n")
+    assert main(["classify", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "config error: unknown section [DEFAULT]\n"
+    assert load_config(write_config(tmp_path, "[DEFAULT]\n")).solver.band == 0.001
 
 
 @pytest.mark.parametrize("override, error", [
@@ -477,6 +487,35 @@ def test_periodic_present_then_absent(tmp_path, capsys):
     assert rep["endemic_status"] == "ABSENT"
     assert not os.path.exists(os.path.join(out2, "endemic_orbit.csv"))
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("override, status, detail", [
+    ("coefficients.H_u=0.5", "ABSENT",
+     "the disease-free state resists invasion (lambda(V) = 0.634162 >= 0.001); "
+     "endemic orbit absent"),
+    ("coefficients.beta=0.5 + 0.5*sin(2*pi*t)", "ABSENT",
+     "the vector population dies out (zeta = 0.500002 >= 0.001); endemic orbit absent"),
+    ("coefficients.H_u=2", "INDETERMINATE",
+     "invasion exponent 0.000955688 lies inside the decision band (+/-0.001); "
+     "endemic state unresolved at this resolution"),
+    ("coefficients.beta=1.0005 + sin(2*pi*t)", "INDETERMINATE",
+     "growth threshold -0.000500004 lies inside the decision band (+/-0.001); "
+     "endemic state unresolved at this resolution"),
+])
+def test_periodic_endemic_detail_and_strict_exit(tmp_path, capsys, override, status,
+                                                 detail):
+    # one line per outcome decide names outside ENDEMIC; --strict exits 4
+    # only where the deciding threshold lies inside the band
+    path = tmp_path / "readme.ini"
+    path.write_text(README)
+    out = str(tmp_path / "o")
+    code = main(["periodic", "--config", str(path), "--out", out, "--strict",
+                 "--override", override])
+    assert code == (4 if status == "INDETERMINATE" else 0)
+    rep = read_report(os.path.join(out, "periodic_report.txt"))
+    assert (rep["endemic_status"], rep["endemic_detail"]) == (status, detail)
+    assert not os.path.exists(os.path.join(out, "endemic_orbit.csv"))
+    assert capsys.readouterr().out.endswith(f" endemic={status}\n")
 
 
 def test_periodic_solves_the_host_profile_once(tmp_path, capsys, monkeypatch):

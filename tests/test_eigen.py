@@ -62,6 +62,14 @@ def test_constant_zeta_and_gamma(grid):
     assert np.max(np.abs(r.eigenfunction.samples[0] - 1.0)) < 1e-9
 
 
+def test_unit_multiplier_gives_positive_zero(grid):
+    # beta = mu1 with d2 = 0.5 keeps the flat start a fixed point to the
+    # last bit: the multiplier is exactly 1, and the threshold prints as 0
+    r = zeta(make_constants(beta="1", d2="0.5"), NEUMANN2, grid)
+    assert r.multiplier == 1.0
+    assert r.value == 0.0 and math.copysign(1, r.value) == 1
+
+
 def test_multiplier_matches_value(grid):
     r = zeta(make_constants(), NEUMANN2, grid)
     assert r.value == pytest.approx(-math.log(r.multiplier) / grid.T)

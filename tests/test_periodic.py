@@ -14,9 +14,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vectorhost import (BlowupError, BoundarySpec, InputError, InternalError,
+from vectorhost import (DISEASE_FREE, ENDEMIC, EXTINCTION, INDETERMINATE,
+                        BlowupError, BoundarySpec, InputError, InternalError,
                         NoConvergence, NonlinearModel, NonUniqueOrbit,
-                        PeriodicOrbit, RegimeError, SolverOptions, build_grid,
+                        PeriodicOrbit, SolverOptions, build_grid, lambda_V,
                         periodic, prepare, solve_Hbar, solve_endemic_pair,
                         solve_logistic_orbit)
 from conftest import make_constants
@@ -29,6 +30,11 @@ BCS = (NEUMANN1, NEUMANN2)
 def flat_orbit(value, grid, bc):
     n = grid.n_unknowns(bc)
     return PeriodicOrbit((np.full((grid.steps_per_period + 1, n), float(value)),))
+
+
+def invasion(c, lr, grid):
+    """lambda(V) on the carrying orbit of lr, the pair's second input."""
+    return lambda_V(c, BCS, grid, lr.orbit)
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +154,7 @@ def test_hbar_rejects_V_off_the_vector_layout(grid, monkeypatch):
 def test_endemic_pair_constants(grid):
     c = make_constants()
     lr = solve_logistic_orbit(c, NEUMANN2, grid)
-    pair = solve_endemic_pair(c, BCS, grid, SolverOptions(), lr)
+    pair = solve_endemic_pair(c, BCS, grid, SolverOptions(), lr, invasion(c, lr, grid))
     assert np.max(np.abs(pair.orbit.samples[0] - 3.0)) < 1e-6
     assert np.max(np.abs(pair.orbit.samples[1] - 0.6)) < 1e-6
     assert pair.gap <= 1e-7
@@ -163,7 +169,7 @@ def test_endemic_histories_are_monotone_and_ordered(grid):
     # the carrying orbit, (H, V_i) for the endemic pair
     c = make_constants()
     lr = solve_logistic_orbit(c, NEUMANN2, grid)
-    pair = solve_endemic_pair(c, BCS, grid, SolverOptions(), lr)
+    pair = solve_endemic_pair(c, BCS, grid, SolverOptions(), lr, invasion(c, lr, grid))
     slack = 1e-12
     for rec in (lr, pair):
         ups, los = rec.upper_history, rec.lower_history
@@ -183,28 +189,45 @@ def test_endemic_histories_are_monotone_and_ordered(grid):
         assert rec.converged_in == max(len(ups) - 1, len(los))
 
 
+@pytest.mark.parametrize("zeta, lam, regime, name", [
+    (0.001, None, EXTINCTION, "zeta"),             # zeta at +band: above it
+    (0.000999, None, INDETERMINATE, "zeta"),       # just inside the band
+    (-0.000999, None, INDETERMINATE, "zeta"),
+    (math.nan, None, INDETERMINATE, "zeta"),
+    (-0.001, 0.001, DISEASE_FREE, "lambda(V)"),    # zeta at -band: lambda(V) decides
+    (-0.001, 0.000999, INDETERMINATE, "lambda(V)"),
+    (-0.001, -0.000999, INDETERMINATE, "lambda(V)"),
+    (-0.001, math.nan, INDETERMINATE, "lambda(V)"),
+    (-0.001, -0.001, ENDEMIC, "lambda(V)"),
+])
+def test_decide_truth_table(zeta, lam, regime, name):
+    # lam is read only once zeta lies at or below -band; the value
+    # returned is the deciding threshold itself, NaN included
+    got_regime, got_name, value = periodic.decide(zeta, lam, 0.001)
+    assert (got_regime, got_name) == (regime, name)
+    assert value is (zeta if name == "zeta" else lam)
+
+
 def test_pair_refused_outside_endemic_regime(grid):
-    # one gate per threshold: absent above the band, unresolved inside it
-    unresolved = (r" lies inside the decision band \(\+/-0\.001\); "
-                  r"endemic state unresolved at this resolution$")
+    # the pair exists only where decide names ENDEMIC; the refusal names
+    # the deciding threshold, its value and the regime it gives
+    refused = r"^the endemic pair needs the ENDEMIC regime; "
     cases = [
-        ({"H_u": "1"}, False,       # decisively disease-free
-         r"^the disease-free state resists invasion \(lambda\(V\) = 0\.381966 "
-         r">= 0\.001\); endemic orbit absent$"),
-        ({"beta": "1", "mu1": "2"}, False,   # vector dies out, decisively
-         r"^the vector population dies out \(zeta = 1\.00001 >= 0\.001\); "
-         r"endemic orbit absent$"),
-        ({"H_u": "2"}, True,        # lambda(V) is zero up to roundoff
-         r"^invasion exponent -?\d\.\d+e-\d+" + unresolved),
-        ({"beta": "1.0005 + sin(2*pi*t)"}, True,   # zeta lands inside the band
-         r"^growth threshold -0\.000500004" + unresolved),
+        ({"H_u": "1"}, r"lambda\(V\) = 0\.381966 gives DISEASE_FREE$"),
+        ({"beta": "1", "mu1": "2"}, r"zeta = 1\.00001 gives EXTINCTION$"),
+        ({"H_u": "2"}, r"lambda\(V\) = -?\d\.\d+e-\d+ gives INDETERMINATE$"),
+        ({"beta": "1.0005 + sin(2*pi*t)"}, r"zeta = -0\.000500004 gives INDETERMINATE$"),
     ]
-    for fields, indeterminate, message in cases:
+    base = make_constants()
+    endemic_lam = invasion(base, solve_logistic_orbit(base, NEUMANN2, grid), grid)
+    for fields, message in cases:
         c = make_constants(**fields)
         lr = solve_logistic_orbit(c, NEUMANN2, grid)
-        with pytest.raises(RegimeError, match=message) as err:
-            solve_endemic_pair(c, BCS, grid, SolverOptions(), lr)
-        assert err.value.indeterminate == indeterminate, fields
+        # the zero carrying orbit has no lambda(V): zeta decides even
+        # beside the baseline's endemic one
+        lam = endemic_lam if lr.orbit.sup_norm() == 0.0 else invasion(c, lr, grid)
+        with pytest.raises(InputError, match=refused + message):
+            solve_endemic_pair(c, BCS, grid, SolverOptions(), lr, lam)
 
 
 def test_pair_reuses_a_passed_host_profile(grid):
@@ -213,12 +236,13 @@ def test_pair_reuses_a_passed_host_profile(grid):
     c = make_constants()
     lr = solve_logistic_orbit(c, NEUMANN2, grid)
     hbar = solve_Hbar(c, BCS, grid, lr.orbit)
-    ref = solve_endemic_pair(c, BCS, grid, SolverOptions(), lr)
-    pair = solve_endemic_pair(c, BCS, grid, SolverOptions(), lr, hbar=hbar)
+    lam = invasion(c, lr, grid)
+    ref = solve_endemic_pair(c, BCS, grid, SolverOptions(), lr, lam)
+    pair = solve_endemic_pair(c, BCS, grid, SolverOptions(), lr, lam, hbar=hbar)
     assert np.array_equal(pair.upper_history[0][0], ref.upper_history[0][0])
     assert np.array_equal(pair.orbit.samples[0], ref.orbit.samples[0])
     doubled = PeriodicOrbit((2.0 * hbar.samples[0],))
-    seeded = solve_endemic_pair(c, BCS, grid, SolverOptions(), lr, hbar=doubled)
+    seeded = solve_endemic_pair(c, BCS, grid, SolverOptions(), lr, lam, hbar=doubled)
     assert np.array_equal(seeded.upper_history[0][0],
                           2.0 * ref.upper_history[0][0])
     assert np.max(np.abs(seeded.orbit.samples[0] - 3.0)) < 1e-6
@@ -232,13 +256,14 @@ def test_orbit_solvers_obey_the_blowup_cap(grid):
         solve_logistic_orbit(c, NEUMANN2, grid, SolverOptions(blowup_cap=0.5))
     lr = solve_logistic_orbit(c, NEUMANN2, grid)
     with pytest.raises(BlowupError, match="^state exceeded blow-up cap 2$"):
-        solve_endemic_pair(c, BCS, grid, SolverOptions(blowup_cap=2.0), lr)
+        solve_endemic_pair(c, BCS, grid, SolverOptions(blowup_cap=2.0), lr,
+                           invasion(c, lr, grid))
 
 
 def test_seasonal_endemic_pair(grid):
     c = make_constants(beta="2 + sin(2*pi*t)")
     lr = solve_logistic_orbit(c, NEUMANN2, grid)
-    pair = solve_endemic_pair(c, BCS, grid, SolverOptions(), lr)
+    pair = solve_endemic_pair(c, BCS, grid, SolverOptions(), lr, invasion(c, lr, grid))
     assert pair.gap <= 1e-7
     assert pair.orbit.min_value() > 0.0   # H_i and V_i both
     assert float(np.max(pair.orbit.samples[1] - lr.orbit.samples[0])) < 0.0
@@ -277,14 +302,15 @@ def test_failed_upper_or_lower_seed_raises(grid, monkeypatch):
     # a seed that fails is an error
     c = make_constants()
     lr = solve_logistic_orbit(c, NEUMANN2, grid)
+    lam = invasion(c, lr, grid)
     zero = PeriodicOrbit.zeros([grid.n_unknowns(NEUMANN1)], grid.steps_per_period)
     with pytest.raises(InternalError, match="^upper seed failed to decrease") as err:
-        solve_endemic_pair(c, BCS, grid, SolverOptions(), lr, hbar=zero)
+        solve_endemic_pair(c, BCS, grid, SolverOptions(), lr, lam, hbar=zero)
     assert "steps_per_period" not in str(err.value)   # dt*sigma2*Hbar = 0
     monkeypatch.setattr(periodic, "_MAX_HALVINGS", 0)
     with pytest.raises(NoConvergence, match="^no growing lower seed found "
                        "for the endemic pair$"):
-        solve_endemic_pair(c, BCS, grid, SolverOptions(), lr)
+        solve_endemic_pair(c, BCS, grid, SolverOptions(), lr, lam)
 
 
 def test_failed_seed_names_the_explicit_infection_step(grid):
@@ -296,4 +322,4 @@ def test_failed_seed_names_the_explicit_infection_step(grid):
             r"^upper seed failed to decrease; "
             r"max dt\*sigma2\*Hbar = 2\.396 >= 1 makes the explicit infection "
             r"step non-monotone \(steps_per_period >= 307 brings it below 1\)$")):
-        solve_endemic_pair(c, BCS, grid, SolverOptions(), lr)
+        solve_endemic_pair(c, BCS, grid, SolverOptions(), lr, invasion(c, lr, grid))
